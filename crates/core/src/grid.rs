@@ -1279,19 +1279,20 @@ impl Grid {
         let (_, weekday, minute) = wall_at(now);
         let slots_per_day = SamplingConfig::default().slots_per_day();
         let mut histogram = crate::hierarchy::AvailabilityHistogram::default();
+        let mut loads = Vec::new();
         for (i, lrm) in self.world.lrms.iter().enumerate() {
             let node = NodeId(i as u32);
             if !self.world.gupa.has_model(node) {
                 continue;
             }
-            let partial: Vec<UsageSample> = lrm.borrow().lupa_window().partial_day().to_vec();
             if let Some(p) = self.world.gupa.predict_idle(
                 node,
                 weekday,
                 minute,
-                &partial,
+                lrm.borrow().lupa_window().partial_day(),
                 slots_per_day,
                 self.world.config.prediction_horizon_mins,
+                &mut loads,
             ) {
                 histogram.observe(p);
             }
@@ -1479,6 +1480,19 @@ fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSam
 /// caller digests them (this keeps the upload-call count identical to the
 /// eager walk, which tests observe).
 ///
+/// The whole span `[applied, target)` goes to the LUPA window as one run of
+/// measured samples; the window cuts it into days. That equals the eager
+/// per-slot body because, for a node outside the active set, a slot has
+/// exactly four effects and the run reproduces each: the measured sample
+/// entering the window (same samples, same order, drawn from `rng` in slot
+/// order), the QoS record (same records, same order), the owner state and
+/// clock (only the last slot's survive — nothing reads the intermediate
+/// ones), and the drain of a completed day (a slot completes at most one
+/// day and the eager walk drains after every slot, so each completed day is
+/// its own upload call, in day order). An untraced node with noise off is
+/// the constant case: every sample is idle and `QosLedger::record(0, 0, 0,
+/// _, _)` is a no-op by inspection, so the run is a plain fill.
+///
 /// Runs on shard worker threads in [`TickMode::Sharded`]: it must not touch
 /// the event queue, the log, the ORBs, any other node's state, or any RNG
 /// stream other than the executing shard's `rng` — and it draws from that
@@ -1499,41 +1513,67 @@ fn replay_node_local(
     if applied >= target {
         return Vec::new();
     }
-    let tick_micros = tick.as_micros();
-    let mut uploads: Vec<Vec<DayPeriod>> = Vec::new();
+    // The (k+1)-th tick fired at k * tick.
+    let fired_at = |k: u64| SimTime::from_micros(tick.as_micros() * k);
+    let last = fired_at(target - 1);
+    let last_owner = trace_sample_at(trace, last);
+    let (_, weekday, minute) = wall_at(last);
     let mut lrm = lrm.borrow_mut();
+    debug_assert!(
+        lrm.lupa_window().completed().is_empty(),
+        "every observation drains the window before the next"
+    );
     if trace.is_empty() && noise == 0.0 {
-        // Always-idle fast path: every replayed slot observes the identical
-        // all-zero sample, and `QosLedger::record(0, 0, 0, _, _)` is a
-        // no-op by inspection (no owner demand, no grid usage, no cap
-        // check can fire). The whole replay collapses to a bulk window
-        // fill; only the day rollovers produce observable effects, and
-        // each completed period is emitted as its own upload call exactly
-        // as the per-slot loop would have. With noise on the measured
-        // samples differ slot to slot, so the bulk fill no longer applies.
-        let then = SimTime::from_micros(tick_micros * (target - 1));
-        let (_, weekday, minute) = wall_at(then);
-        lrm.observe_owner_repeat(
-            UsageSample::idle(),
-            (target - applied) as usize,
-            weekday,
-            minute,
-        );
-        uploads.extend(lrm.take_lupa_periods().into_iter().map(|p| vec![p]));
+        let idle = std::iter::repeat_n(UsageSample::idle(), (target - applied) as usize);
+        lrm.observe_owner_run(last_owner, idle, weekday, minute);
     } else {
         let cap = lrm.policy.max_cpu_fraction;
-        for k in applied..target {
-            // The (k+1)-th tick fired at k * tick.
-            let then = SimTime::from_micros(tick_micros * k);
-            let owner = trace_sample_at(trace, then);
-            let measured = measured_sample(owner, noise, rng);
-            let (_, weekday, minute) = wall_at(then);
-            lrm.observe_owner_sampled(owner, measured, weekday, minute);
-            let periods = lrm.take_lupa_periods();
+        let measured = (applied..target).map(|k| {
+            let owner = trace_sample_at(trace, fired_at(k));
             qos.record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
-            if !periods.is_empty() {
-                uploads.push(periods);
-            }
+            measured_sample(owner, noise, rng)
+        });
+        lrm.observe_owner_run(last_owner, measured, weekday, minute);
+    }
+    *ticks_applied = target;
+    lrm.take_lupa_periods()
+        .into_iter()
+        .map(|period| vec![period])
+        .collect()
+}
+
+/// [`replay_node_local`] as the eager walk defines it — one observation,
+/// one QoS record and one window drain per slot — kept as the oracle the
+/// run form is tested against.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn replay_node_local_per_slot(
+    tick: SimDuration,
+    noise: f64,
+    trace: &[UsageSample],
+    lrm: &RefCell<LrmState>,
+    qos: &mut QosLedger,
+    ticks_applied: &mut u64,
+    rng: &mut DetRng,
+    target: u64,
+) -> Vec<Vec<DayPeriod>> {
+    let applied = *ticks_applied;
+    if applied >= target {
+        return Vec::new();
+    }
+    let mut uploads: Vec<Vec<DayPeriod>> = Vec::new();
+    let mut lrm = lrm.borrow_mut();
+    let cap = lrm.policy.max_cpu_fraction;
+    for k in applied..target {
+        let then = SimTime::from_micros(tick.as_micros() * k);
+        let owner = trace_sample_at(trace, then);
+        let measured = measured_sample(owner, noise, rng);
+        let (_, weekday, minute) = wall_at(then);
+        lrm.observe_owner_sampled(owner, measured, weekday, minute);
+        let periods = lrm.take_lupa_periods();
+        qos.record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
+        if !periods.is_empty() {
+            uploads.push(periods);
         }
     }
     *ticks_applied = target;
@@ -4504,16 +4544,17 @@ impl GridWorld {
         let (_, weekday, minute) = self.wall(now);
         let slots_per_day = SamplingConfig::default().slots_per_day();
         let mut out = BTreeMap::new();
+        let mut loads = Vec::new();
         for (i, lrm) in self.lrms.iter().enumerate() {
             let node = NodeId(i as u32);
-            let partial: Vec<UsageSample> = lrm.borrow().lupa_window().partial_day().to_vec();
             if let Some(p) = self.gupa.predict_idle(
                 node,
                 weekday,
                 minute,
-                &partial,
+                lrm.borrow().lupa_window().partial_day(),
                 slots_per_day,
                 self.config.prediction_horizon_mins,
+                &mut loads,
             ) {
                 out.insert(node, p);
             }
@@ -5525,6 +5566,123 @@ impl World for GridWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One node's replay-visible state, advanced by either replay form.
+    struct ReplayNode {
+        lrm: RefCell<LrmState>,
+        qos: QosLedger,
+        ticks_applied: u64,
+        rng: DetRng,
+    }
+
+    impl ReplayNode {
+        fn new(seed: u64) -> Self {
+            let setup = NodeSetup::idle_desktop();
+            ReplayNode {
+                lrm: RefCell::new(LrmState::new(
+                    NodeId(0),
+                    setup.resources,
+                    setup.platform,
+                    setup.policy,
+                    setup.roles,
+                    LrmConfig::default(),
+                )),
+                qos: QosLedger::new(),
+                ticks_applied: 0,
+                rng: DetRng::new(seed),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The run-form replay against the per-slot body it replaced: same
+        /// upload calls in the same order, same LUPA window, QoS ledger,
+        /// tick cursor, owner state and jitter-stream position — over empty
+        /// and wrapping traces, noise off and on, and spans that start
+        /// mid-day and cross zero to three day rollovers.
+        #[test]
+        fn run_replay_matches_the_per_slot_body(
+            seed in proptest::arbitrary::any::<u64>(),
+            trace_len in 0usize..700,
+            noisy in proptest::arbitrary::any::<bool>(),
+            applied in 0u64..600,
+            span in 0u64..(3 * 288 + 100),
+        ) {
+            let tick = SimDuration::from_mins(5);
+            let noise = if noisy { 0.05 } else { 0.0 };
+            let mut gen = DetRng::new(seed);
+            let trace: Vec<UsageSample> = (0..trace_len)
+                .map(|_| {
+                    // A third of the slots idle, so QoS sees both branches.
+                    let cpu = (gen.uniform_f64() - 0.33).max(0.0);
+                    UsageSample::new(cpu, gen.uniform_f64(), 0.0, 0.0)
+                })
+                .collect();
+            let mut run = ReplayNode::new(seed);
+            let mut slot = ReplayNode::new(seed);
+            // Both start mid-history, brought there by the oracle.
+            for node in [&mut run, &mut slot] {
+                replay_node_local_per_slot(
+                    tick, noise, &trace, &node.lrm, &mut node.qos,
+                    &mut node.ticks_applied, &mut node.rng, applied,
+                );
+            }
+            let target = applied + span;
+            let run_uploads = replay_node_local(
+                tick, noise, &trace, &run.lrm, &mut run.qos,
+                &mut run.ticks_applied, &mut run.rng, target,
+            );
+            let slot_uploads = replay_node_local_per_slot(
+                tick, noise, &trace, &slot.lrm, &mut slot.qos,
+                &mut slot.ticks_applied, &mut slot.rng, target,
+            );
+            proptest::prop_assert_eq!(run_uploads, slot_uploads);
+            let (run_lrm, slot_lrm) = (run.lrm.borrow(), slot.lrm.borrow());
+            proptest::prop_assert_eq!(
+                run_lrm.lupa_window().partial_day(),
+                slot_lrm.lupa_window().partial_day()
+            );
+            proptest::prop_assert!(run_lrm.lupa_window().completed().is_empty());
+            proptest::prop_assert_eq!(run_lrm.owner_load(), slot_lrm.owner_load());
+            proptest::prop_assert_eq!(
+                run_lrm.grid_share().to_bits(),
+                slot_lrm.grid_share().to_bits()
+            );
+            proptest::prop_assert_eq!(&run.qos, &slot.qos);
+            proptest::prop_assert_eq!(run.ticks_applied, slot.ticks_applied);
+            proptest::prop_assert_eq!(run.rng.next_u64(), slot.rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn replay_to_an_already_applied_tick_is_a_no_op() {
+        let mut node = ReplayNode::new(1);
+        let tick = SimDuration::from_mins(5);
+        replay_node_local(
+            tick,
+            0.05,
+            &[],
+            &node.lrm,
+            &mut node.qos,
+            &mut node.ticks_applied,
+            &mut node.rng,
+            300,
+        );
+        let before = node.rng.clone();
+        let uploads = replay_node_local(
+            tick,
+            0.05,
+            &[],
+            &node.lrm,
+            &mut node.qos,
+            &mut node.ticks_applied,
+            &mut node.rng,
+            200,
+        );
+        assert!(uploads.is_empty());
+        assert_eq!(node.ticks_applied, 300);
+        assert_eq!(node.rng, before);
+    }
 
     fn small_grid(strategy: Strategy) -> Grid {
         let config = GridConfig {

@@ -15,12 +15,19 @@
 //! node-partitioned by construction, and the sharded tick engine hands
 //! disjoint `&mut` cell slices to its worker threads (the same
 //! `split_at_mut` pattern the QoS ledgers use) so upload digestion — the
-//! history append *and* the expensive retrain — runs in parallel. Only the
+//! curve reduction *and* the expensive retrain — runs in parallel. Only the
 //! upload counter is cross-shard; workers count locally and the frame
 //! boundary merges the partial counts in ascending shard order.
+//!
+//! A cell keeps day *curves*, not raw samples. The learner's only read of
+//! an uploaded [`DayPeriod`] is its weekday and its [`day_features`] curve
+//! (96 points at the default [`LupaConfig`]), and the trained model retains
+//! exactly that per day, so the period is reduced on arrival and dropped:
+//! 0.8 kB per node-day instead of the 9.2 kB of 288 four-component samples,
+//! with every model bit-identical to one trained on the raw history.
 
 use crate::types::NodeId;
-use integrade_usage::patterns::{LupaConfig, LupaModel};
+use integrade_usage::patterns::{day_features, LupaConfig, LupaModel};
 use integrade_usage::predict::{IdlePredictor, LupaPredictor, PredictionContext};
 use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
 use std::collections::BTreeMap;
@@ -28,21 +35,23 @@ use std::collections::BTreeMap;
 /// Minimum training days before a model is trusted.
 pub const MIN_TRAINING_DAYS: usize = 7;
 
-/// One node's slice of the GUPA: its uploaded history and, once enough
-/// history exists, its trained pattern model. Plain owned data — a shard
-/// worker can digest uploads into its nodes' cells without touching any
-/// other node's state.
+/// One node's slice of the GUPA: the feature curves of its uploaded days.
+/// Below [`MIN_TRAINING_DAYS`] they wait in `pending`; at the threshold the
+/// model is trained from them, and from then on the model's retained
+/// [`LupaModel::days`] are the single copy of the history, grown by
+/// [`LupaModel::retrain`]. Plain owned data — a shard worker can digest
+/// uploads into its nodes' cells without touching any other node's state.
 #[derive(Debug, Default)]
 pub struct GupaCell {
-    history: Vec<DayPeriod>,
+    pending: Vec<(Weekday, Vec<f64>)>,
     model: Option<LupaModel>,
 }
 
 impl GupaCell {
-    /// Digests one upload call into this cell: appends the periods and
-    /// retrains the model when enough history exists. Returns whether the
-    /// call counted as an upload (empty calls are ignored, matching the
-    /// protocol's no-op on an empty report).
+    /// Digests one upload call into this cell: reduces the periods to their
+    /// feature curves and (re)trains the model once enough days exist.
+    /// Returns whether the call counted as an upload (empty calls are
+    /// ignored, matching the protocol's no-op on an empty report).
     ///
     /// This is the worker-side half of [`GupaState::upload`]: shard threads
     /// call it against their disjoint cell slices and report how many calls
@@ -52,11 +61,29 @@ impl GupaCell {
         if periods.is_empty() {
             return false;
         }
-        self.history.extend(periods);
-        if self.history.len() >= MIN_TRAINING_DAYS {
-            self.model = Some(LupaModel::train(&self.history, config));
+        if let Some(model) = &mut self.model {
+            model.retrain(&periods);
+            return true;
+        }
+        self.pending.extend(
+            periods
+                .iter()
+                .map(|p| (p.weekday, day_features(p, config.feature_len))),
+        );
+        if self.pending.len() >= MIN_TRAINING_DAYS {
+            let days = std::mem::take(&mut self.pending);
+            self.model = Some(LupaModel::train_curves(days, config));
         }
         true
+    }
+
+    /// The stored days in arrival order, as `(weekday, feature curve)`.
+    fn day_curves(&self) -> impl Iterator<Item = (Weekday, &[f64])> {
+        let trained = self.model.iter().flat_map(LupaModel::days);
+        self.pending
+            .iter()
+            .map(|(weekday, curve)| (*weekday, curve.as_slice()))
+            .chain(trained.map(|d| (d.weekday, d.features.as_slice())))
     }
 }
 
@@ -137,23 +164,28 @@ impl GupaState {
         self.cell(node)?.model.as_ref()
     }
 
-    /// The periods uploaded for a node so far, in arrival order. Exposed so
-    /// tests can prove that different shard widths genuinely measured
-    /// different (jittered) samples while every execution-visible artifact
-    /// stayed invariant.
-    pub fn history(&self, node: NodeId) -> &[DayPeriod] {
-        self.cell(node).map(|c| c.history.as_slice()).unwrap_or(&[])
+    /// The days uploaded for a node so far, in arrival order, as the
+    /// `(weekday, feature curve)` pairs the cell stores. Exposed so tests
+    /// can prove that different shard widths genuinely measured different
+    /// (jittered) samples while every execution-visible artifact stayed
+    /// invariant.
+    pub fn day_curves(&self, node: NodeId) -> impl Iterator<Item = (Weekday, &[f64])> {
+        self.cell(node).into_iter().flat_map(GupaCell::day_curves)
     }
 
     /// Days of history held for a node.
     pub fn history_days(&self, node: NodeId) -> usize {
-        self.cell(node).map_or(0, |c| c.history.len())
+        self.cell(node).map_or(0, |c| {
+            c.pending.len() + c.model.as_ref().map_or(0, |m| m.days().len())
+        })
     }
 
     /// P(node stays idle through the next `horizon_mins`), given the day so
     /// far. `None` when no trusted model exists — the GRM then falls back to
     /// availability-only ranking, exactly the paper's "hint, not guarantee"
-    /// stance.
+    /// stance. `loads` is scratch for the day's load curve: a ranking pass
+    /// hands the same buffer to every node's call.
+    #[allow(clippy::too_many_arguments)]
     pub fn predict_idle(
         &self,
         node: NodeId,
@@ -162,14 +194,16 @@ impl GupaState {
         partial_day: &[UsageSample],
         slots_per_day: usize,
         horizon_mins: u32,
+        loads: &mut Vec<f64>,
     ) -> Option<f64> {
         let model = self.model(node)?;
-        let partial_load: Vec<f64> = partial_day.iter().map(UsageSample::load).collect();
+        loads.clear();
+        loads.extend(partial_day.iter().map(UsageSample::load));
         let predictor = LupaPredictor::new(model);
         Some(predictor.prob_idle_for(&PredictionContext {
             weekday,
             minute_of_day,
-            partial_load: &partial_load,
+            partial_load: loads,
             slots_per_day,
             horizon_mins,
         }))
@@ -187,6 +221,7 @@ impl GupaState {
         horizon_mins: u32,
     ) -> BTreeMap<NodeId, f64> {
         let empty = Vec::new();
+        let mut loads = Vec::new();
         nodes
             .iter()
             .filter_map(|&node| {
@@ -198,6 +233,7 @@ impl GupaState {
                     partial,
                     slots_per_day,
                     horizon_mins,
+                    &mut loads,
                 )
                 .map(|p| (node, p))
             })
@@ -254,7 +290,15 @@ mod tests {
         gupa.upload(NodeId(1), vec![day(0, office)]);
         assert!(!gupa.has_model(NodeId(1)));
         assert!(gupa
-            .predict_idle(NodeId(1), Weekday::new(0), 600, &[], 96, 60)
+            .predict_idle(
+                NodeId(1),
+                Weekday::new(0),
+                600,
+                &[],
+                96,
+                60,
+                &mut Vec::new()
+            )
             .is_none());
         // Accumulate past the threshold.
         gupa.upload(NodeId(1), (1..8).map(|d| day(d, office)).collect());
@@ -267,6 +311,46 @@ mod tests {
         let mut gupa = GupaState::new(LupaConfig::default());
         gupa.upload(NodeId(1), vec![]);
         assert_eq!(gupa.uploads(), 0);
+    }
+
+    #[test]
+    fn curve_store_trains_the_model_raw_history_would() {
+        // Three regimes with per-day amplitude drift, so k and the
+        // assignments move as days arrive.
+        let raw: Vec<DayPeriod> = (0..21)
+            .map(|d| {
+                let drift = 0.01 * d as f64;
+                match d % 3 {
+                    0 => day(d, |h| office(h) - drift),
+                    1 => day(d, |_| 0.02 + drift),
+                    _ => day(d, |_| 0.9 - drift),
+                }
+            })
+            .collect();
+        let config = LupaConfig::default();
+        let mut daily = GupaCell::default();
+        for len in 1..=raw.len() {
+            // The run's shape: one completed day per upload call.
+            assert!(daily.digest(config, vec![raw[len - 1].clone()]));
+            assert_eq!(daily.day_curves().count(), len);
+            if len < MIN_TRAINING_DAYS {
+                assert!(daily.model.is_none());
+                continue;
+            }
+            let trained = LupaModel::train(&raw[..len], config);
+            assert_eq!(daily.model.as_ref(), Some(&trained), "daily, {len} days");
+            // Warm-up's shape: the whole history in one call.
+            let mut bulk = GupaCell::default();
+            bulk.digest(config, raw[..len].to_vec());
+            assert_eq!(bulk.model.as_ref(), Some(&trained), "bulk, {len} days");
+            // And a warm-up followed by the run's daily uploads.
+            let mut mixed = GupaCell::default();
+            mixed.digest(config, raw[..MIN_TRAINING_DAYS - 2].to_vec());
+            for period in &raw[MIN_TRAINING_DAYS - 2..len] {
+                mixed.digest(config, vec![period.clone()]);
+            }
+            assert_eq!(mixed.model.as_ref(), Some(&trained), "mixed, {len} days");
+        }
     }
 
     #[test]
@@ -292,8 +376,8 @@ mod tests {
         assert_eq!(par.uploads(), seq.uploads());
         assert_eq!(par.history_days(NodeId(3)), seq.history_days(NodeId(3)));
         assert!(par.has_model(NodeId(3)) && seq.has_model(NodeId(3)));
-        assert_eq!(par.history(NodeId(3)).len(), 8);
-        assert!(par.history(NodeId(0)).is_empty());
+        assert_eq!(par.day_curves(NodeId(3)).count(), 8);
+        assert_eq!(par.day_curves(NodeId(0)).count(), 0);
     }
 
     #[test]
@@ -308,7 +392,15 @@ mod tests {
             })
             .collect();
         let p = gupa
-            .predict_idle(NodeId(1), Weekday::new(1), 20 * 60, &partial, 96, 120)
+            .predict_idle(
+                NodeId(1),
+                Weekday::new(1),
+                20 * 60,
+                &partial,
+                96,
+                120,
+                &mut Vec::new(),
+            )
             .unwrap();
         assert!(p > 0.7, "overnight idle: {p}");
     }
@@ -319,7 +411,15 @@ mod tests {
         // Wednesday 08:30, idle so far — owner arrives at 09:00.
         let partial: Vec<UsageSample> = (0..34).map(|_| UsageSample::idle()).collect();
         let p = gupa
-            .predict_idle(NodeId(1), Weekday::new(2), 8 * 60 + 30, &partial, 96, 180)
+            .predict_idle(
+                NodeId(1),
+                Weekday::new(2),
+                8 * 60 + 30,
+                &partial,
+                96,
+                180,
+                &mut Vec::new(),
+            )
             .unwrap();
         assert!(p < 0.4, "owner about to return: {p}");
     }

@@ -268,25 +268,26 @@ impl LrmState {
         self.lupa_window.push(measured);
     }
 
-    /// Bulk form of [`LrmState::observe_owner`]: records `count` identical
-    /// consecutive samples ending at (`weekday`, `minute_of_day`).
+    /// Run form of [`LrmState::observe_owner_sampled`]: records a run of
+    /// consecutive measured samples whose last slot saw owner state `owner`
+    /// at (`weekday`, `minute_of_day`).
     ///
-    /// Equivalent to `count` calls to `observe_owner` with the same sample
-    /// and the per-slot clock values of each step — the intermediate
+    /// Equivalent to one `observe_owner_sampled` call per slot with that
+    /// slot's owner sample and clock — the intermediate owner and
     /// weekday/minute states are unobservable because nothing else runs
-    /// between the calls during a bulk idle catch-up, so only the final
-    /// clock is stored.
-    pub fn observe_owner_repeat(
+    /// between the calls during a catch-up replay, so only the final ones
+    /// are stored.
+    pub fn observe_owner_run(
         &mut self,
-        sample: UsageSample,
-        count: usize,
+        owner: UsageSample,
+        measured: impl IntoIterator<Item = UsageSample>,
         weekday: Weekday,
         minute_of_day: u32,
     ) {
-        self.owner = sample;
+        self.owner = owner;
         self.weekday = weekday;
         self.minute_of_day = minute_of_day;
-        self.lupa_window.push_repeat(sample, count);
+        self.lupa_window.extend_run(measured);
     }
 
     /// The owner's current load.

@@ -198,22 +198,31 @@ pub fn fit(data: &[Vec<f64>], config: KMeansConfig) -> KMeansModel {
 /// (single cluster or singleton data).
 pub fn silhouette_score(data: &[Vec<f64>], assignments: &[usize], k: usize) -> f64 {
     assert_eq!(data.len(), assignments.len(), "one assignment per row");
-    if k < 2 || data.len() < 3 {
+    silhouette_over(assignments, k, |i, j| euclidean(&data[i], &data[j]))
+}
+
+/// The silhouette body, over any source of the distance between rows `i`
+/// and `j` — recomputed from the rows ([`silhouette_score`]) or read from a
+/// precomputed matrix ([`select_k`]).
+fn silhouette_over(assignments: &[usize], k: usize, distance: impl Fn(usize, usize) -> f64) -> f64 {
+    let n = assignments.len();
+    if k < 2 || n < 3 {
         return 0.0;
     }
-    let n = data.len();
     let mut total = 0.0;
     let mut counted = 0usize;
+    let mut sums = vec![0.0; k];
+    let mut counts = vec![0usize; k];
     for i in 0..n {
         let own = assignments[i];
         // Mean distance to own cluster (a) and nearest other cluster (b).
-        let mut sums = vec![0.0; k];
-        let mut counts = vec![0usize; k];
+        sums.fill(0.0);
+        counts.fill(0);
         for j in 0..n {
             if i == j {
                 continue;
             }
-            sums[assignments[j]] += euclidean(&data[i], &data[j]);
+            sums[assignments[j]] += distance(i, j);
             counts[assignments[j]] += 1;
         }
         if counts[own] == 0 {
@@ -237,8 +246,31 @@ pub fn silhouette_score(data: &[Vec<f64>], assignments: &[usize], k: usize) -> f
     }
 }
 
+/// The symmetric `n × n` matrix of pairwise Euclidean distances, row-major.
+/// Each unordered pair is computed once and mirrored: `(a − b)²` and
+/// `(b − a)²` are the same `f64`, so `d(j, i)` read from the mirror has the
+/// bits `euclidean(row j, row i)` would produce.
+fn pairwise_distances(data: &[Vec<f64>]) -> Vec<f64> {
+    let n = data.len();
+    let mut matrix = vec![0.0; n * n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = euclidean(&data[i], &data[j]);
+            matrix[i * n + j] = d;
+            matrix[j * n + i] = d;
+        }
+    }
+    matrix
+}
+
 /// Fits k-means for each `k` in `k_range` and returns the model with the
 /// best silhouette score, along with its `k`.
+///
+/// The silhouette of every candidate reads the same pairwise distances
+/// between rows — only the assignments differ from one `k` to the next — so
+/// the matrix is computed once here and every `k` is scored from it. The
+/// scores, and hence the selected model, are bit-identical to calling
+/// [`silhouette_score`] per `k`.
 ///
 /// # Panics
 ///
@@ -248,10 +280,12 @@ pub fn select_k(
     k_range: std::ops::RangeInclusive<usize>,
     seed: u64,
 ) -> (usize, KMeansModel) {
+    let n = data.len();
+    let distances = pairwise_distances(data);
     let mut best: Option<(f64, usize, KMeansModel)> = None;
     for k in k_range {
         let model = fit(data, KMeansConfig::new(k, seed ^ k as u64));
-        let score = silhouette_score(data, &model.assignments, k);
+        let score = silhouette_over(&model.assignments, k, |i, j| distances[i * n + j]);
         let better = match &best {
             None => true,
             Some((best_score, _, _)) => score > *best_score,
@@ -369,6 +403,25 @@ mod tests {
         let data = vec![vec![1.0], vec![2.0]];
         assert_eq!(silhouette_score(&data, &[0, 0], 1), 0.0);
         assert_eq!(silhouette_score(&data, &[0, 1], 2), 0.0); // n < 3
+    }
+
+    #[test]
+    fn matrix_silhouette_is_bit_identical_to_recomputed_distances() {
+        // 96-dimensional rows like the daily load curves `select_k` sees;
+        // every (n, k) the LUPA trainer can ask for in its first weeks.
+        let mut rng = DetRng::new(0x5349_4C48);
+        for n in 3..=20usize {
+            let data: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..96).map(|_| rng.uniform_f64()).collect())
+                .collect();
+            let distances = pairwise_distances(&data);
+            for k in 2..=6usize.min(n) {
+                let model = fit(&data, KMeansConfig::new(k, 17 ^ k as u64));
+                let direct = silhouette_score(&data, &model.assignments, k);
+                let matrix = silhouette_over(&model.assignments, k, |i, j| distances[i * n + j]);
+                assert_eq!(matrix.to_bits(), direct.to_bits(), "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,18 @@
 //! them with shape heuristics. [`LupaModel::retrain`] implements the paper's
 //! "evolutionary process: as data is being collected and analyzed new
 //! categories can appear, others can disappear".
+//!
+//! The only thing the learner reads of a [`DayPeriod`] is its weekday and
+//! [`day_features`] — the load curve resampled to `feature_len` points and
+//! smoothed. The model retains exactly that per training day
+//! ([`TrainedDay`]), so a caller that keeps the model (or, before the first
+//! training, the feature curves for [`LupaModel::train_curves`]) can drop
+//! the raw samples: retraining on retained curves plus new periods is
+//! bit-identical to training on the whole raw history.
 
 use crate::kmeans::{select_k, KMeansModel};
 use crate::sample::{DayPeriod, Weekday};
-use crate::series::{euclidean, resample, smooth};
+use crate::series::{euclidean, resample, resampled_point, smooth};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -130,8 +138,31 @@ pub struct LupaModel {
     days: Vec<TrainedDay>,
 }
 
-fn features_of(period: &DayPeriod, feature_len: usize) -> Vec<f64> {
-    smooth(&resample(&period.load_curve(), feature_len), 1)
+/// The feature-space curve of one day: its scalar load curve resampled to
+/// `feature_len` points and smoothed over a three-point window — the same
+/// values as `smooth(&resample(&period.load_curve(), feature_len), 1)`, bit
+/// for bit, computed in one pass with the output as the only allocation.
+///
+/// # Panics
+///
+/// Panics if the period has no samples or `feature_len` is zero.
+pub fn day_features(period: &DayPeriod, feature_len: usize) -> Vec<f64> {
+    let samples = &period.samples;
+    let point = |i: usize| resampled_point(samples.len(), feature_len, i, |j| samples[j].load());
+    // `[previous, current, next]` resampled points around output slot `i`;
+    // the ends average over the two points that exist.
+    let mut window = [0.0, point(0), 0.0];
+    let mut out = Vec::with_capacity(feature_len);
+    for i in 0..feature_len {
+        let has_next = i + 1 < feature_len;
+        if has_next {
+            window[2] = point(i + 1);
+        }
+        let present = &window[usize::from(i == 0)..if has_next { 3 } else { 2 }];
+        out.push(present.iter().sum::<f64>() / present.len() as f64);
+        window.rotate_left(1);
+    }
+    out
 }
 
 fn label_centroid(centroid: &[f64], idle_threshold: f64) -> CategoryLabel {
@@ -166,93 +197,47 @@ impl LupaModel {
     ///
     /// Panics if `periods` is empty or contains empty days.
     pub fn train(periods: &[DayPeriod], config: LupaConfig) -> Self {
+        Self::train_curves(
+            periods
+                .iter()
+                .map(|p| (p.weekday, day_features(p, config.feature_len)))
+                .collect(),
+            config,
+        )
+    }
+
+    /// Trains a model on days already reduced to `(weekday, day_features)`
+    /// — what a store that dropped the raw samples holds. Equal to
+    /// [`LupaModel::train`] over the periods the curves came from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `days` is empty.
+    pub fn train_curves(days: Vec<(Weekday, Vec<f64>)>, config: LupaConfig) -> Self {
         assert!(
-            !periods.is_empty(),
+            !days.is_empty(),
             "LUPA training requires at least one period"
         );
-        let features: Vec<Vec<f64>> = periods
-            .iter()
-            .map(|p| features_of(p, config.feature_len))
-            .collect();
-        let k_max = config.k_max.min(features.len());
-        let k_min = config.k_min.min(k_max);
-        let (_, model): (usize, KMeansModel) = select_k(&features, k_min..=k_max, config.seed);
-
-        let mut categories: Vec<Category> = model
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(id, centroid)| Category {
-                id,
-                centroid: centroid.clone(),
-                day_count: 0,
-                weekday_hist: [0; 7],
-                label: label_centroid(centroid, config.idle_threshold),
-            })
-            .collect();
-        let mut days = Vec::with_capacity(periods.len());
-        for (period, (&assignment, feats)) in
-            periods.iter().zip(model.assignments.iter().zip(&features))
-        {
-            categories[assignment].day_count += 1;
-            categories[assignment].weekday_hist[period.weekday.index() as usize] += 1;
-            days.push(TrainedDay {
-                weekday: period.weekday,
-                features: feats.clone(),
-                category: assignment,
-            });
-        }
-        LupaModel {
-            config,
-            categories,
-            days,
-        }
+        let (weekdays, features) = days.into_iter().unzip();
+        Self::fit_days(weekdays, features, config)
     }
 
     /// Retrains with additional periods appended to the history, reporting
-    /// how the category set evolved.
+    /// how the category set evolved. The history is the model's own
+    /// retained [`TrainedDay`] curves, so the result equals
+    /// [`LupaModel::train`] over every period the model has ever seen.
     pub fn retrain(&mut self, new_periods: &[DayPeriod]) -> EvolutionReport {
         let before: Vec<CategoryLabel> = self.categories.iter().map(|c| c.label).collect();
-        let k_before = before.len();
-        // Rebuild synthetic periods from retained feature days + new ones.
-        let mut all_features: Vec<(Weekday, Vec<f64>)> = self
-            .days
-            .iter()
-            .map(|d| (d.weekday, d.features.clone()))
-            .collect();
-        all_features.extend(
-            new_periods
-                .iter()
-                .map(|p| (p.weekday, features_of(p, self.config.feature_len))),
-        );
-        let data: Vec<Vec<f64>> = all_features.iter().map(|(_, f)| f.clone()).collect();
-        let k_max = self.config.k_max.min(data.len());
-        let k_min = self.config.k_min.min(k_max);
-        let (_, model) = select_k(&data, k_min..=k_max, self.config.seed);
-        let mut categories: Vec<Category> = model
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(id, centroid)| Category {
-                id,
-                centroid: centroid.clone(),
-                day_count: 0,
-                weekday_hist: [0; 7],
-                label: label_centroid(centroid, self.config.idle_threshold),
-            })
-            .collect();
-        let mut days = Vec::with_capacity(data.len());
-        for ((weekday, feats), &assignment) in all_features.iter().zip(&model.assignments) {
-            categories[assignment].day_count += 1;
-            categories[assignment].weekday_hist[weekday.index() as usize] += 1;
-            days.push(TrainedDay {
-                weekday: *weekday,
-                features: feats.clone(),
-                category: assignment,
-            });
+        let (mut weekdays, mut features): (Vec<Weekday>, Vec<Vec<f64>>) =
+            std::mem::take(&mut self.days)
+                .into_iter()
+                .map(|d| (d.weekday, d.features))
+                .unzip();
+        for period in new_periods {
+            weekdays.push(period.weekday);
+            features.push(day_features(period, self.config.feature_len));
         }
-        self.categories = categories;
-        self.days = days;
+        *self = Self::fit_days(weekdays, features, self.config);
         let after: Vec<CategoryLabel> = self.categories.iter().map(|c| c.label).collect();
         EvolutionReport {
             appeared: after
@@ -265,8 +250,48 @@ impl LupaModel {
                 .filter(|l| !after.contains(l))
                 .copied()
                 .collect(),
-            k_before,
+            k_before: before.len(),
             k_after: after.len(),
+        }
+    }
+
+    /// The one place that turns day curves into a model: picks `k` by
+    /// silhouette, builds the categories with their weekday histograms and
+    /// labels, and retains each day's curve with its assignment.
+    fn fit_days(weekdays: Vec<Weekday>, features: Vec<Vec<f64>>, config: LupaConfig) -> Self {
+        let k_max = config.k_max.min(features.len());
+        let k_min = config.k_min.min(k_max);
+        let (_, model): (usize, KMeansModel) = select_k(&features, k_min..=k_max, config.seed);
+        let mut categories: Vec<Category> = model
+            .centroids
+            .into_iter()
+            .enumerate()
+            .map(|(id, centroid)| Category {
+                id,
+                label: label_centroid(&centroid, config.idle_threshold),
+                centroid,
+                day_count: 0,
+                weekday_hist: [0; 7],
+            })
+            .collect();
+        let days = weekdays
+            .into_iter()
+            .zip(features)
+            .zip(model.assignments)
+            .map(|((weekday, features), category)| {
+                categories[category].day_count += 1;
+                categories[category].weekday_hist[weekday.index() as usize] += 1;
+                TrainedDay {
+                    weekday,
+                    features,
+                    category,
+                }
+            })
+            .collect();
+        LupaModel {
+            config,
+            categories,
+            days,
         }
     }
 
@@ -287,14 +312,12 @@ impl LupaModel {
 
     /// Prior probability of each category on `weekday` (Laplace-smoothed).
     pub fn weekday_prior(&self, weekday: Weekday) -> Vec<f64> {
-        let k = self.categories.len();
-        let counts: Vec<f64> = self
+        let counts = self
             .categories
             .iter()
-            .map(|c| c.weekday_hist[weekday.index() as usize] as f64 + 0.5)
-            .collect();
-        let total: f64 = counts.iter().sum();
-        counts.iter().map(|c| c / total).collect::<Vec<_>>()[..k].to_vec()
+            .map(|c| c.weekday_hist[weekday.index() as usize] as f64 + 0.5);
+        let total: f64 = counts.clone().sum();
+        counts.map(|c| c / total).collect()
     }
 
     /// Classifies a complete feature-space day curve.
@@ -440,7 +463,7 @@ mod tests {
         let model = LupaModel::train(&two_weeks(), LupaConfig::default());
         let mut rng = DetRng::new(7);
         let fresh_office = synth_day(14, office, &mut rng); // a Monday
-        let feats = features_of(&fresh_office, model.config().feature_len);
+        let feats = day_features(&fresh_office, model.config().feature_len);
         let cat = model.classify(&feats);
         assert_eq!(model.categories()[cat].label, CategoryLabel::OfficeHours);
     }
@@ -488,6 +511,60 @@ mod tests {
             "{report:?}"
         );
         assert!(report.k_after >= report.k_before);
+    }
+
+    #[test]
+    fn day_features_is_bit_identical_to_the_staged_pipeline() {
+        // Down-sampled (288, 100), native (96) and interpolated (48, 2, 1)
+        // days, and feature lengths down to one point.
+        let mut rng = DetRng::new(0x4645_4154);
+        for slots in [1usize, 2, 48, 96, 100, 288] {
+            let period = DayPeriod {
+                day: 0,
+                weekday: Weekday::new(0),
+                samples: (0..slots)
+                    .map(|_| {
+                        UsageSample::new(
+                            rng.uniform_f64(),
+                            rng.uniform_f64(),
+                            rng.uniform_f64(),
+                            rng.uniform_f64(),
+                        )
+                    })
+                    .collect(),
+            };
+            for feature_len in [1usize, 2, 3, 24, 96] {
+                let staged = smooth(&resample(&period.load_curve(), feature_len), 1);
+                let fused = day_features(&period, feature_len);
+                assert_eq!(
+                    fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    staged.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "slots={slots} feature_len={feature_len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn retrain_equals_training_on_the_whole_history() {
+        let mut rng = DetRng::new(23);
+        let history: Vec<DayPeriod> = (0..21)
+            .map(|d| match d % 3 {
+                0 => synth_day(d, office, &mut rng),
+                1 => synth_day(d, idle, &mut rng),
+                _ => synth_day(d, busy, &mut rng),
+            })
+            .collect();
+        let config = LupaConfig::default();
+        let mut grown = LupaModel::train(&history[..7], config);
+        for split in 7..history.len() {
+            grown.retrain(&history[split..=split]);
+            assert_eq!(
+                grown,
+                LupaModel::train(&history[..=split], config),
+                "{split}"
+            );
+        }
     }
 
     #[test]

@@ -247,42 +247,43 @@ impl SampleWindow {
     pub fn push(&mut self, sample: UsageSample) {
         self.current.push(sample);
         if self.current.len() == self.config.slots_per_day() {
-            let day = self.current_day;
-            self.completed.push(DayPeriod {
-                day,
-                weekday: Weekday::from_day_number(day),
-                samples: std::mem::take(&mut self.current),
-            });
-            self.current_day += 1;
-            self.current.reserve(self.config.slots_per_day());
+            self.roll_over();
         }
     }
 
-    /// Pushes `count` copies of `sample`, equivalent to calling
-    /// [`SampleWindow::push`] `count` times — day rollovers included.
+    /// Pushes a run of consecutive samples in time order, equivalent to
+    /// calling [`SampleWindow::push`] on each — day rollovers included.
     ///
-    /// This exists for the simulator's bulk catch-up replay: an idle node
-    /// that slept through hours of sim time contributes a long run of
-    /// identical samples, and filling whole days with `extend` beats a
-    /// per-slot call into the rollover check.
-    pub fn push_repeat(&mut self, sample: UsageSample, mut count: usize) {
+    /// The run is consumed one window-day at a time: the in-progress day
+    /// takes as many samples as it has room for and rolls over only when
+    /// that fills it, so the rollover check runs once per completed day
+    /// rather than once per sample. The simulator's catch-up replay feeds a
+    /// node's whole deferred span through here; a constant run
+    /// (`std::iter::repeat_n`) is its always-idle case.
+    pub fn extend_run(&mut self, samples: impl IntoIterator<Item = UsageSample>) {
         let per_day = self.config.slots_per_day();
-        while count > 0 {
+        let mut samples = samples.into_iter();
+        loop {
             let room = per_day - self.current.len();
-            let take = room.min(count);
-            self.current.extend(std::iter::repeat_n(sample, take));
-            count -= take;
-            if self.current.len() == per_day {
-                let day = self.current_day;
-                self.completed.push(DayPeriod {
-                    day,
-                    weekday: Weekday::from_day_number(day),
-                    samples: std::mem::take(&mut self.current),
-                });
-                self.current_day += 1;
-                self.current.reserve(per_day);
+            self.current.extend(samples.by_ref().take(room));
+            if self.current.len() < per_day {
+                return;
             }
+            self.roll_over();
         }
+    }
+
+    /// Moves the (full) in-progress day to the completed periods and starts
+    /// the next one.
+    fn roll_over(&mut self) {
+        let day = self.current_day;
+        self.completed.push(DayPeriod {
+            day,
+            weekday: Weekday::from_day_number(day),
+            samples: std::mem::take(&mut self.current),
+        });
+        self.current_day += 1;
+        self.current.reserve(self.config.slots_per_day());
     }
 
     /// Completed periods so far.
@@ -378,10 +379,15 @@ mod tests {
         assert!(w.completed().is_empty());
     }
 
+    /// A run whose samples differ slot to slot, so a misplaced or dropped
+    /// sample shows.
+    fn ramp(count: usize) -> impl Iterator<Item = UsageSample> {
+        (0..count).map(|i| UsageSample::new((i % 97) as f64 / 97.0, 0.1, 0.0, 0.0))
+    }
+
     #[test]
-    fn push_repeat_matches_repeated_push() {
+    fn extend_run_matches_repeated_push() {
         let cfg = SamplingConfig::new(480); // 3 slots/day for brevity
-        let sample = UsageSample::new(0.3, 0.1, 0.0, 0.0);
         for offset in 0..3usize {
             for count in [0usize, 1, 2, 3, 4, 7, 11] {
                 let mut bulk = SampleWindow::new(cfg);
@@ -390,8 +396,8 @@ mod tests {
                     bulk.push(UsageSample::idle());
                     slow.push(UsageSample::idle());
                 }
-                bulk.push_repeat(sample, count);
-                for _ in 0..count {
+                bulk.extend_run(ramp(count));
+                for sample in ramp(count) {
                     slow.push(sample);
                 }
                 assert_eq!(
@@ -407,21 +413,25 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn prop_push_repeat_equivalence(
+        fn prop_extend_run_equivalence(
             offset in 0usize..300,
             count in 0usize..1000,
-            cpu in 0.0f64..1.0,
+            constant in proptest::arbitrary::any::<bool>(),
         ) {
             let cfg = SamplingConfig::default(); // 288 slots/day
-            let sample = UsageSample::new(cpu, 0.0, 0.0, 0.0);
+            let run: Vec<UsageSample> = if constant {
+                std::iter::repeat_n(UsageSample::new(0.3, 0.0, 0.0, 0.0), count).collect()
+            } else {
+                ramp(count).collect()
+            };
             let mut bulk = SampleWindow::new(cfg);
             let mut slow = SampleWindow::new(cfg);
             for _ in 0..offset {
                 bulk.push(UsageSample::idle());
                 slow.push(UsageSample::idle());
             }
-            bulk.push_repeat(sample, count);
-            for _ in 0..count {
+            bulk.extend_run(run.iter().copied());
+            for &sample in &run {
                 slow.push(sample);
             }
             proptest::prop_assert_eq!(bulk.completed(), slow.completed());

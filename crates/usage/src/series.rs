@@ -106,36 +106,42 @@ pub fn resample(values: &[f64], target_len: usize) -> Vec<f64> {
         !values.is_empty() && target_len > 0,
         "resample requires non-empty sizes"
     );
-    let n = values.len();
+    (0..target_len)
+        .map(|i| resampled_point(values.len(), target_len, i, |j| values[j]))
+        .collect()
+}
+
+/// Point `i` of [`resample`]'s output for an `n`-point input read through
+/// `value` — for callers that derive the input on the fly and do not want
+/// it materialised.
+///
+/// # Panics
+///
+/// Panics if either length is zero or `i >= target_len`.
+pub fn resampled_point(n: usize, target_len: usize, i: usize, value: impl Fn(usize) -> f64) -> f64 {
+    assert!(
+        n > 0 && i < target_len,
+        "resample requires non-empty sizes and a point inside the output"
+    );
     if n == target_len {
-        return values.to_vec();
-    }
-    if target_len < n {
+        value(i)
+    } else if target_len < n {
         // Bin-average.
-        (0..target_len)
-            .map(|i| {
-                let start = i * n / target_len;
-                let end = (((i + 1) * n).div_ceil(target_len)).min(n).max(start + 1);
-                values[start..end].iter().sum::<f64>() / (end - start) as f64
-            })
-            .collect()
+        let start = i * n / target_len;
+        let end = (((i + 1) * n).div_ceil(target_len)).min(n).max(start + 1);
+        (start..end).map(&value).sum::<f64>() / (end - start) as f64
+    } else if n == 1 {
+        value(0)
     } else {
         // Linear interpolation.
-        (0..target_len)
-            .map(|i| {
-                if n == 1 {
-                    return values[0];
-                }
-                let pos = i as f64 * (n - 1) as f64 / (target_len - 1) as f64;
-                let base = pos.floor() as usize;
-                let frac = pos - base as f64;
-                if base + 1 < n {
-                    values[base] * (1.0 - frac) + values[base + 1] * frac
-                } else {
-                    values[n - 1]
-                }
-            })
-            .collect()
+        let pos = i as f64 * (n - 1) as f64 / (target_len - 1) as f64;
+        let base = pos.floor() as usize;
+        let frac = pos - base as f64;
+        if base + 1 < n {
+            value(base) * (1.0 - frac) + value(base + 1) * frac
+        } else {
+            value(n - 1)
+        }
     }
 }
 

@@ -111,7 +111,7 @@ fn run_scenario(grid: &mut Grid, seed: u64, drop_pct: f64, crash: bool) {
 }
 
 /// Asserts every externally observable artifact matches bit for bit.
-fn assert_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
+fn assert_execution_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
     assert_eq!(
         fast.log().records(),
         reference.log().records(),
@@ -166,6 +166,29 @@ fn assert_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
             a.reservations(),
             b.reservations(),
             "{ctx}: node {n} reservations diverged"
+        );
+    }
+}
+
+/// [`assert_execution_parity`] plus the pattern learner's state: every
+/// node's trained GUPA model and in-progress LUPA day. These are what the
+/// lazy catch-up replay writes, so comparing them checks the replay kernel
+/// against the eager walk itself, not just against what execution shows of
+/// it. Holds whenever both grids drew the same measurement jitter — always
+/// with noise off, and at equal worker counts with it on.
+fn assert_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
+    assert_execution_parity(fast, reference, ctx);
+    for n in 0..fast.node_count() as u32 {
+        let node = NodeId(n);
+        assert_eq!(
+            fast.gupa().model(node),
+            reference.gupa().model(node),
+            "{ctx}: node {n} GUPA models diverged"
+        );
+        assert_eq!(
+            fast.lrm(node).unwrap().lupa_window().partial_day(),
+            reference.lrm(node).unwrap().lupa_window().partial_day(),
+            "{ctx}: node {n} LUPA partial days diverged"
         );
     }
 }
@@ -252,6 +275,52 @@ fn sharded_fixed_width_reproduces_itself() {
         run_scenario(&mut second, 7, 0.05, true);
         let ctx = format!("Sharded{{{workers}}} self-reproducibility");
         assert_parity(&mut first, &mut second, &ctx);
+    }
+}
+
+#[test]
+fn learner_state_parity_through_training_and_retraining() {
+    // The other suites stop before the first midnight with no warm-up, so
+    // their models are all `None`. Here six warm-up days put every traced
+    // node one upload short of the training threshold; the run crosses two
+    // midnights, so each trains at the first and retrains at the second —
+    // by lazy replay in the scaled modes, slot by slot in the reference.
+    let build = |mode| {
+        let config = GridConfig::builder()
+            .seed(5)
+            .gupa_warmup_days(6)
+            .tick_mode(mode)
+            .build();
+        let mut builder = GridBuilder::new(config);
+        builder.add_cluster(
+            (0..8)
+                .map(|i| NodeSetup {
+                    // Traces of different lengths wrap at different slots.
+                    trace: office_trace()[..288 * (7 - i % 3)].to_vec(),
+                    ..NodeSetup::idle_desktop()
+                })
+                .collect(),
+        );
+        builder.build()
+    };
+    let run = |grid: &mut Grid| {
+        grid.submit(JobSpec::sequential("learner-seq", 300_000));
+        grid.run_until(SimTime::from_secs(30 * 3600));
+        grid.submit(JobSpec::bag_of_tasks("learner-bag", 3, 60_000));
+        grid.run_until(SimTime::from_secs(54 * 3600));
+    };
+    let mut reference = build(TickMode::Reference);
+    run(&mut reference);
+    assert_eq!(reference.report().gupa_models, 8, "every node trained");
+    assert_eq!(reference.gupa().history_days(NodeId(0)), 8);
+    let mut active = build(TickMode::ActiveSet);
+    run(&mut active);
+    assert_parity(&mut active, &mut reference, "ActiveSet, two midnights");
+    for workers in SHARD_WIDTHS {
+        let mut sharded = build(TickMode::Sharded { workers });
+        run(&mut sharded);
+        let ctx = format!("Sharded{{{workers}}}, two midnights");
+        assert_parity(&mut sharded, &mut reference, &ctx);
     }
 }
 
@@ -426,11 +495,17 @@ fn run_noisy(grid: &mut Grid) {
     grid.run_until(SimTime::from_secs(26 * 3600));
 }
 
-/// Every node's uploaded GUPA history — the one artifact the contract
-/// allows to differ across worker counts when noise is on.
-fn gupa_histories(grid: &Grid) -> Vec<Vec<integrade::usage::sample::DayPeriod>> {
+/// Every node's uploaded GUPA history (the day curves its cell stores) —
+/// the one artifact the contract allows to differ across worker counts when
+/// noise is on.
+fn gupa_histories(grid: &Grid) -> Vec<Vec<(Weekday, Vec<f64>)>> {
     (0..grid.node_count() as u32)
-        .map(|n| grid.gupa().history(NodeId(n)).to_vec())
+        .map(|n| {
+            grid.gupa()
+                .day_curves(NodeId(n))
+                .map(|(weekday, curve)| (weekday, curve.to_vec()))
+                .collect()
+        })
         .collect()
 }
 
@@ -494,7 +569,7 @@ fn noisy_cross_width_execution_invariants_with_measurement_divergence() {
         let mut sharded = build_noisy(TickMode::Sharded { workers }, 11);
         run_noisy(&mut sharded);
         let ctx = format!("Sharded{{{workers}}} vs ActiveSet with lupa_noise");
-        assert_parity(&mut sharded, &mut base, &ctx);
+        assert_execution_parity(&mut sharded, &mut base, &ctx);
         let histories = gupa_histories(&sharded);
         // Same shape — one upload per node per rollover...
         assert_eq!(
