@@ -30,7 +30,7 @@
 use crate::exp_scale14::{committed_floor, SEED};
 use crate::table::{f2, Table};
 use integrade_core::asct::{JobSpec, JobState};
-use integrade_core::grid::{Grid, GridBuilder, GridConfig, NodeSetup, TickMode};
+use integrade_core::grid::{Grid, GridBuilder, GridConfig, NodeSetup};
 use integrade_obs::metrics::MetricsSnapshot;
 use integrade_simnet::time::{SimDuration, SimTime};
 use std::time::Instant;
@@ -93,7 +93,6 @@ fn obs_grid(metrics_on: bool) -> Grid {
         .gupa_warmup_days(0)
         .delta_suppression(true)
         .crash_silence(SimDuration::from_secs(HORIZON_S * 2))
-        .tick_mode(TickMode::ActiveSet)
         .build();
     let mut builder = GridBuilder::new(config);
     builder.add_cluster((0..NODES).map(|_| NodeSetup::idle_desktop()).collect());

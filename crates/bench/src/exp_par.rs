@@ -1,19 +1,20 @@
 //! E16/E19: sharded parallel tick engine — nodes × workers throughput.
 //!
-//! E14 scaled the *single-threaded* hot loop to 50k nodes; these
-//! experiments measure what `TickMode::Sharded` buys on top by spreading
+//! E14 scaled the hot loop to 50k nodes on one shard; these experiments
+//! measure what more `TickMode::Sharded` workers buy on top by spreading
 //! the per-slot node walk, the lazy catch-up replay and the GUPA digestion
 //! across worker threads. Every cell is the same deterministic scenario
-//! (the parity oracle in `tests/tick_parity.rs` proves the modes
+//! (the parity oracle in `tests/tick_parity.rs` proves the widths
 //! observably identical), so the sweeps isolate pure engine throughput:
 //!
 //! * **sim/wall ratio** — virtual seconds simulated per wall second, over
 //!   the run *plus* the report flush (the flush replays every node's
 //!   deferred sampling — the O(population) term the shards parallelize);
-//! * **events** — queue events dispatched (identical across modes for a
-//!   given population: determinism makes the event stream mode-invariant);
-//! * **speedup vs active-set** — per population, each sharded width against
-//!   the single-threaded `ActiveSet` baseline at identical semantics.
+//! * **events** — queue events dispatched (identical across widths for a
+//!   given population: determinism makes the event stream width-invariant);
+//! * **speedup vs one worker** — per population, each wider cell against
+//!   the one-worker run (a single shard walked inline on the driver thread,
+//!   no thread ever spawned — the default engine) at identical semantics.
 //!
 //! **E16** is the frame-overhead sweep: a quiet two-virtual-hour scenario
 //! with noise off, where a fraction of the population carries a real
@@ -39,7 +40,7 @@
 
 use crate::table::{f2, Table};
 use integrade_core::asct::{JobSpec, JobState};
-use integrade_core::grid::{Grid, GridBuilder, GridConfig, NodeSetup, TickMode};
+use integrade_core::grid::{Grid, GridBuilder, GridConfig, NodeSetup};
 use integrade_simnet::time::{SimDuration, SimTime};
 use integrade_usage::sample::{UsageSample, Weekday};
 use std::time::Instant;
@@ -47,7 +48,8 @@ use std::time::Instant;
 /// Node populations swept.
 pub const SWEEP_NODES: [usize; 2] = [5_000, 50_000];
 
-/// Worker widths swept in sharded mode (the active-set baseline runs too).
+/// Worker widths swept. The first, one worker, is every other row's
+/// baseline.
 pub const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Virtual horizon of every cell, seconds.
@@ -86,8 +88,8 @@ pub const E19_WARMUP_DAYS: usize = 6;
 pub struct ParCell {
     /// Node population of this cell.
     pub nodes: usize,
-    /// Worker shards, or `None` for the single-threaded active-set baseline.
-    pub workers: Option<usize>,
+    /// Worker shards (1 = the inline single-shard baseline).
+    pub workers: usize,
     /// Virtual seconds simulated per wall-clock second (run + flush).
     pub sim_per_wall: f64,
     /// Wall-clock seconds of the timed region.
@@ -120,14 +122,14 @@ fn office_trace() -> Vec<UsageSample> {
 /// The sweep grid: every `TRACED_DIVISOR`-th node traced (replay work for
 /// the shards), the rest idle on the bulk catch-up fast path; update
 /// traffic quieted so dispatch does not dominate.
-fn par_grid(nodes: usize, mode: TickMode) -> Grid {
+fn par_grid(nodes: usize, workers: usize) -> Grid {
     let config = GridConfig::builder()
         .seed(SEED)
         .gupa_warmup_days(0)
         .delta_suppression(true)
         .update_period(SimDuration::from_secs(HORIZON_S * 4))
         .crash_silence(SimDuration::from_secs(HORIZON_S * 4))
-        .tick_mode(mode)
+        .workers(workers)
         .build();
     let traced = nodes / TRACED_DIVISOR;
     let trace = office_trace();
@@ -155,7 +157,7 @@ fn par_grid(nodes: usize, mode: TickMode) -> Grid {
 /// — the distribution that makes occupancy balancing matter, since a
 /// contiguous traced block would hand one shard all the replay and retrain
 /// work.
-fn e19_grid(nodes: usize, mode: TickMode) -> Grid {
+fn e19_grid(nodes: usize, workers: usize) -> Grid {
     let config = GridConfig::builder()
         .seed(SEED)
         .gupa_warmup_days(E19_WARMUP_DAYS)
@@ -163,7 +165,7 @@ fn e19_grid(nodes: usize, mode: TickMode) -> Grid {
         .delta_suppression(true)
         .update_period(SimDuration::from_secs(E19_HORIZON_S * 4))
         .crash_silence(SimDuration::from_secs(E19_HORIZON_S * 4))
-        .tick_mode(mode)
+        .workers(workers)
         .build();
     let trace = office_trace();
     let mut builder = GridBuilder::new(config);
@@ -186,7 +188,7 @@ fn e19_grid(nodes: usize, mode: TickMode) -> Grid {
 
 /// The shared timed region: five small sequential jobs, `horizon_s`
 /// virtual seconds, and the full-population report flush.
-fn timed_cell(mut grid: Grid, nodes: usize, mode: TickMode, horizon_s: u64) -> ParCell {
+fn timed_cell(mut grid: Grid, nodes: usize, workers: usize, horizon_s: u64) -> ParCell {
     for i in 0..5 {
         grid.submit(JobSpec::sequential(&format!("par-{i}"), 60_000));
     }
@@ -201,10 +203,7 @@ fn timed_cell(mut grid: Grid, nodes: usize, mode: TickMode, horizon_s: u64) -> P
         .count();
     ParCell {
         nodes,
-        workers: match mode {
-            TickMode::Sharded { workers } => Some(workers),
-            _ => None,
-        },
+        workers,
         sim_per_wall: horizon_s as f64 / wall,
         wall_s: wall,
         events,
@@ -213,56 +212,45 @@ fn timed_cell(mut grid: Grid, nodes: usize, mode: TickMode, horizon_s: u64) -> P
 }
 
 /// Runs one E16 cell: quiet scenario, two virtual hours, noise off.
-pub fn run_cell(nodes: usize, mode: TickMode) -> ParCell {
-    timed_cell(par_grid(nodes, mode), nodes, mode, HORIZON_S)
+pub fn run_cell(nodes: usize, workers: usize) -> ParCell {
+    timed_cell(par_grid(nodes, workers), nodes, workers, HORIZON_S)
 }
 
 /// Runs one E19 cell: noise on, warmup history, one midnight rollover.
-pub fn run_e19_cell(nodes: usize, mode: TickMode) -> ParCell {
-    timed_cell(e19_grid(nodes, mode), nodes, mode, E19_HORIZON_S)
+pub fn run_e19_cell(nodes: usize, workers: usize) -> ParCell {
+    timed_cell(e19_grid(nodes, workers), nodes, workers, E19_HORIZON_S)
 }
 
-/// Best (highest sim/wall) of [`REPEATS`] timed runs of one cell.
-pub fn best_cell(nodes: usize, mode: TickMode) -> ParCell {
+/// Best (highest sim/wall) of [`REPEATS`] timed runs of `cell`.
+fn best_of(cell: impl Fn() -> ParCell) -> ParCell {
     (0..REPEATS.max(1))
-        .map(|_| run_cell(nodes, mode))
+        .map(|_| cell())
         .max_by(|a, b| a.sim_per_wall.total_cmp(&b.sim_per_wall))
         .expect("REPEATS >= 1")
 }
 
-/// Best of [`REPEATS`] timed runs of one E19 cell.
-pub fn best_e19_cell(nodes: usize, mode: TickMode) -> ParCell {
-    (0..REPEATS.max(1))
-        .map(|_| run_e19_cell(nodes, mode))
-        .max_by(|a, b| a.sim_per_wall.total_cmp(&b.sim_per_wall))
-        .expect("REPEATS >= 1")
-}
-
-/// The full E16 sweep: per population, one discarded warmup cell, then the
-/// active-set baseline and every sharded width (best of [`REPEATS`] each).
-pub fn measure() -> Vec<ParCell> {
+/// One full sweep of `cell(nodes, workers)`, the one-worker baseline first
+/// within each population.
+fn sweep(cell: impl Fn(usize, usize) -> ParCell) -> Vec<ParCell> {
     let mut cells = Vec::new();
     for &nodes in &SWEEP_NODES {
-        let _warmup = run_cell(nodes, TickMode::ActiveSet);
-        cells.push(best_cell(nodes, TickMode::ActiveSet));
+        let _warmup = cell(nodes, 1);
         for &workers in &WORKER_SWEEP {
-            cells.push(best_cell(nodes, TickMode::Sharded { workers }));
+            cells.push(best_of(|| cell(nodes, workers)));
         }
     }
     cells
+}
+
+/// The full E16 sweep: per population a discarded warmup cell, then every
+/// width of [`WORKER_SWEEP`], best of [`REPEATS`] each.
+pub fn measure() -> Vec<ParCell> {
+    sweep(run_cell)
 }
 
 /// The full E19 sweep, same discipline as [`measure`] over the E19 cells.
 pub fn measure_e19() -> Vec<ParCell> {
-    let mut cells = Vec::new();
-    for &nodes in &SWEEP_NODES {
-        let _warmup = run_e19_cell(nodes, TickMode::ActiveSet);
-        cells.push(best_e19_cell(nodes, TickMode::ActiveSet));
-        for &workers in &WORKER_SWEEP {
-            cells.push(best_e19_cell(nodes, TickMode::Sharded { workers }));
-        }
-    }
-    cells
+    sweep(run_e19_cell)
 }
 
 /// Cores available to this process — speedups are bounded by it, and a
@@ -273,22 +261,20 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
+/// What ran in a cell: one worker is the single shard walked inline on the
+/// driver thread; wider cells run shard 0 inline and the rest on threads.
 fn mode_label(cell: &ParCell) -> String {
     match cell.workers {
-        Some(w) => format!("sharded/{w}"),
-        None => "active-set".to_owned(),
+        1 => "sharded/1 (inline)".to_owned(),
+        w => format!("sharded/{w}"),
     }
 }
 
-/// Sharded-over-active-set sim/wall ratio at `nodes` and `workers`.
+/// Sim/wall ratio of the `workers`-wide cell over the one-worker cell at
+/// `nodes`.
 pub fn speedup_at(cells: &[ParCell], nodes: usize, workers: usize) -> Option<f64> {
-    let sharded = cells
-        .iter()
-        .find(|c| c.nodes == nodes && c.workers == Some(workers))?;
-    let baseline = cells
-        .iter()
-        .find(|c| c.nodes == nodes && c.workers.is_none())?;
-    Some(sharded.sim_per_wall / baseline.sim_per_wall.max(1e-9))
+    let at = |w: usize| cells.iter().find(|c| c.nodes == nodes && c.workers == w);
+    Some(at(workers)?.sim_per_wall / at(1)?.sim_per_wall.max(1e-9))
 }
 
 /// Renders a sweep as `BENCH_par.json` content, one object per cell,
@@ -306,7 +292,7 @@ pub fn to_json(experiment: &str, cells: &[ParCell]) -> String {
              \"completed\": {}}}{sep}\n",
             c.nodes,
             mode_label(c),
-            c.workers.unwrap_or(0),
+            c.workers,
             c.sim_per_wall,
             c.wall_s,
             c.events,
@@ -320,18 +306,11 @@ pub fn to_json(experiment: &str, cells: &[ParCell]) -> String {
     out
 }
 
-/// E16: the quiet frame-overhead sweep (noise off). The committed
-/// `BENCH_par.json` artifact now comes from [`e19`], which measures the
-/// engine with load-bearing per-node work; E16 remains as the overhead
-/// comparison table.
-pub fn e16() -> Table {
-    let cells = measure();
+/// Renders a sweep as a table, one row per cell, each wider cell's speedup
+/// taken against its population's one-worker row.
+fn sweep_table(title: String, cells: &[ParCell]) -> Table {
     let mut table = Table::new(
-        format!(
-            "E16: sharded parallel tick engine, nodes x workers \
-             (host_cores = {})",
-            host_cores()
-        ),
+        title,
         &[
             "nodes",
             "mode",
@@ -339,13 +318,13 @@ pub fn e16() -> Table {
             "wall_s",
             "events",
             "completed",
-            "speedup_vs_active_set",
+            "speedup_vs_one_worker",
         ],
     );
-    for c in &cells {
+    for c in cells {
         let speedup = match c.workers {
-            Some(w) => speedup_at(&cells, c.nodes, w).map(f2).unwrap_or_default(),
-            None => "1.00 (baseline)".to_owned(),
+            1 => "1.00 (baseline)".to_owned(),
+            w => speedup_at(cells, c.nodes, w).map(f2).unwrap_or_default(),
         };
         table.push_row(vec![
             c.nodes.to_string(),
@@ -360,6 +339,21 @@ pub fn e16() -> Table {
     table
 }
 
+/// E16: the quiet frame-overhead sweep (noise off). The committed
+/// `BENCH_par.json` artifact now comes from [`e19`], which measures the
+/// engine with load-bearing per-node work; E16 remains as the overhead
+/// comparison table.
+pub fn e16() -> Table {
+    sweep_table(
+        format!(
+            "E16: sharded parallel tick engine, nodes x workers \
+             (host_cores = {})",
+            host_cores()
+        ),
+        &measure(),
+    )
+}
+
 /// E19: the load-bearing nodes × workers sweep — jitter draws on every
 /// node, GUPA retrains inside the timed region. Side effect: writes
 /// `BENCH_par.json`.
@@ -369,38 +363,14 @@ pub fn e19() -> Table {
         Ok(()) => eprintln!("e19: wrote BENCH_par.json"),
         Err(e) => eprintln!("e19: could not write BENCH_par.json: {e}"),
     }
-    let mut table = Table::new(
+    sweep_table(
         format!(
             "E19: sharded engine under load-bearing per-node work, \
              nodes x workers (noise {E19_NOISE}, host_cores = {})",
             host_cores()
         ),
-        &[
-            "nodes",
-            "mode",
-            "sim_s_per_wall_s",
-            "wall_s",
-            "events",
-            "completed",
-            "speedup_vs_active_set",
-        ],
-    );
-    for c in &cells {
-        let speedup = match c.workers {
-            Some(w) => speedup_at(&cells, c.nodes, w).map(f2).unwrap_or_default(),
-            None => "1.00 (baseline)".to_owned(),
-        };
-        table.push_row(vec![
-            c.nodes.to_string(),
-            mode_label(c),
-            f2(c.sim_per_wall),
-            format!("{:.3}", c.wall_s),
-            c.events.to_string(),
-            format!("{}/5", c.completed),
-            speedup,
-        ]);
-    }
-    table
+        &cells,
+    )
 }
 
 /// A named numeric field from `BENCH_par_floor.json`.
@@ -423,7 +393,7 @@ pub(crate) fn committed_floor() -> Option<f64> {
 }
 
 /// The committed parallel-speedup floor for the 50k-node, 4-worker E19
-/// cell over the active-set baseline, enforced only on hosts with at
+/// cell over the one-worker baseline, enforced only on hosts with at
 /// least four cores.
 pub(crate) fn committed_speedup_floor() -> Option<f64> {
     committed_field("speedup_floor_50k_w4")
@@ -440,9 +410,8 @@ pub(crate) fn committed_speedup_floor() -> Option<f64> {
 ///
 /// On hosts with at least four cores it additionally runs the E19 50k-node
 /// cell (load-bearing per-node work: jitter draws everywhere, retrains in
-/// the timed region) in both active-set and 4-worker sharded mode and
-/// asserts the sharded engine actually delivers the committed parallel
-/// speedup.
+/// the timed region) at one worker and at four and asserts the wider
+/// engine actually delivers the committed parallel speedup.
 ///
 /// # Panics
 ///
@@ -450,8 +419,8 @@ pub(crate) fn committed_speedup_floor() -> Option<f64> {
 /// overhead floor, or — on a multicore host — when the E19 speedup falls
 /// below the committed speedup floor.
 pub fn e16smoke() -> Table {
-    let _warmup = run_cell(50_000, TickMode::Sharded { workers: 4 });
-    let cell = best_cell(50_000, TickMode::Sharded { workers: 4 });
+    let _warmup = run_cell(50_000, 4);
+    let cell = best_of(|| run_cell(50_000, 4));
     let floor = committed_floor().unwrap_or(0.0);
     let mut table = Table::new(
         format!(
@@ -462,7 +431,7 @@ pub fn e16smoke() -> Table {
     );
     table.push_row(vec![
         "e16 overhead".to_owned(),
-        "sharded/4".to_owned(),
+        mode_label(&cell),
         f2(cell.sim_per_wall),
         f2(floor),
         format!("{}/5", cell.completed),
@@ -478,20 +447,20 @@ pub fn e16smoke() -> Table {
         cell.sim_per_wall
     );
     if host_cores() >= 4 {
-        let base = best_e19_cell(50_000, TickMode::ActiveSet);
-        let sharded = best_e19_cell(50_000, TickMode::Sharded { workers: 4 });
+        let base = best_of(|| run_e19_cell(50_000, 1));
+        let sharded = best_of(|| run_e19_cell(50_000, 4));
         let speedup = sharded.sim_per_wall / base.sim_per_wall.max(1e-9);
         let speedup_floor = committed_speedup_floor().unwrap_or(0.0);
         table.push_row(vec![
             "e19 speedup".to_owned(),
-            "active-set".to_owned(),
+            mode_label(&base),
             f2(base.sim_per_wall),
             "(baseline)".to_owned(),
             format!("{}/5", base.completed),
         ]);
         table.push_row(vec![
             "e19 speedup".to_owned(),
-            "sharded/4".to_owned(),
+            mode_label(&sharded),
             f2(sharded.sim_per_wall),
             format!("{}x (got {speedup:.2}x)", f2(speedup_floor)),
             format!("{}/5", sharded.completed),
@@ -503,7 +472,7 @@ pub fn e16smoke() -> Table {
         assert!(
             speedup >= speedup_floor,
             "e16smoke: parallel speedup regression — sharded/4 at {speedup:.2}x \
-             the active-set baseline is below the committed floor of \
+             the one-worker baseline is below the committed floor of \
              {speedup_floor:.2}x (BENCH_par_floor.json) on a {}-core host",
             host_cores()
         );
@@ -515,50 +484,48 @@ pub fn e16smoke() -> Table {
 mod tests {
     use super::*;
 
-    /// A fast shape check (small population, debug build): the sharded
+    /// A fast shape check (small population, debug build): a threaded
     /// cell completes its workload, and — determinism — dispatches exactly
-    /// the event stream of the active-set baseline.
+    /// the event stream of the one-worker baseline.
     #[test]
-    fn sharded_cell_matches_active_set_event_stream() {
-        let baseline = run_cell(300, TickMode::ActiveSet);
+    fn wider_cells_match_the_one_worker_event_stream() {
+        let baseline = run_cell(300, 1);
         assert_eq!(baseline.completed, 5, "{baseline:?}");
-        for workers in [1, 4] {
-            let sharded = run_cell(300, TickMode::Sharded { workers });
+        for workers in [2, 4] {
+            let sharded = run_cell(300, workers);
             assert_eq!(sharded.completed, 5, "{sharded:?}");
             assert_eq!(
                 sharded.events, baseline.events,
-                "event stream must be mode-invariant: {sharded:?} vs {baseline:?}"
+                "event stream must be width-invariant: {sharded:?} vs {baseline:?}"
             );
         }
     }
 
     /// The E19 cell at a small population: the workload completes, and the
-    /// event stream stays mode-invariant even with the jitter streams
+    /// event stream stays width-invariant even with the jitter streams
     /// drawing and retrains landing inside the run.
     #[test]
-    fn e19_cell_is_mode_invariant_and_completes() {
-        let baseline = run_e19_cell(200, TickMode::ActiveSet);
+    fn e19_cell_is_width_invariant_and_completes() {
+        let baseline = run_e19_cell(200, 1);
         assert_eq!(baseline.completed, 5, "{baseline:?}");
-        for workers in [1, 4] {
-            let sharded = run_e19_cell(200, TickMode::Sharded { workers });
+        for workers in [2, 4] {
+            let sharded = run_e19_cell(200, workers);
             assert_eq!(sharded.completed, 5, "{sharded:?}");
             assert_eq!(
                 sharded.events, baseline.events,
-                "event stream must be mode-invariant: {sharded:?} vs {baseline:?}"
+                "event stream must be width-invariant: {sharded:?} vs {baseline:?}"
             );
         }
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let cells = vec![
-            run_cell(200, TickMode::ActiveSet),
-            run_cell(200, TickMode::Sharded { workers: 2 }),
-        ];
+        let cells = vec![run_cell(200, 1), run_cell(200, 2)];
         let json = to_json("e19", &cells);
         assert!(json.contains("\"experiment\": \"e19\""));
         assert!(json.contains("\"host_cores\":"));
-        assert!(json.contains("\"mode\": \"sharded/2\""));
+        assert!(json.contains("\"mode\": \"sharded/1 (inline)\", \"workers\": 1"));
+        assert!(json.contains("\"mode\": \"sharded/2\", \"workers\": 2"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -595,7 +562,7 @@ mod tests {
         let cells = vec![
             ParCell {
                 nodes: 50_000,
-                workers: None,
+                workers: 1,
                 sim_per_wall: 100.0,
                 wall_s: 72.0,
                 events: 10,
@@ -603,7 +570,7 @@ mod tests {
             },
             ParCell {
                 nodes: 50_000,
-                workers: Some(4),
+                workers: 4,
                 sim_per_wall: 300.0,
                 wall_s: 24.0,
                 events: 10,

@@ -28,6 +28,10 @@ use integrade_core::grid::{Grid, GridBuilder, GridConfig, NodeSetup, TickMode};
 use integrade_simnet::time::{SimDuration, SimTime};
 use std::time::Instant;
 
+/// The engine under test: the lazy active-set walk on its default single
+/// shard, run inline on the driver thread.
+pub const ACTIVE_SET: TickMode = TickMode::Sharded { workers: 1 };
+
 /// Node populations swept in active-set mode.
 pub const SWEEP_NODES: [usize; 4] = [1_000, 5_000, 20_000, 50_000];
 
@@ -111,7 +115,7 @@ pub fn run_cell(nodes: usize, mode: TickMode) -> ScaleCell {
 pub fn measure() -> Vec<ScaleCell> {
     let mut cells: Vec<ScaleCell> = SWEEP_NODES
         .iter()
-        .map(|&n| run_cell(n, TickMode::ActiveSet))
+        .map(|&n| run_cell(n, ACTIVE_SET))
         .collect();
     cells.push(run_cell(REFERENCE_NODES, TickMode::Reference));
     cells
@@ -119,7 +123,7 @@ pub fn measure() -> Vec<ScaleCell> {
 
 fn mode_name(mode: TickMode) -> &'static str {
     match mode {
-        TickMode::ActiveSet => "active-set",
+        ACTIVE_SET => "active-set",
         TickMode::Reference => "reference",
         TickMode::Sharded { .. } => "sharded",
     }
@@ -155,7 +159,7 @@ pub fn to_json(cells: &[ScaleCell]) -> String {
 pub fn speedup_at_reference(cells: &[ScaleCell]) -> Option<f64> {
     let fast = cells
         .iter()
-        .find(|c| c.nodes == REFERENCE_NODES && c.mode == TickMode::ActiveSet)?;
+        .find(|c| c.nodes == REFERENCE_NODES && c.mode == ACTIVE_SET)?;
     let reference = cells
         .iter()
         .find(|c| c.nodes == REFERENCE_NODES && c.mode == TickMode::Reference)?;
@@ -228,7 +232,7 @@ pub(crate) fn committed_floor() -> Option<f64> {
 ///
 /// Panics when the measured sim/wall ratio falls below the committed floor.
 pub fn e14smoke() -> Table {
-    let cell = run_cell(5_000, TickMode::ActiveSet);
+    let cell = run_cell(5_000, ACTIVE_SET);
     let floor = committed_floor().unwrap_or(0.0);
     let mut table = Table::new(
         "E14 smoke: 5k-node active-set throughput vs committed floor",
@@ -269,7 +273,7 @@ mod tests {
     /// relative to the population.
     #[test]
     fn small_cell_completes_and_keeps_heap_shallow() {
-        let cell = run_cell(300, TickMode::ActiveSet);
+        let cell = run_cell(300, ACTIVE_SET);
         assert_eq!(cell.completed, 5, "{cell:?}");
         assert!(
             cell.peak_heap_depth < 300,
@@ -290,7 +294,7 @@ mod tests {
     /// completing the same workload.
     #[test]
     fn active_set_dispatches_fewer_events() {
-        let fast = run_cell(400, TickMode::ActiveSet);
+        let fast = run_cell(400, ACTIVE_SET);
         let reference = run_cell(400, TickMode::Reference);
         assert_eq!(
             fast.completed, reference.completed,
@@ -307,7 +311,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let cells = vec![run_cell(200, TickMode::ActiveSet)];
+        let cells = vec![run_cell(200, ACTIVE_SET)];
         let json = to_json(&cells);
         assert!(json.contains("\"experiment\": \"e14\""));
         assert!(json.contains("\"mode\": \"active-set\""));

@@ -51,7 +51,7 @@ pub enum ConfigError {
     NoAttempts,
     /// The sequential checkpoint interval is negative or not a number.
     BadCheckpointInterval(f64),
-    /// `workers == 0` — a sharded frame with no shards could never tick.
+    /// `workers == 0` — a slot frame with no shards could never tick.
     /// Raised by [`GridConfigBuilder::workers`]`(0)` and by
     /// [`TickMode::Sharded`]` { workers: 0 }` set directly.
     ZeroWorkers,
@@ -60,9 +60,9 @@ pub enum ConfigError {
     /// its own collision-free deterministic stream.
     TooManyWorkers(usize),
     /// The [`GridConfigBuilder::workers`] knob was combined with
-    /// [`TickMode::Reference`]. The reference walk is the single-threaded
-    /// oracle the sharded engine is checked against; sharding it is a
-    /// contradiction, not a configuration.
+    /// [`TickMode::Reference`]. The reference walk is the eager
+    /// single-threaded oracle the lazy walk is checked against; sharding it
+    /// is a contradiction, not a configuration.
     ShardedReference,
     /// The straggler threshold is NaN or outside `(0, 1)` — at 0 nothing
     /// would ever trip the detector, at ≥ 1 every median-or-slower part
@@ -376,8 +376,10 @@ impl GridConfigBuilder {
         self
     }
 
-    /// Tick the grid with `n` parallel worker shards — shorthand for
-    /// [`tick_mode`]`(TickMode::Sharded { workers: n })`. Build-time
+    /// Tick the grid with `n` shards — shorthand for
+    /// [`tick_mode`]`(TickMode::Sharded { workers: n })`. One shard (the
+    /// default) is walked inline on the driver thread; each further shard
+    /// gets a scoped worker thread per frame. Build-time
     /// validation rejects `n == 0` ([`ConfigError::ZeroWorkers`]),
     /// `n > `[`streams::MAX_SHARDS`] ([`ConfigError::TooManyWorkers`]) and
     /// any combination with [`TickMode::Reference`]
@@ -473,8 +475,9 @@ impl GridConfig {
 
     /// The named default profile: 5-minute execution/sampling tick, 30 s
     /// update period, availability-only scheduling, `k = 2` replication,
-    /// single-threaded [`TickMode::ActiveSet`] ticking — exactly
-    /// [`GridConfig::default`], under the name the tick actually has.
+    /// the lazy walk on one shard ([`TickMode::Sharded`]` { workers: 1 }`,
+    /// run inline on the driver thread) — exactly [`GridConfig::default`],
+    /// under the name the tick actually has.
     ///
     /// To spread the per-slot walk across cores, layer the
     /// [`workers`](GridConfigBuilder::workers) knob on top:
@@ -593,6 +596,9 @@ mod tests {
 
     #[test]
     fn workers_knob_selects_sharded_mode() {
+        // Untouched, the engine is the lazy walk on one inline shard.
+        let c = GridConfig::builder().build();
+        assert_eq!(c.tick_mode, TickMode::Sharded { workers: 1 });
         let c = GridConfig::builder().workers(4).build();
         assert_eq!(c.tick_mode, TickMode::Sharded { workers: 4 });
         // The knob wins over an earlier explicit Sharded width.

@@ -798,7 +798,7 @@ impl Federation {
             }
             self.stats.spillover_queries += 1;
             self.members
-                .get(&via)
+                .get_mut(&via)
                 .expect("frontier holds members only")
                 .record_trader_link_followed(&link_name)
                 .expect("link installed at build time");

@@ -16,8 +16,8 @@
 
 use crate::asct::{JobKind, JobRecord, JobSpec, JobState};
 use crate::grm::{GrmState, NodeRegistration, UpdateStats};
-use crate::gupa::{GupaCell, GupaState};
-use crate::lrm::{CompletedPart, DueCheckpoint, LrmConfig, LrmServant, LrmState};
+use crate::gupa::GupaState;
+use crate::lrm::{DueCheckpoint, LrmConfig, LrmState};
 use crate::ncc::{SharingPolicy, WeeklySchedule};
 use crate::observe::GridObs;
 use crate::protocol::{
@@ -27,9 +27,14 @@ use crate::protocol::{
     GRM_OBJECT_KEY, LRM_OBJECT_KEY, OP_CANCEL_PART, OP_FETCH_CKPT, OP_LAUNCH, OP_PART_DONE,
     OP_PART_EVICTED, OP_PURGE_CKPT, OP_RESERVE, OP_STORE_CKPT, OP_UPDATE_STATUS,
 };
-use crate::qos::{OverheadLedger, QosLedger, SharingDiscipline};
+use crate::qos::{OverheadLedger, QosLedger};
 use crate::repo::crc32;
 use crate::scheduler::{place_groups, rank, CandidateNode, Strategy};
+pub use crate::tick::occupancy_ranges;
+use crate::tick::{
+    for_each_shard, replay_node_local, shard_ranges, tick_node_local, wall_at, NodeLocal,
+    NodeTickEffects,
+};
 use crate::types::{JobId, NodeId, NodeRoles, Platform, ResourceVector};
 use integrade_bsp::checkpoint::GlobalCheckpoint;
 use integrade_obs::metrics::MetricsSnapshot;
@@ -47,52 +52,54 @@ use integrade_simnet::topology::{ClusterTag, HostId, LinkSpec, Topology};
 use integrade_simnet::trace::TraceLog;
 use integrade_usage::patterns::LupaConfig;
 use integrade_usage::sample::{DayPeriod, SamplingConfig, UsageSample, Weekday};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 /// How `slot_tick` walks the node population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickMode {
-    /// Per-slot work runs only for nodes in the *active set* — nodes
-    /// running grid parts, holding reservations or checkpoint replicas, or
-    /// with outcome notices awaiting acknowledgement. Idle nodes' owner
-    /// sampling, QoS accounting and LUPA accumulation are replayed lazily
-    /// (bulk-advanced) the moment their state is next needed, and the
-    /// information-update timers of disengaged always-idle nodes are parked
-    /// until a frame next reaches them. Observable behaviour — messages,
-    /// event logs, reports — is bit-for-bit identical to [`Self::Reference`].
-    ActiveSet,
-    /// The original O(all nodes)-per-tick loop, kept as the oracle the
-    /// active-set path is checked against (see `tests/tick_parity.rs`).
+    /// The original O(all nodes)-per-tick loop on one thread, kept as the
+    /// oracle the lazy walk is checked against (see `tests/tick_parity.rs`).
     Reference,
-    /// The active-set walk, parallelised: nodes are partitioned by id into
-    /// `workers` contiguous shards, each worker thread runs its shard's
-    /// per-node slot bodies (including lazy catch-up replay) against
-    /// per-shard scratch state, and the cross-shard effects — messages,
-    /// event-queue inserts, GUPA uploads, log records, metrics — are merged
-    /// on the coordinating thread at the frame boundary in (shard-id, seq)
-    /// order before the single-threaded GRM/trader/event-queue phase runs.
+    /// The lazy walk on `workers` shards — the engine. Per-slot work runs
+    /// only for nodes in the *active set*: nodes running grid parts,
+    /// holding reservations or checkpoint replicas, or with outcome notices
+    /// awaiting acknowledgement. Idle nodes' owner sampling, QoS accounting
+    /// and LUPA accumulation are replayed lazily (bulk-advanced) the moment
+    /// their state is next needed, and the information-update timers of
+    /// disengaged always-idle nodes are parked until a frame next reaches
+    /// them. Observable behaviour — messages, event logs, reports — is
+    /// bit-for-bit identical to [`Self::Reference`].
+    ///
+    /// Nodes are partitioned by id into `workers` contiguous shards. Each
+    /// shard runs its members' slot bodies (including lazy catch-up replay
+    /// and GUPA digestion) against its own `&mut` slice of the node table,
+    /// and the cross-shard effects — messages, event-queue inserts, log
+    /// records, metrics — are merged on the coordinating thread at the frame
+    /// boundary in (shard-id, seq) order before the single-threaded
+    /// GRM/trader/event-queue phase runs. Shard 0 runs on the coordinating
+    /// thread itself and shards `1..` on scoped worker threads, so
+    /// `workers: 1` (the default) is a plain sequential walk that never
+    /// creates a thread.
     ///
     /// # Determinism contract
     ///
     /// Shards are *contiguous node-id ranges*, so (shard-id, seq) merge
-    /// order is exactly ascending node-id order — the same order the
-    /// sequential walks use. Range boundaries are recomputed at every frame
-    /// boundary from the active set ([`occupancy_ranges`]) so each worker
-    /// carries a near-equal share of the frame's live members; a node never
-    /// migrates mid-frame, and shard `i` always owns the RNG stream derived
-    /// from `(seed, i)` alone ([`DetRng::for_shard`]) regardless of where
-    /// the boundaries fall. Per-node stochastic work — today the
+    /// order is exactly ascending node-id order — the order the reference
+    /// walk uses. Range boundaries are recomputed at every frame boundary
+    /// from the active set ([`occupancy_ranges`]) so each worker carries a
+    /// near-equal share of the frame's live members; a node never migrates
+    /// mid-frame, and shard `i` always owns the RNG stream derived from
+    /// `(seed, i)` alone ([`DetRng::for_shard`]) regardless of where the
+    /// boundaries fall. Per-node stochastic work — today the
     /// [`GridConfig::lupa_noise`] measurement jitter — draws only from the
-    /// executing shard's stream. The contract is therefore:
+    /// executing shard's stream (the reference walk and the coordinator's
+    /// single-node catch-ups hold stream 0). The contract is therefore:
     ///
     /// * **Fixed worker count:** bit-for-bit reproducible, run over run,
     ///   regardless of OS thread scheduling.
     /// * **With `lupa_noise == 0` (the default):** no stream is ever
-    ///   consumed, so every worker count — and both sequential modes — are
-    ///   observably identical (`Sharded{1}` ≡ [`Self::ActiveSet`] stays
-    ///   bit-for-bit by construction).
+    ///   consumed, so every worker count and the reference walk are
+    ///   observably identical.
     /// * **With `lupa_noise > 0`, across worker counts:** the learned
     ///   pattern models may legitimately differ (each width draws different
     ///   jitter), but every execution-visible artifact — completions, QoS
@@ -101,8 +108,8 @@ pub enum TickMode {
     ///   that drives eviction, QoS and status updates. Proven in
     ///   `tests/tick_parity.rs`.
     Sharded {
-        /// Worker threads (and shards). Must be nonzero; validated by
-        /// [`crate::builder::GridConfigBuilder::try_build`].
+        /// Shards (and, beyond the first, worker threads). Must be nonzero;
+        /// validated by [`crate::builder::GridConfigBuilder::try_build`].
         workers: usize,
     },
 }
@@ -160,8 +167,8 @@ pub struct GridConfig {
     /// bytes — the payload each replicated checkpoint carries. BSP parts use
     /// their spec's `state_bytes` instead.
     pub checkpoint_state_bytes: u64,
-    /// How the per-slot node loop is driven (active-set skipping of idle
-    /// nodes, or the exhaustive reference walk).
+    /// How the per-slot node loop is driven (the lazy walk on one or more
+    /// shards, or the exhaustive reference walk).
     pub tick_mode: TickMode,
     /// Enables the straggler detector and speculative re-execution of
     /// lagging parts (gray-failure mitigation). Off by default: every
@@ -232,7 +239,7 @@ impl Default for GridConfig {
             max_retransmits: 4,
             replication_factor: 2,
             checkpoint_state_bytes: 4096,
-            tick_mode: TickMode::ActiveSet,
+            tick_mode: TickMode::Sharded { workers: 1 },
             speculation: false,
             straggler_threshold: 0.5,
             straggler_strikes: 3,
@@ -697,16 +704,19 @@ impl GridReport {
 struct GridWorld {
     config: GridConfig,
     net: Network,
+    /// One ORB per host. No servant is activated on any of them: the GRM
+    /// and the LRMs are owned below as plain data and lent to the receiving
+    /// host's ORB for the duration of each dispatch (`handle_wire`).
     orbs: BTreeMap<HostId, Orb>,
-    clock: Rc<RefCell<SimTime>>,
-    lrms: Vec<Rc<RefCell<LrmState>>>,
+    /// Per-node state the slot walk owns and shards: LRM, QoS ledger, tick
+    /// cursor, owner trace (index = `NodeId.0`).
+    nodes: Vec<NodeLocal>,
     lrm_iors: Vec<Ior>,
     node_hosts: Vec<HostId>,
-    grm: Rc<RefCell<GrmState>>,
+    grm: GrmState,
     grm_host: HostId,
     grm_ior: Ior,
     gupa: GupaState,
-    traces: Vec<Vec<UsageSample>>,
     jobs: BTreeMap<JobId, JobExec>,
     /// In-flight requests keyed by (issuing host, orb request id) — orb ids
     /// are only unique per orb, and both the GRM and the LRMs issue
@@ -723,19 +733,15 @@ struct GridWorld {
     /// Dedicated stream for retry/backoff jitter so retransmission noise
     /// never perturbs the scheduler's ranking stream.
     retry_rng: DetRng,
-    /// One RNG stream per shard in [`TickMode::Sharded`], derived from
-    /// `(seed, shard index)` alone ([`DetRng::for_shard`]) so a shard can
-    /// be replayed in isolation. Per-node stochastic work inside the
-    /// parallel walk — the [`GridConfig::lupa_noise`] measurement jitter —
-    /// draws only from its shard's stream; the global `rng`/`retry_rng`
-    /// streams belong to the single-threaded phase. The sequential modes
-    /// hold exactly stream 0 and draw all per-node jitter from it, which is
-    /// what makes `Sharded{1}` ≡ `ActiveSet` bit-for-bit even with noise.
+    /// One RNG stream per shard of the slot walk ([`TickMode::Sharded`]'s
+    /// `workers`; the reference walk holds exactly one), each derived from
+    /// `(seed, shard index)` alone ([`DetRng::for_shard`]) so a shard can be
+    /// replayed in isolation. Per-node stochastic work — the
+    /// [`GridConfig::lupa_noise`] measurement jitter — draws only from the
+    /// executing shard's stream; the coordinator's single-node catch-ups
+    /// (`catch_up_node`) and the reference walk draw from stream 0. The
+    /// global `rng`/`retry_rng` streams belong to the single-threaded phase.
     shard_rngs: Vec<DetRng>,
-    /// One QoS ledger per node, merged node-major on [`GridWorld::report`].
-    /// Per-node ledgers let the active-set path bulk-replay an idle node's
-    /// accounting without disturbing other nodes' record order.
-    qos: Vec<QosLedger>,
     log: TraceLog,
     slots_elapsed: u64,
     /// Nodes with per-slot work to do: running parts, held reservations,
@@ -744,15 +750,11 @@ struct GridWorld {
     /// refreshed after every state transition (wire dispatch, slot
     /// processing, crash/restore).
     active: BTreeSet<usize>,
-    /// Highest slot-tick index (1-based, matching `slots_elapsed`) whose
-    /// bookkeeping has been applied to each node. Nodes outside the active
-    /// set lag behind and are caught up in bulk by `catch_up_node`.
-    ticks_applied: Vec<u64>,
     /// Per-node flag: the information-update timer is parked (no UpdateTick
-    /// event in the queue). Only ever set in the lazy tick modes
-    /// ([`TickMode::ActiveSet`] and [`TickMode::Sharded`]), only for
-    /// statically idle disengaged nodes whose updates are suppressed;
-    /// cleared (and the timer resumed) when a frame next reaches the node.
+    /// event in the queue). Only ever set by the lazy walk
+    /// ([`TickMode::Sharded`]), only for statically idle disengaged nodes
+    /// whose updates are suppressed; cleared (and the timer resumed) when a
+    /// frame next reaches the node.
     update_parked: Vec<bool>,
     /// Precomputed per node: the node has no owner trace and an
     /// always-available sharing schedule, so its status can only change
@@ -798,7 +800,7 @@ pub struct Grid {
 impl std::fmt::Debug for Grid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Grid")
-            .field("nodes", &self.world.lrms.len())
+            .field("nodes", &self.world.nodes.len())
             .field("jobs", &self.world.jobs.len())
             .field("now", &self.queue.now())
             .finish()
@@ -819,73 +821,63 @@ impl Grid {
         let grm_host = topo.add_host("manager", None);
         topo.connect(grm_host, core, intra);
 
-        let clock = Rc::new(RefCell::new(SimTime::ZERO));
-        let grm = Rc::new(RefCell::new(GrmState::new(config.seed ^ 0x6772)));
+        let mut grm = GrmState::new(config.seed ^ 0x6772);
         let mut orbs: BTreeMap<HostId, Orb> = BTreeMap::new();
-
-        let mut grm_orb = Orb::new(Endpoint::new(grm_host.0, 0));
-        let grm_ior = grm_orb.activate(
+        let grm_endpoint = Endpoint::new(grm_host.0, 0);
+        let grm_ior = Ior::new(
+            GrmState::TYPE_ID,
+            grm_endpoint,
             ObjectKey::new(GRM_OBJECT_KEY),
-            Box::new(crate::grm::GrmServant::with_clock(
-                grm.clone(),
-                clock.clone(),
-            )),
         );
-        orbs.insert(grm_host, grm_orb);
+        orbs.insert(grm_host, Orb::new(grm_endpoint));
 
-        let mut lrms = Vec::new();
-        let mut lrm_iors = Vec::new();
-        let mut node_hosts = Vec::new();
-        let mut traces = Vec::new();
-        let mut static_status = Vec::new();
-        let mut node_index = 0u32;
+        let n_nodes = clusters.iter().map(Vec::len).sum();
+        let mut nodes = Vec::with_capacity(n_nodes);
+        let mut lrm_iors = Vec::with_capacity(n_nodes);
+        let mut node_hosts = Vec::with_capacity(n_nodes);
+        let mut static_status = Vec::with_capacity(n_nodes);
 
-        for (cluster_index, nodes) in clusters.into_iter().enumerate() {
+        for (cluster_index, setups) in clusters.into_iter().enumerate() {
             let tag = ClusterTag(cluster_index as u32);
             let sw = topo.add_switch(&format!("sw{cluster_index}"));
             topo.connect(sw, core, inter);
-            for setup in nodes {
-                let node = NodeId(node_index);
+            for setup in setups {
+                let node_index = nodes.len();
+                let node = NodeId(node_index as u32);
                 let host = topo.add_host(&format!("c{cluster_index}n{node_index}"), Some(tag));
                 topo.connect(host, sw, intra);
                 static_status.push(
                     setup.trace.is_empty() && setup.policy.schedule == WeeklySchedule::always(),
                 );
-                let lrm = Rc::new(RefCell::new(LrmState::new(
+                let endpoint = Endpoint::new(host.0, 0);
+                let ior = Ior::new(LrmState::TYPE_ID, endpoint, ObjectKey::new(LRM_OBJECT_KEY));
+                orbs.insert(host, Orb::new(endpoint));
+                let lrm = LrmState::new(
                     node,
                     setup.resources,
-                    setup.platform.clone(),
+                    setup.platform,
                     setup.policy,
                     setup.roles,
                     config.lrm,
-                )));
-                let mut orb = Orb::new(Endpoint::new(host.0, 0));
-                let ior = orb.activate(
-                    ObjectKey::new(LRM_OBJECT_KEY),
-                    Box::new(LrmServant::new(lrm.clone(), clock.clone())),
                 );
-                orbs.insert(host, orb);
-                lrms.push(lrm);
+                nodes.push(NodeLocal::new(lrm, setup.trace));
                 lrm_iors.push(ior);
                 node_hosts.push(host);
-                traces.push(setup.trace);
-                node_index += 1;
             }
         }
 
-        // Register every node with the GRM.
-        {
-            let mut grm_state = grm.borrow_mut();
-            for (i, lrm) in lrms.iter().enumerate() {
-                let lrm_ref = lrm.borrow();
-                grm_state.register_node(NodeRegistration {
-                    node: lrm_ref.node,
-                    host: node_hosts[i],
-                    resources: lrm_ref.resources,
-                    platform: lrm_ref.platform.clone(),
-                    lrm: lrm_iors[i].clone(),
-                });
-            }
+        // Register every node with the GRM — in a pass of its own, so the
+        // trader's offers sit together in memory rather than interleaved
+        // with the per-node allocations above (interleaved, the scheduling
+        // queries of a 50k-node grid measurably slow down).
+        for (local, (host, ior)) in nodes.iter().zip(node_hosts.iter().zip(&lrm_iors)) {
+            grm.register_node(NodeRegistration {
+                node: local.lrm.node,
+                host: *host,
+                resources: local.lrm.resources,
+                platform: local.lrm.platform.clone(),
+                lrm: ior.clone(),
+            });
         }
 
         let host_to_node: BTreeMap<HostId, usize> = node_hosts
@@ -893,41 +885,34 @@ impl Grid {
             .enumerate()
             .map(|(i, h)| (*h, i))
             .collect();
-        let shard_rngs = match config.tick_mode {
-            TickMode::Sharded { workers } => (0..workers.max(1) as u64)
-                .map(|i| DetRng::for_shard(config.seed, i))
-                .collect(),
-            // Sequential modes draw all per-node randomness (the LUPA
-            // measurement jitter) from shard 0's stream, so `Sharded{1}`
-            // stays bit-for-bit identical to `ActiveSet` even with noise on.
-            _ => vec![DetRng::for_shard(config.seed, 0)],
+        let shards = match config.tick_mode {
+            TickMode::Sharded { workers } => workers.max(1) as u64,
+            TickMode::Reference => 1,
         };
         let mut world = GridWorld {
             rng: DetRng::with_stream(config.seed, streams::GRID_WORLD),
             retry_rng: DetRng::with_stream(config.seed, streams::RETRY),
-            shard_rngs,
+            shard_rngs: (0..shards)
+                .map(|i| DetRng::for_shard(config.seed, i))
+                .collect(),
             gupa: GupaState::new(config.lupa),
             net: Network::new(topo),
             orbs,
-            clock,
-            lrms,
+            nodes,
             lrm_iors,
             node_hosts,
             grm,
             grm_host,
             grm_ior,
-            traces,
             jobs: BTreeMap::new(),
             pending: BTreeMap::new(),
             host_to_node,
             next_job: 1,
             next_rpc: 0,
-            qos: Vec::new(),
             log: TraceLog::new(),
             slots_elapsed: 0,
             active: BTreeSet::new(),
-            ticks_applied: Vec::new(),
-            update_parked: Vec::new(),
+            update_parked: vec![false; n_nodes],
             static_status,
             buffer_pool: Vec::new(),
             rerepl_inflight: BTreeSet::new(),
@@ -938,17 +923,12 @@ impl Grid {
             obs: GridObs::new(),
             config,
         };
-        let n_nodes = world.lrms.len();
-        world.qos = vec![QosLedger::new(); n_nodes];
-        world.ticks_applied = vec![0; n_nodes];
-        world.update_parked = vec![false; n_nodes];
         world.warmup_gupa();
 
         let mut queue = EventQueue::new();
         queue.schedule_at(SimTime::ZERO, GridEvent::SlotTick);
-        let n = world.lrms.len() as u64;
-        for i in 0..world.lrms.len() {
-            let offset = world.config.lrm.update_period.as_micros() * i as u64 / n.max(1);
+        for i in 0..n_nodes {
+            let offset = world.config.lrm.update_period.as_micros() * i as u64 / n_nodes as u64;
             queue.schedule_at(
                 SimTime::from_micros(offset),
                 GridEvent::UpdateTick { node: i },
@@ -1063,9 +1043,7 @@ impl Grid {
             for (node, host) in self.world.node_hosts.iter().enumerate() {
                 let schedule = plan.derates_for(*host);
                 if !schedule.is_empty() {
-                    self.world.lrms[node]
-                        .borrow_mut()
-                        .set_derate_schedule(schedule);
+                    self.world.nodes[node].lrm.set_derate_schedule(schedule);
                 }
             }
         }
@@ -1090,8 +1068,8 @@ impl Grid {
                         (s.start, s.end, s.probability, wrong_key)
                     })
                     .collect();
-                self.world.lrms[node]
-                    .borrow_mut()
+                self.world.nodes[node]
+                    .lrm
                     .set_sabotage_schedule(salt, schedule);
             }
         }
@@ -1145,7 +1123,7 @@ impl Grid {
     /// state tags origin-side bookkeeping with this so a restarted origin
     /// GRM re-learns its forwarded jobs from re-sent status messages.
     pub fn grm_epoch(&self) -> u64 {
-        self.world.grm.borrow().epoch()
+        self.world.grm.epoch()
     }
 
     /// Runs the grid until `horizon`. Returns the simulation outcome.
@@ -1196,8 +1174,8 @@ impl Grid {
     }
 
     /// Direct read access to a node's LRM (inspection in tests/examples).
-    pub fn lrm(&self, node: NodeId) -> Option<std::cell::Ref<'_, LrmState>> {
-        self.world.lrms.get(node.0 as usize).map(|l| l.borrow())
+    pub fn lrm(&self, node: NodeId) -> Option<&LrmState> {
+        self.world.nodes.get(node.0 as usize).map(|n| &n.lrm)
     }
 
     /// Where the GRM currently believes replicas of `(job, part)` live,
@@ -1205,7 +1183,6 @@ impl Grid {
     pub fn replica_holders(&self, job: JobId, part: u32) -> Vec<NodeId> {
         self.world
             .grm
-            .borrow()
             .replicas()
             .holders(job, part)
             .into_iter()
@@ -1215,7 +1192,7 @@ impl Grid {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.world.lrms.len()
+        self.world.nodes.len()
     }
 
     /// Scheduler-side progress bookkeeping for one part — `(banked
@@ -1262,7 +1239,7 @@ impl Grid {
     /// This cluster's aggregated summary for the inter-cluster hierarchy
     /// (the GRM's current — possibly stale — view).
     pub fn cluster_summary(&self) -> crate::hierarchy::ClusterSummary {
-        self.world.grm.borrow().cluster_summary()
+        self.world.grm.cluster_summary()
     }
 
     /// The cluster's usage summary for the hierarchical GUPA aggregation:
@@ -1272,7 +1249,7 @@ impl Grid {
     /// [`crate::protocol::FedSummary`] every update period.
     pub fn usage_summary(&mut self, epoch: u64) -> crate::hierarchy::UsageSummary {
         // Predictions read each LRM's partial-day window — state the
-        // active-set path defers for idle nodes — so flush first (mode-
+        // lazy walk defers for idle nodes — so flush first (mode-
         // invariant, same contract as `report`).
         self.world.flush_catch_up();
         let now = self.queue.now();
@@ -1280,7 +1257,7 @@ impl Grid {
         let slots_per_day = SamplingConfig::default().slots_per_day();
         let mut histogram = crate::hierarchy::AvailabilityHistogram::default();
         let mut loads = Vec::new();
-        for (i, lrm) in self.world.lrms.iter().enumerate() {
+        for (i, local) in self.world.nodes.iter().enumerate() {
             let node = NodeId(i as u32);
             if !self.world.gupa.has_model(node) {
                 continue;
@@ -1289,7 +1266,7 @@ impl Grid {
                 node,
                 weekday,
                 minute,
-                lrm.borrow().lupa_window().partial_day(),
+                local.lrm.lupa_window().partial_day(),
                 slots_per_day,
                 self.world.config.prediction_horizon_mins,
                 &mut loads,
@@ -1311,11 +1288,8 @@ impl Grid {
     /// now*, per the trader's offer set. This is what a linked-trader
     /// [`crate::protocol::FedQuery`] consults — the probed cluster's live
     /// offers, not a stale summary.
-    pub fn trader_matches(&self, requirements: &crate::asct::JobRequirements) -> usize {
-        self.world
-            .grm
-            .borrow_mut()
-            .matching_nodes(&requirements.to_constraint())
+    pub fn trader_matches(&mut self, requirements: &crate::asct::JobRequirements) -> usize {
+        self.world.grm.matching_nodes(&requirements.to_constraint())
     }
 
     /// Installs a federation link on this cluster's trader (CORBA trading
@@ -1333,7 +1307,6 @@ impl Grid {
     ) -> Result<(), integrade_orb::trading::TraderError> {
         self.world
             .grm
-            .borrow_mut()
             .trader_mut()
             .add_link(name, u64::from(target.0), follow)
     }
@@ -1341,7 +1314,7 @@ impl Grid {
     /// This cluster's trader federation links, in insertion order (the
     /// deterministic spillover probe order).
     pub fn trader_links(&self) -> Vec<integrade_orb::trading::TraderLink> {
-        self.world.grm.borrow().trader().links().to_vec()
+        self.world.grm.trader().links().to_vec()
     }
 
     /// Records that a spillover query followed the named trader link
@@ -1351,32 +1324,28 @@ impl Grid {
     ///
     /// Fails on an unknown link name.
     pub fn record_trader_link_followed(
-        &self,
+        &mut self,
         name: &str,
     ) -> Result<(), integrade_orb::trading::TraderError> {
-        self.world
-            .grm
-            .borrow_mut()
-            .trader_mut()
-            .record_link_followed(name)
+        self.world.grm.trader_mut().record_link_followed(name)
     }
 
     /// The final report. Flushes any lazily deferred per-node bookkeeping
-    /// first so active-set and reference runs report identically.
+    /// first so lazy and reference runs report identically.
     pub fn report(&mut self) -> GridReport {
         self.world.flush_catch_up();
         let mut qos = QosLedger::new();
-        for ledger in &self.world.qos {
-            qos.merge(ledger);
+        for node in &self.world.nodes {
+            qos.merge(&node.qos);
         }
         GridReport {
             records: self.world.jobs.values().map(|j| j.record.clone()).collect(),
             net: self.world.net.stats(),
-            updates: self.world.grm.borrow().update_stats(),
-            trader_queries: self.world.grm.borrow().trader_queries(),
+            updates: self.world.grm.update_stats(),
+            trader_queries: self.world.grm.trader_queries(),
             qos,
             overhead: self.world.overhead,
-            gupa_models: (0..self.world.lrms.len())
+            gupa_models: (0..self.world.nodes.len())
                 .filter(|&i| self.world.gupa.has_model(NodeId(i as u32)))
                 .count(),
         }
@@ -1401,7 +1370,7 @@ impl Grid {
             orb.replies_received += s.replies_received;
             orb.requests_dispatched += s.requests_dispatched;
         }
-        let grm = self.world.grm.borrow();
+        let grm = &self.world.grm;
         self.world.obs.sync_mirrors(
             &self.world.net.stats(),
             grm.update_stats(),
@@ -1440,324 +1409,10 @@ impl Grid {
     }
 }
 
-/// Day/weekday/minute of a virtual instant (day 0 = Monday).
-fn wall_at(now: SimTime) -> (u64, Weekday, u32) {
-    let (day, offset) = now.day_and_offset();
-    (
-        day,
-        Weekday::from_day_number(day),
-        (offset.as_micros() / 60_000_000) as u32,
-    )
-}
-
-/// The owner sample a trace yields at `now` (empty trace = always idle).
-fn trace_sample_at(trace: &[UsageSample], now: SimTime) -> UsageSample {
-    if trace.is_empty() {
-        return UsageSample::idle();
-    }
-    let slot = (now.as_micros() / SimDuration::from_mins(5).as_micros()) as usize;
-    trace[slot % trace.len()]
-}
-
-/// The measured (LUPA-visible) version of an owner sample: the true sample
-/// when noise is off, otherwise the sample perturbed by two jitter draws
-/// (CPU then memory) from the executing shard's stream and re-clamped into
-/// range. `noise == 0` consumes nothing from the stream — that is what
-/// keeps every pre-noise scenario bit-for-bit.
-fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSample {
-    if noise == 0.0 {
-        return owner;
-    }
-    let cpu_delta = rng.jitter(noise);
-    let mem_delta = rng.jitter(noise);
-    owner.with_jitter(cpu_delta, mem_delta)
-}
-
-/// The node-local half of catch-up replay: advances one node's deferred
-/// owner sampling, LUPA accumulation and QoS accounting to tick `target`
-/// using only that node's state. Returns the GUPA upload calls the replayed
-/// slots would have made, in order, one inner vec per original call — the
-/// caller digests them (this keeps the upload-call count identical to the
-/// eager walk, which tests observe).
-///
-/// The whole span `[applied, target)` goes to the LUPA window as one run of
-/// measured samples; the window cuts it into days. That equals the eager
-/// per-slot body because, for a node outside the active set, a slot has
-/// exactly four effects and the run reproduces each: the measured sample
-/// entering the window (same samples, same order, drawn from `rng` in slot
-/// order), the QoS record (same records, same order), the owner state and
-/// clock (only the last slot's survive — nothing reads the intermediate
-/// ones), and the drain of a completed day (a slot completes at most one
-/// day and the eager walk drains after every slot, so each completed day is
-/// its own upload call, in day order). An untraced node with noise off is
-/// the constant case: every sample is idle and `QosLedger::record(0, 0, 0,
-/// _, _)` is a no-op by inspection, so the run is a plain fill.
-///
-/// Runs on shard worker threads in [`TickMode::Sharded`]: it must not touch
-/// the event queue, the log, the ORBs, any other node's state, or any RNG
-/// stream other than the executing shard's `rng` — and it draws from that
-/// only when `noise > 0` (two jitter draws per replayed slot, perturbing
-/// what the LUPA window records but never the owner state QoS sees).
-#[allow(clippy::too_many_arguments)]
-fn replay_node_local(
-    tick: SimDuration,
-    noise: f64,
-    trace: &[UsageSample],
-    lrm: &RefCell<LrmState>,
-    qos: &mut QosLedger,
-    ticks_applied: &mut u64,
-    rng: &mut DetRng,
-    target: u64,
-) -> Vec<Vec<DayPeriod>> {
-    let applied = *ticks_applied;
-    if applied >= target {
-        return Vec::new();
-    }
-    // The (k+1)-th tick fired at k * tick.
-    let fired_at = |k: u64| SimTime::from_micros(tick.as_micros() * k);
-    let last = fired_at(target - 1);
-    let last_owner = trace_sample_at(trace, last);
-    let (_, weekday, minute) = wall_at(last);
-    let mut lrm = lrm.borrow_mut();
-    debug_assert!(
-        lrm.lupa_window().completed().is_empty(),
-        "every observation drains the window before the next"
-    );
-    if trace.is_empty() && noise == 0.0 {
-        let idle = std::iter::repeat_n(UsageSample::idle(), (target - applied) as usize);
-        lrm.observe_owner_run(last_owner, idle, weekday, minute);
-    } else {
-        let cap = lrm.policy.max_cpu_fraction;
-        let measured = (applied..target).map(|k| {
-            let owner = trace_sample_at(trace, fired_at(k));
-            qos.record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
-            measured_sample(owner, noise, rng)
-        });
-        lrm.observe_owner_run(last_owner, measured, weekday, minute);
-    }
-    *ticks_applied = target;
-    lrm.take_lupa_periods()
-        .into_iter()
-        .map(|period| vec![period])
-        .collect()
-}
-
-/// [`replay_node_local`] as the eager walk defines it — one observation,
-/// one QoS record and one window drain per slot — kept as the oracle the
-/// run form is tested against.
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-fn replay_node_local_per_slot(
-    tick: SimDuration,
-    noise: f64,
-    trace: &[UsageSample],
-    lrm: &RefCell<LrmState>,
-    qos: &mut QosLedger,
-    ticks_applied: &mut u64,
-    rng: &mut DetRng,
-    target: u64,
-) -> Vec<Vec<DayPeriod>> {
-    let applied = *ticks_applied;
-    if applied >= target {
-        return Vec::new();
-    }
-    let mut uploads: Vec<Vec<DayPeriod>> = Vec::new();
-    let mut lrm = lrm.borrow_mut();
-    let cap = lrm.policy.max_cpu_fraction;
-    for k in applied..target {
-        let then = SimTime::from_micros(tick.as_micros() * k);
-        let owner = trace_sample_at(trace, then);
-        let measured = measured_sample(owner, noise, rng);
-        let (_, weekday, minute) = wall_at(then);
-        lrm.observe_owner_sampled(owner, measured, weekday, minute);
-        let periods = lrm.take_lupa_periods();
-        qos.record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
-        if !periods.is_empty() {
-            uploads.push(periods);
-        }
-    }
-    *ticks_applied = target;
-    uploads
-}
-
-/// The shared-state side effects of one node's slot tick, produced on a
-/// worker thread and applied by [`GridWorld::apply_node_effects`] on the
-/// coordinating thread. Applying queued effects in ascending node order
-/// reproduces the sequential walk's message, log and RNG order exactly.
-struct NodeTickEffects {
-    node: usize,
-    /// Reservation leases that expired this slot (metric + log records).
-    expired: usize,
-    /// Parts that finished (stash + PartDone send to the GRM).
-    completed: Vec<CompletedPart>,
-    /// Parts evicted by a returning owner (stash + PartEvicted send).
-    evictions: Vec<PartEvicted>,
-    /// Checkpoints crossing an interval boundary (replica store requests).
-    dues: Vec<DueCheckpoint>,
-    /// The tick's own LUPA drain (at most one completed period). In
-    /// [`TickMode::Sharded`] the worker digests this into its GUPA cell
-    /// slice and ships the effects with it emptied; in the sequential modes
-    /// [`GridWorld::apply_node_effects`] digests it.
-    tick_upload: Vec<DayPeriod>,
-}
-
-/// The node-local half of one slot tick: everything `tick_node` does that
-/// touches only the node's own LRM, QoS ledger and tick cursor. Safe to run
-/// on a shard worker; the returned effects carry the shared-state work.
-/// Callers must have applied all earlier ticks to the node. `rng` is the
-/// executing shard's stream, consumed only when `noise > 0`.
-#[allow(clippy::too_many_arguments)]
-fn tick_node_local(
-    tick: SimDuration,
-    noise: f64,
-    trace: &[UsageSample],
-    lrm: &RefCell<LrmState>,
-    qos: &mut QosLedger,
-    ticks_applied: &mut u64,
-    rng: &mut DetRng,
-    node: usize,
-    now: SimTime,
-    weekday: Weekday,
-    minute: u32,
-    slots_elapsed: u64,
-) -> NodeTickEffects {
-    let owner = trace_sample_at(trace, now);
-    let measured = measured_sample(owner, noise, rng);
-    let mut lrm = lrm.borrow_mut();
-    // Credit the elapsed tick under the owner state that held during it
-    // *before* observing the new sample; otherwise a returning owner would
-    // retroactively erase the idle interval's progress.
-    let completed = lrm.advance_at(now, tick);
-    let dues = lrm.due_checkpoints();
-    lrm.observe_owner_sampled(owner, measured, weekday, minute);
-    let expired = lrm.expire_reservations(now);
-    let evictions = lrm.check_eviction();
-    let grid_running = !lrm.running().is_empty();
-    let grid_share = lrm.grid_share();
-    let cap = lrm.policy.max_cpu_fraction;
-    // Owner QoS accounting (InteGrade's user-level scheduler always
-    // yields, so usage == the capped share).
-    let grid_demand = if grid_running { 1.0 } else { 0.0 };
-    let grid_usage = if grid_running { grid_share } else { 0.0 };
-    qos.record(
-        owner.cpu,
-        grid_demand,
-        grid_usage,
-        cap,
-        SharingDiscipline::Yielding,
-    );
-    let tick_upload = lrm.take_lupa_periods();
-    *ticks_applied = slots_elapsed;
-    NodeTickEffects {
-        node,
-        expired,
-        completed,
-        evictions,
-        dues,
-        tick_upload,
-    }
-}
-
-/// Contiguous node-id ranges for `workers` shards: near-equal sizes, the
-/// first `n % workers` shards one node larger. Concatenating the shards in
-/// shard-id order yields `0..n` — the property that makes (shard-id, seq)
-/// merge order equal ascending node-id order.
-fn shard_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let w = workers.clamp(1, n.max(1));
-    let base = n / w;
-    let extra = n % w;
-    let mut ranges = Vec::with_capacity(w);
-    let mut start = 0;
-    for shard in 0..w {
-        let len = base + usize::from(shard < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    ranges
-}
-
-/// Contiguous node-id ranges for `workers` shards, balanced by *occupancy*:
-/// the ascending `members` list (the frame's active nodes) is cut into
-/// near-equal groups — the first `members.len() % workers` groups one
-/// member larger — and the id-space boundaries are placed at the cuts, so
-/// every shard walks the same number of active members this frame no matter
-/// how they cluster in the id space. A static id split degrades badly when
-/// activity is skewed (one shard owns all the busy nodes and the others
-/// idle); this keeps the per-frame work even.
-///
-/// Determinism is preserved by construction. Boundaries move only here, at
-/// the frame boundary — a node never migrates between shards mid-frame —
-/// and the ranges still partition `0..n` contiguously in shard order, so
-/// (shard-id, seq) merge order remains ascending node-id order. The
-/// shard→stream binding is positional (shard `i` always owns stream `i`,
-/// and exactly `workers` ranges are returned, some possibly empty), so a
-/// fixed worker count replays identically however occupancy shifts.
-///
-/// `members` must be ascending with every element `< n`; when it is empty
-/// the static near-equal id split is used.
-pub fn occupancy_ranges(
-    n: usize,
-    workers: usize,
-    members: &[usize],
-) -> Vec<std::ops::Range<usize>> {
-    let w = workers.clamp(1, n.max(1));
-    if members.is_empty() {
-        return shard_ranges(n, w);
-    }
-    debug_assert!(members.windows(2).all(|p| p[0] < p[1]));
-    debug_assert!(members.last().copied().unwrap_or(0) < n);
-    let m = members.len();
-    let base = m / w;
-    let extra = m % w;
-    let mut ranges = Vec::with_capacity(w);
-    let mut start = 0usize;
-    let mut taken = 0usize;
-    for shard in 0..w {
-        let take = base + usize::from(shard < extra);
-        taken += take;
-        let end = if shard + 1 == w {
-            // The last shard absorbs the id-space tail past the last member.
-            n
-        } else if take == 0 {
-            start
-        } else {
-            members[taken - 1] + 1
-        };
-        ranges.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, n);
-    ranges
-}
-
-/// A shard's slice of the LRM table, sendable to its worker thread.
-///
-/// # Safety
-///
-/// `Rc<RefCell<LrmState>>` is `!Send`, but moving a *disjoint slice* of the
-/// table to a scoped worker is sound here because: (a) each worker receives
-/// a non-overlapping node range and never reaches outside it, (b) the
-/// coordinating thread is blocked in `std::thread::scope` until every
-/// worker joins, so no `Rc` clone (the servant handles) is touched
-/// concurrently, (c) workers call only LRM methods that read/write the
-/// node's own plain data — they never clone or drop an `Rc` (in particular
-/// not the `SharedBytes` checkpoint payloads, whose allocations *are*
-/// shared across nodes), so no reference count is mutated off-thread.
-struct ShardLrms<'a>(&'a [Rc<RefCell<LrmState>>]);
-
-#[allow(unsafe_code)]
-unsafe impl Send for ShardLrms<'_> {}
-
 impl GridWorld {
-    /// Day/weekday/minute of a virtual instant (day 0 = Monday).
-    fn wall(&self, now: SimTime) -> (u64, Weekday, u32) {
-        wall_at(now)
-    }
-
     /// Replays the deferred slot-tick bookkeeping of one node up to tick
     /// count `target` (the `slots_elapsed` value whose ticks should all be
-    /// applied).
+    /// applied), on the coordinating thread.
     ///
     /// A node outside the active set has no running parts, reservations,
     /// unacknowledged outcomes or stored replicas, so its reference
@@ -1768,18 +1423,14 @@ impl GridWorld {
     /// Replaying them here in bulk is therefore bit-for-bit identical to
     /// having run them eagerly every tick of the same mode.
     fn catch_up_node(&mut self, node: usize, target: u64) {
-        if self.ticks_applied[node] >= target {
+        if self.nodes[node].ticks_applied >= target {
             return;
         }
         let profiler = self.obs.profiler.clone();
         let _replay = profiler.enter(Phase::CatchUpReplay);
         let uploads = replay_node_local(
-            self.config.tick,
-            self.config.lupa_noise,
-            &self.traces[node],
-            &self.lrms[node],
-            &mut self.qos[node],
-            &mut self.ticks_applied[node],
+            &self.config,
+            &mut self.nodes[node],
             &mut self.shard_rngs[0],
             target,
         );
@@ -1793,92 +1444,33 @@ impl GridWorld {
     }
 
     /// Catches every node up to the current tick count — the full-population
-    /// flush `report()` and pattern-aware prediction ranking need. In
-    /// [`TickMode::Sharded`] both the per-node replay work *and* the GUPA
-    /// digestion of the uploads it produces (history append + retrain — the
-    /// O(n) terms that dominate the flush at 50k nodes) run on the shard
-    /// workers, each against its own disjoint slice of the GUPA cell table;
-    /// only the per-shard upload counts are folded back at the merge, in
-    /// ascending shard order, so the result is identical to the sequential
-    /// flush.
+    /// flush `report()` and pattern-aware prediction ranking need. Both the
+    /// per-node replay work *and* the GUPA digestion of the uploads it
+    /// produces (curve reduction + retrain — the O(n) terms that dominate
+    /// the flush at 50k nodes) run shard by shard, each shard against its
+    /// own disjoint slices of the node and GUPA cell tables; only the
+    /// per-shard upload counts are folded back at the merge, in ascending
+    /// shard order. (Under the reference walk nothing is ever deferred and
+    /// every replay returns at once.)
     fn flush_catch_up(&mut self) {
         let target = self.slots_elapsed;
-        match self.config.tick_mode {
-            TickMode::Sharded { workers } if self.lrms.len() > 1 => {
-                let profiler = self.obs.profiler.clone();
-                let _replay = profiler.enter(Phase::CatchUpReplay);
-                let digested: Vec<u64> = {
-                    let _shard = profiler.enter(Phase::ShardWalk);
-                    let tick = self.config.tick;
-                    let noise = self.config.lupa_noise;
-                    let n = self.lrms.len();
-                    let gupa_config = self.gupa.config();
-                    let ranges = shard_ranges(n, workers);
-                    let traces = &self.traces;
-                    let mut qos_rest: &mut [QosLedger] = &mut self.qos;
-                    let mut ticks_rest: &mut [u64] = &mut self.ticks_applied;
-                    let mut lrms_rest: &[Rc<RefCell<LrmState>>] = &self.lrms;
-                    let mut rngs_rest: &mut [DetRng] = &mut self.shard_rngs;
-                    let mut cells_rest: &mut [GupaCell] = self.gupa.cells_mut(n);
-                    std::thread::scope(|scope| {
-                        let mut handles = Vec::with_capacity(ranges.len());
-                        for range in &ranges {
-                            let len = range.end - range.start;
-                            let (qos_s, q_tail) = qos_rest.split_at_mut(len);
-                            qos_rest = q_tail;
-                            let (ticks_s, t_tail) = ticks_rest.split_at_mut(len);
-                            ticks_rest = t_tail;
-                            let (lrm_s, l_tail) = lrms_rest.split_at(len);
-                            lrms_rest = l_tail;
-                            let (cell_s, c_tail) = cells_rest.split_at_mut(len);
-                            cells_rest = c_tail;
-                            let (rng_s, r_tail) = rngs_rest.split_at_mut(1.min(rngs_rest.len()));
-                            rngs_rest = r_tail;
-                            let lrms = ShardLrms(lrm_s);
-                            let start = range.start;
-                            handles.push(scope.spawn(move || {
-                                let lrms = lrms;
-                                let rng = rng_s.first_mut().expect("one stream per shard");
-                                let mut digested = 0u64;
-                                for (local, (qos, ticks)) in
-                                    qos_s.iter_mut().zip(ticks_s.iter_mut()).enumerate()
-                                {
-                                    let node = start + local;
-                                    let calls = replay_node_local(
-                                        tick,
-                                        noise,
-                                        &traces[node],
-                                        &lrms.0[local],
-                                        qos,
-                                        ticks,
-                                        rng,
-                                        target,
-                                    );
-                                    for call in calls {
-                                        if cell_s[local].digest(gupa_config, call) {
-                                            digested += 1;
-                                        }
-                                    }
-                                }
-                                digested
-                            }));
-                        }
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("shard flush worker panicked"))
-                            .collect()
-                    })
-                };
-                let _merge = profiler.enter(Phase::ShardMerge);
-                for count in digested {
-                    self.gupa.add_uploads(count);
-                }
-            }
-            _ => {
-                for node in 0..self.lrms.len() {
-                    self.catch_up_node(node, target);
-                }
-            }
+        let profiler = self.obs.profiler.clone();
+        let _replay = profiler.enter(Phase::CatchUpReplay);
+        let digested = {
+            let _shard = profiler.enter(Phase::ShardWalk);
+            let (config, gupa_config) = (&self.config, self.gupa.config());
+            let n = self.nodes.len();
+            for_each_shard(
+                &shard_ranges(n, self.shard_rngs.len()),
+                &mut self.nodes,
+                self.gupa.cells_mut(n),
+                &mut self.shard_rngs,
+                |shard| shard.flush(config, gupa_config, target),
+            )
+        };
+        let _merge = profiler.enter(Phase::ShardMerge);
+        for count in digested {
+            self.gupa.add_uploads(count);
         }
     }
 
@@ -1886,7 +1478,7 @@ impl GridWorld {
     /// Called after anything that can change engagement: wire dispatch,
     /// slot processing, crash.
     fn refresh_activity(&mut self, node: usize) {
-        if self.lrms[node].borrow().is_engaged() {
+        if self.nodes[node].lrm.is_engaged() {
             self.active.insert(node);
         } else {
             self.active.remove(&node);
@@ -1897,7 +1489,7 @@ impl GridWorld {
     /// grid (offset + k * period) — where a parked update timer resumes.
     fn next_update_instant(&self, node: usize, now: SimTime) -> SimTime {
         let period = self.config.lrm.update_period.as_micros();
-        let n = self.lrms.len() as u64;
+        let n = self.nodes.len() as u64;
         let offset = period * node as u64 / n.max(1);
         let now_us = now.as_micros();
         if now_us < offset {
@@ -1915,8 +1507,9 @@ impl GridWorld {
             return;
         }
         let slots_per_day = SamplingConfig::default().slots_per_day();
-        for node in 0..self.lrms.len() {
-            if self.traces[node].is_empty() {
+        for (node, local) in self.nodes.iter().enumerate() {
+            let trace = &local.trace;
+            if trace.is_empty() {
                 continue;
             }
             let periods: Vec<DayPeriod> = (0..days)
@@ -1924,10 +1517,7 @@ impl GridWorld {
                     day: d as u64,
                     weekday: Weekday::from_day_number(d as u64),
                     samples: (0..slots_per_day)
-                        .map(|s| {
-                            let trace = &self.traces[node];
-                            trace[(d * slots_per_day + s) % trace.len()]
-                        })
+                        .map(|s| trace[(d * slots_per_day + s) % trace.len()])
                         .collect(),
                 })
                 .collect();
@@ -2093,11 +1683,8 @@ impl GridWorld {
         // timeout events find no entry and fall through harmlessly.
         self.pending.retain(|(from, _), _| *from != host);
         if host == self.grm_host {
-            let epoch = {
-                let mut grm = self.grm.borrow_mut();
-                grm.crash();
-                grm.epoch()
-            };
+            self.grm.crash();
+            let epoch = self.grm.epoch();
             // Relays in flight died with the GRM's orb; the placement map
             // is rebuilt from replica re-announces after restart.
             self.rerepl_inflight.clear();
@@ -2106,7 +1693,7 @@ impl GridWorld {
                 .record(now, "grm.crash", format!("next epoch {epoch}"));
         } else if let Some(&node) = self.host_to_node.get(&host) {
             {
-                let mut lrm = self.lrms[node].borrow_mut();
+                let lrm = &mut self.nodes[node].lrm;
                 for part in lrm.running() {
                     self.crash_progress
                         .insert((part.job, part.part), part.done as u64);
@@ -2138,11 +1725,8 @@ impl GridWorld {
             .set_up(host, true)
             .expect("known host");
         if host == self.grm_host {
-            let epoch = {
-                let mut grm = self.grm.borrow_mut();
-                grm.restart(now);
-                grm.epoch()
-            };
+            self.grm.restart(now);
+            let epoch = self.grm.epoch();
             self.log
                 .record(now, "grm.epoch", format!("restarted as epoch {epoch}"));
             self.reconcile_after_grm_restart(now, queue);
@@ -2547,7 +2131,6 @@ impl GridWorld {
         bytes: Vec<u8>,
         queue: &mut EventQueue<GridEvent>,
     ) {
-        *self.clock.borrow_mut() = now;
         if !self.net.topology().is_up(to) {
             // The destination crashed while the frame was in flight.
             self.obs.drops.inc();
@@ -2574,9 +2157,22 @@ impl GridWorld {
         let Some(orb) = self.orbs.get_mut(&to) else {
             return;
         };
+        // Lend the host's implementation object — its LRM, or the GRM on
+        // the manager host — to the ORB for this one dispatch.
         let incoming = {
             let _dec = self.obs.profiler.enter(Phase::GiopDecode);
-            orb.handle_wire(frame)
+            match node_at_dest {
+                Some(node) => orb.handle_wire_with(
+                    frame,
+                    &self.lrm_iors[node].object_key,
+                    &mut self.nodes[node].lrm.servant(now),
+                ),
+                None => orb.handle_wire_with(
+                    frame,
+                    &self.grm_ior.object_key,
+                    &mut self.grm.servant(now),
+                ),
+            }
         };
         match incoming {
             Ok(Incoming::ReplyToSend(reply)) => {
@@ -2595,11 +2191,10 @@ impl GridWorld {
         // just recorded as trace events, and re-derive the node's
         // active-set membership from whatever the dispatch changed.
         if let Some(node) = node_at_dest {
-            let mut lrm = self.lrms[node].borrow_mut();
+            let lrm = &mut self.nodes[node].lrm;
             let hits = lrm.take_dedup_hits();
             let corrupt = lrm.take_corrupt_detected();
             let gc = lrm.take_repo_gc();
-            drop(lrm);
             self.obs.dedup_hits.add(hits);
             self.obs.corrupt_detected.add(corrupt);
             self.obs.repo_gc.add(gc);
@@ -2627,13 +2222,8 @@ impl GridWorld {
     }
 
     fn drain_grm_notifications(&mut self, now: SimTime, queue: &mut EventQueue<GridEvent>) {
-        let (done, evicted) = {
-            let mut grm = self.grm.borrow_mut();
-            (
-                std::mem::take(&mut grm.pending_done),
-                std::mem::take(&mut grm.pending_evictions),
-            )
-        };
+        let done = std::mem::take(&mut self.grm.pending_done);
+        let evicted = std::mem::take(&mut self.grm.pending_evictions);
         for d in done {
             self.on_part_done(now, &d, queue);
         }
@@ -2710,8 +2300,7 @@ impl GridWorld {
                     // Credibility-adaptive replication: a trusted executor's
                     // word certifies alone; unknowns pay the full quorum.
                     let trusted = self.config.cert_adaptive
-                        && self.grm.borrow().cert_credibility(done.node)
-                            >= self.config.cert_trust_threshold;
+                        && self.grm.cert_credibility(done.node) >= self.config.cert_trust_threshold;
                     let needed = if trusted {
                         1
                     } else {
@@ -2852,7 +2441,7 @@ impl GridWorld {
         // the part finished this round: agreement earns trust slowly, any
         // mismatch collapses it and blacklists the node from the trader.
         for node in cert_punish {
-            let newly = self.grm.borrow_mut().record_cert_mismatch(node);
+            let newly = self.grm.record_cert_mismatch(node);
             self.obs.cert_mismatches.inc();
             self.log.record(
                 now,
@@ -2866,7 +2455,7 @@ impl GridWorld {
         }
         if certified {
             for node in &cert_agree {
-                self.grm.borrow_mut().record_cert_agreement(*node);
+                self.grm.record_cert_agreement(*node);
             }
             self.cert_votes.remove(&(done.job, done.part));
             self.obs.cert_certified.inc();
@@ -2882,17 +2471,13 @@ impl GridWorld {
             return;
         }
         // The part is finished: its rate estimates can never matter again.
-        self.grm.borrow_mut().clear_progress(done.job, done.part);
+        self.grm.clear_progress(done.job, done.part);
         // The part's replicas are superseded: drop them from the placement
         // map and ask each holder to garbage-collect its copy. Purges are
         // best-effort oneways — a holder that misses one merely keeps a dead
         // blob until its disk is next reused.
         self.rerepl_inflight.remove(&(done.job, done.part));
-        let holders = self
-            .grm
-            .borrow_mut()
-            .replicas_mut()
-            .remove_part(done.job, done.part);
+        let holders = self.grm.replicas_mut().remove_part(done.job, done.part);
         for holder in holders {
             self.log.record(
                 now,
@@ -3044,7 +2629,7 @@ impl GridWorld {
                 // Evicted exactly at a 100% checkpoint: nothing is left to
                 // re-run, so complete the part instead of relaunching it
                 // for a phantom sliver of residual work.
-                let digest = self.lrms[evicted.node.0 as usize].borrow().result_digest(
+                let digest = self.nodes[evicted.node.0 as usize].lrm.result_digest(
                     now,
                     evicted.job,
                     evicted.part,
@@ -3257,7 +2842,7 @@ impl GridWorld {
                 self.on_cancel_reply(now, job, reply, queue);
             }
             Pending::UpdateAck { node, seq } => {
-                self.on_update_ack(node, seq, result);
+                self.on_update_ack(now, node, seq, result);
             }
             Pending::StoreCkpt {
                 origin,
@@ -3442,7 +3027,7 @@ impl GridWorld {
                 // The GRM performed this relay itself, so it can credit the
                 // new holder immediately instead of waiting for the
                 // replica's next status update to re-announce it.
-                self.grm.borrow_mut().replicas_mut().observe(
+                self.grm.replicas_mut().observe(
                     replica,
                     blob.job,
                     blob.part,
@@ -3496,6 +3081,7 @@ impl GridWorld {
     /// outcomes it piggybacked and watch the epoch for GRM restarts.
     fn on_update_ack(
         &mut self,
+        now: SimTime,
         node: usize,
         seq: u64,
         result: Result<Vec<u8>, integrade_orb::orb::RemoteError>,
@@ -3503,13 +3089,9 @@ impl GridWorld {
         let Some(ack) = result.ok().and_then(|b| UpdateAck::from_cdr_bytes(&b).ok()) else {
             return; // lost ack: the next update re-piggybacks everything
         };
-        let epoch_changed = {
-            let mut lrm = self.lrms[node].borrow_mut();
-            lrm.acknowledge(ack.seq.min(seq));
-            lrm.observe_grm_epoch(ack.epoch)
-        };
-        if epoch_changed {
-            let now = *self.clock.borrow();
+        let lrm = &mut self.nodes[node].lrm;
+        lrm.acknowledge(ack.seq.min(seq));
+        if lrm.observe_grm_epoch(ack.epoch) {
             self.log.record(
                 now,
                 "grm.epoch",
@@ -3554,7 +3136,7 @@ impl GridWorld {
         dead_node: NodeId,
         queue: &mut EventQueue<GridEvent>,
     ) {
-        let holders = self.grm.borrow().replicas().holders(job_id, part_id);
+        let holders = self.grm.replicas().holders(job_id, part_id);
         let candidates: Vec<NodeId> = holders
             .into_iter()
             .map(|(n, _)| n)
@@ -3793,7 +3375,7 @@ impl GridWorld {
         let mut mark_suspect: Vec<NodeId> = Vec::new();
         let mut clear_suspect: Vec<NodeId> = Vec::new();
         {
-            let grm = self.grm.borrow();
+            let grm = &self.grm;
             let threshold = self.config.straggler_threshold;
             let strikes = self.config.straggler_strikes;
             for (job_id, job) in self.jobs.iter_mut() {
@@ -3882,7 +3464,7 @@ impl GridWorld {
             part.node
         };
         let Some(primary) = primary else { return };
-        let holders = self.grm.borrow().replicas().holders(job_id, part_id);
+        let holders = self.grm.replicas().holders(job_id, part_id);
         let replicas: Vec<NodeId> = holders
             .into_iter()
             .map(|(n, _)| n)
@@ -4028,16 +3610,15 @@ impl GridWorld {
             )
         };
         let predictions = self.predictions_for_scheduling(now);
-        let candidates = {
-            let mut grm = self.grm.borrow_mut();
-            grm.candidates(
+        let candidates = self
+            .grm
+            .candidates(
                 &constraint,
                 preference,
                 self.config.max_candidates,
                 &predictions,
             )
-        }
-        .unwrap_or_default();
+            .unwrap_or_default();
         let ranked = rank(&candidates, self.config.strategy, spec_pref, &mut self.rng);
         // A gray-failed host advertises full static capacity, so the trader
         // cannot tell it from a healthy one — but the detector's strike
@@ -4399,15 +3980,12 @@ impl GridWorld {
 
         // 1. Trader query (the GRM's stale hint).
         let predictions = self.predictions_for_scheduling(now);
-        let candidates = {
-            let mut grm = self.grm.borrow_mut();
-            grm.candidates(
-                &constraint,
-                preference,
-                self.config.max_candidates,
-                &predictions,
-            )
-        };
+        let candidates = self.grm.candidates(
+            &constraint,
+            preference,
+            self.config.max_candidates,
+            &predictions,
+        );
         let candidates = match candidates {
             Ok(c) => c,
             Err(e) => {
@@ -4538,20 +4116,20 @@ impl GridWorld {
             return BTreeMap::new();
         }
         // Predictions read each LRM's partial-day window and the GUPA's
-        // uploaded periods — state the active-set path defers for idle
+        // uploaded periods — state the lazy walk defers for idle
         // nodes — so flush everyone before ranking.
         self.flush_catch_up();
-        let (_, weekday, minute) = self.wall(now);
+        let (_, weekday, minute) = wall_at(now);
         let slots_per_day = SamplingConfig::default().slots_per_day();
         let mut out = BTreeMap::new();
         let mut loads = Vec::new();
-        for (i, lrm) in self.lrms.iter().enumerate() {
+        for (i, local) in self.nodes.iter().enumerate() {
             let node = NodeId(i as u32);
             if let Some(p) = self.gupa.predict_idle(
                 node,
                 weekday,
                 minute,
-                lrm.borrow().lupa_window().partial_day(),
+                local.lrm.lupa_window().partial_day(),
                 slots_per_day,
                 self.config.prediction_horizon_mins,
                 &mut loads,
@@ -4591,7 +4169,6 @@ impl GridWorld {
                     let interval = self.config.sequential_checkpoint_mips_s;
                     let replicas = if interval > 0.0 {
                         self.grm
-                            .borrow()
                             .choose_replicas(node, self.config.replication_factor)
                     } else {
                         Vec::new()
@@ -4785,7 +4362,7 @@ impl GridWorld {
         let granted = std::mem::take(&mut job.granted);
         let min_mips = granted
             .iter()
-            .map(|(_, node, _)| self.lrms[node.0 as usize].borrow().resources.cpu_mips)
+            .map(|(_, node, _)| self.nodes[node.0 as usize].lrm.resources.cpu_mips)
             .min()
             .unwrap_or(500);
         let hosts: Vec<CandidateNode> = granted
@@ -4841,7 +4418,6 @@ impl GridWorld {
         for (part, node, reservation, resume_version) in launch_meta {
             let replicas = if ckpt_interval > 0.0 {
                 self.grm
-                    .borrow()
                     .choose_replicas(node, self.config.replication_factor)
             } else {
                 Vec::new()
@@ -4916,74 +4492,37 @@ impl GridWorld {
         let _walk = profiler.enter(Phase::SlotWalk);
         self.obs.queue_depth.observe(queue.len() as f64);
         self.obs.active_nodes.set(self.active.len() as f64);
-        *self.clock.borrow_mut() = now;
-        let (_, weekday, minute) = self.wall(now);
         self.slots_elapsed += 1;
-        let tick = self.config.tick;
         match self.config.tick_mode {
             TickMode::Reference => {
-                for i in 0..self.lrms.len() {
-                    self.tick_node(now, weekday, minute, i, queue);
+                for i in 0..self.nodes.len() {
+                    let effects = tick_node_local(
+                        &self.config,
+                        &mut self.nodes[i],
+                        &mut self.shard_rngs[0],
+                        i,
+                        now,
+                        self.slots_elapsed,
+                    );
+                    self.apply_node_effects(now, effects, queue);
                 }
             }
-            TickMode::ActiveSet => {
-                // Only engaged nodes can complete work, hit checkpoint
-                // boundaries, expire leases or evict parts; every other
-                // node's slot work is deferred to `catch_up_node`.
-                // Ascending index order is the reference walk restricted to
-                // the nodes that can act, so message and log order match.
-                let members: Vec<usize> = self.active.iter().copied().collect();
-                let behind = self.slots_elapsed - 1;
-                for i in members {
-                    self.catch_up_node(i, behind);
-                    self.tick_node(now, weekday, minute, i, queue);
-                }
-            }
-            TickMode::Sharded { workers } => {
-                self.sharded_slot_walk(now, weekday, minute, workers, queue);
-            }
+            TickMode::Sharded { .. } => self.lazy_slot_walk(now, queue),
         }
         self.detect_crashed_nodes(now, queue);
         if self.config.speculation {
             self.detect_stragglers(now, queue);
         }
         self.rereplicate(now, queue);
-        queue.schedule_after(tick, GridEvent::SlotTick);
-    }
-
-    /// One node's share of a slot tick — the per-node body every tick mode
-    /// shares. Callers must have applied all earlier ticks to the node.
-    fn tick_node(
-        &mut self,
-        now: SimTime,
-        weekday: Weekday,
-        minute: u32,
-        i: usize,
-        queue: &mut EventQueue<GridEvent>,
-    ) {
-        let effects = tick_node_local(
-            self.config.tick,
-            self.config.lupa_noise,
-            &self.traces[i],
-            &self.lrms[i],
-            &mut self.qos[i],
-            &mut self.ticks_applied[i],
-            &mut self.shard_rngs[0],
-            i,
-            now,
-            weekday,
-            minute,
-            self.slots_elapsed,
-        );
-        self.apply_node_effects(now, effects, queue);
+        queue.schedule_after(self.config.tick, GridEvent::SlotTick);
     }
 
     /// Applies one node's queued slot-tick effects to the shared world:
     /// metrics, log records, outcome stash+send, checkpoint stores, GUPA
-    /// uploads and the activity refresh. In [`TickMode::Sharded`] this runs
-    /// at the frame boundary in ascending node order; called with the
-    /// effects `tick_node_local` just produced it reconstructs the
-    /// sequential walk exactly.
+    /// uploads and the activity refresh. The lazy walk calls this at the
+    /// frame boundary in ascending node order; called with the effects
+    /// `tick_node_local` just produced (the reference walk) it is the eager
+    /// per-node body.
     fn apply_node_effects(
         &mut self,
         now: SimTime,
@@ -5001,20 +4540,18 @@ impl GridWorld {
         // at-least-once delivery even when the oneway is lost or the
         // GRM crashes with the notice in flight.
         for done in effects.completed {
-            let digest = self.lrms[i]
-                .borrow()
-                .result_digest(now, done.job, done.part);
+            let digest = self.nodes[i].lrm.result_digest(now, done.job, done.part);
             let msg = PartDone {
                 job: done.job,
                 part: done.part,
                 node: NodeId(i as u32),
                 digest,
             };
-            self.lrms[i].borrow_mut().stash_done(msg);
+            self.nodes[i].lrm.stash_done(msg);
             self.send_to_grm(now, i, OP_PART_DONE, move |w| msg.encode(w), queue);
         }
         for evicted in effects.evictions {
-            self.lrms[i].borrow_mut().stash_evicted(evicted);
+            self.nodes[i].lrm.stash_evicted(evicted);
             self.send_to_grm(now, i, OP_PART_EVICTED, move |w| evicted.encode(w), queue);
         }
         // Interval boundary crossed: write the checkpoint's real bytes
@@ -5022,8 +4559,8 @@ impl GridWorld {
         for due in effects.dues {
             self.store_checkpoint(now, NodeId(i as u32), due, queue);
         }
-        // LUPA uploads (completed day periods go to the GUPA). Sharded
-        // frames arrive with this empty — the worker already digested it.
+        // LUPA uploads (completed day periods go to the GUPA). The lazy
+        // walk's effects arrive with this empty — the shard digested it.
         if !effects.tick_upload.is_empty() {
             let profiler = self.obs.profiler.clone();
             let _digest = profiler.enter(Phase::GupaDigest);
@@ -5032,45 +4569,37 @@ impl GridWorld {
         self.refresh_activity(i);
     }
 
-    /// The parallel frame of [`TickMode::Sharded`]: cut the population into
+    /// One slot frame of the lazy walk ([`TickMode::Sharded`]). Only engaged
+    /// nodes can complete work, hit checkpoint boundaries, expire leases or
+    /// evict parts, so only the active set is visited; every other node's
+    /// slot work is deferred to catch-up replay. The population is cut into
     /// contiguous node-id ranges balanced by active-set occupancy
-    /// ([`occupancy_ranges`]), run each shard's member catch-up + slot
+    /// ([`occupancy_ranges`]); each shard runs its members' catch-up + slot
     /// bodies — including the LUPA measurement jitter from the shard's own
-    /// stream and the GUPA digestion of every upload the shard's members
-    /// produced — on its own worker thread against per-shard slices of the
-    /// QoS ledgers, tick cursors and GUPA cells, then merge the queued
-    /// effects in (shard-id, seq) order — which, because shards are
-    /// contiguous ranges, is exactly the ascending node order the
-    /// sequential walks use. Only the per-shard upload counts and the
-    /// effect outboxes cross the merge; the expensive work (replay, retrain)
-    /// stays on the workers.
-    fn sharded_slot_walk(
-        &mut self,
-        now: SimTime,
-        weekday: Weekday,
-        minute: u32,
-        workers: usize,
-        queue: &mut EventQueue<GridEvent>,
-    ) {
+    /// stream and the GUPA digestion of every upload its members produced —
+    /// against its own slices of the node and GUPA cell tables
+    /// (`for_each_shard`: shard 0 inline, the rest on scoped threads); then
+    /// the queued effects are merged in (shard-id, seq) order — which,
+    /// because shards are contiguous ranges, is exactly the ascending node
+    /// order the reference walk uses. Only the per-shard upload counts and
+    /// the effect outboxes cross the merge; the expensive work (replay,
+    /// retrain) stays on the shards.
+    fn lazy_slot_walk(&mut self, now: SimTime, queue: &mut EventQueue<GridEvent>) {
         let members: Vec<usize> = self.active.iter().copied().collect();
-        let behind = self.slots_elapsed - 1;
-        let slots_elapsed = self.slots_elapsed;
-        let tick = self.config.tick;
-        let noise = self.config.lupa_noise;
-        let n = self.lrms.len();
+        let slot = self.slots_elapsed;
+        let n = self.nodes.len();
         let profiler = self.obs.profiler.clone();
         // Frame-boundary rebalance: place the range cuts so each shard
         // carries a near-equal share of this frame's active members.
         let ranges = {
             let _rebalance = profiler.enter(Phase::ShardRebalance);
-            occupancy_ranges(n, workers, &members)
+            occupancy_ranges(n, self.shard_rngs.len(), &members)
         };
         // Ascending member list → per-shard sublists at range bounds.
         let mut groups: Vec<&[usize]> = Vec::with_capacity(ranges.len());
         let mut rest: &[usize] = &members;
         for range in &ranges {
-            let split = rest.partition_point(|&i| i < range.end);
-            let (group, tail) = rest.split_at(split);
+            let (group, tail) = rest.split_at(rest.partition_point(|&i| i < range.end));
             groups.push(group);
             rest = tail;
         }
@@ -5079,105 +4608,32 @@ impl GridWorld {
         self.obs
             .shard_occ_mean
             .set(members.len() as f64 / ranges.len().max(1) as f64);
-        let (all_effects, digested): (Vec<NodeTickEffects>, Vec<u64>) = {
+        let frames = {
             let _shard = profiler.enter(Phase::ShardWalk);
-            let gupa_config = self.gupa.config();
-            let traces = &self.traces;
-            let mut qos_rest: &mut [QosLedger] = &mut self.qos;
-            let mut ticks_rest: &mut [u64] = &mut self.ticks_applied;
-            let mut lrms_rest: &[Rc<RefCell<LrmState>>] = &self.lrms;
-            let mut rngs_rest: &mut [DetRng] = &mut self.shard_rngs;
-            let mut cells_rest: &mut [GupaCell] = self.gupa.cells_mut(n);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(ranges.len());
-                for (shard, range) in ranges.iter().enumerate() {
-                    let len = range.end - range.start;
-                    let (qos_s, q_tail) = qos_rest.split_at_mut(len);
-                    qos_rest = q_tail;
-                    let (ticks_s, t_tail) = ticks_rest.split_at_mut(len);
-                    ticks_rest = t_tail;
-                    let (lrm_s, l_tail) = lrms_rest.split_at(len);
-                    lrms_rest = l_tail;
-                    let (cell_s, c_tail) = cells_rest.split_at_mut(len);
-                    cells_rest = c_tail;
-                    // `shard_rngs` has one stream per *configured* worker;
-                    // `occupancy_ranges` may produce fewer shards than that
-                    // (tiny populations), never more. Stream binding is
-                    // positional: shard `i` always draws from stream `i`.
-                    let (rng_s, r_tail) = rngs_rest.split_at_mut(1.min(rngs_rest.len()));
-                    rngs_rest = r_tail;
-                    let lrms = ShardLrms(lrm_s);
-                    let group = groups[shard];
-                    let start = range.start;
-                    handles.push(scope.spawn(move || {
-                        let lrms = lrms;
-                        let rng = rng_s.first_mut().expect("one stream per shard");
-                        let mut digested = 0u64;
-                        let mut out = Vec::with_capacity(group.len());
-                        for &node in group {
-                            let local = node - start;
-                            let replay_uploads = replay_node_local(
-                                tick,
-                                noise,
-                                &traces[node],
-                                &lrms.0[local],
-                                &mut qos_s[local],
-                                &mut ticks_s[local],
-                                rng,
-                                behind,
-                            );
-                            let mut effects = tick_node_local(
-                                tick,
-                                noise,
-                                &traces[node],
-                                &lrms.0[local],
-                                &mut qos_s[local],
-                                &mut ticks_s[local],
-                                rng,
-                                node,
-                                now,
-                                weekday,
-                                minute,
-                                slots_elapsed,
-                            );
-                            // Digest the node's uploads here, on the shard,
-                            // against its own cell slice — replay calls
-                            // first, then the tick's own drain, the order
-                            // the sequential walk uses. Only the count
-                            // crosses the merge.
-                            for call in replay_uploads {
-                                if cell_s[local].digest(gupa_config, call) {
-                                    digested += 1;
-                                }
-                            }
-                            let tick_upload = std::mem::take(&mut effects.tick_upload);
-                            if cell_s[local].digest(gupa_config, tick_upload) {
-                                digested += 1;
-                            }
-                            out.push(effects);
-                        }
-                        (out, digested)
-                    }));
-                }
-                let mut all = Vec::new();
-                let mut counts = Vec::with_capacity(ranges.len());
-                for handle in handles {
-                    let (out, count) = handle.join().expect("shard worker panicked");
-                    all.extend(out);
-                    counts.push(count);
-                }
-                (all, counts)
-            })
+            let (config, gupa_config) = (&self.config, self.gupa.config());
+            // One stream per configured worker; `occupancy_ranges` may
+            // produce fewer shards than that (tiny populations), never more.
+            for_each_shard(
+                &ranges,
+                &mut self.nodes,
+                self.gupa.cells_mut(n),
+                &mut self.shard_rngs,
+                |shard| {
+                    let members = groups[shard.index];
+                    shard.tick(config, gupa_config, members, now, slot)
+                },
+            )
         };
         let merge_started = std::time::Instant::now();
         let _merge = profiler.enter(Phase::ShardMerge);
-        // Fold the shards' partial upload counts in ascending shard order.
-        for count in digested {
-            self.gupa.add_uploads(count);
-        }
-        let effect_count = all_effects.len() as u64;
-        for effects in all_effects {
-            self.apply_node_effects(now, effects, queue);
+        let mut effect_count = 0;
+        for (effects, digested) in frames {
+            // Fold the shards' partial upload counts in ascending shard order.
+            self.gupa.add_uploads(digested);
+            effect_count += effects.len() as u64;
+            for node_effects in effects {
+                self.apply_node_effects(now, node_effects, queue);
+            }
         }
         self.obs.shard_frames.inc();
         self.obs.shard_effects.add(effect_count);
@@ -5252,7 +4708,7 @@ impl GridWorld {
         }
         let mut relays: Vec<(JobId, u32, NodeId, NodeId)> = Vec::new();
         {
-            let grm = self.grm.borrow();
+            let grm = &self.grm;
             for (job_id, job) in &self.jobs {
                 for (index, part) in job.parts.iter().enumerate() {
                     if part.state != PartState::Running {
@@ -5277,13 +4733,13 @@ impl GridWorld {
                         continue;
                     }
                     let holder_set: BTreeSet<NodeId> = live.iter().copied().collect();
-                    let Some(target) =
-                        grm.choose_replicas(exec, self.lrms.len())
-                            .into_iter()
-                            .find(|n| {
-                                !holder_set.contains(n)
-                                    && self.net.topology().is_up(self.node_hosts[n.0 as usize])
-                            })
+                    let Some(target) = grm
+                        .choose_replicas(exec, self.nodes.len())
+                        .into_iter()
+                        .find(|n| {
+                            !holder_set.contains(n)
+                                && self.net.topology().is_up(self.node_hosts[n.0 as usize])
+                        })
                     else {
                         continue;
                     };
@@ -5328,12 +4784,9 @@ impl GridWorld {
         if now.as_micros() < self.config.crash_silence.as_micros() {
             return; // grace period at start-up
         }
-        let silent = self
-            .grm
-            .borrow()
-            .silent_nodes(now, self.config.crash_silence);
+        let silent = self.grm.silent_nodes(now, self.config.crash_silence);
         for node in silent {
-            self.grm.borrow_mut().mark_unavailable(node);
+            self.grm.mark_unavailable(node);
             self.log.record(now, "grm.node_dead", format!("{node}"));
             // A dead node's pending certification votes are discarded: like
             // the update-seq gate reset in `mark_unavailable`, every claim
@@ -5422,26 +4875,21 @@ impl GridWorld {
     }
 
     fn update_tick(&mut self, now: SimTime, node: usize, queue: &mut EventQueue<GridEvent>) {
-        *self.clock.borrow_mut() = now;
-        // The reported status derives from the owner observations the
-        // active-set path defers — replay them before asking for an update.
+        // The reported status derives from the owner observations the lazy
+        // walk defers — replay them before asking for an update.
         self.catch_up_node(node, self.slots_elapsed);
         let config = self.config.lrm;
-        let (update, replicas, progress) = {
-            let mut lrm = self.lrms[node].borrow_mut();
-            (
-                lrm.next_update(&config),
-                lrm.replica_reports(),
-                lrm.progress_reports(),
-            )
-        };
+        let lrm = &mut self.nodes[node].lrm;
+        let update = lrm.next_update(&config);
+        let replicas = lrm.replica_reports();
+        let progress = lrm.progress_reports();
         let sent = update.is_some();
         if let Some((seq, status)) = update {
             // The update travels as a request so the GRM's ack (carrying
             // its epoch) can retire piggybacked outcomes and reveal
             // restarts. It is never retransmitted: the next periodic
             // update supersedes it.
-            let (pending_done, pending_evicted) = self.lrms[node].borrow_mut().piggyback_for(seq);
+            let (pending_done, pending_evicted) = lrm.piggyback_for(seq);
             let msg = StatusUpdate {
                 node: NodeId(node as u32),
                 seq,
@@ -5488,7 +4936,7 @@ impl GridWorld {
         if self.config.tick_mode != TickMode::Reference
             && !sent
             && self.static_status[node]
-            && !self.lrms[node].borrow().is_engaged()
+            && !self.nodes[node].lrm.is_engaged()
         {
             // Traceless node on an always-available schedule, nothing
             // running, reserved or stored, and the update was just
@@ -5552,7 +5000,6 @@ impl World for GridWorld {
                 self.on_request_timeout(now, from, request_id, queue);
             }
             GridEvent::HostFault { host, up } => {
-                *self.clock.borrow_mut() = now;
                 if up {
                     self.restore_host(now, host, queue);
                 } else {
@@ -5566,123 +5013,6 @@ impl World for GridWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// One node's replay-visible state, advanced by either replay form.
-    struct ReplayNode {
-        lrm: RefCell<LrmState>,
-        qos: QosLedger,
-        ticks_applied: u64,
-        rng: DetRng,
-    }
-
-    impl ReplayNode {
-        fn new(seed: u64) -> Self {
-            let setup = NodeSetup::idle_desktop();
-            ReplayNode {
-                lrm: RefCell::new(LrmState::new(
-                    NodeId(0),
-                    setup.resources,
-                    setup.platform,
-                    setup.policy,
-                    setup.roles,
-                    LrmConfig::default(),
-                )),
-                qos: QosLedger::new(),
-                ticks_applied: 0,
-                rng: DetRng::new(seed),
-            }
-        }
-    }
-
-    proptest::proptest! {
-        /// The run-form replay against the per-slot body it replaced: same
-        /// upload calls in the same order, same LUPA window, QoS ledger,
-        /// tick cursor, owner state and jitter-stream position — over empty
-        /// and wrapping traces, noise off and on, and spans that start
-        /// mid-day and cross zero to three day rollovers.
-        #[test]
-        fn run_replay_matches_the_per_slot_body(
-            seed in proptest::arbitrary::any::<u64>(),
-            trace_len in 0usize..700,
-            noisy in proptest::arbitrary::any::<bool>(),
-            applied in 0u64..600,
-            span in 0u64..(3 * 288 + 100),
-        ) {
-            let tick = SimDuration::from_mins(5);
-            let noise = if noisy { 0.05 } else { 0.0 };
-            let mut gen = DetRng::new(seed);
-            let trace: Vec<UsageSample> = (0..trace_len)
-                .map(|_| {
-                    // A third of the slots idle, so QoS sees both branches.
-                    let cpu = (gen.uniform_f64() - 0.33).max(0.0);
-                    UsageSample::new(cpu, gen.uniform_f64(), 0.0, 0.0)
-                })
-                .collect();
-            let mut run = ReplayNode::new(seed);
-            let mut slot = ReplayNode::new(seed);
-            // Both start mid-history, brought there by the oracle.
-            for node in [&mut run, &mut slot] {
-                replay_node_local_per_slot(
-                    tick, noise, &trace, &node.lrm, &mut node.qos,
-                    &mut node.ticks_applied, &mut node.rng, applied,
-                );
-            }
-            let target = applied + span;
-            let run_uploads = replay_node_local(
-                tick, noise, &trace, &run.lrm, &mut run.qos,
-                &mut run.ticks_applied, &mut run.rng, target,
-            );
-            let slot_uploads = replay_node_local_per_slot(
-                tick, noise, &trace, &slot.lrm, &mut slot.qos,
-                &mut slot.ticks_applied, &mut slot.rng, target,
-            );
-            proptest::prop_assert_eq!(run_uploads, slot_uploads);
-            let (run_lrm, slot_lrm) = (run.lrm.borrow(), slot.lrm.borrow());
-            proptest::prop_assert_eq!(
-                run_lrm.lupa_window().partial_day(),
-                slot_lrm.lupa_window().partial_day()
-            );
-            proptest::prop_assert!(run_lrm.lupa_window().completed().is_empty());
-            proptest::prop_assert_eq!(run_lrm.owner_load(), slot_lrm.owner_load());
-            proptest::prop_assert_eq!(
-                run_lrm.grid_share().to_bits(),
-                slot_lrm.grid_share().to_bits()
-            );
-            proptest::prop_assert_eq!(&run.qos, &slot.qos);
-            proptest::prop_assert_eq!(run.ticks_applied, slot.ticks_applied);
-            proptest::prop_assert_eq!(run.rng.next_u64(), slot.rng.next_u64());
-        }
-    }
-
-    #[test]
-    fn replay_to_an_already_applied_tick_is_a_no_op() {
-        let mut node = ReplayNode::new(1);
-        let tick = SimDuration::from_mins(5);
-        replay_node_local(
-            tick,
-            0.05,
-            &[],
-            &node.lrm,
-            &mut node.qos,
-            &mut node.ticks_applied,
-            &mut node.rng,
-            300,
-        );
-        let before = node.rng.clone();
-        let uploads = replay_node_local(
-            tick,
-            0.05,
-            &[],
-            &node.lrm,
-            &mut node.qos,
-            &mut node.ticks_applied,
-            &mut node.rng,
-            200,
-        );
-        assert!(uploads.is_empty());
-        assert_eq!(node.ticks_applied, 300);
-        assert_eq!(node.rng, before);
-    }
 
     fn small_grid(strategy: Strategy) -> Grid {
         let config = GridConfig {

@@ -23,9 +23,7 @@ use integrade_orb::trading::{OfferId, Trader, TraderError};
 use integrade_simnet::time::SimTime;
 use integrade_simnet::topology::HostId;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 /// Static registration data for one node.
 #[derive(Debug, Clone, PartialEq)]
@@ -684,37 +682,22 @@ impl GrmState {
     }
 }
 
-/// Remote-object wrapper for the GRM's inbound operations: status updates
-/// and completion/eviction notifications (all oneway in spirit).
-#[derive(Debug, Clone)]
-pub struct GrmServant {
-    state: Rc<RefCell<GrmState>>,
-    /// Virtual "now" injected by the simulation before each dispatch.
-    now: Rc<RefCell<SimTime>>,
-}
+impl GrmState {
+    /// Repository id of the GRM's remote interface.
+    pub const TYPE_ID: &'static str = "IDL:integrade/Grm:1.0";
 
-impl GrmServant {
-    /// Wraps shared GRM state (receipt times recorded as [`SimTime::ZERO`]).
-    pub fn new(state: Rc<RefCell<GrmState>>) -> Self {
-        GrmServant {
-            state,
-            now: Rc::new(RefCell::new(SimTime::ZERO)),
-        }
-    }
-
-    /// Wraps shared GRM state with a simulation clock cell.
-    pub fn with_clock(state: Rc<RefCell<GrmState>>, now: Rc<RefCell<SimTime>>) -> Self {
-        GrmServant { state, now }
-    }
-}
-
-impl Servant for GrmServant {
-    fn type_id(&self) -> &'static str {
-        "IDL:integrade/Grm:1.0"
-    }
-
-    fn dispatch(
+    /// The GRM's inbound remote interface as one dispatch body: status
+    /// updates (acknowledged with the current epoch) and the completion /
+    /// eviction notifications (oneway in spirit, queued for the execution
+    /// manager). `now` is the receipt time liveness tracking records.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerException::BadOperation`] for any other operation name,
+    /// [`ServerException::Marshal`] when the arguments do not decode.
+    pub fn dispatch(
         &mut self,
+        now: SimTime,
         operation: &str,
         args: &mut CdrReader<'_>,
     ) -> Result<Vec<u8>, ServerException> {
@@ -723,27 +706,52 @@ impl Servant for GrmServant {
             OP_UPDATE_STATUS => {
                 use integrade_orb::cdr::CdrEncode;
                 let update = StatusUpdate::decode(args)?;
-                let now = *self.now.borrow();
-                let mut state = self.state.borrow_mut();
-                state.handle_update_at(&update, now);
+                self.handle_update_at(&update, now);
                 Ok(UpdateAck {
-                    epoch: state.epoch(),
+                    epoch: self.epoch(),
                     seq: update.seq,
                 }
                 .to_cdr_bytes())
             }
             OP_PART_DONE => {
-                let done = PartDone::decode(args)?;
-                self.state.borrow_mut().pending_done.push(done);
+                self.pending_done.push(PartDone::decode(args)?);
                 Ok(Vec::new())
             }
             OP_PART_EVICTED => {
-                let evicted = PartEvicted::decode(args)?;
-                self.state.borrow_mut().pending_evictions.push(evicted);
+                self.pending_evictions.push(PartEvicted::decode(args)?);
                 Ok(Vec::new())
             }
             other => Err(ServerException::BadOperation(other.to_owned())),
         }
+    }
+
+    /// This GRM as a remote object for one call arriving at `now` — what the
+    /// manager host's ORB dispatches to
+    /// ([`integrade_orb::orb::Orb::handle_wire_with`]).
+    pub fn servant(&mut self, now: SimTime) -> GrmServant<'_> {
+        GrmServant { state: self, now }
+    }
+}
+
+/// A [`GrmState`] borrowed as a [`Servant`] for the duration of one call;
+/// see [`GrmState::servant`].
+#[derive(Debug)]
+pub struct GrmServant<'a> {
+    state: &'a mut GrmState,
+    now: SimTime,
+}
+
+impl Servant for GrmServant<'_> {
+    fn type_id(&self) -> &'static str {
+        GrmState::TYPE_ID
+    }
+
+    fn dispatch(
+        &mut self,
+        operation: &str,
+        args: &mut CdrReader<'_>,
+    ) -> Result<Vec<u8>, ServerException> {
+        self.state.dispatch(self.now, operation, args)
     }
 }
 
@@ -925,8 +933,8 @@ mod tests {
         use crate::types::JobId;
         use integrade_orb::cdr::CdrEncode;
 
-        let state = Rc::new(RefCell::new(grm_with_nodes()));
-        let mut servant = GrmServant::new(state.clone());
+        let mut state = grm_with_nodes();
+        let mut servant = state.servant(SimTime::from_secs(3));
 
         let update = StatusUpdate {
             node: NodeId(1),
@@ -941,7 +949,6 @@ mod tests {
         servant
             .dispatch(OP_UPDATE_STATUS, &mut CdrReader::new(&update))
             .unwrap();
-        assert_eq!(state.borrow().update_stats().accepted, 1);
 
         let done = PartDone {
             job: JobId(1),
@@ -953,7 +960,6 @@ mod tests {
         servant
             .dispatch(OP_PART_DONE, &mut CdrReader::new(&done))
             .unwrap();
-        assert_eq!(state.borrow().pending_done.len(), 1);
 
         let evicted = PartEvicted {
             job: JobId(1),
@@ -967,7 +973,22 @@ mod tests {
         servant
             .dispatch(OP_PART_EVICTED, &mut CdrReader::new(&evicted))
             .unwrap();
-        assert_eq!(state.borrow().pending_evictions.len(), 1);
+        assert!(matches!(
+            servant.dispatch("nope", &mut CdrReader::new(&[])),
+            Err(ServerException::BadOperation(_))
+        ));
+        assert_eq!(state.update_stats().accepted, 1);
+        assert_eq!(state.pending_done.len(), 1);
+        assert_eq!(state.pending_evictions.len(), 1);
+        // The receipt time is the caller's `now`, not a silent zero: past it
+        // by more than the silence bound, the node counts as silent.
+        use integrade_simnet::time::SimDuration;
+        let bound = SimDuration::from_secs(10);
+        assert!(state.silent_nodes(SimTime::from_secs(12), bound).is_empty());
+        assert_eq!(
+            state.silent_nodes(SimTime::from_secs(14), bound),
+            vec![NodeId(1)]
+        );
     }
 
     #[test]
@@ -982,8 +1003,7 @@ mod tests {
     fn update_ack_carries_epoch_and_seq() {
         use crate::protocol::OP_UPDATE_STATUS;
         use integrade_orb::cdr::CdrEncode;
-        let state = Rc::new(RefCell::new(grm_with_nodes()));
-        let mut servant = GrmServant::new(state.clone());
+        let mut state = grm_with_nodes();
         let update = StatusUpdate {
             node: NodeId(1),
             seq: 9,
@@ -994,8 +1014,12 @@ mod tests {
             progress: vec![],
         }
         .to_cdr_bytes();
-        let out = servant
-            .dispatch(OP_UPDATE_STATUS, &mut CdrReader::new(&update))
+        let out = state
+            .dispatch(
+                SimTime::ZERO,
+                OP_UPDATE_STATUS,
+                &mut CdrReader::new(&update),
+            )
             .unwrap();
         let ack = UpdateAck::from_cdr_bytes(&out).unwrap();
         assert_eq!(ack, UpdateAck { epoch: 1, seq: 9 });

@@ -12,12 +12,12 @@
 //!
 //! Storage is a node-indexed table of [`GupaCell`]s rather than a map:
 //! every upload call site uploads the node's *own* periods, so the state is
-//! node-partitioned by construction, and the sharded tick engine hands
-//! disjoint `&mut` cell slices to its worker threads (the same
-//! `split_at_mut` pattern the QoS ledgers use) so upload digestion — the
-//! curve reduction *and* the expensive retrain — runs in parallel. Only the
-//! upload counter is cross-shard; workers count locally and the frame
-//! boundary merges the partial counts in ascending shard order.
+//! node-partitioned by construction, and the tick engine hands disjoint
+//! `&mut` cell slices to its shards (split in lock-step with the node
+//! table) so upload digestion — the curve reduction *and* the expensive
+//! retrain — runs in parallel. Only the upload counter is cross-shard;
+//! shards count locally and the frame boundary merges the partial counts
+//! in ascending shard order.
 //!
 //! A cell keeps day *curves*, not raw samples. The learner's only read of
 //! an uploaded [`DayPeriod`] is its weekday and its [`day_features`] curve
@@ -121,8 +121,8 @@ impl GupaState {
     }
 
     /// Mutable access to the node-indexed cell table, grown to cover at
-    /// least `nodes` entries — the sharded tick engine slices this with
-    /// `split_at_mut` so each worker digests its own nodes' uploads.
+    /// least `nodes` entries — the tick engine slices this with
+    /// `split_at_mut` so each shard digests its own nodes' uploads.
     pub fn cells_mut(&mut self, nodes: usize) -> &mut [GupaCell] {
         if self.cells.len() < nodes {
             self.cells.resize_with(nodes, GupaCell::default);

@@ -26,7 +26,10 @@
 //! * [`hierarchy`] — wide-area cluster hierarchy with aggregate summaries
 //!   and request routing; [`federation`] runs one grid per cluster under it.
 //! * [`qos`] — owner-perceived slowdown accounting.
-//! * [`grid`] — the assembled, runnable grid simulation.
+//! * [`grid`] — the assembled, runnable grid simulation. It owns every
+//!   node's state as plain data; the per-node slot kernel and the shard
+//!   executor that walks it (inline for one shard, scoped threads beyond)
+//!   live in the private `tick` module.
 //!
 //! # Examples
 //!
@@ -45,10 +48,7 @@
 //! assert_eq!(record.state.to_string(), "completed");
 //! ```
 
-// `deny`, not `forbid`: the sharded tick engine carries one audited
-// exception (`grid::ShardLrms`, a disjoint-slice Send wrapper for scoped
-// worker threads). Every other module must stay unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asct;
@@ -65,6 +65,7 @@ pub mod protocol;
 pub mod qos;
 pub mod repo;
 pub mod scheduler;
+mod tick;
 pub mod types;
 
 pub use asct::{

@@ -24,9 +24,7 @@ use integrade_simnet::faults::scheduled_draw;
 use integrade_simnet::time::{SimDuration, SimTime};
 use integrade_usage::sample::{SampleWindow, SamplingConfig, UsageSample, Weekday};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Bound on the idempotent-reply cache; old entries are evicted in id order
 /// (lowest request id first — the ones least likely to be retransmitted).
@@ -861,7 +859,7 @@ impl LrmState {
     /// running parts, live reservation leases, outcome notices awaiting a
     /// GRM acknowledgement, or checkpoint replicas held for other nodes.
     /// Nodes for which this is `false` can skip the per-slot work entirely
-    /// (active-set ticking) without observable effect.
+    /// (the lazy walk's active set) without observable effect.
     pub fn is_engaged(&self) -> bool {
         !self.running.is_empty()
             || !self.reservations.is_empty()
@@ -880,30 +878,112 @@ impl LrmState {
     }
 }
 
-/// Remote-object wrapper exposing the LRM's negotiation operations and the
-/// checkpoint-repository storage service.
-///
-/// Operations: [`OP_RESERVE`], [`OP_LAUNCH`], [`OP_CANCEL`],
-/// [`crate::protocol::OP_CANCEL_PART`], [`OP_STORE_CKPT`],
-/// [`OP_FETCH_CKPT`], [`OP_PURGE_CKPT`].
-#[derive(Debug, Clone)]
-pub struct LrmServant {
-    state: Rc<RefCell<LrmState>>,
-    /// Virtual "now" injected by the simulation before each dispatch.
-    now: Rc<RefCell<SimTime>>,
-}
+impl LrmState {
+    /// Repository id of the LRM's remote interface.
+    pub const TYPE_ID: &'static str = "IDL:integrade/Lrm:1.0";
 
-impl LrmServant {
-    /// Wraps shared LRM state. `now` is the simulation clock cell the world
-    /// updates before dispatching.
-    pub fn new(state: Rc<RefCell<LrmState>>, now: Rc<RefCell<SimTime>>) -> Self {
-        LrmServant { state, now }
+    /// The LRM's remote interface — the negotiation operations and the
+    /// checkpoint-repository storage service — as one dispatch body:
+    /// operation name → decode → handler → encode, at virtual time `now`.
+    ///
+    /// Operations: [`OP_RESERVE`], [`OP_LAUNCH`], [`OP_CANCEL`],
+    /// [`crate::protocol::OP_CANCEL_PART`], [`OP_STORE_CKPT`],
+    /// [`OP_FETCH_CKPT`], [`OP_PURGE_CKPT`]. The state-changing negotiation
+    /// RPCs replay their cached reply when a request id repeats.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerException::BadOperation`] for any other operation name,
+    /// [`ServerException::Marshal`] when the arguments do not decode.
+    pub fn dispatch(
+        &mut self,
+        now: SimTime,
+        operation: &str,
+        args: &mut CdrReader<'_>,
+    ) -> Result<Vec<u8>, ServerException> {
+        match operation {
+            OP_RESERVE => {
+                let req = ReserveRequest::decode(args)?;
+                Ok(self.deduplicated(req.request_id, |lrm| {
+                    (lrm.handle_reserve(&req, now).to_cdr_bytes(), true)
+                }))
+            }
+            OP_LAUNCH => {
+                let req = LaunchRequest::decode(args)?;
+                Ok(self.deduplicated(req.request_id, |lrm| {
+                    (lrm.handle_launch(&req, now).to_cdr_bytes(), true)
+                }))
+            }
+            OP_STORE_CKPT => {
+                let req = StoreCheckpoint::decode(args)?;
+                Ok(self.deduplicated(req.request_id, |lrm| {
+                    let reply = lrm.handle_store(&req);
+                    // A corrupt nack is deliberately not cached: the corruption
+                    // happened in flight, so a retransmission of the same frame
+                    // should re-execute the store, not replay the refusal.
+                    (reply.to_cdr_bytes(), !reply.corrupt)
+                }))
+            }
+            OP_FETCH_CKPT => {
+                // Read-only and naturally idempotent: no reply caching, a
+                // retransmission re-reads the (possibly newer) disk state.
+                let req = FetchCheckpoint::decode(args)?;
+                Ok(self.handle_fetch(&req).to_cdr_bytes())
+            }
+            OP_PURGE_CKPT => {
+                let req = PurgeCheckpoint::decode(args)?;
+                Ok(self.handle_purge(&req).to_cdr_bytes())
+            }
+            OP_CANCEL => {
+                let reservation = u64::decode(args)?;
+                Ok(self.handle_cancel(reservation).to_cdr_bytes())
+            }
+            crate::protocol::OP_CANCEL_PART => {
+                let req = crate::protocol::CancelPartRequest::decode(args)?;
+                Ok(self.deduplicated(req.request_id, |lrm| {
+                    (lrm.cancel_running(req.job, req.part).to_cdr_bytes(), true)
+                }))
+            }
+            other => Err(ServerException::BadOperation(other.to_owned())),
+        }
+    }
+
+    /// Idempotent execution: replays the cached reply for an already-answered
+    /// `request_id`, otherwise runs `handler` and caches the reply bytes it
+    /// returns when it says they are cacheable.
+    fn deduplicated(
+        &mut self,
+        request_id: u64,
+        handler: impl FnOnce(&mut Self) -> (Vec<u8>, bool),
+    ) -> Vec<u8> {
+        if let Some(cached) = self.cached_reply(request_id) {
+            return cached;
+        }
+        let (reply, cacheable) = handler(self);
+        if cacheable {
+            self.cache_reply(request_id, reply.clone());
+        }
+        reply
+    }
+
+    /// This LRM as a remote object for one call arriving at `now` — what the
+    /// host's ORB dispatches to ([`integrade_orb::orb::Orb::handle_wire_with`]).
+    pub fn servant(&mut self, now: SimTime) -> LrmServant<'_> {
+        LrmServant { state: self, now }
     }
 }
 
-impl Servant for LrmServant {
+/// An [`LrmState`] borrowed as a [`Servant`] for the duration of one call;
+/// see [`LrmState::servant`].
+#[derive(Debug)]
+pub struct LrmServant<'a> {
+    state: &'a mut LrmState,
+    now: SimTime,
+}
+
+impl Servant for LrmServant<'_> {
     fn type_id(&self) -> &'static str {
-        "IDL:integrade/Lrm:1.0"
+        LrmState::TYPE_ID
     }
 
     fn dispatch(
@@ -911,72 +991,7 @@ impl Servant for LrmServant {
         operation: &str,
         args: &mut CdrReader<'_>,
     ) -> Result<Vec<u8>, ServerException> {
-        let now = *self.now.borrow();
-        match operation {
-            OP_RESERVE => {
-                let req = ReserveRequest::decode(args)?;
-                let mut state = self.state.borrow_mut();
-                if let Some(cached) = state.cached_reply(req.request_id) {
-                    return Ok(cached);
-                }
-                let reply = state.handle_reserve(&req, now).to_cdr_bytes();
-                state.cache_reply(req.request_id, reply.clone());
-                Ok(reply)
-            }
-            OP_LAUNCH => {
-                let req = LaunchRequest::decode(args)?;
-                let mut state = self.state.borrow_mut();
-                if let Some(cached) = state.cached_reply(req.request_id) {
-                    return Ok(cached);
-                }
-                let reply = state.handle_launch(&req, now).to_cdr_bytes();
-                state.cache_reply(req.request_id, reply.clone());
-                Ok(reply)
-            }
-            OP_STORE_CKPT => {
-                let req = StoreCheckpoint::decode(args)?;
-                let mut state = self.state.borrow_mut();
-                if let Some(cached) = state.cached_reply(req.request_id) {
-                    return Ok(cached);
-                }
-                let reply = state.handle_store(&req);
-                let bytes = reply.to_cdr_bytes();
-                // A corrupt nack is deliberately not cached: the corruption
-                // happened in flight, so a retransmission of the same frame
-                // should re-execute the store, not replay the refusal.
-                if !reply.corrupt {
-                    state.cache_reply(req.request_id, bytes.clone());
-                }
-                Ok(bytes)
-            }
-            OP_FETCH_CKPT => {
-                // Read-only and naturally idempotent: no reply caching, a
-                // retransmission re-reads the (possibly newer) disk state.
-                let req = FetchCheckpoint::decode(args)?;
-                Ok(self.state.borrow().handle_fetch(&req).to_cdr_bytes())
-            }
-            OP_PURGE_CKPT => {
-                let req = PurgeCheckpoint::decode(args)?;
-                let purged = self.state.borrow_mut().handle_purge(&req);
-                Ok(purged.to_cdr_bytes())
-            }
-            OP_CANCEL => {
-                let reservation = u64::decode(args)?;
-                let ok = self.state.borrow_mut().handle_cancel(reservation);
-                Ok(ok.to_cdr_bytes())
-            }
-            crate::protocol::OP_CANCEL_PART => {
-                let req = crate::protocol::CancelPartRequest::decode(args)?;
-                let mut state = self.state.borrow_mut();
-                if let Some(cached) = state.cached_reply(req.request_id) {
-                    return Ok(cached);
-                }
-                let reply = state.cancel_running(req.job, req.part).to_cdr_bytes();
-                state.cache_reply(req.request_id, reply.clone());
-                Ok(reply)
-            }
-            other => Err(ServerException::BadOperation(other.to_owned())),
-        }
+        self.state.dispatch(self.now, operation, args)
     }
 }
 
@@ -1176,52 +1191,48 @@ mod tests {
     #[test]
     fn servant_dispatch_reserve_launch() {
         use integrade_orb::cdr::CdrEncode;
-        let state = Rc::new(RefCell::new(lrm()));
-        let now = Rc::new(RefCell::new(SimTime::ZERO));
-        let mut servant = LrmServant::new(state.clone(), now);
+        let mut state = lrm();
+        let now = SimTime::ZERO;
 
         let args = reserve_req().to_cdr_bytes();
-        let out = servant
-            .dispatch(OP_RESERVE, &mut CdrReader::new(&args))
+        let out = state
+            .dispatch(now, OP_RESERVE, &mut CdrReader::new(&args))
             .unwrap();
         let reply = ReserveReply::from_cdr_bytes(&out).unwrap();
         assert!(reply.granted);
 
+        // Through the borrowed servant: the same body behind the ORB's trait.
         let launch = launch_req(reply.reservation, 42, 0.0).to_cdr_bytes();
-        let out = servant
+        let out = state
+            .servant(now)
             .dispatch(OP_LAUNCH, &mut CdrReader::new(&launch))
             .unwrap();
         assert!(LaunchReply::from_cdr_bytes(&out).unwrap().accepted);
-        assert_eq!(state.borrow().running().len(), 1);
+        assert_eq!(state.running().len(), 1);
     }
 
     #[test]
     fn retransmitted_reserve_replays_cached_reply_without_double_reserving() {
         use integrade_orb::cdr::CdrEncode;
-        let state = Rc::new(RefCell::new(lrm()));
-        let now = Rc::new(RefCell::new(SimTime::ZERO));
-        let mut servant = LrmServant::new(state.clone(), now);
+        let mut state = lrm();
+        let now = SimTime::ZERO;
 
         let mut req = reserve_req();
         req.request_id = 77;
         let args = req.to_cdr_bytes();
-        let first = servant
-            .dispatch(OP_RESERVE, &mut CdrReader::new(&args))
+        let first = state
+            .dispatch(now, OP_RESERVE, &mut CdrReader::new(&args))
             .unwrap();
         assert!(ReserveReply::from_cdr_bytes(&first).unwrap().granted);
-        assert_eq!(state.borrow().reservations().len(), 1);
+        assert_eq!(state.reservations().len(), 1);
 
         // The GRM never saw the reply and retransmits the same request.
-        let second = servant
-            .dispatch(OP_RESERVE, &mut CdrReader::new(&args))
+        let second = state
+            .dispatch(now, OP_RESERVE, &mut CdrReader::new(&args))
             .unwrap();
         assert_eq!(first, second, "cached reply replayed byte-for-byte");
-        assert_eq!(
-            state.borrow().reservations().len(),
-            1,
-            "no double reservation"
-        );
-        assert_eq!(state.borrow_mut().take_dedup_hits(), 1);
+        assert_eq!(state.reservations().len(), 1, "no double reservation");
+        assert_eq!(state.take_dedup_hits(), 1);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub struct GridObs {
     pub node_crashes: Counter,
     /// GRM crash events.
     pub grm_crashes: Counter,
-    /// Sharded tick mode: parallel frames executed (one per slot tick).
+    /// Sharded tick mode: slot frames executed (one per slot tick).
     pub shard_frames: Counter,
     /// Sharded tick mode: cross-shard effect records merged at frame
     /// boundaries (completions, evictions, checkpoint stores, uploads).

@@ -24,8 +24,10 @@ use serde::{Deserialize, Serialize};
 /// Reference-counted immutable byte payload. Checkpoint blobs carry one so
 /// that fanning a checkpoint out to `k` replicas (and stashing it in the
 /// per-node repository) shares a single allocation instead of deep-cloning
-/// kilobytes per copy.
-pub type SharedBytes = std::rc::Rc<[u8]>;
+/// kilobytes per copy. Atomically counted, so the per-node replica stores
+/// that hold these — and with them every node's state — are `Send`: a shard
+/// worker may drop or clone a payload its node shares with another shard's.
+pub type SharedBytes = std::sync::Arc<[u8]>;
 
 /// Operation name: LRM → GRM periodic status (oneway).
 pub const OP_UPDATE_STATUS: &str = "update_status";

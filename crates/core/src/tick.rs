@@ -1,0 +1,618 @@
+//! The per-node tick kernel and its shard executor.
+//!
+//! Everything a slot tick does that touches only one node's own state lives
+//! here, as plain functions over owned data: [`NodeLocal`] is a node's LRM,
+//! QoS ledger, tick cursor and owner trace; [`tick_node_local`] is the slot
+//! body, [`replay_node_local`] the bulk catch-up of a node the lazy walk
+//! skipped. Neither touches the event queue, the log, the ORBs, the GRM or
+//! another node, so a contiguous range of nodes can be handed to a worker as
+//! a `&mut` slice — [`for_each_shard`] does exactly that, running shard 0 on
+//! the calling thread and shards `1..` on scoped threads, and returning the
+//! per-shard results in shard order. The shared-state half of a tick
+//! (messages, log records, event-queue inserts) comes back as
+//! [`NodeTickEffects`] for `GridWorld::apply_node_effects` to apply on the
+//! coordinating thread in ascending node order.
+//!
+//! Node state is `Send` by construction (checked at compile time below), so
+//! the split is ordinary safe borrowing.
+
+use crate::grid::GridConfig;
+use crate::gupa::GupaCell;
+use crate::lrm::{CompletedPart, DueCheckpoint, LrmState};
+use crate::protocol::PartEvicted;
+use crate::qos::{QosLedger, SharingDiscipline};
+use integrade_simnet::rng::DetRng;
+use integrade_simnet::time::{SimDuration, SimTime};
+use integrade_usage::patterns::LupaConfig;
+use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
+use std::ops::Range;
+
+/// Everything the per-slot walk reads or writes for one node, owned in one
+/// place so the walk splits a single slice.
+#[derive(Debug)]
+pub(crate) struct NodeLocal {
+    /// The node's agent.
+    pub lrm: LrmState,
+    /// The node's owner-QoS ledger, merged node-major on `Grid::report`.
+    /// Per-node ledgers let the lazy walk bulk-replay an idle node's
+    /// accounting without disturbing other nodes' record order.
+    pub qos: QosLedger,
+    /// Highest slot-tick index (1-based, matching the world's
+    /// `slots_elapsed`) whose bookkeeping has been applied to this node.
+    /// Nodes the lazy walk skips lag behind and are caught up in bulk.
+    pub ticks_applied: u64,
+    /// Owner usage trace, one sample per slot, cycled when exhausted. Empty
+    /// means always idle.
+    pub trace: Vec<UsageSample>,
+}
+
+impl NodeLocal {
+    /// A node at tick zero.
+    pub fn new(lrm: LrmState, trace: Vec<UsageSample>) -> Self {
+        NodeLocal {
+            lrm,
+            qos: QosLedger::new(),
+            ticks_applied: 0,
+            trace,
+        }
+    }
+}
+
+// A shard worker receives `&mut [NodeLocal]`, `&mut [GupaCell]` and
+// `&mut DetRng`; all three must cross a thread boundary.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<NodeLocal>();
+    assert_send::<LrmState>();
+    assert_send::<GupaCell>();
+    assert_send::<DetRng>();
+};
+
+/// Day/weekday/minute of a virtual instant (day 0 = Monday).
+pub(crate) fn wall_at(now: SimTime) -> (u64, Weekday, u32) {
+    let (day, offset) = now.day_and_offset();
+    (
+        day,
+        Weekday::from_day_number(day),
+        (offset.as_micros() / 60_000_000) as u32,
+    )
+}
+
+/// The owner sample a trace yields at `now` (empty trace = always idle).
+fn trace_sample_at(trace: &[UsageSample], now: SimTime) -> UsageSample {
+    if trace.is_empty() {
+        return UsageSample::idle();
+    }
+    let slot = (now.as_micros() / SimDuration::from_mins(5).as_micros()) as usize;
+    trace[slot % trace.len()]
+}
+
+/// The measured (LUPA-visible) version of an owner sample: the true sample
+/// when noise is off, otherwise the sample perturbed by two jitter draws
+/// (CPU then memory) from the executing shard's stream and re-clamped into
+/// range. `noise == 0` consumes nothing from the stream — that is what
+/// keeps every pre-noise scenario bit-for-bit.
+fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSample {
+    if noise == 0.0 {
+        return owner;
+    }
+    let cpu_delta = rng.jitter(noise);
+    let mem_delta = rng.jitter(noise);
+    owner.with_jitter(cpu_delta, mem_delta)
+}
+
+/// The node-local half of catch-up replay: advances one node's deferred
+/// owner sampling, LUPA accumulation and QoS accounting to tick `target`
+/// using only that node's state. Returns the GUPA upload calls the replayed
+/// slots would have made, in order, one inner vec per original call — the
+/// caller digests them (this keeps the upload-call count identical to the
+/// eager walk, which tests observe).
+///
+/// The whole span `[applied, target)` goes to the LUPA window as one run of
+/// measured samples; the window cuts it into days. That equals the eager
+/// per-slot body because, for a disengaged node, a slot has exactly four
+/// effects and the run reproduces each: the measured sample entering the
+/// window (same samples, same order, drawn from `rng` in slot order), the
+/// QoS record (same records, same order), the owner state and clock (only
+/// the last slot's survive — nothing reads the intermediate ones), and the
+/// drain of a completed day (a slot completes at most one day and the eager
+/// walk drains after every slot, so each completed day is its own upload
+/// call, in day order). An untraced node with noise off is the constant
+/// case: every sample is idle and `QosLedger::record(0, 0, 0, _, _)` is a
+/// no-op by inspection, so the run is a plain fill.
+///
+/// Runs on shard workers: it draws from `rng`, the executing shard's
+/// stream, only when `noise > 0` (two jitter draws per replayed slot,
+/// perturbing what the LUPA window records but never the owner state QoS
+/// sees).
+pub(crate) fn replay_node_local(
+    config: &GridConfig,
+    node: &mut NodeLocal,
+    rng: &mut DetRng,
+    target: u64,
+) -> Vec<Vec<DayPeriod>> {
+    let applied = node.ticks_applied;
+    if applied >= target {
+        return Vec::new();
+    }
+    let (tick, noise) = (config.tick, config.lupa_noise);
+    let NodeLocal {
+        lrm, qos, trace, ..
+    } = node;
+    // The (k+1)-th tick fired at k * tick.
+    let fired_at = |k: u64| SimTime::from_micros(tick.as_micros() * k);
+    let last = fired_at(target - 1);
+    let last_owner = trace_sample_at(trace, last);
+    let (_, weekday, minute) = wall_at(last);
+    debug_assert!(
+        lrm.lupa_window().completed().is_empty(),
+        "every observation drains the window before the next"
+    );
+    if trace.is_empty() && noise == 0.0 {
+        let idle = std::iter::repeat_n(UsageSample::idle(), (target - applied) as usize);
+        lrm.observe_owner_run(last_owner, idle, weekday, minute);
+    } else {
+        let cap = lrm.policy.max_cpu_fraction;
+        let measured = (applied..target).map(|k| {
+            let owner = trace_sample_at(trace, fired_at(k));
+            qos.record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
+            measured_sample(owner, noise, rng)
+        });
+        lrm.observe_owner_run(last_owner, measured, weekday, minute);
+    }
+    node.ticks_applied = target;
+    node.lrm
+        .take_lupa_periods()
+        .into_iter()
+        .map(|period| vec![period])
+        .collect()
+}
+
+/// [`replay_node_local`] as the eager walk defines it — one observation,
+/// one QoS record and one window drain per slot — kept as the oracle the
+/// run form is tested against.
+#[cfg(test)]
+fn replay_node_local_per_slot(
+    config: &GridConfig,
+    node: &mut NodeLocal,
+    rng: &mut DetRng,
+    target: u64,
+) -> Vec<Vec<DayPeriod>> {
+    let applied = node.ticks_applied;
+    if applied >= target {
+        return Vec::new();
+    }
+    let mut uploads: Vec<Vec<DayPeriod>> = Vec::new();
+    let cap = node.lrm.policy.max_cpu_fraction;
+    for k in applied..target {
+        let then = SimTime::from_micros(config.tick.as_micros() * k);
+        let owner = trace_sample_at(&node.trace, then);
+        let measured = measured_sample(owner, config.lupa_noise, rng);
+        let (_, weekday, minute) = wall_at(then);
+        node.lrm
+            .observe_owner_sampled(owner, measured, weekday, minute);
+        let periods = node.lrm.take_lupa_periods();
+        node.qos
+            .record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
+        if !periods.is_empty() {
+            uploads.push(periods);
+        }
+    }
+    node.ticks_applied = target;
+    uploads
+}
+
+/// The shared-state side effects of one node's slot tick, produced by
+/// [`tick_node_local`] (possibly on a worker thread) and applied by
+/// `GridWorld::apply_node_effects` on the coordinating thread. Applying
+/// queued effects in ascending node order reproduces the eager walk's
+/// message, log and RNG order exactly.
+#[derive(Debug)]
+pub(crate) struct NodeTickEffects {
+    /// The node the effects belong to.
+    pub node: usize,
+    /// Reservation leases that expired this slot (metric + log records).
+    pub expired: usize,
+    /// Parts that finished (stash + PartDone send to the GRM).
+    pub completed: Vec<CompletedPart>,
+    /// Parts evicted by a returning owner (stash + PartEvicted send).
+    pub evictions: Vec<PartEvicted>,
+    /// Checkpoints crossing an interval boundary (replica store requests).
+    pub dues: Vec<DueCheckpoint>,
+    /// The tick's own LUPA drain (at most one completed period). The shard
+    /// walk digests this into its GUPA cell slice and ships the effects with
+    /// it emptied; the reference walk leaves it for `apply_node_effects`.
+    pub tick_upload: Vec<DayPeriod>,
+}
+
+/// The node-local half of one slot tick: everything the tick does that
+/// touches only the node's own LRM, QoS ledger and tick cursor. Safe to run
+/// on a shard worker; the returned effects carry the shared-state work.
+/// Callers must have applied all earlier ticks to the node. `slot` is the
+/// 1-based index of the tick firing at `now`; `rng` is the executing shard's
+/// stream, consumed only when `lupa_noise > 0`.
+pub(crate) fn tick_node_local(
+    config: &GridConfig,
+    node: &mut NodeLocal,
+    rng: &mut DetRng,
+    id: usize,
+    now: SimTime,
+    slot: u64,
+) -> NodeTickEffects {
+    let owner = trace_sample_at(&node.trace, now);
+    let measured = measured_sample(owner, config.lupa_noise, rng);
+    let (_, weekday, minute) = wall_at(now);
+    let lrm = &mut node.lrm;
+    // Credit the elapsed tick under the owner state that held during it
+    // *before* observing the new sample; otherwise a returning owner would
+    // retroactively erase the idle interval's progress.
+    let completed = lrm.advance_at(now, config.tick);
+    let dues = lrm.due_checkpoints();
+    lrm.observe_owner_sampled(owner, measured, weekday, minute);
+    let expired = lrm.expire_reservations(now);
+    let evictions = lrm.check_eviction();
+    let grid_running = !lrm.running().is_empty();
+    let grid_share = lrm.grid_share();
+    let cap = lrm.policy.max_cpu_fraction;
+    // Owner QoS accounting (InteGrade's user-level scheduler always
+    // yields, so usage == the capped share).
+    let grid_demand = if grid_running { 1.0 } else { 0.0 };
+    let grid_usage = if grid_running { grid_share } else { 0.0 };
+    node.qos.record(
+        owner.cpu,
+        grid_demand,
+        grid_usage,
+        cap,
+        SharingDiscipline::Yielding,
+    );
+    let tick_upload = lrm.take_lupa_periods();
+    node.ticks_applied = slot;
+    NodeTickEffects {
+        node: id,
+        expired,
+        completed,
+        evictions,
+        dues,
+        tick_upload,
+    }
+}
+
+/// Contiguous node-id ranges for `workers` shards: near-equal sizes, the
+/// first `n % workers` shards one node larger. Concatenating the shards in
+/// shard-id order yields `0..n` — the property that makes (shard-id, seq)
+/// merge order equal ascending node-id order.
+pub(crate) fn shard_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
+    let w = workers.clamp(1, n.max(1));
+    let base = n / w;
+    let extra = n % w;
+    let mut ranges = Vec::with_capacity(w);
+    let mut start = 0;
+    for shard in 0..w {
+        let len = base + usize::from(shard < extra);
+        ranges.push(start..start + len);
+        start += len;
+    }
+    debug_assert_eq!(start, n);
+    ranges
+}
+
+/// Contiguous node-id ranges for `workers` shards, balanced by *occupancy*:
+/// the ascending `members` list (the frame's active nodes) is cut into
+/// near-equal groups — the first `members.len() % workers` groups one
+/// member larger — and the id-space boundaries are placed at the cuts, so
+/// every shard walks the same number of active members this frame no matter
+/// how they cluster in the id space. A static id split degrades badly when
+/// activity is skewed (one shard owns all the busy nodes and the others
+/// idle); this keeps the per-frame work even.
+///
+/// Determinism is preserved by construction. Boundaries move only here, at
+/// the frame boundary — a node never migrates between shards mid-frame —
+/// and the ranges still partition `0..n` contiguously in shard order, so
+/// (shard-id, seq) merge order remains ascending node-id order. The
+/// shard→stream binding is positional (shard `i` always owns stream `i`,
+/// and exactly `workers` ranges are returned, some possibly empty), so a
+/// fixed worker count replays identically however occupancy shifts.
+///
+/// `members` must be ascending with every element `< n`; when it is empty
+/// the static near-equal id split is used.
+pub fn occupancy_ranges(n: usize, workers: usize, members: &[usize]) -> Vec<Range<usize>> {
+    let w = workers.clamp(1, n.max(1));
+    if members.is_empty() {
+        return shard_ranges(n, w);
+    }
+    debug_assert!(members.windows(2).all(|p| p[0] < p[1]));
+    debug_assert!(members.last().copied().unwrap_or(0) < n);
+    let m = members.len();
+    let base = m / w;
+    let extra = m % w;
+    let mut ranges = Vec::with_capacity(w);
+    let mut start = 0usize;
+    let mut taken = 0usize;
+    for shard in 0..w {
+        let take = base + usize::from(shard < extra);
+        taken += take;
+        let end = if shard + 1 == w {
+            // The last shard absorbs the id-space tail past the last member.
+            n
+        } else if take == 0 {
+            start
+        } else {
+            members[taken - 1] + 1
+        };
+        ranges.push(start..end);
+        start = end;
+    }
+    debug_assert_eq!(start, n);
+    ranges
+}
+
+/// One shard's exclusive view of the world for the duration of a walk: its
+/// contiguous slice of the node table, the matching slice of the GUPA cell
+/// table, and its own RNG stream.
+pub(crate) struct Shard<'a> {
+    /// Shard id (position in the range list; also the stream id).
+    pub index: usize,
+    /// Node id of `nodes[0]` / `cells[0]`.
+    pub start: usize,
+    /// The shard's nodes.
+    pub nodes: &'a mut [NodeLocal],
+    /// The shard's GUPA cells, index-aligned with `nodes`.
+    pub cells: &'a mut [GupaCell],
+    /// The shard's stream: shard `i` always draws from stream `i`.
+    pub rng: &'a mut DetRng,
+}
+
+impl Shard<'_> {
+    /// Digests the upload calls node `id` (a member of this shard) produced
+    /// into its GUPA cell; returns how many counted as uploads.
+    fn digest(
+        &mut self,
+        config: LupaConfig,
+        id: usize,
+        calls: impl IntoIterator<Item = Vec<DayPeriod>>,
+    ) -> u64 {
+        let cell = &mut self.cells[id - self.start];
+        calls
+            .into_iter()
+            .map(|call| u64::from(cell.digest(config, call)))
+            .sum()
+    }
+
+    /// The report/ranking flush body: catches every node of the shard up to
+    /// tick `target` and digests the uploads that produces. Returns the
+    /// shard's upload count (the only thing that crosses the merge).
+    pub fn flush(mut self, config: &GridConfig, gupa: LupaConfig, target: u64) -> u64 {
+        let mut digested = 0;
+        for local in 0..self.nodes.len() {
+            let calls = replay_node_local(config, &mut self.nodes[local], self.rng, target);
+            digested += self.digest(gupa, self.start + local, calls);
+        }
+        digested
+    }
+
+    /// The slot-frame body: for each of this shard's active `members`
+    /// (ascending node ids), catch-up replay to the previous tick, the slot
+    /// body, and digestion of every upload either produced — replay calls
+    /// first, then the tick's own drain, the order the eager walk uses.
+    /// Returns the members' effects in node order and the upload count.
+    pub fn tick(
+        mut self,
+        config: &GridConfig,
+        gupa: LupaConfig,
+        members: &[usize],
+        now: SimTime,
+        slot: u64,
+    ) -> (Vec<NodeTickEffects>, u64) {
+        let mut digested = 0;
+        let mut out = Vec::with_capacity(members.len());
+        for &id in members {
+            let node = &mut self.nodes[id - self.start];
+            let replayed = replay_node_local(config, node, self.rng, slot - 1);
+            let mut effects = tick_node_local(config, node, self.rng, id, now, slot);
+            let ticked = std::mem::take(&mut effects.tick_upload);
+            digested += self.digest(gupa, id, replayed.into_iter().chain([ticked]));
+            out.push(effects);
+        }
+        (out, digested)
+    }
+}
+
+/// Runs `body` once per shard and returns the results in shard order.
+///
+/// `nodes`, `cells` (index-aligned with `nodes`) and `rngs` are split once
+/// along `ranges` — which must partition `0..nodes.len()` contiguously in
+/// order, with at most one range per stream — so each body gets exclusive
+/// `&mut` access to its shard and nothing else. Shards `1..` run on scoped
+/// threads; shard 0 runs *on the calling thread*, which would otherwise sit
+/// blocked until the workers join — so a single-shard walk never creates a
+/// thread. A panicking body, on whichever thread, unwinds out of this call
+/// with its original payload.
+pub(crate) fn for_each_shard<R: Send>(
+    ranges: &[Range<usize>],
+    mut nodes: &mut [NodeLocal],
+    mut cells: &mut [GupaCell],
+    rngs: &mut [DetRng],
+    body: impl Fn(Shard<'_>) -> R + Sync,
+) -> Vec<R> {
+    debug_assert!(cells.len() >= nodes.len());
+    debug_assert_eq!(ranges.last().map_or(0, |r| r.end), nodes.len());
+    assert!(ranges.len() <= rngs.len(), "one stream per shard");
+    let mut shards = Vec::with_capacity(ranges.len());
+    for ((index, range), rng) in ranges.iter().enumerate().zip(rngs) {
+        let (shard_nodes, rest) = nodes.split_at_mut(range.len());
+        nodes = rest;
+        let (shard_cells, rest) = cells.split_at_mut(range.len());
+        cells = rest;
+        shards.push(Shard {
+            index,
+            start: range.start,
+            nodes: shard_nodes,
+            cells: shard_cells,
+            rng,
+        });
+    }
+    let mut shards = shards.into_iter();
+    let Some(first) = shards.next() else {
+        return Vec::new();
+    };
+    let body = &body;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = shards
+            .map(|shard| scope.spawn(move || body(shard)))
+            .collect();
+        let mut results = Vec::with_capacity(workers.len() + 1);
+        results.push(body(first));
+        for worker in workers {
+            results.push(
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        results
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::NodeSetup;
+    use crate::lrm::LrmConfig;
+    use crate::types::NodeId;
+
+    fn config(lupa_noise: f64) -> GridConfig {
+        GridConfig {
+            lupa_noise,
+            ..GridConfig::default()
+        }
+    }
+
+    fn node(trace: Vec<UsageSample>) -> NodeLocal {
+        let setup = NodeSetup::idle_desktop();
+        NodeLocal::new(
+            LrmState::new(
+                NodeId(0),
+                setup.resources,
+                setup.platform,
+                setup.policy,
+                setup.roles,
+                LrmConfig::default(),
+            ),
+            trace,
+        )
+    }
+
+    proptest::proptest! {
+        /// The run-form replay against the per-slot body it replaced: same
+        /// upload calls in the same order, same LUPA window, QoS ledger,
+        /// tick cursor, owner state and jitter-stream position — over empty
+        /// and wrapping traces, noise off and on, and spans that start
+        /// mid-day and cross zero to three day rollovers.
+        #[test]
+        fn run_replay_matches_the_per_slot_body(
+            seed in proptest::arbitrary::any::<u64>(),
+            trace_len in 0usize..700,
+            noisy in proptest::arbitrary::any::<bool>(),
+            applied in 0u64..600,
+            span in 0u64..(3 * 288 + 100),
+        ) {
+            let config = &config(if noisy { 0.05 } else { 0.0 });
+            let mut gen = DetRng::new(seed);
+            let trace: Vec<UsageSample> = (0..trace_len)
+                .map(|_| {
+                    // A third of the slots idle, so QoS sees both branches.
+                    let cpu = (gen.uniform_f64() - 0.33).max(0.0);
+                    UsageSample::new(cpu, gen.uniform_f64(), 0.0, 0.0)
+                })
+                .collect();
+            let (mut run, mut run_rng) = (node(trace.clone()), DetRng::new(seed));
+            let (mut slot, mut slot_rng) = (node(trace), DetRng::new(seed));
+            // Both start mid-history, brought there by the oracle.
+            replay_node_local_per_slot(config, &mut run, &mut run_rng, applied);
+            replay_node_local_per_slot(config, &mut slot, &mut slot_rng, applied);
+            let target = applied + span;
+            let run_uploads = replay_node_local(config, &mut run, &mut run_rng, target);
+            let slot_uploads = replay_node_local_per_slot(config, &mut slot, &mut slot_rng, target);
+            proptest::prop_assert_eq!(run_uploads, slot_uploads);
+            proptest::prop_assert_eq!(
+                run.lrm.lupa_window().partial_day(),
+                slot.lrm.lupa_window().partial_day()
+            );
+            proptest::prop_assert!(run.lrm.lupa_window().completed().is_empty());
+            proptest::prop_assert_eq!(run.lrm.owner_load(), slot.lrm.owner_load());
+            proptest::prop_assert_eq!(
+                run.lrm.grid_share().to_bits(),
+                slot.lrm.grid_share().to_bits()
+            );
+            proptest::prop_assert_eq!(&run.qos, &slot.qos);
+            proptest::prop_assert_eq!(run.ticks_applied, slot.ticks_applied);
+            proptest::prop_assert_eq!(run_rng.next_u64(), slot_rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn replay_to_an_already_applied_tick_is_a_no_op() {
+        let config = &config(0.05);
+        let mut node = node(Vec::new());
+        let mut rng = DetRng::new(1);
+        replay_node_local(config, &mut node, &mut rng, 300);
+        let before = rng.clone();
+        let uploads = replay_node_local(config, &mut node, &mut rng, 200);
+        assert!(uploads.is_empty());
+        assert_eq!(node.ticks_applied, 300);
+        assert_eq!(rng, before);
+    }
+
+    /// An idle `n`-node world with `workers` shard streams.
+    fn world(n: usize, workers: u64) -> (Vec<NodeLocal>, Vec<GupaCell>, Vec<DetRng>) {
+        (
+            (0..n).map(|_| node(Vec::new())).collect(),
+            (0..n).map(|_| GupaCell::default()).collect(),
+            (0..workers).map(|i| DetRng::for_shard(9, i)).collect(),
+        )
+    }
+
+    /// A 7-node world cut into `workers` shards; each body reports where it
+    /// ran and what it was handed.
+    fn walk(workers: usize) -> Vec<(usize, usize, usize, std::thread::ThreadId)> {
+        let (mut nodes, mut cells, mut rngs) = world(7, workers as u64);
+        let ranges = shard_ranges(nodes.len(), workers);
+        for_each_shard(&ranges, &mut nodes, &mut cells, &mut rngs, |shard| {
+            assert_eq!(shard.nodes.len(), shard.cells.len());
+            assert_eq!(*shard.rng, DetRng::for_shard(9, shard.index as u64));
+            (
+                shard.index,
+                shard.start,
+                shard.nodes.len(),
+                std::thread::current().id(),
+            )
+        })
+    }
+
+    #[test]
+    fn shard_zero_runs_on_the_caller_and_results_come_back_in_shard_order() {
+        let caller = std::thread::current().id();
+        for workers in [1, 3] {
+            let results = walk(workers);
+            let shape: Vec<_> = results.iter().map(|&(i, s, n, _)| (i, s, n)).collect();
+            match workers {
+                1 => assert_eq!(shape, [(0, 0, 7)]),
+                _ => assert_eq!(shape, [(0, 0, 3), (1, 3, 2), (2, 5, 2)]),
+            }
+            assert_eq!(results[0].3, caller, "shard 0 is inline");
+            for (_, _, _, thread) in &results[1..] {
+                assert_ne!(*thread, caller, "shards 1.. are spawned");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2 lost its footing")]
+    fn a_worker_panic_propagates_with_its_own_message() {
+        let (mut nodes, mut cells, mut rngs) = world(3, 3);
+        let ranges = shard_ranges(3, 3);
+        for_each_shard(&ranges, &mut nodes, &mut cells, &mut rngs, |shard| {
+            assert!(shard.index != 2, "shard {} lost its footing", shard.index);
+        });
+    }
+}

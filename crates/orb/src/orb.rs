@@ -286,10 +286,38 @@ impl Orb {
     ///
     /// Fails if the bytes are not a well-formed frame.
     pub fn handle_wire(&mut self, bytes: &[u8]) -> Result<Incoming, RemoteError> {
+        self.handle_wire_via(bytes, |poa, request| poa.handle_request(request))
+    }
+
+    /// [`Orb::handle_wire`] with the servant *borrowed for the call* instead
+    /// of activated: an incoming request is dispatched to `servant` when it
+    /// is addressed to `key` (see [`Poa::handle_request_with`]); replies are
+    /// classified exactly as `handle_wire` does. For hosts whose owner keeps
+    /// the implementation object as plain data between calls.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the bytes are not a well-formed frame.
+    pub fn handle_wire_with(
+        &mut self,
+        bytes: &[u8],
+        key: &ObjectKey,
+        servant: &mut dyn Servant,
+    ) -> Result<Incoming, RemoteError> {
+        self.handle_wire_via(bytes, |poa, request| {
+            poa.handle_request_with(request, key, servant)
+        })
+    }
+
+    fn handle_wire_via(
+        &mut self,
+        bytes: &[u8],
+        serve: impl FnOnce(&mut Poa, &Message<'_>) -> Option<Message<'static>>,
+    ) -> Result<Incoming, RemoteError> {
         match Message::from_wire(bytes)? {
             req @ Message::Request { .. } => {
                 self.requests_dispatched += 1;
-                match self.poa.handle_request(&req) {
+                match serve(&mut self.poa, &req) {
                     Some(reply) => Ok(Incoming::ReplyToSend(reply.to_wire())),
                     None => Ok(Incoming::OnewayHandled),
                 }
@@ -416,6 +444,42 @@ mod tests {
         };
         let (_, result) = decode_reply(&reply).unwrap();
         assert_eq!(i64::from_cdr_bytes(&result.unwrap()).unwrap(), 7);
+    }
+
+    #[test]
+    fn borrowed_dispatch_answers_byte_for_byte_like_the_activated_path() {
+        let (mut activated, mut client, ior) = setup();
+        let mut borrowing = Orb::new(activated.endpoint());
+        let mut lent = Counter { value: 0 };
+        let foreign = Ior::new(ior.type_id.clone(), ior.endpoint, ObjectKey::new("ghost"));
+        let frames = [
+            client.make_request(&ior, "add", |w| 7i64.encode(w)).1, // success
+            client.make_request(&ior, "boom", |_| {}).1,            // user exception
+            client.make_request(&ior, "nope", |_| {}).1,            // bad operation
+            client.make_request(&ior, "add", |w| 1u8.encode(w)).1,  // marshal error
+            client.make_oneway(&ior, "add", |w| 5i64.encode(w)).1,  // oneway: no reply
+            client.make_request(&foreign, "add", |w| 1i64.encode(w)).1, // foreign key
+            client.make_request(&ior, "add", |w| 0i64.encode(w)).1, // state: 7 + 5
+        ];
+        for (sent, wire) in frames.iter().enumerate() {
+            let expected = activated.handle_wire(wire).unwrap();
+            let got = borrowing
+                .handle_wire_with(wire, &ior.object_key, &mut lent)
+                .unwrap();
+            assert_eq!(got, expected, "frame {sent}");
+            assert_eq!(borrowing.stats(), activated.stats(), "frame {sent}");
+            assert_eq!(borrowing.stats().requests_dispatched, sent as u64 + 1);
+            assert_eq!(borrowing.poa().dispatched(), sent as u64 + 1);
+        }
+        assert_eq!(lent.value, 12, "the foreign-key request never reached it");
+        let Incoming::ReplyToSend(ghost) = activated.handle_wire(&frames[5]).unwrap() else {
+            panic!("two-way request")
+        };
+        let (_, result) = decode_reply(&ghost).unwrap();
+        assert!(matches!(result, Err(RemoteError::System(m)) if m.contains("no servant")));
+        // A reply frame takes the same path through either entry.
+        let from_borrowed = client.handle_wire_with(&ghost, &ior.object_key, &mut lent);
+        assert_eq!(from_borrowed, client.handle_wire(&ghost));
     }
 
     #[test]

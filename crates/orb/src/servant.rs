@@ -176,47 +176,68 @@ impl Poa {
     /// is expected, mirroring ORB behaviour of never letting a client hang
     /// on a malformed interaction.
     pub fn handle_request(&mut self, message: &Message<'_>) -> Option<Message<'static>> {
-        let Message::Request {
-            request_id,
-            response_expected,
-            object_key,
-            operation,
-            body,
-        } = message
-        else {
-            return None;
-        };
-        self.dispatched += 1;
-        let outcome = match self.servants.get_mut(object_key) {
-            None => Err(ServerException::Internal(format!(
-                "no servant for object key '{object_key}'"
-            ))),
-            Some(servant) => {
-                let mut reader = CdrReader::new(body);
-                servant.dispatch(operation, &mut reader)
-            }
-        };
-        if !response_expected {
-            return None;
-        }
-        Some(match outcome {
-            Ok(result) => Message::Reply {
-                request_id: *request_id,
-                status: ReplyStatus::NoException,
-                body: result.into(),
-            },
-            Err(ServerException::User(detail)) => Message::Reply {
-                request_id: *request_id,
-                status: ReplyStatus::UserException,
-                body: detail.into_bytes().into(),
-            },
-            Err(e) => Message::Reply {
-                request_id: *request_id,
-                status: ReplyStatus::SystemException,
-                body: e.to_string().into_bytes().into(),
-            },
+        let servants = &mut self.servants;
+        serve(&mut self.dispatched, message, |key| {
+            servants.get_mut(key).map(|s| &mut **s as &mut dyn Servant)
         })
     }
+
+    /// [`Poa::handle_request`] for a servant that is not activated here but
+    /// *borrowed for the call*: the request is dispatched to `servant` when
+    /// it is addressed to `key`, and answered exactly as a request to an
+    /// unknown object otherwise. Lets a caller that owns its implementation
+    /// objects as plain data (and needs them back between calls) still route
+    /// every invocation through the adapter's exception mapping and counts.
+    pub fn handle_request_with(
+        &mut self,
+        message: &Message<'_>,
+        key: &ObjectKey,
+        servant: &mut dyn Servant,
+    ) -> Option<Message<'static>> {
+        serve(&mut self.dispatched, message, |target| {
+            (target == key).then_some(servant)
+        })
+    }
+}
+
+/// The one dispatch body behind both [`Poa`] entries: count the request,
+/// resolve its object key to a servant, invoke, and map the outcome to a
+/// reply (`None` for oneways and for non-request messages).
+fn serve<'s>(
+    dispatched: &mut u64,
+    message: &Message<'_>,
+    resolve: impl FnOnce(&ObjectKey) -> Option<&'s mut (dyn Servant + 's)>,
+) -> Option<Message<'static>> {
+    let Message::Request {
+        request_id,
+        response_expected,
+        object_key,
+        operation,
+        body,
+    } = message
+    else {
+        return None;
+    };
+    *dispatched += 1;
+    let outcome = match resolve(object_key) {
+        None => Err(ServerException::Internal(format!(
+            "no servant for object key '{object_key}'"
+        ))),
+        Some(servant) => servant.dispatch(operation, &mut CdrReader::new(body)),
+    };
+    if !response_expected {
+        return None;
+    }
+    let (status, body) = match outcome {
+        Ok(result) => (ReplyStatus::NoException, result),
+        Err(ServerException::User(detail)) => (ReplyStatus::UserException, detail.into_bytes()),
+        Err(e) => (ReplyStatus::SystemException, e.to_string().into_bytes()),
+    };
+    Some(Message::Reply {
+        request_id: *request_id,
+        status,
+        body: body.into(),
+    })
 }
 
 #[cfg(test)]

@@ -224,8 +224,8 @@ impl Saboteur {
 /// [`DetRng`] stream there is no cursor to advance, so the result depends
 /// only on the decision's identity — any tick engine, asking in any order,
 /// any number of times, sees the same value. This is what lets probabilistic
-/// sabotage stay bit-for-bit reproducible across
-/// ActiveSet/Reference/Sharded engines.
+/// sabotage stay bit-for-bit reproducible across the reference walk and
+/// every shard width.
 pub fn scheduled_draw(salt: u64, keys: [u64; 3]) -> f64 {
     let mut h = salt ^ 0x9E37_79B9_7F4A_7C15;
     for k in keys {

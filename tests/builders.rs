@@ -65,7 +65,7 @@ proptest! {
             .crash_silence(SimDuration::from_secs(silence_s))
             .gupa_warmup_days(warmup)
             .prediction_horizon_mins(horizon_mins)
-            .tick_mode(TickMode::ActiveSet)
+            .tick_mode(TickMode::Reference)
             .build();
 
         let mut lrm = GridConfig::default().lrm;
@@ -86,7 +86,7 @@ proptest! {
             crash_silence: SimDuration::from_secs(silence_s),
             gupa_warmup_days: warmup,
             prediction_horizon_mins: horizon_mins,
-            tick_mode: TickMode::ActiveSet,
+            tick_mode: TickMode::Reference,
             ..GridConfig::default()
         };
 

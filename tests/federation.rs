@@ -1,7 +1,7 @@
 //! Federation determinism and chaos: the wide-area layer must inherit the
 //! simulator's bit-for-bit reproducibility — identical seeds give identical
 //! federated placements, WAN traffic, and per-cluster reports across tick
-//! modes (`ActiveSet` vs `Sharded { 1 }` vs `Sharded { 4 }`) — and its
+//! widths (one inline shard vs four shards on worker threads) — and its
 //! fault tolerance: an inter-cluster partition combined with an origin-GRM
 //! crash must not lose forwarded jobs or their completion records.
 //!
@@ -29,6 +29,9 @@ fn chaos_seeds() -> Vec<u64> {
         Err(_) => vec![1, 2, 3],
     }
 }
+
+/// The default engine: the lazy walk on one shard, run inline.
+const ONE_SHARD: TickMode = TickMode::Sharded { workers: 1 };
 
 fn grid_of(mode: TickMode, seed: u64, n: usize, mips: u64) -> Grid {
     let config = GridConfig::builder()
@@ -104,17 +107,13 @@ fn drive(fed: &mut Federation) -> (Vec<FederatedPlacement>, WanStats, Vec<String
 #[test]
 fn federated_placement_is_identical_across_tick_modes() {
     for seed in chaos_seeds() {
-        let runs: Vec<_> = [
-            TickMode::ActiveSet,
-            TickMode::Sharded { workers: 1 },
-            TickMode::Sharded { workers: 4 },
-        ]
-        .into_iter()
-        .map(|mode| {
-            let mut fed = federation(mode, seed, RoutingPolicy::LinkedTraders);
-            (mode, drive(&mut fed))
-        })
-        .collect();
+        let runs: Vec<_> = [ONE_SHARD, TickMode::Sharded { workers: 4 }]
+            .into_iter()
+            .map(|mode| {
+                let mut fed = federation(mode, seed, RoutingPolicy::LinkedTraders);
+                (mode, drive(&mut fed))
+            })
+            .collect();
         let (_, baseline) = &runs[0];
         for (mode, run) in &runs[1..] {
             assert_eq!(
@@ -141,8 +140,8 @@ fn federation_reproduces_itself_bit_for_bit() {
             RoutingPolicy::FlatDirectory,
             RoutingPolicy::HierarchySummaries,
         ] {
-            let mut a = federation(TickMode::ActiveSet, seed, routing);
-            let mut b = federation(TickMode::ActiveSet, seed, routing);
+            let mut a = federation(ONE_SHARD, seed, routing);
+            let mut b = federation(ONE_SHARD, seed, routing);
             let run_a = drive(&mut a);
             let run_b = drive(&mut b);
             assert_eq!(run_a.0, run_b.0, "seed {seed} {routing:?}: placements");
@@ -161,7 +160,7 @@ fn routing_policies_agree_on_the_workload() {
         RoutingPolicy::FlatDirectory,
         RoutingPolicy::HierarchySummaries,
     ] {
-        let mut fed = federation(TickMode::ActiveSet, 11, routing);
+        let mut fed = federation(ONE_SHARD, 11, routing);
         let (placements, _, _) = drive(&mut fed);
         assert_eq!(placements.len(), 4, "{routing:?}");
         for p in &placements {
@@ -188,16 +187,16 @@ fn partition_plus_origin_crash_does_not_lose_forwarded_jobs() {
                 start: SimTime::from_secs(130),
                 heal: SimTime::from_secs(1600),
             }))
-            .root(ClusterId(0), grid_of(TickMode::ActiveSet, seed, 2, 500))
+            .root(ClusterId(0), grid_of(ONE_SHARD, seed, 2, 500))
             .child(
                 ClusterId(1),
                 ClusterId(0),
-                grid_of(TickMode::ActiveSet, seed ^ 1, 4, 500),
+                grid_of(ONE_SHARD, seed ^ 1, 4, 500),
             )
             .child(
                 ClusterId(2),
                 ClusterId(0),
-                grid_of(TickMode::ActiveSet, seed ^ 2, 6, 1500),
+                grid_of(ONE_SHARD, seed ^ 2, 6, 1500),
             )
             .build()
             .unwrap();
@@ -249,12 +248,8 @@ fn partition_makes_spillover_targets_unreachable() {
             start: SimTime::ZERO,
             heal: SimTime::from_secs(10_000),
         }))
-        .root(ClusterId(0), grid_of(TickMode::ActiveSet, 5, 2, 500))
-        .child(
-            ClusterId(1),
-            ClusterId(0),
-            grid_of(TickMode::ActiveSet, 6, 8, 500),
-        )
+        .root(ClusterId(0), grid_of(ONE_SHARD, 5, 2, 500))
+        .child(ClusterId(1), ClusterId(0), grid_of(ONE_SHARD, 6, 8, 500))
         .build()
         .unwrap();
     fed.run_until(SimTime::from_secs(120));

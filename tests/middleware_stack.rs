@@ -1,22 +1,45 @@
 //! Integration of the CORBA-substitute stack: CDR → GIOP → ORB → Naming →
 //! Trading, driving real core-middleware servants over the loopback bus.
 
-use integrade::core::lrm::{LrmConfig, LrmServant, LrmState};
+use integrade::core::lrm::{LrmConfig, LrmState};
 use integrade::core::ncc::SharingPolicy;
 use integrade::core::protocol::{
     LaunchReply, LaunchRequest, ReserveReply, ReserveRequest, OP_LAUNCH, OP_RESERVE,
 };
 use integrade::core::types::{JobId, NodeId, NodeRoles, Platform, ResourceVector};
 use integrade::orb::any::AnyValue;
-use integrade::orb::cdr::{CdrDecode, CdrEncode};
+use integrade::orb::cdr::{CdrDecode, CdrEncode, CdrReader};
 use integrade::orb::ior::{Endpoint, Ior, ObjectKey};
 use integrade::orb::naming::NamingServant;
+use integrade::orb::servant::{Servant, ServerException};
 use integrade::orb::trading::{ServiceOffer, TraderServant};
 use integrade::orb::transport::LoopbackBus;
 use integrade::simnet::time::SimTime;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+/// An LRM activated on the loopback bus. The grid lends its LRMs to the ORB
+/// call by call; a bus owns its servants, so this one shares the state with
+/// the test and forwards to the same dispatch body at a fixed virtual time.
+struct HostedLrm {
+    state: Rc<RefCell<LrmState>>,
+    now: SimTime,
+}
+
+impl Servant for HostedLrm {
+    fn type_id(&self) -> &'static str {
+        LrmState::TYPE_ID
+    }
+
+    fn dispatch(
+        &mut self,
+        operation: &str,
+        args: &mut CdrReader<'_>,
+    ) -> Result<Vec<u8>, ServerException> {
+        self.state.borrow_mut().dispatch(self.now, operation, args)
+    }
+}
 
 /// The paper's prototype flow, end to end over the full marshalling path:
 /// the LRM exports its status as a trader offer; a scheduler-side importer
@@ -58,7 +81,7 @@ fn trader_mediated_negotiation_over_the_bus() {
 
     // A provider node hosts its LRM servant.
     let provider = bus.add_orb(Endpoint::new(1, 0));
-    let clock = Rc::new(RefCell::new(SimTime::from_secs(100)));
+    let now = SimTime::from_secs(100);
     let lrm_state = Rc::new(RefCell::new(LrmState::new(
         NodeId(1),
         ResourceVector::lab_machine(),
@@ -71,7 +94,10 @@ fn trader_mediated_negotiation_over_the_bus() {
         .activate(
             provider,
             ObjectKey::new("integrade/lrm"),
-            Box::new(LrmServant::new(lrm_state.clone(), clock)),
+            Box::new(HostedLrm {
+                state: lrm_state.clone(),
+                now,
+            }),
         )
         .unwrap();
 
@@ -182,7 +208,6 @@ fn negotiation_refusal_propagates() {
     use integrade::usage::sample::{UsageSample, Weekday};
     let mut bus = LoopbackBus::new();
     let provider = bus.add_orb(Endpoint::new(1, 0));
-    let clock = Rc::new(RefCell::new(SimTime::ZERO));
     let lrm_state = Rc::new(RefCell::new(LrmState::new(
         NodeId(1),
         ResourceVector::desktop(),
@@ -200,7 +225,10 @@ fn negotiation_refusal_propagates() {
         .activate(
             provider,
             ObjectKey::new("integrade/lrm"),
-            Box::new(LrmServant::new(lrm_state, clock)),
+            Box::new(HostedLrm {
+                state: lrm_state,
+                now: SimTime::ZERO,
+            }),
         )
         .unwrap();
     let out = bus

@@ -183,9 +183,9 @@ fn uniform_derate_triggers_no_speculation() {
     );
 }
 
-/// Gray-failure handling must behave identically under the sharded
-/// parallel engine — the detector reads GRM state in the single-threaded
-/// phase, so the log stream must match the sequential modes exactly.
+/// Gray-failure handling must behave identically under the lazy walk at
+/// every shard width — the detector reads GRM state in the single-threaded
+/// phase, so the log stream must match the reference walk exactly.
 #[test]
 fn speculation_is_identical_across_tick_modes() {
     let run = |mode: TickMode| {
@@ -211,7 +211,6 @@ fn speculation_is_identical_across_tick_modes() {
         )
     };
     let reference = run(TickMode::Reference);
-    assert_eq!(run(TickMode::ActiveSet), reference);
     for workers in [1usize, 2, 4, 8] {
         assert_eq!(run(TickMode::Sharded { workers }), reference);
     }

@@ -1,18 +1,16 @@
-//! Tick-engine parity: every scaled slot-tick path — the lazy
-//! `TickMode::ActiveSet` walk and the parallel `TickMode::Sharded`
-//! frame at worker widths 1, 2, 4 and 8 — must be *observably identical*
-//! to the exhaustive per-node reference walk (`TickMode::Reference`) it
-//! replaced — same event logs, same completions and makespans, same network
-//! traffic, same update-protocol counters, same merged owner-QoS ledger —
-//! across seeds, owner-trace mixes, delta-suppression settings and injected
-//! faults.
+//! Tick-engine parity: the lazy slot walk (`TickMode::Sharded`) at shard
+//! widths 1, 2, 4 and 8 — the inline single shard and the threaded frames —
+//! must be *observably identical* to the exhaustive per-node reference walk
+//! (`TickMode::Reference`) it replaced — same event logs, same completions
+//! and makespans, same network traffic, same update-protocol counters, same
+//! merged owner-QoS ledger — across seeds, owner-trace mixes,
+//! delta-suppression settings and injected faults.
 //!
 //! The reference walk is kept in the tree exactly so this oracle exists; a
-//! divergence here means the lazy catch-up, timer parking or the sharded
-//! frame-boundary merge broke semantics, not just performance. Two further
-//! contracts get dedicated tests: `Sharded { workers: 1 }` is bit-for-bit
-//! the ActiveSet walk, and a fixed worker count reproduces itself exactly
-//! run over run (the determinism contract only pins a *fixed* `W`).
+//! divergence here means the lazy catch-up, timer parking or the
+//! frame-boundary merge broke semantics, not just performance. One further
+//! contract gets dedicated tests: a fixed worker count reproduces itself
+//! exactly run over run (the determinism contract only pins a *fixed* `W`).
 //!
 //! The seed matrix defaults to a small set for `cargo test`; CI widens it
 //! via the `CHAOS_SEEDS` environment variable (comma-separated u64s).
@@ -193,8 +191,12 @@ fn assert_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
     }
 }
 
+/// The default engine (`GridConfig::default()`'s one inline shard, set by
+/// nobody) against the reference walk.
 fn check_parity(seed: u64, nodes: usize, traced: usize, delta: bool, drop_pct: f64, crash: bool) {
-    let mut fast = build_grid(TickMode::ActiveSet, seed, nodes, traced, delta);
+    let default_mode = GridConfig::default().tick_mode;
+    assert_eq!(default_mode, TickMode::Sharded { workers: 1 });
+    let mut fast = build_grid(default_mode, seed, nodes, traced, delta);
     let mut reference = build_grid(TickMode::Reference, seed, nodes, traced, delta);
     run_scenario(&mut fast, seed, drop_pct, crash);
     run_scenario(&mut reference, seed, drop_pct, crash);
@@ -205,9 +207,9 @@ fn check_parity(seed: u64, nodes: usize, traced: usize, delta: bool, drop_pct: f
     assert_parity(&mut fast, &mut reference, &ctx);
 }
 
-/// The sharded widths every suite sweeps: the degenerate single shard,
-/// even splits, and more shards than fit evenly into the 8-node cluster
-/// (so trailing shards own short or empty id ranges).
+/// The shard widths every suite sweeps: the single inline shard, even
+/// splits, and more shards than fit evenly into the 8-node cluster (so
+/// trailing shards own short or empty id ranges).
 const SHARD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
@@ -246,20 +248,6 @@ fn sharded_parity_with_delta_suppression_and_parked_timers() {
             let ctx = format!("Sharded{{{workers}}} suppression, seed {seed}");
             assert_parity(&mut sharded, &mut reference, &ctx);
         }
-    }
-}
-
-#[test]
-fn sharded_one_worker_is_bitwise_active_set() {
-    // The documented contract: a single shard IS the ActiveSet walk —
-    // same code path order, same RNG draws, same artifacts bit for bit.
-    for seed in chaos_seeds() {
-        let mut sharded = build_grid(TickMode::Sharded { workers: 1 }, seed, 8, 3, false);
-        let mut active = build_grid(TickMode::ActiveSet, seed, 8, 3, false);
-        run_scenario(&mut sharded, seed, 0.05, true);
-        run_scenario(&mut active, seed, 0.05, true);
-        let ctx = format!("Sharded{{1}} vs ActiveSet, seed {seed}");
-        assert_parity(&mut sharded, &mut active, &ctx);
     }
 }
 
@@ -313,9 +301,6 @@ fn learner_state_parity_through_training_and_retraining() {
     run(&mut reference);
     assert_eq!(reference.report().gupa_models, 8, "every node trained");
     assert_eq!(reference.gupa().history_days(NodeId(0)), 8);
-    let mut active = build(TickMode::ActiveSet);
-    run(&mut active);
-    assert_parity(&mut active, &mut reference, "ActiveSet, two midnights");
     for workers in SHARD_WIDTHS {
         let mut sharded = build(TickMode::Sharded { workers });
         run(&mut sharded);
@@ -326,8 +311,8 @@ fn learner_state_parity_through_training_and_retraining() {
 
 #[test]
 fn parity_with_delta_suppression_and_parked_timers() {
-    // Delta suppression plus idle nodes is the configuration where
-    // ActiveSet actually parks update timers — the riskiest divergence
+    // Delta suppression plus idle nodes is the configuration where the
+    // lazy walk actually parks update timers — the riskiest divergence
     // surface, so it gets its own deterministic pass.
     for seed in chaos_seeds() {
         check_parity(seed, 8, 2, true, 0.0, false);
@@ -338,8 +323,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Randomized scenario shapes: any mix of traced nodes, suppression,
-    /// loss and a mid-run crash must leave ActiveSet, a sampled sharded
-    /// width and the reference walk mutually indistinguishable.
+    /// loss and a mid-run crash must leave a sampled shard width and the
+    /// reference walk indistinguishable.
     #[test]
     fn parity_is_seed_and_shape_independent(
         seed in 1u64..1_000_000,
@@ -357,9 +342,6 @@ proptest! {
             "seed {seed}, {nodes} nodes ({traced} traced), delta={delta}, \
              drop={drop}, crash={crash}"
         );
-        let mut fast = build_grid(TickMode::ActiveSet, seed, nodes, traced, delta);
-        run_scenario(&mut fast, seed, drop, crash);
-        assert_parity(&mut fast, &mut reference, &format!("ActiveSet, {ctx}"));
         let mut sharded = build_grid(TickMode::Sharded { workers }, seed, nodes, traced, delta);
         run_scenario(&mut sharded, seed, drop, crash);
         assert_parity(
@@ -438,13 +420,6 @@ fn gray_failure_speculation_parity_across_all_modes() {
     for seed in chaos_seeds() {
         let mut reference = build_gray(TickMode::Reference, seed);
         run_gray(&mut reference, seed);
-        let mut active = build_gray(TickMode::ActiveSet, seed);
-        run_gray(&mut active, seed);
-        assert_parity(
-            &mut active,
-            &mut reference,
-            &format!("seed {seed}, gray plan, ActiveSet"),
-        );
         for workers in SHARD_WIDTHS {
             let mut sharded = build_gray(TickMode::Sharded { workers }, seed);
             run_gray(&mut sharded, seed);
@@ -515,7 +490,7 @@ fn noisy_fixed_width_reproduces_itself() {
     // the contract: same seed + same worker count → bit-for-bit, including
     // the jittered GUPA history content.
     for mode in [
-        TickMode::ActiveSet,
+        TickMode::Sharded { workers: 1 },
         TickMode::Sharded { workers: 2 },
         TickMode::Sharded { workers: 4 },
     ] {
@@ -538,37 +513,20 @@ fn noisy_fixed_width_reproduces_itself() {
 }
 
 #[test]
-fn noisy_sharded_one_worker_is_bitwise_active_set() {
-    // The sequential modes draw their jitter from shard 0's stream, so a
-    // single shard stays the ActiveSet walk bit for bit even with noise.
-    let mut sharded = build_noisy(TickMode::Sharded { workers: 1 }, 11);
-    let mut active = build_noisy(TickMode::ActiveSet, 11);
-    run_noisy(&mut sharded);
-    run_noisy(&mut active);
-    let ctx = "Sharded{1} vs ActiveSet with lupa_noise";
-    assert_parity(&mut sharded, &mut active, ctx);
-    assert_eq!(
-        gupa_histories(&sharded),
-        gupa_histories(&active),
-        "{ctx}: jittered GUPA histories diverged"
-    );
-}
-
-#[test]
 fn noisy_cross_width_execution_invariants_with_measurement_divergence() {
     // The cross-W half of the contract: different worker counts draw
     // different jitter, so the *measured* samples the GUPA stores genuinely
     // differ — but jitter feeds only the pattern learner, never the owner
     // state that drives eviction, QoS, status updates or uploads, so every
     // execution-visible artifact must stay bitwise invariant.
-    let mut base = build_noisy(TickMode::ActiveSet, 11);
+    let mut base = build_noisy(TickMode::Sharded { workers: 1 }, 11);
     run_noisy(&mut base);
     let base_histories = gupa_histories(&base);
     let mut any_divergence = false;
     for workers in [2usize, 4, 8] {
         let mut sharded = build_noisy(TickMode::Sharded { workers }, 11);
         run_noisy(&mut sharded);
-        let ctx = format!("Sharded{{{workers}}} vs ActiveSet with lupa_noise");
+        let ctx = format!("Sharded{{{workers}}} vs Sharded{{1}} with lupa_noise");
         assert_execution_parity(&mut sharded, &mut base, &ctx);
         let histories = gupa_histories(&sharded);
         // Same shape — one upload per node per rollover...
@@ -583,7 +541,7 @@ fn noisy_cross_width_execution_invariants_with_measurement_divergence() {
     }
     assert!(
         any_divergence,
-        "no worker count measured different jitter than ActiveSet — \
+        "no worker count measured different jitter than the single shard — \
          the shard streams are not being consumed"
     );
 }
@@ -700,18 +658,6 @@ fn sabotage_and_certification_parity_across_all_modes() {
         assert!(
             reference.log().count("cert.certified") >= 1,
             "seed {seed}: the scenario must actually certify something"
-        );
-        let mut active = build_cert(TickMode::ActiveSet, seed);
-        run_cert(&mut active, seed);
-        assert_eq!(
-            cert_counters(&active),
-            ref_counters,
-            "seed {seed}: cert counters diverged (ActiveSet)"
-        );
-        assert_parity(
-            &mut active,
-            &mut reference,
-            &format!("seed {seed}, sabotage plan, ActiveSet"),
         );
         for workers in SHARD_WIDTHS {
             let mut sharded = build_cert(TickMode::Sharded { workers }, seed);
