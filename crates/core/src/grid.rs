@@ -45,6 +45,7 @@ use integrade_orb::ior::{Endpoint, Ior, ObjectKey};
 use integrade_orb::orb::{Incoming, Orb};
 use integrade_simnet::event::{run_until_profiled, EventQueue, RunOutcome, World};
 use integrade_simnet::faults::{scheduled_draw, FaultPlan};
+use integrade_simnet::idmap::IdMap;
 use integrade_simnet::net::{NetStats, Network};
 use integrade_simnet::rng::{streams, DetRng};
 use integrade_simnet::time::{SimDuration, SimTime};
@@ -707,7 +708,7 @@ struct GridWorld {
     /// One ORB per host. No servant is activated on any of them: the GRM
     /// and the LRMs are owned below as plain data and lent to the receiving
     /// host's ORB for the duration of each dispatch (`handle_wire`).
-    orbs: BTreeMap<HostId, Orb>,
+    orbs: IdMap<HostId, Orb>,
     /// Per-node state the slot walk owns and shards: LRM, QoS ledger, tick
     /// cursor, owner trace (index = `NodeId.0`).
     nodes: Vec<NodeLocal>,
@@ -724,7 +725,7 @@ struct GridWorld {
     pending: BTreeMap<(HostId, u64), PendingEntry>,
     /// Reverse map from physical host to LRM index (fault targeting and
     /// dedup-hit draining).
-    host_to_node: BTreeMap<HostId, usize>,
+    host_to_node: IdMap<HostId, usize>,
     next_job: u64,
     /// Protocol-level request ids embedded in negotiation RPCs so the
     /// receiving LRM can deduplicate retransmissions.
@@ -822,7 +823,7 @@ impl Grid {
         topo.connect(grm_host, core, intra);
 
         let mut grm = GrmState::new(config.seed ^ 0x6772);
-        let mut orbs: BTreeMap<HostId, Orb> = BTreeMap::new();
+        let mut orbs: IdMap<HostId, Orb> = IdMap::new();
         let grm_endpoint = Endpoint::new(grm_host.0, 0);
         let grm_ior = Ior::new(
             GrmState::TYPE_ID,
@@ -880,11 +881,10 @@ impl Grid {
             });
         }
 
-        let host_to_node: BTreeMap<HostId, usize> = node_hosts
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (*h, i))
-            .collect();
+        let mut host_to_node: IdMap<HostId, usize> = IdMap::new();
+        for (i, host) in node_hosts.iter().enumerate() {
+            host_to_node.insert(*host, i);
+        }
         let shards = match config.tick_mode {
             TickMode::Sharded { workers } => workers.max(1) as u64,
             TickMode::Reference => 1,
@@ -1145,8 +1145,8 @@ impl Grid {
         )
     }
 
-    /// Event-queue instrumentation: peak far-future heap depth, tombstone
-    /// compactions, timer-wheel vs heap scheduling counts.
+    /// Event-queue instrumentation: peak occupancy outside the timer wheel
+    /// and timer-wheel vs heap scheduling counts.
     pub fn queue_stats(&self) -> integrade_simnet::event::QueueStats {
         self.queue.stats()
     }
@@ -1691,7 +1691,7 @@ impl GridWorld {
             self.obs.grm_crashes.inc();
             self.log
                 .record(now, "grm.crash", format!("next epoch {epoch}"));
-        } else if let Some(&node) = self.host_to_node.get(&host) {
+        } else if let Some(&node) = self.host_to_node.get(host) {
             {
                 let lrm = &mut self.nodes[node].lrm;
                 for part in lrm.running() {
@@ -1730,7 +1730,7 @@ impl GridWorld {
             self.log
                 .record(now, "grm.epoch", format!("restarted as epoch {epoch}"));
             self.reconcile_after_grm_restart(now, queue);
-        } else if let Some(&node) = self.host_to_node.get(&host) {
+        } else if let Some(&node) = self.host_to_node.get(host) {
             self.log
                 .record(now, "node.restore", format!("{}", NodeId(node as u32)));
         }
@@ -1895,7 +1895,7 @@ impl GridWorld {
     ) {
         let mut out = self.pooled_buf();
         let target = &self.lrm_iors[node.0 as usize];
-        let orb = self.orbs.get_mut(&from).expect("issuing orb");
+        let orb = self.orbs.get_mut(from).expect("issuing orb");
         let request_id = {
             let _enc = self.obs.profiler.enter(Phase::GiopEncode);
             orb.make_request_into(target, operation, body, &mut out)
@@ -2035,13 +2035,6 @@ impl GridWorld {
         let Some(entry) = self.pending.get(&key) else {
             return; // answered in the meantime
         };
-        if matches!(entry.what, Pending::UpdateAck { .. }) {
-            // Status updates are never retransmitted — the next periodic
-            // update supersedes this one and re-piggybacks any unacked
-            // outcomes. Just garbage-collect the entry.
-            self.pending.remove(&key);
-            return;
-        }
         if entry.attempt >= self.config.max_retransmits {
             self.obs.timeouts.inc();
             self.obs
@@ -2095,7 +2088,7 @@ impl GridWorld {
         let from = self.node_hosts[node];
         let mut out = self.pooled_buf();
         let target = &self.grm_ior;
-        let orb = self.orbs.get_mut(&from).expect("lrm orb");
+        let orb = self.orbs.get_mut(from).expect("lrm orb");
         orb.make_oneway_into(target, operation, body, &mut out);
         let bytes = self.protect(out);
         let grm_host = self.grm_host;
@@ -2116,7 +2109,7 @@ impl GridWorld {
         let mut out = self.pooled_buf();
         let target = &self.lrm_iors[node.0 as usize];
         let grm_host = self.grm_host;
-        let orb = self.orbs.get_mut(&grm_host).expect("grm orb");
+        let orb = self.orbs.get_mut(grm_host).expect("grm orb");
         orb.make_oneway_into(target, operation, body, &mut out);
         let bytes = self.protect(out);
         let to = self.node_hosts[node.0 as usize];
@@ -2138,7 +2131,7 @@ impl GridWorld {
                 .record_with(now, "drops", || format!("host {} down", to.0));
             return;
         }
-        let node_at_dest = self.host_to_node.get(&to).copied();
+        let node_at_dest = self.host_to_node.get(to).copied();
         if let Some(node) = node_at_dest {
             // A delivered frame is the only way a lazily ticked node's
             // engagement can change: apply its deferred bookkeeping and
@@ -2154,7 +2147,7 @@ impl GridWorld {
         let Some(frame) = self.unprotect(now, &bytes) else {
             return;
         };
-        let Some(orb) = self.orbs.get_mut(&to) else {
+        let Some(orb) = self.orbs.get_mut(to) else {
             return;
         };
         // Lend the host's implementation object — its LRM, or the GRM on
@@ -2842,7 +2835,11 @@ impl GridWorld {
                 self.on_cancel_reply(now, job, reply, queue);
             }
             Pending::UpdateAck { node, seq } => {
-                self.on_update_ack(now, node, seq, result);
+                // The ack window: an ack `request_timeout` or more late
+                // counts as lost, and its entry (just removed) with it.
+                if now < entry.sent_at + self.config.request_timeout {
+                    self.on_update_ack(now, node, seq, result);
+                }
             }
             Pending::StoreCkpt {
                 origin,
@@ -4881,8 +4878,6 @@ impl GridWorld {
         let config = self.config.lrm;
         let lrm = &mut self.nodes[node].lrm;
         let update = lrm.next_update(&config);
-        let replicas = lrm.replica_reports();
-        let progress = lrm.progress_reports();
         let sent = update.is_some();
         if let Some((seq, status)) = update {
             // The update travels as a request so the GRM's ack (carrying
@@ -4894,43 +4889,54 @@ impl GridWorld {
                 node: NodeId(node as u32),
                 seq,
                 status,
-                replicas,
+                replicas: lrm.replica_reports(),
                 pending_done,
                 pending_evicted,
-                progress,
+                progress: lrm.progress_reports(),
             };
             let from = self.node_hosts[node];
             let mut out = self.pooled_buf();
             let target = &self.grm_ior;
-            let orb = self.orbs.get_mut(&from).expect("lrm orb");
+            let orb = self.orbs.get_mut(from).expect("lrm orb");
             let request_id =
                 orb.make_request_into(target, OP_UPDATE_STATUS, move |w| msg.encode(w), &mut out);
             let bytes = self.protect(out);
-            self.pending.insert(
-                (from, request_id),
-                PendingEntry {
-                    what: Pending::UpdateAck { node, seq },
-                    dest: self.grm_host,
-                    wire: Vec::new(), // never retransmitted
-                    extra_bytes: 0,
-                    attempt: 0,
-                    sent_at: now,
-                    span: 0, // status updates are not traced
-                },
-            );
+            // No timer guards the ack: one that arrives `request_timeout`
+            // or more after its update is ignored (`handle_reply`), and the
+            // entries such acks leave behind are swept here, by the same
+            // node's next send, so `pending` stays bounded whatever the
+            // ratio of update period to timeout.
+            let request_timeout = self.config.request_timeout;
+            let expired: Vec<(HostId, u64)> = self
+                .pending
+                .range((from, 0)..(from, request_id))
+                .filter(|(_, e)| {
+                    matches!(e.what, Pending::UpdateAck { .. })
+                        && now >= e.sent_at + request_timeout
+                })
+                .map(|(key, _)| *key)
+                .collect();
+            for key in expired {
+                self.pending.remove(&key);
+            }
             let grm_host = self.grm_host;
             if self.transmit(now, from, grm_host, bytes, 0, queue) {
-                queue.schedule_after(
-                    self.config.request_timeout,
-                    GridEvent::RequestTimeout { from, request_id },
+                self.pending.insert(
+                    (from, request_id),
+                    PendingEntry {
+                        what: Pending::UpdateAck { node, seq },
+                        dest: grm_host,
+                        wire: Vec::new(), // never retransmitted
+                        extra_bytes: 0,
+                        attempt: 0,
+                        sent_at: now,
+                        span: 0, // status updates are not traced
+                    },
                 );
             } else {
+                // Nothing left the host, so no ack can come back.
                 self.log
                     .record_indexed(now, "drops", "update from ", node as u64);
-                queue.schedule_after(
-                    SimDuration::from_micros(1),
-                    GridEvent::RequestTimeout { from, request_id },
-                );
             }
         }
         if self.config.tick_mode != TickMode::Reference
@@ -5208,5 +5214,167 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_grid_panics() {
         GridBuilder::new(GridConfig::default()).build();
+    }
+
+    /// [`small_grid`] with another update period.
+    fn small_grid_updating_every(period: SimDuration) -> Grid {
+        let mut config = GridConfig {
+            gupa_warmup_days: 0,
+            ..Default::default()
+        };
+        config.lrm.update_period = period;
+        let mut builder = GridBuilder::new(config);
+        builder.add_cluster((0..4).map(|_| NodeSetup::idle_desktop()).collect());
+        builder.build()
+    }
+
+    /// A four-node grid whose node↔manager links each add `one_way` of
+    /// latency from t = 100 s on: after the first updates were acknowledged
+    /// and a job submitted at zero was placed, before its part finishes at
+    /// the 300 s slot tick. Updates go out every 60 s, longer than either
+    /// round trip below, so a late ack still finds its entry: only the ack
+    /// window can turn it away, not the next send's sweep.
+    fn limping_grid(one_way: SimDuration) -> Grid {
+        use integrade_simnet::faults::LinkLimp;
+        let mut grid = small_grid_updating_every(SimDuration::from_secs(60));
+        let mut plan = FaultPlan::new(1);
+        for node in 0..grid.node_count() as u32 {
+            plan = plan.with_limp(LinkLimp {
+                a: grid.host_of(NodeId(node)),
+                b: grid.manager_host(),
+                added_latency: one_way,
+                start: SimTime::from_secs(100),
+                end: SimTime::MAX,
+            });
+        }
+        grid.set_fault_plan(plan);
+        grid
+    }
+
+    /// Round trips of 40 s and 20 s against the default 30 s timeout.
+    const LATE: SimDuration = SimDuration::from_secs(20);
+    const IN_TIME: SimDuration = SimDuration::from_secs(10);
+
+    #[test]
+    fn acks_later_than_the_request_timeout_retire_nothing() {
+        let unacked_after_a_job = |one_way| {
+            let mut grid = limping_grid(one_way);
+            let job = grid.submit(JobSpec::sequential("s", 1500));
+            grid.run_until(SimTime::from_secs(900));
+            assert_eq!(grid.job_record(job).unwrap().state, JobState::Completed);
+            (0..grid.node_count() as u32)
+                .map(|n| grid.lrm(NodeId(n)).unwrap().unacked_outcomes())
+                .sum::<usize>()
+        };
+        assert_eq!(unacked_after_a_job(IN_TIME), 0, "a slow ack still counts");
+        assert_eq!(
+            unacked_after_a_job(LATE),
+            1,
+            "the completion notice rides on every update, never retired"
+        );
+    }
+
+    #[test]
+    fn acks_later_than_the_request_timeout_leave_the_epoch_unobserved() {
+        let observations = |one_way| {
+            let mut grid = limping_grid(one_way);
+            grid.run_until(SimTime::from_secs(200));
+            grid.crash_grm();
+            grid.run_until(SimTime::from_secs(260));
+            grid.restart_grm();
+            grid.run_until(SimTime::from_secs(600));
+            assert_eq!(grid.grm_epoch(), 2);
+            grid.log()
+                .records()
+                .iter()
+                .filter(|r| r.category == "grm.epoch" && r.detail.contains("observed"))
+                .count()
+        };
+        assert_eq!(observations(IN_TIME), 4, "every node sees the restart");
+        assert_eq!(observations(LATE), 0);
+    }
+
+    #[test]
+    fn the_ack_window_closes_exactly_at_the_request_timeout() {
+        let mut grid = small_grid(Strategy::AvailabilityOnly);
+        let timeout = grid.world.config.request_timeout;
+        let host = grid.host_of(NodeId(0));
+        let sent_at = SimTime::from_secs(5);
+        grid.world.nodes[0].lrm.observe_grm_epoch(1);
+        // Delivers an ack announcing a new `epoch` for an update sent at
+        // `sent_at`; returns how many epoch changes node 0 has logged.
+        let mut ack_at = |request_id: u64, epoch: u64, at: SimTime| {
+            grid.world.pending.insert(
+                (host, request_id),
+                PendingEntry {
+                    what: Pending::UpdateAck { node: 0, seq: 1 },
+                    dest: grid.world.grm_host,
+                    wire: Vec::new(),
+                    extra_bytes: 0,
+                    attempt: 0,
+                    sent_at,
+                    span: 0,
+                },
+            );
+            let ack = UpdateAck { epoch, seq: 1 }.to_cdr_bytes();
+            grid.world
+                .handle_reply(at, host, request_id, Ok(ack), &mut grid.queue);
+            assert!(
+                !grid.world.pending.contains_key(&(host, request_id)),
+                "an ack consumes its entry, late or not"
+            );
+            grid.log().count("grm.epoch")
+        };
+        let closes = sent_at + timeout;
+        let just_inside = SimTime::from_micros(closes.as_micros() - 1);
+        assert_eq!(ack_at(900, 2, just_inside), 1);
+        // At the closing instant the per-update timer used to fire first
+        // (it was scheduled before the ack's frame) and drop the entry.
+        assert_eq!(ack_at(901, 3, closes), 1, "the window is half-open");
+        assert_eq!(ack_at(902, 3, closes + SimDuration::from_secs(9)), 1);
+    }
+
+    #[test]
+    fn an_update_that_never_left_its_host_leaves_no_pending_entry() {
+        let mut grid = small_grid(Strategy::AvailabilityOnly);
+        grid.set_fault_plan(FaultPlan::new(5).with_drop_probability(1.0));
+        grid.run_until(SimTime::from_secs(100));
+        assert!(grid.log().count("drops") >= 12, "4 nodes, 3+ rounds");
+        assert!(grid.world.pending.is_empty());
+        assert_eq!(grid.report().updates.accepted, 0);
+    }
+
+    #[test]
+    fn pending_acks_stay_bounded_for_periods_below_and_above_the_timeout() {
+        for period_s in [10, 75] {
+            let build = || small_grid_updating_every(SimDuration::from_secs(period_s));
+            // Fault-free, every ack is back within a millisecond: between
+            // rounds nothing is pending.
+            let mut grid = build();
+            grid.run_until(SimTime::from_secs(399));
+            assert!(grid.world.pending.is_empty(), "period {period_s} s");
+            assert!(grid.report().updates.accepted >= 4 * (399 / period_s));
+            // With acks being lost, an entry waits for its node's next send
+            // to sweep it: never more than one timeout's worth per node.
+            let mut grid = build();
+            grid.set_fault_plan(FaultPlan::new(9).with_drop_probability(0.4));
+            let per_node = grid
+                .world
+                .config
+                .request_timeout
+                .as_micros()
+                .div_ceil(SimDuration::from_secs(period_s).as_micros());
+            let mut most = 0;
+            for t in (50..=1500).step_by(50) {
+                grid.run_until(SimTime::from_secs(t));
+                most = most.max(grid.world.pending.len());
+                assert!(
+                    grid.world.pending.len() as u64 <= 4 * per_node,
+                    "period {period_s} s at {t} s: {} pending",
+                    grid.world.pending.len()
+                );
+            }
+            assert!(most > 0, "no ack was lost: the bound was never tested");
+        }
     }
 }

@@ -20,6 +20,7 @@ use integrade_orb::constraint::SlotId;
 use integrade_orb::ior::Ior;
 use integrade_orb::servant::{Servant, ServerException};
 use integrade_orb::trading::{OfferId, Trader, TraderError};
+use integrade_simnet::idmap::IdMap;
 use integrade_simnet::time::SimTime;
 use integrade_simnet::topology::HostId;
 use serde::{Deserialize, Serialize};
@@ -51,20 +52,40 @@ pub struct UpdateStats {
     pub unknown_node: u64,
 }
 
+/// Everything the GRM holds about one registered node.
+#[derive(Debug)]
+struct NodeEntry {
+    /// Disk state: survives a GRM crash.
+    registration: NodeRegistration,
+    /// The node's offer in the trader.
+    offer: OfferId,
+    /// Highest update sequence number accepted in the node's current
+    /// session; 0 before its first update and after it was declared dead.
+    last_seq: u64,
+    /// The status last accepted (unavailable until the first update).
+    status: NodeStatus,
+    /// When the node was last heard from. `Some` exactly while the node is
+    /// on the recency list: never-heard and known-dead nodes are off it.
+    heard: Option<SimTime>,
+    /// Neighbours on the recency list, towards the oldest and the newest
+    /// end; meaningful only while `heard` is `Some`.
+    older: Option<NodeId>,
+    newer: Option<NodeId>,
+}
+
 /// Cluster-manager state.
 #[derive(Debug)]
 pub struct GrmState {
     trader: Trader,
-    nodes: BTreeMap<NodeId, NodeRegistration>,
-    offers: BTreeMap<NodeId, OfferId>,
-    last_seq: BTreeMap<NodeId, u64>,
-    last_status: BTreeMap<NodeId, NodeStatus>,
-    last_heard: BTreeMap<NodeId, SimTime>,
-    /// Secondary index over `last_heard`, ordered by the time a node was
-    /// last heard from. The crash detector walks this oldest-first and
-    /// stops at the first live node, so each slot tick pays O(k log n) for
-    /// k silent nodes instead of scanning the whole population.
-    heard_index: BTreeSet<(SimTime, NodeId)>,
+    /// One entry per registered node, indexed by node id.
+    nodes: IdMap<NodeId, NodeEntry>,
+    /// Ends of the recency list threaded through `nodes`: every node with a
+    /// `heard` time, ordered by it. Receipt times arrive in clock order, so
+    /// hearing from a node is an unlink and a push at the newest end, and
+    /// the crash detector walks from the oldest end and stops at the first
+    /// live node — O(k) for k silent nodes, never a scan of the population.
+    oldest: Option<NodeId>,
+    newest: Option<NodeId>,
     /// Soft-state replica placement map: which LRM claims to hold which
     /// version of which part's checkpoint. Wiped by a GRM crash and rebuilt
     /// from the replica reports piggybacked on periodic status updates.
@@ -202,12 +223,9 @@ impl GrmState {
     pub fn new(seed: u64) -> Self {
         GrmState {
             trader: Trader::new(seed),
-            nodes: BTreeMap::new(),
-            offers: BTreeMap::new(),
-            last_seq: BTreeMap::new(),
-            last_status: BTreeMap::new(),
-            last_heard: BTreeMap::new(),
-            heard_index: BTreeSet::new(),
+            nodes: IdMap::new(),
+            oldest: None,
+            newest: None,
             replicas: ReplicaMap::new(),
             stats: UpdateStats::default(),
             epoch: 1,
@@ -243,7 +261,7 @@ impl GrmState {
     pub fn register_node(&mut self, registration: NodeRegistration) {
         let node = registration.node;
         assert!(
-            !self.nodes.contains_key(&node),
+            self.nodes.get(node).is_none(),
             "{node} is already registered"
         );
         let status = NodeStatus::unavailable();
@@ -252,9 +270,18 @@ impl GrmState {
             .trader
             .export(NODE_SERVICE_TYPE, &registration.lrm, properties)
             .expect("trader export is infallible");
-        self.offers.insert(node, offer);
-        self.last_status.insert(node, status);
-        self.nodes.insert(node, registration);
+        self.nodes.insert(
+            node,
+            NodeEntry {
+                registration,
+                offer,
+                last_seq: 0,
+                status,
+                heard: None,
+                older: None,
+                newer: None,
+            },
+        );
     }
 
     /// Applies a status update (Information Update Protocol receiver side).
@@ -266,7 +293,7 @@ impl GrmState {
     /// [`Self::handle_update`] with the receipt time recorded, enabling
     /// dead-node detection and the checkpoint repository.
     pub fn handle_update_at(&mut self, update: &StatusUpdate, now: SimTime) {
-        if !self.nodes.contains_key(&update.node) {
+        if self.nodes.get(update.node).is_none() {
             self.stats.unknown_node += 1;
             return;
         }
@@ -293,24 +320,26 @@ impl GrmState {
                 },
             );
         }
-        let last = self.last_seq.get(&update.node).copied().unwrap_or(0);
-        if update.seq <= last {
-            self.stats.stale_discarded += 1;
-            return;
-        }
-        self.last_seq.insert(update.node, update.seq);
         // Only the five dynamic properties change between updates; writing
         // them through pre-resolved slots keeps the periodic update path
         // free of per-node key allocation and property-map rebuilds.
         let slots = self.status_slots();
-        let offer = self.offers[&update.node];
+        let entry = self
+            .nodes
+            .get_mut(update.node)
+            .expect("registered: checked above");
+        if update.seq <= entry.last_seq {
+            self.stats.stale_discarded += 1;
+            return;
+        }
+        entry.last_seq = update.seq;
         match self
             .trader
-            .modify_values(offer, slots.updates(&update.status))
+            .modify_values(entry.offer, slots.updates(&update.status))
         {
             Ok(()) => {
                 self.stats.accepted += 1;
-                self.last_status.insert(update.node, update.status);
+                entry.status = update.status;
                 self.set_heard(update.node, now);
                 // Progress observations are seq-gated (unlike the piggyback
                 // outcomes above): a reordered stale report would look like
@@ -387,25 +416,55 @@ impl GrmState {
         self.progress.remove(&(job, part, node));
     }
 
-    /// Records that `node` was heard from at `now`, keeping the
-    /// time-ordered index in sync with the per-node map.
-    fn set_heard(&mut self, node: NodeId, now: SimTime) {
-        if let Some(previous) = self.last_heard.insert(node, now) {
-            self.heard_index.remove(&(previous, node));
+    /// Takes `node` off the recency list (a no-op when it is not on it).
+    fn clear_heard(&mut self, node: NodeId) {
+        let Some(entry) = self.nodes.get_mut(node) else {
+            return;
+        };
+        if entry.heard.take().is_none() {
+            return;
         }
-        self.heard_index.insert((now, node));
+        let (older, newer) = (entry.older.take(), entry.newer.take());
+        match older {
+            Some(o) => self.nodes.get_mut(o).expect("listed").newer = newer,
+            None => self.oldest = newer,
+        }
+        match newer {
+            Some(n) => self.nodes.get_mut(n).expect("listed").older = older,
+            None => self.newest = older,
+        }
     }
 
-    /// Forgets `node`'s liveness entirely (it is known dead).
-    fn clear_heard(&mut self, node: NodeId) {
-        if let Some(previous) = self.last_heard.remove(&node) {
-            self.heard_index.remove(&(previous, node));
+    /// Records that the registered `node` was heard from at `now`, moving
+    /// it to its place on the recency list. Receipt times arrive in clock
+    /// order, so that place is the newest end; an earlier `now`
+    /// ([`Self::handle_update`]'s `SimTime::ZERO`) walks back from there to
+    /// keep the list sorted.
+    fn set_heard(&mut self, node: NodeId, now: SimTime) {
+        self.clear_heard(node);
+        let mut older = self.newest;
+        while let Some(entry) = older.map(|o| &self.nodes[o]) {
+            if entry.heard <= Some(now) {
+                break;
+            }
+            older = entry.older;
         }
+        let newer = match older {
+            Some(o) => self.nodes.get_mut(o).expect("listed").newer.replace(node),
+            None => self.oldest.replace(node),
+        };
+        match newer {
+            Some(n) => self.nodes.get_mut(n).expect("listed").older = Some(node),
+            None => self.newest = Some(node),
+        }
+        let entry = self.nodes.get_mut(node).expect("registered");
+        (entry.heard, entry.older, entry.newer) = (Some(now), older, newer);
     }
 
     /// The GRM's current (possibly stale) view of a node.
     pub fn node_view(&self, node: NodeId) -> Option<(&NodeRegistration, &NodeStatus)> {
-        Some((self.nodes.get(&node)?, self.last_status.get(&node)?))
+        let entry = self.nodes.get(node)?;
+        Some((&entry.registration, &entry.status))
     }
 
     /// Registered node count.
@@ -474,19 +533,14 @@ impl GrmState {
             if self.cert_blacklist.contains(&node) {
                 continue;
             }
-            let Some(registration) = self.nodes.get(&node) else {
+            let Some(entry) = self.nodes.get(node) else {
                 continue;
             };
-            let status = self
-                .last_status
-                .get(&node)
-                .copied()
-                .unwrap_or_else(NodeStatus::unavailable);
             out.push(CandidateNode {
                 node,
-                host: registration.host,
-                status,
-                resources: registration.resources,
+                host: entry.registration.host,
+                status: entry.status,
+                resources: entry.registration.resources,
                 predicted_idle_prob: predictions.get(&node).copied(),
             });
         }
@@ -495,7 +549,7 @@ impl GrmState {
 
     /// The LRM reference for a node (negotiation target).
     pub fn lrm_of(&self, node: NodeId) -> Option<&Ior> {
-        self.nodes.get(&node).map(|r| &r.lrm)
+        self.nodes.get(node).map(|e| &e.registration.lrm)
     }
 
     /// The soft-state replica placement map (read side).
@@ -517,19 +571,15 @@ impl GrmState {
     pub fn choose_replicas(&self, executor: NodeId, k: usize) -> Vec<NodeId> {
         let mut exporting = Vec::new();
         let mut rest = Vec::new();
-        for node in self.nodes.keys() {
-            if *node == executor {
+        for entry in self.nodes.values() {
+            let node = entry.registration.node;
+            if node == executor {
                 continue;
             }
-            if self
-                .last_status
-                .get(node)
-                .map(|s| s.exporting)
-                .unwrap_or(false)
-            {
-                exporting.push(*node);
+            if entry.status.exporting {
+                exporting.push(node);
             } else {
-                rest.push(*node);
+                rest.push(node);
             }
         }
         exporting.extend(rest);
@@ -540,29 +590,26 @@ impl GrmState {
     /// Nodes that have gone silent: exporting at last word but not heard
     /// from since `now - silence`. The GRM treats them as crashed.
     ///
-    /// Walks the time-ordered `heard_index` oldest-first and stops at the
-    /// first node inside the silence window, so a quiet tick costs O(1)
-    /// and a tick that detects k crashes costs O(k log n) — the detector
-    /// never rescans the full population. Results are returned in node-id
-    /// order, matching the old full-scan implementation bit for bit.
+    /// Walks the recency list oldest-first and stops at the first node
+    /// inside the silence window, so a quiet tick costs O(1) and a tick that
+    /// detects k crashes costs O(k) — the detector never rescans the full
+    /// population. Results are returned in node-id order.
     pub fn silent_nodes(
         &self,
         now: SimTime,
         silence: integrade_simnet::time::SimDuration,
     ) -> Vec<NodeId> {
         let mut silent: Vec<NodeId> = Vec::new();
-        for &(heard, node) in &self.heard_index {
+        let mut next = self.oldest;
+        while let Some(entry) = next.map(|n| &self.nodes[n]) {
+            let heard = entry.heard.expect("listed nodes have a heard time");
             if now.duration_since(heard) <= silence {
                 break;
             }
-            if self
-                .last_status
-                .get(&node)
-                .map(|s| s.exporting || s.running_parts > 0)
-                .unwrap_or(false)
-            {
-                silent.push(node);
+            if entry.status.exporting || entry.status.running_parts > 0 {
+                silent.push(entry.registration.node);
             }
+            next = entry.newer;
         }
         silent.sort_unstable();
         silent
@@ -571,20 +618,24 @@ impl GrmState {
     /// Marks a node as known-dead: its offer becomes unavailable so the
     /// scheduler stops considering it until it reports again.
     pub fn mark_unavailable(&mut self, node: NodeId) {
-        if let Some(&offer) = self.offers.get(&node) {
-            let status = NodeStatus::unavailable();
-            let slots = self.status_slots();
-            let _ = self.trader.modify_values(offer, slots.updates(&status));
-            self.last_status.insert(node, status);
-            self.clear_heard(node);
-            // Declaring the node dead ends its update session: the next
-            // update it sends re-admits it regardless of sequence number.
-            // Without this, a corrupted frame that decoded to a plausible
-            // node id with a huge seq would poison the staleness gate and
-            // deafen the GRM to that node permanently — a gray failure the
-            // node itself can never observe or repair.
-            self.last_seq.remove(&node);
+        if self.nodes.get(node).is_none() {
+            return;
         }
+        let status = NodeStatus::unavailable();
+        let slots = self.status_slots();
+        let entry = self.nodes.get_mut(node).expect("checked above");
+        let _ = self
+            .trader
+            .modify_values(entry.offer, slots.updates(&status));
+        entry.status = status;
+        // Declaring the node dead ends its update session: the next
+        // update it sends re-admits it regardless of sequence number.
+        // Without this, a corrupted frame that decoded to a plausible
+        // node id with a huge seq would poison the staleness gate and
+        // deafen the GRM to that node permanently — a gray failure the
+        // node itself can never observe or repair.
+        entry.last_seq = 0;
+        self.clear_heard(node);
     }
 
     /// A node's current credibility score (0 when never credited).
@@ -634,7 +685,6 @@ impl GrmState {
     /// replica reports on post-restart status updates.
     pub fn crash(&mut self) {
         self.epoch += 1;
-        self.last_seq.clear();
         self.replicas.clear();
         self.pending_done.clear();
         self.pending_evictions.clear();
@@ -643,22 +693,23 @@ impl GrmState {
         // evidence the crash just destroyed; they restart from scratch.
         self.cert_credibility.clear();
         self.cert_blacklist.clear();
-        let nodes: Vec<NodeId> = self.nodes.keys().copied().collect();
-        for node in nodes {
+        for node in self.registered() {
             self.mark_unavailable(node);
         }
-        self.last_heard.clear();
-        self.heard_index.clear();
     }
 
     /// Completes a reboot at `now`: every registered node gets a fresh
     /// liveness grace period so the crash detector doesn't declare the
     /// whole cluster dead before the first post-restart updates arrive.
     pub fn restart(&mut self, now: SimTime) {
-        let nodes: Vec<NodeId> = self.nodes.keys().copied().collect();
-        for node in nodes {
+        for node in self.registered() {
             self.set_heard(node, now);
         }
+    }
+
+    /// Every registered node id, ascending.
+    fn registered(&self) -> Vec<NodeId> {
+        self.nodes.values().map(|e| e.registration.node).collect()
     }
 
     /// Aggregates this cluster's current view into the summary the
@@ -668,15 +719,15 @@ impl GrmState {
             nodes: self.nodes.len() as u32,
             ..Default::default()
         };
-        for (node, status) in &self.last_status {
-            if !status.exporting {
+        for entry in self.nodes.values() {
+            if !entry.status.exporting {
                 continue;
             }
             summary.exporting_nodes += 1;
-            if let Some(reg) = self.nodes.get(node) {
-                summary.max_cpu_mips = summary.max_cpu_mips.max(reg.resources.cpu_mips);
-            }
-            summary.max_free_ram_mb = summary.max_free_ram_mb.max(status.free_ram_mb);
+            summary.max_cpu_mips = summary
+                .max_cpu_mips
+                .max(entry.registration.resources.cpu_mips);
+            summary.max_free_ram_mb = summary.max_free_ram_mb.max(entry.status.free_ram_mb);
         }
         summary
     }
@@ -760,6 +811,7 @@ mod tests {
     use super::*;
     use crate::asct::JobRequirements;
     use integrade_orb::ior::{Endpoint, ObjectKey};
+    use integrade_simnet::time::SimDuration;
 
     fn registration(node: u32, mips: u64) -> NodeRegistration {
         NodeRegistration {
@@ -1171,5 +1223,180 @@ mod tests {
         assert_eq!(grm.update_stats().stale_discarded, 1);
         assert_eq!(grm.pending_done.len(), 1);
         assert_eq!(grm.pending_done[0].job, JobId(7));
+    }
+
+    #[test]
+    fn update_from_a_bit_flipped_node_id_is_counted_and_stores_nothing() {
+        // `NodeId(u32::MAX)` is what a corrupted frame can decode to: the
+        // lookup must miss without the table growing towards that index.
+        let mut grm = grm_with_nodes();
+        for node in [NodeId(u32::MAX), NodeId(4), NodeId(0)] {
+            grm.handle_update_at(
+                &StatusUpdate {
+                    node,
+                    seq: 1,
+                    status: exporting_status(0.3, 128),
+                    replicas: vec![],
+                    pending_done: vec![],
+                    pending_evicted: vec![],
+                    progress: vec![],
+                },
+                SimTime::from_secs(1),
+            );
+            assert!(grm.node_view(node).is_none());
+            assert!(grm.lrm_of(node).is_none());
+            grm.mark_unavailable(node);
+        }
+        assert_eq!(grm.update_stats().unknown_node, 3);
+        assert_eq!(grm.update_stats().accepted, 0);
+        assert_eq!(grm.node_count(), 3);
+        assert_eq!(grm.nodes.values().count(), 3);
+        assert!(grm
+            .silent_nodes(SimTime::from_secs(1_000), SimDuration::ZERO)
+            .is_empty());
+    }
+
+    /// The recency list is well formed: sorted by heard time, the same
+    /// walked from either end, and holding exactly the nodes with a heard
+    /// time.
+    fn assert_recency_list_is_sound(grm: &GrmState) {
+        let mut forward = Vec::new();
+        let mut next = grm.oldest;
+        while let Some(node) = next {
+            assert!(forward.len() < grm.node_count(), "cycle in the list");
+            forward.push(node);
+            next = grm.nodes[node].newer;
+        }
+        let mut backward = Vec::new();
+        let mut next = grm.newest;
+        while let Some(node) = next {
+            assert!(backward.len() < grm.node_count(), "cycle in the list");
+            backward.push(node);
+            next = grm.nodes[node].older;
+        }
+        backward.reverse();
+        assert_eq!(forward, backward);
+        let times: Vec<SimTime> = forward
+            .iter()
+            .map(|n| grm.nodes[*n].heard.expect("listed"))
+            .collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
+        let mut listed = forward;
+        listed.sort_unstable();
+        let heard: Vec<NodeId> = grm
+            .nodes
+            .values()
+            .filter(|e| e.heard.is_some())
+            .map(|e| e.registration.node)
+            .collect();
+        assert_eq!(listed, heard);
+    }
+
+    /// What the model remembers about one node.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct ModelNode {
+        heard: Option<SimTime>,
+        last_seq: u64,
+        watched: bool,
+    }
+
+    proptest::proptest! {
+        /// `silent_nodes` off the recency list equals a full scan of a
+        /// per-node model, whatever the interleaving of updates (in clock
+        /// order, out of order, stale), death notices, crashes and restarts.
+        #[test]
+        fn silent_nodes_matches_a_full_scan(ops in proptest::collection::vec(
+            (0u8..10, 0u32..6, 0u64..40_000_000, 0u8..4, 0u8..5),
+            1..120,
+        )) {
+            use proptest::prelude::*;
+            const NODES: u32 = 6;
+            let mut grm = GrmState::new(3);
+            for node in 0..NODES {
+                grm.register_node(registration(node, 500));
+            }
+            let mut model = [ModelNode::default(); NODES as usize];
+            let mut clock = SimTime::ZERO;
+            let (mut accepted, mut stale) = (0u64, 0u64);
+            for (kind, node, micros, seq_step, shape) in ops {
+                clock += SimDuration::from_micros(micros);
+                let m = &mut model[node as usize];
+                match kind {
+                    // Updates: mostly at the clock, some from the past (a
+                    // delayed frame, or `handle_update`'s time zero), some
+                    // with a sequence number already seen.
+                    0..=6 => {
+                        let at = match kind {
+                            0..=3 => clock,
+                            4 => SimTime::from_micros(clock.as_micros().saturating_sub(micros * 3)),
+                            5 => SimTime::from_micros(clock.as_micros() / 2),
+                            _ => SimTime::ZERO,
+                        };
+                        let seq = (m.last_seq + u64::from(seq_step)).max(1) - u64::from(seq_step == 0);
+                        let status = NodeStatus {
+                            exporting: shape != 0,
+                            running_parts: u32::from(shape == 4),
+                            ..exporting_status(0.3, 128)
+                        };
+                        let update = StatusUpdate {
+                            node: NodeId(node),
+                            seq,
+                            status,
+                            replicas: vec![],
+                            pending_done: vec![],
+                            pending_evicted: vec![],
+                            progress: vec![],
+                        };
+                        if kind == 6 {
+                            grm.handle_update(&update);
+                        } else {
+                            grm.handle_update_at(&update, at);
+                        }
+                        if seq > m.last_seq {
+                            *m = ModelNode {
+                                heard: Some(at),
+                                last_seq: seq,
+                                watched: status.exporting || status.running_parts > 0,
+                            };
+                            accepted += 1;
+                        } else {
+                            stale += 1;
+                        }
+                    }
+                    7 => {
+                        grm.mark_unavailable(NodeId(node));
+                        *m = ModelNode::default();
+                    }
+                    8 => {
+                        grm.crash();
+                        model = [ModelNode::default(); NODES as usize];
+                    }
+                    _ => {
+                        grm.restart(clock);
+                        for m in &mut model {
+                            m.heard = Some(clock);
+                        }
+                    }
+                }
+                assert_recency_list_is_sound(&grm);
+                prop_assert_eq!(grm.update_stats().accepted, accepted);
+                prop_assert_eq!(grm.update_stats().stale_discarded, stale);
+                for ahead in [0u64, 45, 600] {
+                    for silence in [0u64, 30, 120] {
+                        let now = clock + SimDuration::from_secs(ahead);
+                        let silence = SimDuration::from_secs(silence);
+                        let scan: Vec<NodeId> = (0..NODES)
+                            .filter(|n| {
+                                let m = model[*n as usize];
+                                m.watched
+                                    && m.heard.is_some_and(|t| now.duration_since(t) > silence)
+                            })
+                            .map(NodeId)
+                            .collect();
+                        prop_assert_eq!(grm.silent_nodes(now, silence), scan);
+                    }
+                }
+            }
+        }
     }
 }

@@ -138,7 +138,6 @@ pub struct GridObs {
     orb_replies_received: Counter,
     orb_requests_dispatched: Counter,
     queue_peak_heap_depth: Gauge,
-    queue_compactions: Counter,
     queue_wheel_scheduled: Counter,
     queue_heap_scheduled: Counter,
 }
@@ -209,7 +208,6 @@ impl GridObs {
             orb_replies_received: registry.counter("orb_replies_received"),
             orb_requests_dispatched: registry.counter("orb_requests_dispatched"),
             queue_peak_heap_depth: registry.gauge("event_queue_peak_heap_depth"),
-            queue_compactions: registry.counter("event_queue_compactions"),
             queue_wheel_scheduled: registry.counter("event_queue_wheel_scheduled"),
             queue_heap_scheduled: registry.counter("event_queue_heap_scheduled"),
             spans: SpanRecorder::new(),
@@ -259,7 +257,6 @@ impl GridObs {
         self.orb_requests_dispatched
             .set_total(orb.requests_dispatched);
         self.queue_peak_heap_depth.set(queue.peak_heap_depth as f64);
-        self.queue_compactions.set_total(queue.compactions);
         self.queue_wheel_scheduled.set_total(queue.wheel_scheduled);
         self.queue_heap_scheduled.set_total(queue.heap_scheduled);
     }

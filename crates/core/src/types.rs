@@ -1,6 +1,7 @@
 //! Core identifier and resource-description types.
 
 use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use integrade_simnet::idmap::DenseId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -11,6 +12,12 @@ pub struct NodeId(pub u32);
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "node{}", self.0)
+    }
+}
+
+impl DenseId for NodeId {
+    fn index(self) -> usize {
+        self.0 as usize
     }
 }
 

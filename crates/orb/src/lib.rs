@@ -50,6 +50,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod any;

@@ -38,6 +38,7 @@ use crate::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
 use crate::constraint::{self, Expr, ParseError, SlotExpr, SlotId};
 use crate::ior::Ior;
 use crate::servant::{Servant, ServerException};
+use integrade_simnet::idmap::{DenseId, IdMap};
 use integrade_simnet::rng::DetRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -49,6 +50,12 @@ use std::rc::Rc;
 /// Handle to an exported offer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct OfferId(pub u64);
+
+impl DenseId for OfferId {
+    fn index(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
 
 impl fmt::Display for OfferId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -484,7 +491,7 @@ struct OfferRecord {
 /// ```
 #[derive(Debug)]
 pub struct Trader {
-    offers: BTreeMap<OfferId, OfferRecord>,
+    offers: IdMap<OfferId, OfferRecord>,
     next_id: u64,
     rng: DetRng,
     queries: u64,
@@ -505,7 +512,7 @@ impl Trader {
     /// Creates a trader; `seed` drives the `random` preference ordering.
     pub fn new(seed: u64) -> Self {
         Trader {
-            offers: BTreeMap::new(),
+            offers: IdMap::new(),
             next_id: 1,
             rng: DetRng::with_stream(seed, 0x7261_6465 /* "rade" */),
             queries: 0,
@@ -630,7 +637,7 @@ impl Trader {
     pub fn withdraw(&mut self, id: OfferId) -> Result<ServiceOffer, TraderError> {
         let rec = self
             .offers
-            .remove(&id)
+            .remove(id)
             .ok_or(TraderError::UnknownOffer(id))?;
         self.unindex_slots(rec.type_id, id, &rec.slots);
         if let Some(bucket) = self.by_type.get_mut(&rec.type_id) {
@@ -656,7 +663,7 @@ impl Trader {
         // mutably while rebuilding it.
         let mut rec = self
             .offers
-            .remove(&id)
+            .remove(id)
             .ok_or(TraderError::UnknownOffer(id))?;
         self.unindex_slots(rec.type_id, id, &rec.slots);
         rec.slots.clear();
@@ -705,7 +712,7 @@ impl Trader {
             prop_names,
             ..
         } = self;
-        let rec = offers.get_mut(&id).ok_or(TraderError::UnknownOffer(id))?;
+        let rec = offers.get_mut(id).ok_or(TraderError::UnknownOffer(id))?;
         for (slot, value) in updates {
             let si = slot.0 as usize;
             assert!(
@@ -759,7 +766,7 @@ impl Trader {
 
     /// Looks up one offer.
     pub fn offer(&self, id: OfferId) -> Option<&ServiceOffer> {
-        self.offers.get(&id).map(|rec| &rec.offer)
+        self.offers.get(id).map(|rec| &rec.offer)
     }
 
     /// Number of live offers.
@@ -877,7 +884,7 @@ impl Trader {
             PlanPreference::First => matched
                 .into_iter()
                 .take(max_offers)
-                .map(|id| self.offers[&id].offer.clone())
+                .map(|id| self.offers[id].offer.clone())
                 .collect(),
             PlanPreference::Random => {
                 // Shuffle the full match list (not just the returned
@@ -887,7 +894,7 @@ impl Trader {
                 self.rng.shuffle(&mut ids);
                 ids.into_iter()
                     .take(max_offers)
-                    .map(|id| self.offers[&id].offer.clone())
+                    .map(|id| self.offers[id].offer.clone())
                     .collect()
             }
             PlanPreference::Max(expr) | PlanPreference::Min(expr) => {
@@ -961,14 +968,14 @@ impl Trader {
         match candidates {
             Some(ids) => {
                 for id in ids {
-                    if push(id, &self.offers[&id]) {
+                    if push(id, &self.offers[id]) {
                         break;
                     }
                 }
             }
             None => {
                 for &id in bucket {
-                    if push(id, &self.offers[&id]) {
+                    if push(id, &self.offers[id]) {
                         break;
                     }
                 }
@@ -1020,7 +1027,7 @@ impl Trader {
             let Some(&(gkey, _)) = next else { break };
             group = Some(gkey);
             for &(_, id) in index.range((gkey, OfferId(0))..=(gkey, OfferId(u64::MAX))) {
-                let rec = &self.offers[&id];
+                let rec = &self.offers[id];
                 if matches!(
                     rec.slots.get(slot.0 as usize),
                     Some(Some(AnyValue::Bool(_)))
@@ -1040,7 +1047,7 @@ impl Trader {
         // reference rank order — no sort needed.
         let mut out: Vec<ServiceOffer> = hits
             .into_iter()
-            .map(|id| self.offers[&id].offer.clone())
+            .map(|id| self.offers[id].offer.clone())
             .collect();
 
         if out.len() < k {
@@ -1053,7 +1060,7 @@ impl Trader {
                 if out.len() >= k {
                     break;
                 }
-                let rec = &self.offers[&id];
+                let rec = &self.offers[id];
                 let indexed = rec
                     .slots
                     .get(slot.0 as usize)
@@ -1083,7 +1090,7 @@ impl Trader {
         // Max-heap of the k smallest ranks: the root is the current worst.
         let mut heap: BinaryHeap<Rank> = BinaryHeap::with_capacity(k + 1);
         for &id in matched {
-            let rec = &self.offers[&id];
+            let rec = &self.offers[id];
             let key = constraint::eval_slots(expr, &rec.slots)
                 .ok()
                 .and_then(|v| v.as_f64());
@@ -1109,7 +1116,7 @@ impl Trader {
         ranks.sort_unstable();
         ranks
             .into_iter()
-            .map(|rank| self.offers[&rank.id].offer.clone())
+            .map(|rank| self.offers[rank.id].offer.clone())
             .collect()
     }
 
@@ -1142,7 +1149,7 @@ impl Trader {
             .collect();
 
         match &preference {
-            Preference::First => {} // BTreeMap iteration = export order by id
+            Preference::First => {} // table iteration = export order by id
             Preference::Random => {
                 let mut owned: Vec<&ServiceOffer> = std::mem::take(&mut matched);
                 self.rng.shuffle(&mut owned);

@@ -1,33 +1,41 @@
 //! Discrete-event scheduling core.
 //!
 //! [`EventQueue`] is a priority queue of timestamped events with stable FIFO
-//! ordering among events scheduled for the same instant, plus O(1)
-//! cancellation. [`World`] is the handler trait a simulation model
-//! implements; [`run_until`] / [`run_to_completion`] drive the loop.
+//! ordering among events scheduled for the same instant. [`World`] is the
+//! handler trait a simulation model implements; [`run_until`] /
+//! [`run_to_completion`] drive the loop.
 //!
-//! Internally the queue is a hybrid of three structures tuned for the
+//! Internally the queue is a hybrid of four structures tuned for the
 //! simulator's dominant workload (periodic ticks and retransmission timers a
 //! few seconds to minutes out):
 //!
 //! - a **timer wheel** of [`WHEEL_SLOTS`] one-second buckets covering the
 //!   window `[cursor, cursor + WHEEL_SLOTS)` seconds — O(1) insertion for the
 //!   common near-future case;
-//! - a sorted **due list** holding the bucket currently being drained
-//!   (entries strictly before the cursor second);
-//! - a **binary heap** for far-future entries beyond the wheel window.
+//! - the **due list**: the bucket currently being drained, sorted once when
+//!   it is claimed (latest first) and popped from the back;
+//! - a small **late heap** for schedules that land behind the cursor, in a
+//!   second whose bucket was already claimed (a handler scheduling a few
+//!   hundred microseconds ahead);
+//! - a **far heap** for entries beyond the wheel window.
 //!
 //! Entries never migrate between structures: the wheel bucket for second `s`
 //! only ever holds entries for exactly that second (buckets are one second
 //! wide, so bucket order implies time order), and the pop path takes the
-//! minimum of the due-list front and the heap top, so far-future heap entries
-//! interleave correctly even after the cursor passes them. Cancellation
-//! removes the id from the live set immediately and leaves a tombstone that
-//! is dropped when the entry surfaces; when tombstones outnumber live
-//! entries the queue compacts them away eagerly.
+//! minimum of the due-list back and the two heap tops, so far-future entries
+//! interleave correctly even after the cursor passes them. `(time, seq)` is
+//! a total order, so which structure an entry waits in never shows in the
+//! pop order.
+//!
+//! There is no cancellation: a timer whose purpose has lapsed fires and
+//! finds nothing to do (the grid's request timeouts look their request up
+//! and return when it has been answered), which costs one pop instead of a
+//! liveness lookup on every schedule and every pop.
 
 use crate::time::{SimDuration, SimTime};
+use integrade_obs::profile::{Phase, Profiler};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Width of the timer wheel, in one-second buckets. Covers ~17 simulated
@@ -37,22 +45,23 @@ pub const WHEEL_SLOTS: usize = 1024;
 
 const MICROS_PER_SEC: u64 = 1_000_000;
 
-/// Handle identifying a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    id: EventId,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 // Ordering: earliest time first, then insertion order (stable ties).
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -63,27 +72,36 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
 /// Occupancy and maintenance counters of an [`EventQueue`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// High-water mark of the queue's *overflow heaps*: the maximum combined
-    /// occupancy of the due heap (the bucket being drained, plus sub-second
-    /// schedules landing behind the cursor) and the far-future heap (entries
-    /// beyond the wheel window). Entries absorbed by the O(1) wheel buckets
-    /// are not counted. Any run that pops at least one event refills the due
-    /// heap, so this is nonzero for every non-trivial simulation — a zero
-    /// here means the queue was never exercised.
+    /// High-water mark of everything outside the wheel: the maximum combined
+    /// occupancy of the due list (the bucket being drained), the late heap
+    /// (sub-second schedules landing behind the cursor) and the far heap
+    /// (entries beyond the wheel window). Entries waiting in the O(1) wheel
+    /// buckets are not counted. Any run that pops at least one event claims
+    /// a bucket, so this is nonzero for every non-trivial simulation — a
+    /// zero here means the queue was never exercised.
     pub peak_heap_depth: usize,
-    /// Tombstone compaction passes performed.
+    /// Always 0: the queue has no cancellation and so nothing to compact.
+    /// The field stays because the benchmark record names it.
     pub compactions: u64,
     /// Schedules that landed in a timer-wheel bucket (O(1) path).
     pub wheel_scheduled: u64,
     /// Schedules that fell through to the far-future heap.
     pub heap_scheduled: u64,
+}
+
+/// Which structure holds the next event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Front {
+    Due,
+    Late,
+    Far,
 }
 
 /// A timestamped event queue with a monotone virtual clock.
@@ -109,21 +127,19 @@ pub struct EventQueue<E> {
     wheel: Vec<Vec<Entry<E>>>,
     /// Total entries across all wheel buckets.
     wheel_count: usize,
-    /// All due-list entries are in seconds `< cursor_sec`; all wheel entries
-    /// are in `[cursor_sec, cursor_sec + WHEEL_SLOTS)`.
+    /// All due-list and late-heap entries are in seconds `< cursor_sec`; all
+    /// wheel entries are in `[cursor_sec, cursor_sec + WHEEL_SLOTS)`.
     cursor_sec: u64,
-    /// The bucket being drained, a min-heap on `(time, seq)` — sub-second
-    /// schedules land here after their second's bucket was claimed, and a
-    /// heap keeps that insert O(log m) instead of a sorted-list memmove.
-    due: BinaryHeap<Reverse<Entry<E>>>,
+    /// The claimed bucket, sorted by `(time, seq)` descending: the next
+    /// event is the last element.
+    due: Vec<Entry<E>>,
+    /// Schedules into a second whose bucket was already claimed, a min-heap
+    /// on `(time, seq)`. Typically a handful of entries deep.
+    late: BinaryHeap<Reverse<Entry<E>>>,
     /// Far-future entries (beyond the wheel window at schedule time).
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Ids of entries scheduled and neither fired nor cancelled.
-    live: HashSet<EventId>,
-    /// Cancelled ids whose entries are still buried in a structure.
-    cancelled: HashSet<EventId>,
-    next_seq: u64,
     now: SimTime,
+    /// Doubles as the next entry's `seq`.
     scheduled_total: u64,
     fired_total: u64,
     stats: QueueStats,
@@ -133,10 +149,10 @@ impl<E: fmt::Debug> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.live.len())
-            .field("tombstones", &self.cancelled.len())
+            .field("pending", &self.len())
             .field("wheel_count", &self.wheel_count)
             .field("due", &self.due.len())
+            .field("late", &self.late.len())
             .field("heap", &self.heap.len())
             .field("cursor_sec", &self.cursor_sec)
             .finish()
@@ -156,11 +172,9 @@ impl<E> EventQueue<E> {
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             wheel_count: 0,
             cursor_sec: 0,
-            due: BinaryHeap::new(),
+            due: Vec::new(),
+            late: BinaryHeap::new(),
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
             fired_total: 0,
@@ -173,39 +187,42 @@ impl<E> EventQueue<E> {
         self.now
     }
 
+    /// True when nothing waits behind the cursor (due list and late heap).
+    fn behind_cursor_is_empty(&self) -> bool {
+        self.due.is_empty() && self.late.is_empty()
+    }
+
     /// Schedules `payload` at the absolute instant `time`.
     ///
     /// # Panics
     ///
     /// Panics if `time` is in the past (before [`EventQueue::now`]).
-    pub fn schedule_at(&mut self, time: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, payload: E) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < now {}",
             self.now
         );
-        // With the wheel and due list both empty the window start is
-        // unconstrained: snap it forward to `now` so near-future schedules
-        // keep hitting the O(1) wheel path after heap-driven time jumps.
-        if self.wheel_count == 0 && self.due.is_empty() {
+        // With nothing in the wheel or behind the cursor the window start
+        // is unconstrained: snap it forward to `now` so near-future
+        // schedules keep hitting the O(1) wheel path after heap-driven
+        // time jumps.
+        if self.wheel_count == 0 && self.behind_cursor_is_empty() {
             let now_sec = self.now.as_micros() / MICROS_PER_SEC;
             if now_sec > self.cursor_sec {
                 self.cursor_sec = now_sec;
             }
         }
-        let id = EventId(self.next_seq);
         let entry = Entry {
             time,
-            seq: self.next_seq,
-            id,
+            seq: self.scheduled_total,
             payload,
         };
+        self.scheduled_total += 1;
         let t_sec = time.as_micros() / MICROS_PER_SEC;
         if t_sec < self.cursor_sec {
-            // The bucket for this second was already drained: push onto the
-            // due heap. `(time, seq)` is a total order, so ties still fire
-            // in insertion order.
-            self.due.push(Reverse(entry));
+            // The bucket for this second was already claimed.
+            self.late.push(Reverse(entry));
             self.note_heap_occupancy();
         } else if t_sec < self.cursor_sec + WHEEL_SLOTS as u64 {
             self.wheel[(t_sec % WHEEL_SLOTS as u64) as usize].push(entry);
@@ -216,72 +233,39 @@ impl<E> EventQueue<E> {
             self.stats.heap_scheduled += 1;
             self.note_heap_occupancy();
         }
-        self.live.insert(id);
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        id
     }
 
     /// Schedules `payload` after the relative delay `delay`.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
         self.schedule_at(self.now + delay, payload)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending. Cancelling an already-fired or unknown id is a no-op
-    /// (and returns `false`).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.live.remove(&id) {
-            return false;
-        }
-        self.cancelled.insert(id);
-        // Tombstones are dropped lazily when their entry surfaces; if they
-        // ever outnumber live entries, sweep them out eagerly so the
-        // structures cannot fill up with dead weight.
-        if self.cancelled.len() >= 64 && self.cancelled.len() > self.live.len() {
-            self.compact();
-        }
-        true
-    }
-
-    /// Rebuilds every structure retaining only live entries, emptying the
-    /// tombstone set.
-    fn compact(&mut self) {
-        let cancelled = std::mem::take(&mut self.cancelled);
-        self.due.retain(|Reverse(e)| !cancelled.contains(&e.id));
-        for bucket in &mut self.wheel {
-            bucket.retain(|e| !cancelled.contains(&e.id));
-        }
-        self.wheel_count = self.wheel.iter().map(Vec::len).sum();
-        let retained: Vec<Reverse<Entry<E>>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|Reverse(e)| !cancelled.contains(&e.id))
-            .collect();
-        self.heap = BinaryHeap::from(retained);
-        self.stats.compactions += 1;
-    }
-
-    /// Records the current combined overflow-heap occupancy into the
+    /// Records the current occupancy outside the wheel into the
     /// [`QueueStats::peak_heap_depth`] high-water mark. Called at every
-    /// point that grows either heap (direct pushes and bucket refills).
+    /// point that grows it (heap pushes and bucket claims).
     fn note_heap_occupancy(&mut self) {
-        let depth = self.due.len() + self.heap.len();
+        let depth = self.due.len() + self.late.len() + self.heap.len();
         if depth > self.stats.peak_heap_depth {
             self.stats.peak_heap_depth = depth;
         }
     }
 
-    /// Moves the earliest non-empty wheel bucket into the due list and
-    /// advances the cursor past it. Caller ensures the due list is empty.
+    /// Claims the earliest non-empty wheel bucket as the due list and
+    /// advances the cursor past it. Caller ensures nothing is left behind
+    /// the cursor.
     fn refill_due(&mut self) {
-        debug_assert!(self.due.is_empty());
+        debug_assert!(self.behind_cursor_is_empty());
         for offset in 0..WHEEL_SLOTS as u64 {
             let sec = self.cursor_sec + offset;
             let bucket = (sec % WHEEL_SLOTS as u64) as usize;
             if !self.wheel[bucket].is_empty() {
-                let entries = std::mem::take(&mut self.wheel[bucket]);
-                self.wheel_count -= entries.len();
-                self.due.extend(entries.into_iter().map(Reverse));
+                // Take the bucket rather than swapping it with the drained
+                // list: a swap would leave every bucket holding a
+                // full-sized allocation for the rest of the run.
+                self.due = std::mem::take(&mut self.wheel[bucket]);
+                self.wheel_count -= self.due.len();
+                // Keys are unique, so an unstable sort is a total one.
+                self.due.sort_unstable_by(|a, b| b.cmp(a));
                 self.note_heap_occupancy();
                 self.cursor_sec = sec + 1;
                 return;
@@ -290,79 +274,62 @@ impl<E> EventQueue<E> {
         debug_assert_eq!(self.wheel_count, 0, "wheel count out of sync");
     }
 
-    /// True when the globally minimal entry sits in the due list (as opposed
-    /// to the heap). `None` when no entries remain anywhere.
-    fn front_is_due(&mut self) -> Option<bool> {
-        if self.due.is_empty() && self.wheel_count > 0 {
+    /// Locates the globally minimal entry: which structure holds it, and its
+    /// time. `None` when no entries remain anywhere.
+    fn front(&mut self) -> Option<(SimTime, Front)> {
+        if self.behind_cursor_is_empty() && self.wheel_count > 0 {
             self.refill_due();
         }
         // Remaining wheel entries are in seconds >= cursor, strictly after
-        // everything in the due list, so the global minimum is the smaller
-        // of the due front and the heap top.
-        let due_key = self.due.peek().map(|Reverse(e)| (e.time, e.seq));
-        let heap_key = self.heap.peek().map(|Reverse(e)| (e.time, e.seq));
-        match (due_key, heap_key) {
-            (None, None) => None,
-            (Some(_), None) => Some(true),
-            (None, Some(_)) => Some(false),
-            (Some(d), Some(h)) => Some(d < h),
-        }
+        // everything behind it, so the global minimum is the smallest of
+        // the due-list back and the two heap tops.
+        let due = self.due.last().map(|e| (e.key(), Front::Due));
+        let late = self.late.peek().map(|Reverse(e)| (e.key(), Front::Late));
+        let far = self.heap.peek().map(|Reverse(e)| (e.key(), Front::Far));
+        [due, late, far]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|((time, _), front)| (time, front))
     }
 
-    /// Drops cancelled entries from the front until the minimum is live.
-    fn purge_front(&mut self) {
-        while let Some(from_due) = self.front_is_due() {
-            let id = if from_due {
-                self.due.peek().expect("due front exists").0.id
-            } else {
-                self.heap.peek().expect("heap top exists").0.id
-            };
-            if !self.cancelled.remove(&id) {
-                return;
-            }
-            if from_due {
-                self.due.pop();
-            } else {
-                self.heap.pop();
-            }
+    /// Pops the next event if it is due at or before `horizon`, advancing
+    /// the clock to its time; leaves the queue untouched otherwise.
+    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        let (time, front) = self.front()?;
+        if time > horizon {
+            return None;
         }
-    }
-
-    /// Pops the next non-cancelled event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.purge_front();
-        let from_due = self.front_is_due()?;
-        let entry = if from_due {
-            self.due.pop().expect("due front exists").0
-        } else {
-            self.heap.pop().expect("heap top exists").0
-        };
+        let entry = match front {
+            Front::Due => self.due.pop(),
+            Front::Late => self.late.pop().map(|Reverse(e)| e),
+            Front::Far => self.heap.pop().map(|Reverse(e)| e),
+        }
+        .expect("front() located this entry");
         debug_assert!(entry.time >= self.now);
-        self.live.remove(&entry.id);
         self.now = entry.time;
         self.fired_total += 1;
         Some((entry.time, entry.payload))
     }
 
+    /// Pops the next event, advancing the clock to its time.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_at_or_before(SimTime::MAX)
+    }
+
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.purge_front();
-        let from_due = self.front_is_due()?;
-        Some(if from_due {
-            self.due.peek().expect("due front exists").0.time
-        } else {
-            self.heap.peek().expect("heap top exists").0.time
-        })
+        self.front().map(|(time, _)| time)
     }
 
-    /// Number of pending (scheduled, not yet fired or cancelled) events.
+    /// Number of pending (scheduled, not yet fired) events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        (self.scheduled_total - self.fired_total) as usize
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled.
@@ -370,7 +337,7 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
-    /// Total number of events fired (popped and not cancelled).
+    /// Total number of events fired.
     pub fn fired_total(&self) -> u64 {
         self.fired_total
     }
@@ -425,40 +392,21 @@ pub fn run_until<W: World>(
     horizon: SimTime,
     max_steps: u64,
 ) -> (RunOutcome, u64) {
-    let mut steps = 0;
-    loop {
-        if steps >= max_steps {
-            return (RunOutcome::StepBudgetExhausted, steps);
-        }
-        match queue.peek_time() {
-            None => return (RunOutcome::Drained, steps),
-            Some(t) if t > horizon => return (RunOutcome::HorizonReached, steps),
-            Some(_) => {
-                let (now, ev) = queue.pop().expect("peeked event must pop");
-                world.handle(now, ev, queue);
-                steps += 1;
-            }
-        }
-    }
+    run_until_profiled(world, queue, horizon, max_steps, &Profiler::new())
 }
 
-/// Like [`run_until`], but attributes wall time to the two halves of the
-/// hot loop — queue operations ([`Phase::QueuePop`]) and world dispatch
+/// [`run_until`], attributing wall time to the two halves of the hot loop —
+/// queue operations ([`Phase::QueuePop`]) and world dispatch
 /// ([`Phase::Dispatch`]) — through the given profiler. Without the
 /// observability crate's `profile` feature the guards are zero-sized
-/// no-ops, so this is the same loop at the same cost; the grid routes
-/// every run through it unconditionally.
-///
-/// [`Phase::QueuePop`]: integrade_obs::profile::Phase::QueuePop
-/// [`Phase::Dispatch`]: integrade_obs::profile::Phase::Dispatch
+/// no-ops, which is why this is the only loop body there is.
 pub fn run_until_profiled<W: World>(
     world: &mut W,
     queue: &mut EventQueue<W::Event>,
     horizon: SimTime,
     max_steps: u64,
-    profiler: &integrade_obs::profile::Profiler,
+    profiler: &Profiler,
 ) -> (RunOutcome, u64) {
-    use integrade_obs::profile::Phase;
     let mut steps = 0;
     loop {
         if steps >= max_steps {
@@ -466,13 +414,16 @@ pub fn run_until_profiled<W: World>(
         }
         let popped = {
             let _pop = profiler.enter(Phase::QueuePop);
-            match queue.peek_time() {
-                None => return (RunOutcome::Drained, steps),
-                Some(t) if t > horizon => return (RunOutcome::HorizonReached, steps),
-                Some(_) => queue.pop().expect("peeked event must pop"),
-            }
+            queue.pop_at_or_before(horizon)
         };
-        let (now, ev) = popped;
+        let Some((now, ev)) = popped else {
+            let outcome = if queue.is_empty() {
+                RunOutcome::Drained
+            } else {
+                RunOutcome::HorizonReached
+            };
+            return (outcome, steps);
+        };
         {
             let _dispatch = profiler.enter(Phase::Dispatch);
             world.handle(now, ev, queue);
@@ -564,81 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_event() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), "a");
-        q.schedule_at(SimTime::from_secs(2), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_noop() {
-        let mut q = EventQueue::<u8>::new();
-        assert!(!q.cancel(EventId(99)));
-    }
-
-    #[test]
-    fn cancel_after_fire_returns_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), ());
-        assert_eq!(q.pop().map(|(t, ())| t), Some(SimTime::from_secs(1)));
-        assert!(!q.cancel(a), "cancelling a fired event must report false");
-        assert!(q.cancelled.is_empty(), "no tombstone for a fired event");
-    }
-
-    #[test]
-    fn drain_leaves_no_tombstones() {
-        // Regression: cancelling used to leave the id in the tombstone set
-        // forever when the entry had already been popped.
-        let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        for i in 0..20u32 {
-            ids.push(q.schedule_at(SimTime::from_secs(u64::from(i)), i));
-        }
-        for id in ids.iter().step_by(3) {
-            assert!(q.cancel(*id));
-        }
-        while q.pop().is_some() {}
-        assert!(q.cancelled.is_empty(), "drain must clear every tombstone");
-        assert!(q.live.is_empty());
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-        // Cancelling after the drain adds nothing back.
-        for id in ids {
-            assert!(!q.cancel(id));
-        }
-        assert!(q.cancelled.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), 1);
-        q.schedule_at(SimTime::from_secs(2), 2);
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn mass_cancellation_triggers_compaction() {
-        let mut q = EventQueue::new();
-        let ids: Vec<EventId> = (0..200u64)
-            .map(|i| q.schedule_at(SimTime::from_secs(i), i))
-            .collect();
-        for id in &ids[..150] {
-            q.cancel(*id);
-        }
-        assert!(q.stats().compactions >= 1, "{:?}", q.stats());
-        assert!(q.cancelled.len() < 64, "compaction empties tombstones");
-        assert_eq!(q.len(), 50);
-        let survivors: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(survivors, (150..200).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn stats_track_wheel_and_heap_placement() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(5), ()); // wheel
@@ -649,27 +525,28 @@ mod tests {
         assert_eq!(stats.peak_heap_depth, 1);
     }
 
-    /// The high-water mark covers the *due* heap too: a drained bucket's
-    /// entries and late sub-second schedules are overflow-heap occupancy
-    /// even when the far-future heap never sees a single entry.
+    /// The high-water mark covers the claimed bucket and late arrivals too:
+    /// both are occupancy outside the wheel even when the far-future heap
+    /// never sees a single entry.
     #[test]
-    fn peak_depth_counts_due_heap_occupancy() {
+    fn peak_depth_counts_due_list_and_late_heap_occupancy() {
         let mut q = EventQueue::new();
         for i in 0..10u32 {
             q.schedule_at(SimTime::from_millis(500 + u64::from(i)), i);
         }
-        // All ten land in wheel bucket 0; the first pop refills the due
-        // heap with the whole bucket.
-        assert_eq!(q.stats().peak_heap_depth, 0, "nothing drained yet");
+        // All ten land in wheel bucket 0; the first pop claims the whole
+        // bucket as the due list.
+        assert_eq!(q.stats().peak_heap_depth, 0, "nothing claimed yet");
         assert!(q.pop().is_some());
         assert_eq!(q.stats().peak_heap_depth, 10, "{:?}", q.stats());
-        // A sub-second schedule behind the cursor lands in the due heap and
-        // raises the mark past the refill size.
+        // A sub-second schedule behind the cursor lands in the late heap
+        // and raises the mark past the bucket size.
         q.schedule_at(SimTime::from_millis(700), 99);
         assert_eq!(q.stats().peak_heap_depth, 10, "9 left + 1 late = 10");
         q.schedule_at(SimTime::from_millis(800), 100);
         assert_eq!(q.stats().peak_heap_depth, 11, "{:?}", q.stats());
         assert_eq!(q.stats().heap_scheduled, 0, "far-future heap untouched");
+        assert_eq!(q.stats().compactions, 0);
     }
 
     #[test]
@@ -737,12 +614,41 @@ mod tests {
     #[test]
     fn counters_track_activity() {
         let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), ());
+        q.schedule_at(SimTime::from_secs(1), ());
         q.schedule_at(SimTime::from_secs(2), ());
-        q.cancel(a);
-        while q.pop().is_some() {}
+        assert_eq!((q.len(), q.is_empty()), (2, false));
+        assert!(q.pop().is_some());
         assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.fired_total(), 1);
+        assert_eq!(q.len(), 1);
+        assert!(q.pop().is_some());
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_at_or_before_stops_at_the_horizon_without_side_effects() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(5), 'a');
+        q.schedule_at(SimTime::from_secs(9), 'b');
+        assert_eq!(q.pop_at_or_before(SimTime::from_secs(4)), None);
+        assert_eq!((q.now(), q.len(), q.fired_total()), (SimTime::ZERO, 2, 0));
+        // The horizon is inclusive.
+        assert_eq!(
+            q.pop_at_or_before(SimTime::from_secs(5)),
+            Some((SimTime::from_secs(5), 'a'))
+        );
+        assert_eq!(q.pop_at_or_before(SimTime::from_secs(8)), None);
+        assert_eq!(
+            q.now(),
+            SimTime::from_secs(5),
+            "a refused pop moves no clock"
+        );
+        // A refused pop may have claimed the bucket; later schedules into
+        // that second must still come out in order.
+        q.schedule_at(SimTime::from_micros(9_000_000), 'c');
+        q.schedule_at(SimTime::from_micros(8_999_999), 'd');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['d', 'b', 'c']);
     }
 
     #[test]
@@ -757,8 +663,8 @@ mod tests {
 
     #[test]
     fn late_schedule_into_drained_second_stays_ordered() {
-        // Scheduling at `now` after the bucket for that second was drained
-        // exercises the sorted due-list insertion path.
+        // Scheduling into a second whose bucket was already claimed goes
+        // through the late heap and must interleave with the due list.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_micros(1_000_100), 1u32);
         q.schedule_at(SimTime::from_micros(1_000_300), 3u32);
@@ -768,5 +674,112 @@ mod tests {
         q.schedule_at(SimTime::from_micros(1_000_400), 4u32);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![2, 20, 3, 4]);
+    }
+    /// One step of the model-based test; delays are microseconds from `now`.
+    #[derive(Debug, Clone)]
+    enum Op {
+        At(u64),
+        After(u64),
+        Pop,
+        PopAtOrBefore(u64),
+    }
+
+    fn delay() -> impl proptest::strategy::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        let window = WHEEL_SLOTS as u64 * MICROS_PER_SEC;
+        prop_oneof![
+            // The same instant as the event being handled: FIFO ties.
+            Just(0u64),
+            // Sub-second: behind the cursor whenever the bucket is claimed.
+            0u64..MICROS_PER_SEC,
+            // Ordinary timers, a few to a bucket.
+            0u64..90 * MICROS_PER_SEC,
+            // Either side of the wheel window's far edge.
+            window - 2 * MICROS_PER_SEC..window + 2 * MICROS_PER_SEC,
+            // Far heap; popping one jumps the clock past the whole window.
+            2 * window..5 * window,
+        ]
+    }
+
+    proptest::proptest! {
+        /// The queue against the obvious model, an ordered map keyed by
+        /// `(time, seq)`: every interleaving of schedules and pops must pop
+        /// the same events at the same times and report the same clock,
+        /// length and totals, whichever internal structure an entry sat in.
+        #[test]
+        fn behaves_like_an_ordered_map(ops in proptest::collection::vec(
+            {
+                use proptest::prelude::*;
+                prop_oneof![
+                    delay().prop_map(Op::At),
+                    delay().prop_map(Op::At),
+                    delay().prop_map(Op::After),
+                    Just(Op::Pop),
+                    Just(Op::Pop),
+                    delay().prop_map(Op::PopAtOrBefore),
+                ]
+            },
+            1..300,
+        )) {
+            use proptest::prelude::*;
+            use std::collections::BTreeMap;
+            let mut queue: EventQueue<usize> = EventQueue::new();
+            let mut model: BTreeMap<(SimTime, u64), usize> = BTreeMap::new();
+            let (mut now, mut scheduled, mut fired) = (SimTime::ZERO, 0u64, 0u64);
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::At(d) | Op::After(d) => {
+                        let at = now + SimDuration::from_micros(d);
+                        if matches!(op, Op::At(_)) {
+                            queue.schedule_at(at, step);
+                        } else {
+                            queue.schedule_after(SimDuration::from_micros(d), step);
+                        }
+                        model.insert((at, scheduled), step);
+                        scheduled += 1;
+                    }
+                    Op::Pop | Op::PopAtOrBefore(_) => {
+                        let horizon = match *op {
+                            Op::PopAtOrBefore(d) => now + SimDuration::from_micros(d),
+                            _ => SimTime::MAX,
+                        };
+                        let expected = model
+                            .first_key_value()
+                            .filter(|((at, _), _)| *at <= horizon)
+                            .map(|(&key, &payload)| (key, payload));
+                        if let Some((key, _)) = expected {
+                            model.remove(&key);
+                            now = key.0;
+                            fired += 1;
+                        }
+                        let popped = if matches!(op, Op::Pop) {
+                            queue.pop()
+                        } else {
+                            queue.pop_at_or_before(horizon)
+                        };
+                        prop_assert_eq!(
+                            popped,
+                            expected.map(|((at, _), payload)| (at, payload)),
+                            "step {}: {:?}", step, op
+                        );
+                    }
+                }
+                prop_assert_eq!(queue.now(), now, "step {}", step);
+                prop_assert_eq!(queue.len(), model.len(), "step {}", step);
+                prop_assert_eq!(queue.is_empty(), model.is_empty());
+                prop_assert_eq!(queue.scheduled_total(), scheduled);
+                prop_assert_eq!(queue.fired_total(), fired);
+                prop_assert_eq!(
+                    queue.peek_time(),
+                    model.first_key_value().map(|((at, _), _)| *at),
+                    "step {}", step
+                );
+            }
+            // Drain: whatever is left comes out in model order.
+            let rest: Vec<(SimTime, usize)> = std::iter::from_fn(|| queue.pop()).collect();
+            let expected: Vec<(SimTime, usize)> =
+                model.iter().map(|(&(at, _), &payload)| (at, payload)).collect();
+            prop_assert_eq!(rest, expected);
+        }
     }
 }

@@ -11,6 +11,8 @@
 //! * [`rng`] — deterministic random number generation so every experiment
 //!   replays bit-for-bit from a seed.
 //! * [`event`] — the event queue and simulation driver.
+//! * [`idmap`] — [`idmap::IdMap`], the table every dense-id-keyed map in the
+//!   simulator is built on.
 //! * [`topology`] — hosts, switches, links, clusters, latency-based routing.
 //! * [`net`] — message-level delivery delays with NIC egress queueing.
 //! * [`faults`] — deterministic fault injection (drops, jitter, partitions,
@@ -61,10 +63,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod event;
 pub mod faults;
+pub mod idmap;
 pub mod net;
 pub mod rng;
 pub mod time;
@@ -73,6 +77,7 @@ pub mod trace;
 
 pub use event::{run_to_completion, run_until, EventQueue, RunOutcome, World};
 pub use faults::{FaultDecision, FaultPlan, HostOutage, Partition};
+pub use idmap::{DenseId, IdMap};
 pub use net::{NetError, NetStats, Network};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -8,10 +8,10 @@
 //! independent of the event payload type.
 
 use crate::faults::{FaultDecision, FaultPlan};
+use crate::idmap::IdMap;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, PathQuality, Topology, TopologyError};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors when sending a message.
@@ -108,11 +108,18 @@ pub struct Delivery {
 #[derive(Debug, Clone)]
 pub struct Network {
     topology: Topology,
-    /// Instant at which each host's NIC becomes free to transmit.
-    egress_free: HashMap<HostId, SimTime>,
+    /// Per sending host: when its NIC is next free, and its message count.
+    egress: IdMap<HostId, Egress>,
     stats: NetStats,
-    per_host_sent: HashMap<HostId, u64>,
     faults: FaultPlan,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Egress {
+    /// Instant at which the host's NIC becomes free to transmit.
+    free_at: SimTime,
+    /// Messages the host has sent.
+    sent: u64,
 }
 
 impl Network {
@@ -120,9 +127,8 @@ impl Network {
     pub fn new(topology: Topology) -> Self {
         Network {
             topology,
-            egress_free: HashMap::new(),
+            egress: IdMap::new(),
             stats: NetStats::default(),
-            per_host_sent: HashMap::new(),
             faults: FaultPlan::quiet(),
         }
     }
@@ -217,21 +223,20 @@ impl Network {
         if corrupt.is_some() {
             self.stats.corrupted += 1;
         }
-        *self.per_host_sent.entry(from).or_default() += 1;
         Ok(Delivery { delay, corrupt })
     }
 
+    /// Books a send that will be delivered on the sender's NIC — it queues
+    /// behind the host's earlier transmissions and counts towards
+    /// [`Network::sent_by`] — and returns its total delay.
     fn enqueue(&mut self, now: SimTime, from: HostId, bytes: u64, q: PathQuality) -> SimDuration {
-        let free = self
-            .egress_free
-            .get(&from)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let start = if free > now { free } else { now };
+        let egress = self.egress.get_or_insert_with(from, Egress::default);
+        let start = egress.free_at.max(now);
         let tx_us =
             (bytes.saturating_mul(8) as u128 * 1_000_000 / q.bottleneck_bps.max(1) as u128) as u64;
         let tx = SimDuration::from_micros(tx_us);
-        self.egress_free.insert(from, start + tx);
+        egress.free_at = start + tx;
+        egress.sent += 1;
         (start - now) + tx + q.latency
     }
 
@@ -251,7 +256,7 @@ impl Network {
 
     /// Messages sent by one host.
     pub fn sent_by(&self, host: HostId) -> u64 {
-        self.per_host_sent.get(&host).copied().unwrap_or(0)
+        self.egress.get(host).map_or(0, |e| e.sent)
     }
 }
 

@@ -9,9 +9,10 @@
 //! InteGrade's intra-cluster (fast) versus inter-cluster (slow) connectivity
 //! — e.g. the paper's "100 Mbps inside each group, 10 Mbps between groups".
 
+use crate::idmap::{DenseId, IdMap};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Identifier of a vertex (host or switch) in a [`Topology`].
@@ -21,6 +22,12 @@ pub struct HostId(pub u32);
 impl fmt::Display for HostId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "h{}", self.0)
+    }
+}
+
+impl DenseId for HostId {
+    fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -194,7 +201,7 @@ pub struct Topology {
     /// destination from that source, so n hosts talking to one manager
     /// cost one search total instead of one search each.
     #[serde(skip)]
-    route_tables: HashMap<HostId, Vec<Option<PathQuality>>>,
+    route_tables: IdMap<HostId, Vec<Option<PathQuality>>>,
     generation: u64,
 }
 
@@ -327,10 +334,10 @@ impl Topology {
         }
         // Links are undirected, so a table computed from either endpoint
         // answers the pair.
-        if let Some(table) = self.route_tables.get(&from) {
+        if let Some(table) = self.route_tables.get(from) {
             return table[to.0 as usize].ok_or(TopologyError::Unreachable { from, to });
         }
-        if let Some(table) = self.route_tables.get(&to) {
+        if let Some(table) = self.route_tables.get(to) {
             return table[from.0 as usize].ok_or(TopologyError::Unreachable { from, to });
         }
         // Miss: settle every vertex from `to` in one pass. Building the

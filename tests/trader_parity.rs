@@ -11,7 +11,7 @@
 
 use integrade::orb::any::AnyValue;
 use integrade::orb::ior::{Endpoint, Ior, ObjectKey};
-use integrade::orb::trading::Trader;
+use integrade::orb::trading::{OfferId, Trader, TraderError};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -150,7 +150,8 @@ proptest! {
 
     /// The allocation-free `modify_values` path leaves the trader in the
     /// same observable state as a wholesale `modify`, and queries after a
-    /// mix of updates and withdrawals still match the oracle.
+    /// mix of updates, withdrawals and an export past the withdrawn holes
+    /// still match the oracle.
     #[test]
     fn parity_survives_updates_and_withdrawals(
         offers in prop::collection::vec(raw_offer(), 1..30),
@@ -161,9 +162,7 @@ proptest! {
     ) {
         let (mut indexed, mut oracle) = twin_traders(23, &offers);
         // Sequential exports get ids 1..=n in both traders.
-        let ids: Vec<_> = (0..offers.len())
-            .map(|i| integrade::orb::trading::OfferId(i as u64 + 1))
-            .collect();
+        let ids: Vec<_> = (0..offers.len()).map(|i| OfferId(i as u64 + 1)).collect();
         let cpu_slot = indexed.property_slot("cpu_mips");
         let ram_slot = indexed.property_slot("free_ram_mb");
         let exp_slot = indexed.property_slot("exporting");
@@ -193,6 +192,32 @@ proptest! {
         for i in (0..offers.len()).step_by(withdraw_every) {
             indexed.withdraw(ids[i]).unwrap();
             oracle.withdraw(ids[i]).unwrap();
+        }
+
+        // The withdrawn ids are holes in the offer table now. A hole, like
+        // an id no export ever issued, is an unknown offer to every
+        // operation, and the next export lands after the holes, not in one.
+        let never_issued = OfferId(u64::MAX);
+        let holes = (0..offers.len()).step_by(withdraw_every).map(|i| ids[i]);
+        for id in holes.chain([never_issued, OfferId(0)]) {
+            let unknown = TraderError::UnknownOffer(id);
+            prop_assert!(indexed.offer(id).is_none());
+            prop_assert_eq!(
+                indexed.modify_values(id, [(cpu_slot, AnyValue::Long(1))]),
+                Err(unknown.clone())
+            );
+            prop_assert_eq!(oracle.modify(id, BTreeMap::new()), Err(unknown.clone()));
+            prop_assert_eq!(indexed.withdraw(id), Err(unknown.clone()));
+            prop_assert_eq!(oracle.withdraw(id), Err(unknown));
+        }
+        let live = offers.len() - offers.len().div_ceil(withdraw_every);
+        prop_assert_eq!(indexed.offer_count(), live);
+        for trader in [&mut indexed, &mut oracle] {
+            let fresh = trader
+                .export(SERVICE, &node_ior(offers.len()), offer_props(&offers[0]))
+                .unwrap();
+            prop_assert_eq!(fresh, OfferId(offers.len() as u64 + 1));
+            prop_assert_eq!(trader.offer_count(), live + 1);
         }
 
         let constraint = constraint_for(cform, 400, 64, 50);
