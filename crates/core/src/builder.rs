@@ -64,13 +64,6 @@ pub enum ConfigError {
     /// single-threaded oracle the lazy walk is checked against; sharding it
     /// is a contradiction, not a configuration.
     ShardedReference,
-    /// The straggler threshold is NaN or outside `(0, 1)` — at 0 nothing
-    /// would ever trip the detector, at ≥ 1 every median-or-slower part
-    /// would.
-    BadStragglerThreshold(f64),
-    /// `straggler_strikes == 0` with speculation on — without at least one
-    /// strike of hysteresis a single noisy observation launches a twin.
-    NoStragglerHysteresis,
     /// `cert_replication == 0` with certification on — no part could ever
     /// gather a vote, so no result would ever be delivered.
     NoCertVotes,
@@ -125,13 +118,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "workers() cannot be combined with TickMode::Reference; the \
                  reference walk is the single-threaded parity oracle"
-            ),
-            ConfigError::BadStragglerThreshold(v) => {
-                write!(f, "straggler_threshold must be in (0, 1), got {v}")
-            }
-            ConfigError::NoStragglerHysteresis => write!(
-                f,
-                "straggler_strikes must be at least 1 when speculation is on"
             ),
             ConfigError::NoCertVotes => write!(
                 f,
@@ -234,12 +220,6 @@ impl GridConfigBuilder {
         self
     }
 
-    /// Delay before re-running the scheduling pipeline after a failure.
-    pub fn reschedule_delay(mut self, delay: SimDuration) -> Self {
-        self.config.reschedule_delay = delay;
-        self
-    }
-
     /// Horizon for GUPA idle predictions, minutes.
     pub fn prediction_horizon_mins(mut self, mins: u32) -> Self {
         self.config.prediction_horizon_mins = mins;
@@ -312,22 +292,6 @@ impl GridConfigBuilder {
     /// lagging parts (gray-failure mitigation). Off by default.
     pub fn speculation(mut self, on: bool) -> Self {
         self.config.speculation = on;
-        self
-    }
-
-    /// Straggler detection threshold: a part whose observed progress rate
-    /// falls below this fraction of its job's median is a straggler
-    /// candidate. Must be in `(0, 1)`.
-    pub fn straggler_threshold(mut self, fraction: f64) -> Self {
-        self.config.straggler_threshold = fraction;
-        self
-    }
-
-    /// Consecutive below-threshold observations before a twin launches
-    /// (hysteresis against transient owner activity). Must be ≥ 1 when
-    /// speculation is on.
-    pub fn straggler_strikes(mut self, strikes: u32) -> Self {
-        self.config.straggler_strikes = strikes;
         self
     }
 
@@ -431,12 +395,6 @@ impl GridConfigBuilder {
             return Err(ConfigError::BadCheckpointInterval(
                 c.sequential_checkpoint_mips_s,
             ));
-        }
-        if !(c.straggler_threshold > 0.0 && c.straggler_threshold < 1.0) {
-            return Err(ConfigError::BadStragglerThreshold(c.straggler_threshold));
-        }
-        if c.speculation && c.straggler_strikes == 0 {
-            return Err(ConfigError::NoStragglerHysteresis);
         }
         if c.certification && c.cert_replication == 0 {
             return Err(ConfigError::NoCertVotes);
@@ -640,49 +598,6 @@ mod tests {
             .workers(streams::MAX_SHARDS as usize)
             .try_build()
             .is_ok());
-    }
-
-    #[test]
-    fn rejects_bad_straggler_settings() {
-        assert_eq!(
-            GridConfig::builder()
-                .straggler_threshold(0.0)
-                .try_build()
-                .unwrap_err(),
-            ConfigError::BadStragglerThreshold(0.0)
-        );
-        assert_eq!(
-            GridConfig::builder()
-                .straggler_threshold(1.0)
-                .try_build()
-                .unwrap_err(),
-            ConfigError::BadStragglerThreshold(1.0)
-        );
-        assert!(GridConfig::builder()
-            .straggler_threshold(f64::NAN)
-            .try_build()
-            .is_err());
-        assert_eq!(
-            GridConfig::builder()
-                .speculation(true)
-                .straggler_strikes(0)
-                .try_build()
-                .unwrap_err(),
-            ConfigError::NoStragglerHysteresis
-        );
-        // Zero strikes is tolerated while the detector itself is off.
-        assert!(GridConfig::builder()
-            .straggler_strikes(0)
-            .try_build()
-            .is_ok());
-        let c = GridConfig::builder()
-            .speculation(true)
-            .straggler_threshold(0.4)
-            .straggler_strikes(2)
-            .build();
-        assert!(c.speculation);
-        assert_eq!(c.straggler_threshold, 0.4);
-        assert_eq!(c.straggler_strikes, 2);
     }
 
     #[test]

@@ -43,6 +43,7 @@ use std::fmt;
 use integrade_obs::metrics::{MetricsSnapshot, Registry};
 use integrade_orb::cdr::CdrEncode;
 use integrade_orb::trading::{LinkFollowPolicy, TraderLink};
+use integrade_simnet::event::EventQueue;
 use integrade_simnet::faults::{FaultDecision, FaultPlan};
 use integrade_simnet::rng::{streams, DetRng};
 use integrade_simnet::time::{SimDuration, SimTime};
@@ -436,9 +437,8 @@ impl FederationBuilder {
             wan: self.wan_faults.unwrap_or_else(FaultPlan::quiet),
             rng: DetRng::with_stream(self.seed, streams::FED),
             now: SimTime::ZERO,
-            seq: 0,
             next_request: 1,
-            queue: BTreeMap::new(),
+            queue: EventQueue::new(),
             epochs: BTreeMap::new(),
             flat: BTreeMap::new(),
             placements: BTreeMap::new(),
@@ -506,9 +506,8 @@ pub struct Federation {
     wan: FaultPlan,
     rng: DetRng,
     now: SimTime,
-    seq: u64,
     next_request: u64,
-    queue: BTreeMap<(SimTime, u64), FedEvent>,
+    queue: EventQueue<FedEvent>,
     epochs: BTreeMap<ClusterId, u64>,
     /// Flat-directory soft state kept at the root (FlatDirectory mode).
     flat: BTreeMap<ClusterId, (UsageSummary, SimTime)>,
@@ -686,11 +685,7 @@ impl Federation {
     /// events in deterministic `(time, seq)` order, then brings every
     /// member grid up to the horizon.
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some((&(t, seq), _)) = self.queue.iter().next() {
-            if t > horizon {
-                break;
-            }
-            let event = self.queue.remove(&(t, seq)).expect("key just observed");
+        while let Some((t, event)) = self.queue.pop_at_or_before(horizon) {
             if t > self.now {
                 self.now = t;
             }
@@ -729,8 +724,7 @@ impl Federation {
         let parts = spec.kind.parts().min(u32::MAX as usize) as u32;
         {
             let now = self.now;
-            let grid = self.members.get_mut(&origin).expect("checked membership");
-            grid.run_until(now);
+            let grid = self.member_now(origin);
             if grid.trader_matches(&spec.requirements) >= parts as usize {
                 let job = grid.submit(spec);
                 let id = GlobalJobId {
@@ -802,25 +796,12 @@ impl Federation {
                 .expect("frontier holds members only")
                 .record_trader_link_followed(&link_name)
                 .expect("link installed at build time");
-            let query = FedQuery {
-                request_id: self.next_request,
-                origin,
-                nodes: request.nodes,
-                min_cpu_mips: request.min_cpu_mips,
-                min_ram_mb: request.min_ram_mb,
-                hop_budget: self.hop_budget - hops,
-            };
-            self.next_request += 1;
+            let query = self.next_query(origin, request, self.hop_budget - hops);
             let path = self.path(origin, cand);
             let Some((qlat, _)) = self.wan_transfer(&path, wire_size(&query)) else {
                 continue; // unreachable: do not expand its links
             };
-            let matches = {
-                let now = self.now;
-                let grid = self.members.get_mut(&cand).expect("member");
-                grid.run_until(now);
-                grid.trader_matches(requirements)
-            };
+            let matches = self.member_now(cand).trader_matches(requirements);
             let reply = FedQueryReply {
                 request_id: query.request_id,
                 cluster: cand,
@@ -869,15 +850,7 @@ impl Federation {
     ) -> Result<(ClusterId, SimDuration), FederationError> {
         let root = self.root_id;
         self.stats.spillover_queries += 1;
-        let query = FedQuery {
-            request_id: self.next_request,
-            origin,
-            nodes: request.nodes,
-            min_cpu_mips: request.min_cpu_mips,
-            min_ram_mb: request.min_ram_mb,
-            hop_budget: 0,
-        };
-        self.next_request += 1;
+        let query = self.next_query(origin, request, 0);
         let path = self.path(origin, root);
         let (qlat, _) = self
             .wan_transfer(&path, wire_size(&query))
@@ -928,15 +901,7 @@ impl Federation {
             return Err(FederationError::Unsatisfiable);
         };
         self.stats.spillover_queries += 1;
-        let query = FedQuery {
-            request_id: self.next_request,
-            origin,
-            nodes: request.nodes,
-            min_cpu_mips: request.min_cpu_mips,
-            min_ram_mb: request.min_ram_mb,
-            hop_budget: 0,
-        };
-        self.next_request += 1;
+        let query = self.next_query(origin, request, 0);
         let qbytes = wire_size(&query);
         let path = self.path(origin, target);
         // Edges walked beyond the direct path (failed descents while
@@ -984,12 +949,7 @@ impl Federation {
             .saturating_add(routing_delay)
             .saturating_add(transfer);
         let FedForward { spec, .. } = fwd;
-        let remote_job = {
-            let now = self.now;
-            let grid = self.members.get_mut(&target).expect("routing target");
-            grid.run_until(now);
-            grid.submit_arriving(spec, arrival)
-        };
+        let remote_job = self.member_now(target).submit_arriving(spec, arrival);
         self.stats.forwards += 1;
         let ack = FedForwardAck {
             request_id,
@@ -1089,9 +1049,39 @@ impl Federation {
     // ------------------------------------------------------------------
 
     fn schedule(&mut self, at: SimTime, event: FedEvent) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.insert((at, seq), event);
+        // Every schedule is at `self.now` plus a latency or a period, and
+        // `self.now` never trails the queue's clock, so the queue's
+        // no-past assert holds.
+        debug_assert!(at >= self.now && self.now >= self.queue.now());
+        self.queue.schedule_at(at, event);
+    }
+
+    /// A member grid, first brought up to the federation's clock.
+    fn member_now(&mut self, cluster: ClusterId) -> &mut Grid {
+        let grid = self.members.get_mut(&cluster).expect("member");
+        grid.run_until(self.now);
+        grid
+    }
+
+    /// The next spillover query `origin` sends for `request`.
+    fn next_query(&mut self, origin: ClusterId, request: &WideAreaRequest, hops: u32) -> FedQuery {
+        self.next_request += 1;
+        FedQuery {
+            request_id: self.next_request - 1,
+            origin,
+            nodes: request.nodes,
+            min_cpu_mips: request.min_cpu_mips,
+            min_ram_mb: request.min_ram_mb,
+            hop_budget: hops,
+        }
+    }
+
+    /// Carries `msg` along `path` to `to`. A transfer the WAN loses for good
+    /// is not delivered: every sender here is a periodic tick that resends.
+    fn send_wan(&mut self, path: &[ClusterId], bytes: u64, to: ClusterId, msg: FedMsg) {
+        if let Some((lat, _)) = self.wan_transfer(path, bytes) {
+            self.schedule(self.now.saturating_add(lat), FedEvent::Deliver { to, msg });
+        }
     }
 
     fn handle(&mut self, event: FedEvent) {
@@ -1111,12 +1101,7 @@ impl Federation {
             *e += 1;
             *e
         };
-        let usage = {
-            let now = self.now;
-            let grid = self.members.get_mut(&cluster).expect("member");
-            grid.run_until(now);
-            grid.usage_summary(epoch)
-        };
+        let usage = self.member_now(cluster).usage_summary(epoch);
         self.hierarchy
             .set_own_usage(cluster, usage)
             .expect("member registered in hierarchy");
@@ -1129,16 +1114,7 @@ impl Federation {
                     let msg = FedSummary { cluster, usage };
                     let bytes = wire_size(&msg);
                     let path = self.path(cluster, self.root_id);
-                    if let Some((lat, _)) = self.wan_transfer(&path, bytes) {
-                        let root = self.root_id;
-                        self.schedule(
-                            self.now.saturating_add(lat),
-                            FedEvent::Deliver {
-                                to: root,
-                                msg: FedMsg::Summary(msg),
-                            },
-                        );
-                    }
+                    self.send_wan(&path, bytes, self.root_id, FedMsg::Summary(msg));
                 }
             }
             RoutingPolicy::HierarchySummaries => self.send_subtree_report(cluster, epoch),
@@ -1172,26 +1148,14 @@ impl Federation {
         };
         let bytes = wire_size(&msg);
         let path = vec![cluster, parent];
-        if let Some((lat, _)) = self.wan_transfer(&path, bytes) {
-            self.schedule(
-                self.now.saturating_add(lat),
-                FedEvent::Deliver {
-                    to: parent,
-                    msg: FedMsg::Summary(msg),
-                },
-            );
-        }
+        self.send_wan(&path, bytes, parent, FedMsg::Summary(msg));
     }
 
     /// Pushes a [`FedStatus`] to the origin for every forwarded job this
     /// cluster executes whose completion the origin has not yet seen.
     /// Resending until acknowledged is what survives origin-GRM crashes.
     fn status_tick(&mut self, cluster: ClusterId) {
-        {
-            let now = self.now;
-            let grid = self.members.get_mut(&cluster).expect("member");
-            grid.run_until(now);
-        }
+        self.member_now(cluster);
         let mut outgoing: Vec<(ClusterId, FedStatus)> = Vec::new();
         {
             let grid = self.members.get(&cluster).expect("member");
@@ -1217,15 +1181,7 @@ impl Federation {
         for (origin, status) in outgoing {
             self.stats.status_messages += 1;
             let path = self.path(cluster, origin);
-            if let Some((lat, _)) = self.wan_transfer(&path, wire_size(&status)) {
-                self.schedule(
-                    self.now.saturating_add(lat),
-                    FedEvent::Deliver {
-                        to: origin,
-                        msg: FedMsg::Status(status),
-                    },
-                );
-            }
+            self.send_wan(&path, wire_size(&status), origin, FedMsg::Status(status));
         }
         let next = self.now.saturating_add(self.update_period);
         self.schedule(next, FedEvent::StatusTick { cluster });
@@ -1256,12 +1212,7 @@ impl Federation {
                 }
             }
             FedMsg::Status(status) => {
-                let up = {
-                    let now = self.now;
-                    let grid = self.members.get_mut(&to).expect("member");
-                    grid.run_until(now);
-                    grid.grm_up()
-                };
+                let up = self.member_now(to).grm_up();
                 if !up {
                     return; // origin GRM down: lost, resent next tick
                 }

@@ -1,0 +1,625 @@
+use super::repo_flow::{checkpoint_payload, verified};
+use super::*;
+use crate::lrm::DueCheckpoint;
+use crate::protocol::{CheckpointBlob, FetchCheckpointReply, UpdateAck, OP_LAUNCH};
+use crate::repo::crc32;
+use integrade_obs::span::SpanKind::{
+    CancelPart, FetchCkpt, Launch, RereplFetch, Reserve, StoreCkpt,
+};
+use integrade_usage::sample::Weekday;
+
+/// `nodes` always-idle desktops under `config`, without GUPA warm-up.
+fn idle_grid(nodes: usize, config: GridConfig) -> Grid {
+    let mut builder = GridBuilder::new(GridConfig {
+        gupa_warmup_days: 0,
+        ..config
+    });
+    builder.add_cluster((0..nodes).map(|_| NodeSetup::idle_desktop()).collect());
+    builder.build()
+}
+
+fn small_grid(strategy: Strategy) -> Grid {
+    let config = GridConfig {
+        strategy,
+        ..Default::default()
+    };
+    idle_grid(4, config)
+}
+
+#[test]
+fn sequential_job_completes() {
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    // 1500 MIPS-s on a 500 MIPS node at 30% cap = 10 s of CPU... but
+    // progress advances per 5-min tick, so it completes on the first
+    // tick after launch.
+    let job = grid.submit(JobSpec::sequential("hello", 1500));
+    grid.run_until(SimTime::from_secs(3600));
+    let record = grid.job_record(job).unwrap();
+    assert_eq!(record.state, JobState::Completed, "{record:?}");
+    assert!(record.makespan().unwrap() <= SimDuration::from_mins(10));
+    assert_eq!(record.parts_done, 1);
+}
+
+#[test]
+fn protocol_messages_flow_through_the_network() {
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    grid.submit(JobSpec::sequential("hello", 1500));
+    grid.run_until(SimTime::from_secs(600));
+    let report = grid.report();
+    // Info updates + reserve + launch + done at minimum.
+    assert!(report.net.messages > 10, "messages={}", report.net.messages);
+    assert!(report.updates.accepted > 0);
+    assert!(report.trader_queries >= 1);
+}
+
+#[test]
+fn bag_of_tasks_distributes_across_nodes() {
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    let job = grid.submit(JobSpec::bag_of_tasks("bag", 8, 90_000));
+    grid.run_until(SimTime::from_secs(4 * 3600));
+    let record = grid.job_record(job).unwrap();
+    assert_eq!(record.state, JobState::Completed, "{record:?}");
+    assert_eq!(record.parts_done, 8);
+}
+
+#[test]
+fn bsp_job_completes_on_gang() {
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    let job = grid.submit(JobSpec::bsp("bsp", 3, 20, 3000, 10_000));
+    grid.run_until(SimTime::from_secs(8 * 3600));
+    let record = grid.job_record(job).unwrap();
+    assert_eq!(record.state, JobState::Completed, "{record:?}");
+    assert_eq!(record.parts_done, 3);
+}
+
+#[test]
+fn oversized_bsp_job_fails_cleanly() {
+    let config = GridConfig {
+        max_attempts: 4,
+        ..Default::default()
+    };
+    let mut grid = idle_grid(4, config);
+    let job = grid.submit(JobSpec::bsp("too-big", 10, 5, 100, 100)); // only 4 nodes
+    grid.run_until(SimTime::from_secs(4 * 3600));
+    let record = grid.job_record(job).unwrap();
+    assert_eq!(record.state, JobState::Failed);
+}
+
+/// A trace where the owner is busy 09:00–18:00 every weekday.
+fn office_trace() -> Vec<UsageSample> {
+    let slots_per_day = 288;
+    let mut trace = Vec::with_capacity(slots_per_day * 7);
+    for day in 0..7u64 {
+        let weekday = Weekday::from_day_number(day);
+        for slot in 0..slots_per_day {
+            let hour = slot as f64 * 24.0 / slots_per_day as f64;
+            let busy = !weekday.is_weekend() && (9.0..18.0).contains(&hour);
+            trace.push(if busy {
+                UsageSample::new(0.8, 0.5, 0.1, 0.05)
+            } else {
+                UsageSample::new(0.02, 0.05, 0.0, 0.0)
+            });
+        }
+    }
+    trace
+}
+
+#[test]
+fn owner_return_evicts_and_reschedules() {
+    let config = GridConfig {
+        gupa_warmup_days: 0,
+        ..Default::default()
+    };
+    let mut builder = GridBuilder::new(config);
+    // One office-hours node plus one always-idle node.
+    let office = NodeSetup {
+        trace: office_trace(),
+        ..NodeSetup::idle_desktop()
+    };
+    builder.add_cluster(vec![office, NodeSetup::idle_desktop()]);
+    let mut grid = builder.build();
+    // Start the run at Monday 08:30: the office node is idle but the
+    // owner arrives at 09:00. The preference (fastest CPU) ties, so the
+    // first-ranked node may be the office node; a long job submitted now
+    // gets evicted there and must migrate.
+    let job = grid.submit(JobSpec::sequential("long", 3_000_000)); // ~5.5h at 150 MIPS
+    grid.run_until(SimTime::from_secs(26 * 3600));
+    let record = grid.job_record(job).unwrap();
+    assert_eq!(record.state, JobState::Completed, "{record:?}");
+    let report = grid.report();
+    // The QoS invariant: the grid never exceeded the NCC caps.
+    assert_eq!(report.qos.cap_violations, 0);
+    assert_eq!(report.qos.mean_slowdown(), 1.0);
+}
+
+#[test]
+fn deterministic_replay() {
+    let run = || {
+        let mut grid = small_grid(Strategy::Random);
+        grid.submit(JobSpec::bag_of_tasks("bag", 6, 200_000));
+        grid.run_until(SimTime::from_secs(6 * 3600));
+        let report = grid.report();
+        (
+            report.net.messages,
+            report.records[0].state,
+            report.records[0].completed_at,
+        )
+    };
+    assert_eq!(run(), run());
+}
+
+#[test]
+fn gupa_trains_during_long_runs() {
+    let config = GridConfig {
+        gupa_warmup_days: 0,
+        ..Default::default()
+    };
+    let mut builder = GridBuilder::new(config);
+    builder.add_cluster(vec![NodeSetup {
+        trace: office_trace(),
+        ..NodeSetup::idle_desktop()
+    }]);
+    let mut grid = builder.build();
+    grid.run_until(SimTime::from_secs(8 * 86_400));
+    let report = grid.report();
+    assert_eq!(report.gupa_models, 1, "a week of history trains the model");
+}
+
+#[test]
+fn warmup_gives_models_at_start() {
+    let config = GridConfig {
+        gupa_warmup_days: 14,
+        strategy: Strategy::PatternAware,
+        ..Default::default()
+    };
+    let mut builder = GridBuilder::new(config);
+    builder.add_cluster(vec![
+        NodeSetup {
+            trace: office_trace(),
+            ..NodeSetup::idle_desktop()
+        },
+        NodeSetup {
+            trace: office_trace(),
+            ..NodeSetup::idle_desktop()
+        },
+    ]);
+    let mut grid = builder.build();
+    let report = grid.report();
+    assert_eq!(report.gupa_models, 2);
+    // And scheduling still works under the pattern-aware strategy.
+    let job = grid.submit(JobSpec::sequential("s", 1500));
+    grid.run_until(SimTime::from_secs(3600));
+    assert_eq!(grid.job_record(job).unwrap().state, JobState::Completed);
+}
+
+#[test]
+fn monitoring_log_orders_lifecycle() {
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    grid.submit(JobSpec::sequential("hello", 1500));
+    grid.run_until(SimTime::from_secs(3600));
+    let log = grid.log();
+    assert!(log.happens_before("asct.submit", "job.part_started"));
+    assert!(log.happens_before("job.part_started", "job.completed"));
+}
+
+#[test]
+#[should_panic(expected = "at least one node")]
+fn empty_grid_panics() {
+    GridBuilder::new(GridConfig::default()).build();
+}
+
+/// [`small_grid`] with another update period.
+fn small_grid_updating_every(period: SimDuration) -> Grid {
+    let mut config = GridConfig::default();
+    config.lrm.update_period = period;
+    idle_grid(4, config)
+}
+
+/// A four-node grid whose node↔manager links each add `one_way` of
+/// latency from t = 100 s on: after the first updates were acknowledged
+/// and a job submitted at zero was placed, before its part finishes at
+/// the 300 s slot tick. Updates go out every 60 s, longer than either
+/// round trip below, so a late ack still finds its entry: only the ack
+/// window can turn it away, not the next send's sweep.
+fn limping_grid(one_way: SimDuration) -> Grid {
+    use integrade_simnet::faults::LinkLimp;
+    let mut grid = small_grid_updating_every(SimDuration::from_secs(60));
+    let mut plan = FaultPlan::new(1);
+    for node in 0..grid.node_count() as u32 {
+        plan = plan.with_limp(LinkLimp {
+            a: grid.host_of(NodeId(node)),
+            b: grid.manager_host(),
+            added_latency: one_way,
+            start: SimTime::from_secs(100),
+            end: SimTime::MAX,
+        });
+    }
+    grid.set_fault_plan(plan);
+    grid
+}
+
+/// Round trips of 40 s and 20 s against the default 30 s timeout.
+const LATE: SimDuration = SimDuration::from_secs(20);
+const IN_TIME: SimDuration = SimDuration::from_secs(10);
+
+#[test]
+fn acks_later_than_the_request_timeout_retire_nothing() {
+    let unacked_after_a_job = |one_way| {
+        let mut grid = limping_grid(one_way);
+        let job = grid.submit(JobSpec::sequential("s", 1500));
+        grid.run_until(SimTime::from_secs(900));
+        assert_eq!(grid.job_record(job).unwrap().state, JobState::Completed);
+        (0..grid.node_count() as u32)
+            .map(|n| grid.lrm(NodeId(n)).unwrap().unacked_outcomes())
+            .sum::<usize>()
+    };
+    assert_eq!(unacked_after_a_job(IN_TIME), 0, "a slow ack still counts");
+    assert_eq!(
+        unacked_after_a_job(LATE),
+        1,
+        "the completion notice rides on every update, never retired"
+    );
+}
+
+#[test]
+fn acks_later_than_the_request_timeout_leave_the_epoch_unobserved() {
+    let observations = |one_way| {
+        let mut grid = limping_grid(one_way);
+        grid.run_until(SimTime::from_secs(200));
+        grid.crash_grm();
+        grid.run_until(SimTime::from_secs(260));
+        grid.restart_grm();
+        grid.run_until(SimTime::from_secs(600));
+        assert_eq!(grid.grm_epoch(), 2);
+        grid.log()
+            .records()
+            .iter()
+            .filter(|r| r.category == "grm.epoch" && r.detail.contains("observed"))
+            .count()
+    };
+    assert_eq!(observations(IN_TIME), 4, "every node sees the restart");
+    assert_eq!(observations(LATE), 0);
+}
+
+#[test]
+fn the_ack_window_closes_exactly_at_the_request_timeout() {
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    let timeout = grid.world.config.request_timeout;
+    let host = grid.host_of(NodeId(0));
+    let sent_at = SimTime::from_secs(5);
+    grid.world.nodes[0].lrm.observe_grm_epoch(1);
+    // Delivers an ack announcing a new `epoch` for an update sent at
+    // `sent_at`; returns how many epoch changes node 0 has logged.
+    let mut ack_at = |request_id: u64, epoch: u64, at: SimTime| {
+        grid.world.pending.insert(
+            (host, request_id),
+            PendingEntry {
+                what: Pending::UpdateAck { node: 0, seq: 1 },
+                dest: grid.world.grm_host,
+                wire: Vec::new(),
+                extra_bytes: 0,
+                attempt: 0,
+                sent_at,
+                span: 0,
+            },
+        );
+        let ack = UpdateAck { epoch, seq: 1 }.to_cdr_bytes();
+        grid.world
+            .handle_reply(at, host, request_id, Ok(ack), &mut grid.queue);
+        assert!(
+            !grid.world.pending.contains_key(&(host, request_id)),
+            "an ack consumes its entry, late or not"
+        );
+        grid.log().count("grm.epoch")
+    };
+    let closes = sent_at + timeout;
+    let just_inside = SimTime::from_micros(closes.as_micros() - 1);
+    assert_eq!(ack_at(900, 2, just_inside), 1);
+    // At the closing instant the per-update timer used to fire first
+    // (it was scheduled before the ack's frame) and drop the entry.
+    assert_eq!(ack_at(901, 3, closes), 1, "the window is half-open");
+    assert_eq!(ack_at(902, 3, closes + SimDuration::from_secs(9)), 1);
+}
+
+#[test]
+fn an_update_that_never_left_its_host_leaves_no_pending_entry() {
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    grid.set_fault_plan(FaultPlan::new(5).with_drop_probability(1.0));
+    grid.run_until(SimTime::from_secs(100));
+    assert!(grid.log().count("drops") >= 12, "4 nodes, 3+ rounds");
+    assert!(grid.world.pending.is_empty());
+    assert_eq!(grid.report().updates.accepted, 0);
+}
+
+#[test]
+fn pending_acks_stay_bounded_for_periods_below_and_above_the_timeout() {
+    for period_s in [10, 75] {
+        let build = || small_grid_updating_every(SimDuration::from_secs(period_s));
+        // Fault-free, every ack is back within a millisecond: between
+        // rounds nothing is pending.
+        let mut grid = build();
+        grid.run_until(SimTime::from_secs(399));
+        assert!(grid.world.pending.is_empty(), "period {period_s} s");
+        assert!(grid.report().updates.accepted >= 4 * (399 / period_s));
+        // With acks being lost, an entry waits for its node's next send
+        // to sweep it: never more than one timeout's worth per node.
+        let mut grid = build();
+        grid.set_fault_plan(FaultPlan::new(9).with_drop_probability(0.4));
+        let per_node = grid
+            .world
+            .config
+            .request_timeout
+            .as_micros()
+            .div_ceil(SimDuration::from_secs(period_s).as_micros());
+        let mut most = 0;
+        for t in (50..=1500).step_by(50) {
+            grid.run_until(SimTime::from_secs(t));
+            most = most.max(grid.world.pending.len());
+            assert!(
+                grid.world.pending.len() as u64 <= 4 * per_node,
+                "period {period_s} s at {t} s: {} pending",
+                grid.world.pending.len()
+            );
+        }
+        assert!(most > 0, "no ack was lost: the bound was never tested");
+    }
+}
+
+// ---- One description per request, one verified-fetch walk ---------------
+
+const SPECULATIVE: Waste = Waste {
+    credit: 0,
+    speculative: true,
+};
+
+#[test]
+fn span_key_is_what_the_per_variant_match_produced() {
+    // Every request is sent to the node it names, so that is `dest` too.
+    let (job, part, node) = (JobId(7), 2, NodeId(5));
+    let fetch = |why| Pending::Fetch {
+        job,
+        part,
+        rest: vec![NodeId(9)],
+        why,
+    };
+    let store = Pending::StoreCkpt {
+        origin: NodeId(9),
+        blob: CheckpointBlob::empty(job, part),
+        replica: node,
+        resends: 0,
+        rerepl: false,
+    };
+    let loser = Some((part, node, SPECULATIVE));
+    let mut cases = vec![
+        // A gang teardown's cancel is job-wide, per node asked.
+        (
+            Pending::Cancel { job, loser: None },
+            Some((CancelPart, u32::MAX)),
+        ),
+        (Pending::Cancel { job, loser }, Some((CancelPart, part))),
+        // Only relays get a fetch kind of their own.
+        (
+            fetch(FetchWhy::Recover { dead_node: node }),
+            Some((FetchCkpt, part)),
+        ),
+        (fetch(FetchWhy::Twin), Some((FetchCkpt, part))),
+        (
+            fetch(FetchWhy::Rerepl { target: node }),
+            Some((RereplFetch, part)),
+        ),
+        (store, Some((StoreCkpt, part))),
+        (Pending::UpdateAck { node: 1, seq: 1 }, None),
+    ];
+    // Twin traffic shares the primary's span kinds.
+    for role in [Role::Primary, Role::Twin] {
+        let reserve = Pending::Reserve {
+            job,
+            part,
+            node,
+            role,
+        };
+        let launch = Pending::Launch {
+            job,
+            part,
+            node,
+            role,
+        };
+        cases.push((reserve, Some((Reserve, part))));
+        cases.push((launch, Some((Launch, part))));
+    }
+    for (pending, expected) in cases {
+        let expected = expected.map(|(kind, part)| (kind, 7, part, 5));
+        assert_eq!(pending.span_key(node), expected, "{pending:?}");
+    }
+}
+
+/// An intact version-3 replica of `(job, part)`, as a fetch reply.
+fn replica(job: JobId, part: u32) -> FetchCheckpointReply {
+    let payload = checkpoint_payload(job, part, 3, 40_000, 64);
+    let blob = CheckpointBlob {
+        job,
+        part,
+        version: 3,
+        work_mips_s: 40_000,
+        digest: crc32(&payload),
+        payload: payload.into(),
+    };
+    FetchCheckpointReply { found: true, blob }
+}
+
+/// The two ways a found replica can be bad: its digest does not match its
+/// payload, or it does but the payload is no checkpoint.
+fn damaged_replicas(job: JobId, part: u32) -> [FetchCheckpointReply; 2] {
+    let mut mismatch = replica(job, part);
+    mismatch.blob.digest ^= 1;
+    let mut undecodable = replica(job, part);
+    undecodable.blob.payload = b"not a checkpoint"[..].into();
+    undecodable.blob.digest = crc32(&undecodable.blob.payload);
+    [mismatch, undecodable]
+}
+
+#[test]
+fn only_an_intact_found_replica_is_verified() {
+    let (job, part) = (JobId(1), 0);
+    assert!(verified(None).is_none(), "no reply");
+    let mut absent = replica(job, part);
+    absent.found = false;
+    assert!(verified(Some(absent)).is_none(), "not found");
+    for bad in damaged_replicas(job, part) {
+        assert!(verified(Some(bad)).is_none());
+    }
+    assert_eq!(verified(Some(replica(job, part))).unwrap().version, 3);
+}
+
+/// Five idle nodes with two retransmissions per request: a three-task bag
+/// is running on three of them, one is spare, and one — returned — has
+/// crashed and is known dead, so the only requests it gets are the test's,
+/// and each takes its kind's failure continuation.
+fn grid_with_a_dead_node() -> (Grid, JobId, NodeId) {
+    let config = GridConfig {
+        max_retransmits: 2,
+        ..Default::default()
+    };
+    let mut grid = idle_grid(5, config);
+    grid.run_until(SimTime::from_secs(60)); // every node has reported
+    let job = grid.submit(JobSpec::bag_of_tasks("bag", 3, 10_000_000));
+    grid.run_until(SimTime::from_secs(61));
+    let busy: Vec<NodeId> = (0..3).flat_map(|p| grid.part_executors(job, p)).collect();
+    let dead = (0..5).map(NodeId).find(|n| !busy.contains(n)).unwrap();
+    grid.crash_node(dead);
+    // Keep the scheduler's own traffic away from it.
+    grid.world.grm.mark_unavailable(dead);
+    (grid, job, dead)
+}
+
+/// Runs past the retransmission schedule (1 µs, then 30 s and 60 s ± 25 %)
+/// of every request in flight, to an instant no status update is at.
+fn quiesce(grid: &mut Grid, timeouts: usize) {
+    grid.run_until(grid.now() + SimDuration::from_micros(130_500_000));
+    assert_eq!(grid.log().count("grm.timeout"), timeouts);
+    assert_eq!(grid.log().count("retransmits"), 2 * timeouts);
+    assert!(grid.world.pending.is_empty(), "{:?}", grid.world.pending);
+}
+
+/// Starts, by hand, the three kinds of fetch on parts 0, 1 and 2 and
+/// answers each with `reply(part)` from node 0: a recovery (whose next
+/// holder is the dead node), a twin's resume point and a re-replication
+/// relay to `target`.
+fn answer_each_fetch_with(
+    grid: &mut Grid,
+    job: JobId,
+    (dead, target): (NodeId, NodeId),
+    reply: impl Fn(u32) -> FetchCheckpointReply,
+) {
+    let (now, w) = (grid.now(), &mut grid.world);
+    let parts = &mut w.jobs.get_mut(&job).unwrap().parts;
+    parts[0].state = PartState::Recovering;
+    parts[1].twin = Some(TwinRuntime {
+        state: TwinState::Fetching,
+        node: None,
+        reservation: 0,
+        candidates: Vec::new(),
+        resume_work: 0.0,
+        resume_version: 0,
+    });
+    w.rerepl_inflight.insert((job, 2));
+    let dead_node = parts[0].node.unwrap();
+    let whys = [
+        (vec![dead], FetchWhy::Recover { dead_node }),
+        (vec![], FetchWhy::Twin),
+        (vec![], FetchWhy::Rerepl { target }),
+    ];
+    for (part, (rest, why)) in (0..).zip(whys) {
+        let reply = Some(reply(part));
+        w.on_fetch_reply(now, job, part, NodeId(0), rest, why, reply, &mut grid.queue);
+    }
+}
+
+#[test]
+fn a_damaged_replica_sends_each_kind_of_fetch_down_its_own_path() {
+    for (i, bad) in damaged_replicas(JobId(1), 0).into_iter().enumerate() {
+        let (mut grid, job, dead) = grid_with_a_dead_node();
+        answer_each_fetch_with(&mut grid, job, (dead, dead), |_| bad.clone());
+        // The twin fell through to the trader query at the banked level,
+        // the relay gave the round up for the next slot…
+        let twin = grid.world.jobs[&job].parts[1].twin.as_ref().unwrap();
+        assert_eq!((twin.state, twin.resume_version), (TwinState::Reserving, 0));
+        assert!(grid.world.rerepl_inflight.is_empty());
+        // …and recovery asks the next holder, which never answers, then
+        // concedes and reschedules.
+        quiesce(&mut grid, 1);
+        let log = grid.log();
+        assert_eq!(log.count("corrupt_detected"), 3, "case {i}");
+        assert_eq!(log.count("repo.recover_failed"), 1);
+        assert_eq!(log.count("repo.fetch") + log.count("spec.fetch"), 0);
+        assert_ne!(grid.world.jobs[&job].parts[0].state, PartState::Recovering);
+    }
+}
+
+#[test]
+fn an_intact_replica_means_what_the_fetch_was_for() {
+    let (mut grid, job, dead) = grid_with_a_dead_node();
+    answer_each_fetch_with(&mut grid, job, (dead, NodeId(1)), |part| replica(job, part));
+    let parts = &grid.world.jobs[&job].parts;
+    assert_eq!(parts[0].banked_version, 3, "recovery banks it");
+    let twin = parts[1].twin.as_ref().unwrap();
+    assert_eq!((twin.resume_version, twin.resume_work), (3, 40_000.0));
+    quiesce(&mut grid, 0);
+    assert_eq!(
+        grid.log().count("repo.rereplicated"),
+        1,
+        "the relay stored it"
+    );
+    assert_eq!(grid.replica_holders(job, 2), vec![NodeId(1)]);
+}
+
+#[test]
+fn an_unanswered_request_takes_the_failure_continuation_of_its_kind() {
+    let (mut grid, job, dead) = grid_with_a_dead_node();
+    let (now, w) = (grid.now(), &mut grid.world);
+    // A launch: the part is requeued (and then placed on the spare node).
+    let parts = &mut w.jobs.get_mut(&job).unwrap().parts;
+    (parts[0].state, parts[0].node) = (PartState::Launching, Some(dead));
+    let (part, node, role) = (0, dead, Role::Primary);
+    let launch = Pending::Launch {
+        job,
+        part,
+        node,
+        role,
+    };
+    w.send_to_lrm(now, dead, OP_LAUNCH, |_| {}, launch, &mut grid.queue);
+    // The last cancel of a gang teardown: the rollback runs regardless.
+    w.jobs.get_mut(&job).unwrap().pending_cancels = 1;
+    w.send_cancel_part(now, job, 1, dead, None, &mut grid.queue);
+    // A speculation loser's cancel: nothing is known to be wasted.
+    w.send_cancel_part(now, job, 1, dead, Some(SPECULATIVE), &mut grid.queue);
+    // A checkpoint store: dropped; the next interval's supersedes it.
+    let due = DueCheckpoint {
+        job,
+        part: 2,
+        version: 1,
+        work_mips_s: 1_000,
+        state_bytes: 64,
+        replicas: vec![dead],
+    };
+    w.store_checkpoint(now, NodeId(0), due, &mut grid.queue);
+    quiesce(&mut grid, 4);
+    let part = &grid.world.jobs[&job].parts[0];
+    assert_eq!(
+        (part.state, part.node == Some(dead)),
+        (PartState::Running, false)
+    );
+    assert_eq!(grid.world.jobs[&job].pending_cancels, 0);
+    let (log, record) = (grid.log(), grid.job_record(job).unwrap());
+    assert_eq!(
+        (log.count("job.rollback"), log.count("spec.wasted")),
+        (1, 0)
+    );
+    assert_eq!(
+        (record.negotiation_refusals, record.wasted_work_mips_s),
+        (1, 0)
+    );
+    assert_eq!(log.count("repo.store") + log.count("repo.resend"), 0);
+    assert!(grid.replica_holders(job, 2).is_empty());
+    assert_eq!(grid.report().overhead.spec_wasted_mips_s, 0.0);
+}

@@ -1,0 +1,375 @@
+//! Time-driven work: the per-slot node walk (reference or lazy/sharded),
+//! lazy catch-up replay, active-set upkeep and the Information Update
+//! Protocol timer.
+
+use super::*;
+use crate::protocol::{PartDone, StatusUpdate, OP_PART_DONE, OP_PART_EVICTED, OP_UPDATE_STATUS};
+use crate::tick::{
+    for_each_shard, replay_node_local, shard_ranges, tick_node_local, NodeTickEffects,
+};
+use integrade_obs::profile::Phase;
+use integrade_usage::sample::{DayPeriod, SamplingConfig, Weekday};
+
+impl GridWorld {
+    /// Replays the deferred slot-tick bookkeeping of one node up to tick
+    /// count `target` (the `slots_elapsed` value whose ticks should all be
+    /// applied), on the coordinating thread.
+    ///
+    /// A node outside the active set has no running parts, reservations,
+    /// unacknowledged outcomes or stored replicas, so its reference
+    /// per-slot body collapses to owner-trace sampling, LUPA accumulation
+    /// and owner-QoS accounting — deterministic functions of the trace, the
+    /// tick index and (with [`GridConfig::lupa_noise`] on) the shard-0
+    /// measurement-jitter stream, sending no messages and writing no logs.
+    /// Replaying them here in bulk is therefore bit-for-bit identical to
+    /// having run them eagerly every tick of the same mode.
+    pub(super) fn catch_up_node(&mut self, node: usize, target: u64) {
+        if self.nodes[node].ticks_applied >= target {
+            return;
+        }
+        let profiler = self.obs.profiler.clone();
+        let _replay = profiler.enter(Phase::CatchUpReplay);
+        let uploads = replay_node_local(
+            &self.config,
+            &mut self.nodes[node],
+            &mut self.shard_rngs[0],
+            target,
+        );
+        drop(_replay);
+        if !uploads.is_empty() {
+            let _digest = profiler.enter(Phase::GupaDigest);
+            for call in uploads {
+                self.gupa.upload(NodeId(node as u32), call);
+            }
+        }
+    }
+
+    /// Catches every node up to the current tick count — the full-population
+    /// flush `report()` and pattern-aware prediction ranking need. Both the
+    /// per-node replay work *and* the GUPA digestion of the uploads it
+    /// produces (curve reduction + retrain — the O(n) terms that dominate
+    /// the flush at 50k nodes) run shard by shard, each shard against its
+    /// own disjoint slices of the node and GUPA cell tables; only the
+    /// per-shard upload counts are folded back at the merge, in ascending
+    /// shard order. (Under the reference walk nothing is ever deferred and
+    /// every replay returns at once.)
+    pub(super) fn flush_catch_up(&mut self) {
+        let target = self.slots_elapsed;
+        let profiler = self.obs.profiler.clone();
+        let _replay = profiler.enter(Phase::CatchUpReplay);
+        let digested = {
+            let _shard = profiler.enter(Phase::ShardWalk);
+            let (config, gupa_config) = (&self.config, self.gupa.config());
+            let n = self.nodes.len();
+            for_each_shard(
+                &shard_ranges(n, self.shard_rngs.len()),
+                &mut self.nodes,
+                self.gupa.cells_mut(n),
+                &mut self.shard_rngs,
+                |shard| shard.flush(config, gupa_config, target),
+            )
+        };
+        let _merge = profiler.enter(Phase::ShardMerge);
+        for count in digested {
+            self.gupa.add_uploads(count);
+        }
+    }
+
+    /// Re-derives a node's active-set membership from its LRM engagement.
+    /// Called after anything that can change engagement: wire dispatch,
+    /// slot processing, crash.
+    pub(super) fn refresh_activity(&mut self, node: usize) {
+        if self.nodes[node].lrm.is_engaged() {
+            self.active.insert(node);
+        } else {
+            self.active.remove(&node);
+        }
+    }
+
+    /// The first instant strictly after `now` on a node's information-update
+    /// grid (offset + k * period) — where a parked update timer resumes.
+    pub(super) fn next_update_instant(&self, node: usize, now: SimTime) -> SimTime {
+        let period = self.config.lrm.update_period.as_micros();
+        let n = self.nodes.len() as u64;
+        let offset = period * node as u64 / n.max(1);
+        let now_us = now.as_micros();
+        if now_us < offset {
+            return SimTime::from_micros(offset);
+        }
+        let k = (now_us - offset) / period + 1;
+        SimTime::from_micros(offset + k * period)
+    }
+
+    /// Replays warmup days of each node's trace into the GUPA so
+    /// pattern-aware scheduling starts with trained models.
+    pub(super) fn warmup_gupa(&mut self) {
+        let days = self.config.gupa_warmup_days;
+        if days == 0 {
+            return;
+        }
+        let slots_per_day = SamplingConfig::default().slots_per_day();
+        for (node, local) in self.nodes.iter().enumerate() {
+            let trace = &local.trace;
+            if trace.is_empty() {
+                continue;
+            }
+            let periods: Vec<DayPeriod> = (0..days)
+                .map(|d| DayPeriod {
+                    day: d as u64,
+                    weekday: Weekday::from_day_number(d as u64),
+                    samples: (0..slots_per_day)
+                        .map(|s| trace[(d * slots_per_day + s) % trace.len()])
+                        .collect(),
+                })
+                .collect();
+            self.gupa.upload(NodeId(node as u32), periods);
+        }
+    }
+
+    pub(super) fn slot_tick(&mut self, now: SimTime, queue: &mut EventQueue<GridEvent>) {
+        // Clone shares the accumulators; the local keeps the timing guard's
+        // borrow off `self` so the walk below can take `&mut self`.
+        let profiler = self.obs.profiler.clone();
+        let _walk = profiler.enter(Phase::SlotWalk);
+        self.obs.queue_depth.observe(queue.len() as f64);
+        self.obs.active_nodes.set(self.active.len() as f64);
+        self.slots_elapsed += 1;
+        match self.config.tick_mode {
+            TickMode::Reference => {
+                for i in 0..self.nodes.len() {
+                    let effects = tick_node_local(
+                        &self.config,
+                        &mut self.nodes[i],
+                        &mut self.shard_rngs[0],
+                        i,
+                        now,
+                        self.slots_elapsed,
+                    );
+                    self.apply_node_effects(now, effects, queue);
+                }
+            }
+            TickMode::Sharded { .. } => self.lazy_slot_walk(now, queue),
+        }
+        self.detect_crashed_nodes(now, queue);
+        if self.config.speculation {
+            self.detect_stragglers(now, queue);
+        }
+        self.rereplicate(now, queue);
+        queue.schedule_after(self.config.tick, GridEvent::SlotTick);
+    }
+
+    /// Applies one node's queued slot-tick effects to the shared world:
+    /// metrics, log records, outcome stash+send, checkpoint stores, GUPA
+    /// uploads and the activity refresh. The lazy walk calls this at the
+    /// frame boundary in ascending node order; called with the effects
+    /// `tick_node_local` just produced (the reference walk) it is the eager
+    /// per-node body.
+    fn apply_node_effects(
+        &mut self,
+        now: SimTime,
+        effects: NodeTickEffects,
+        queue: &mut EventQueue<GridEvent>,
+    ) {
+        let i = effects.node;
+        self.obs.lease_expired.add(effects.expired as u64);
+        for _ in 0..effects.expired {
+            self.log
+                .record_indexed(now, "lease.expired", "node ", i as u64);
+        }
+        // Outcomes go out as best-effort oneways, but are also stashed
+        // until the GRM acknowledges an update that piggybacked them —
+        // at-least-once delivery even when the oneway is lost or the
+        // GRM crashes with the notice in flight.
+        for done in effects.completed {
+            let digest = self.nodes[i].lrm.result_digest(now, done.job, done.part);
+            let msg = PartDone {
+                job: done.job,
+                part: done.part,
+                node: NodeId(i as u32),
+                digest,
+            };
+            self.nodes[i].lrm.stash_done(msg);
+            self.send_to_grm(now, i, OP_PART_DONE, move |w| msg.encode(w), queue);
+        }
+        for evicted in effects.evictions {
+            self.nodes[i].lrm.stash_evicted(evicted);
+            self.send_to_grm(now, i, OP_PART_EVICTED, move |w| evicted.encode(w), queue);
+        }
+        // Interval boundary crossed: write the checkpoint's real bytes
+        // to every replica the launch designated.
+        for due in effects.dues {
+            self.store_checkpoint(now, NodeId(i as u32), due, queue);
+        }
+        // LUPA uploads (completed day periods go to the GUPA). The lazy
+        // walk's effects arrive with this empty — the shard digested it.
+        if !effects.tick_upload.is_empty() {
+            let profiler = self.obs.profiler.clone();
+            let _digest = profiler.enter(Phase::GupaDigest);
+            self.gupa.upload(NodeId(i as u32), effects.tick_upload);
+        }
+        self.refresh_activity(i);
+    }
+
+    /// One slot frame of the lazy walk ([`TickMode::Sharded`]). Only engaged
+    /// nodes can complete work, hit checkpoint boundaries, expire leases or
+    /// evict parts, so only the active set is visited; every other node's
+    /// slot work is deferred to catch-up replay. The population is cut into
+    /// contiguous node-id ranges balanced by active-set occupancy
+    /// ([`occupancy_ranges`]); each shard runs its members' catch-up + slot
+    /// bodies — including the LUPA measurement jitter from the shard's own
+    /// stream and the GUPA digestion of every upload its members produced —
+    /// against its own slices of the node and GUPA cell tables
+    /// (`for_each_shard`: shard 0 inline, the rest on scoped threads); then
+    /// the queued effects are merged in (shard-id, seq) order — which,
+    /// because shards are contiguous ranges, is exactly the ascending node
+    /// order the reference walk uses. Only the per-shard upload counts and
+    /// the effect outboxes cross the merge; the expensive work (replay,
+    /// retrain) stays on the shards.
+    fn lazy_slot_walk(&mut self, now: SimTime, queue: &mut EventQueue<GridEvent>) {
+        let members: Vec<usize> = self.active.iter().copied().collect();
+        let slot = self.slots_elapsed;
+        let n = self.nodes.len();
+        let profiler = self.obs.profiler.clone();
+        // Frame-boundary rebalance: place the range cuts so each shard
+        // carries a near-equal share of this frame's active members.
+        let ranges = {
+            let _rebalance = profiler.enter(Phase::ShardRebalance);
+            occupancy_ranges(n, self.shard_rngs.len(), &members)
+        };
+        // Ascending member list → per-shard sublists at range bounds.
+        let mut groups: Vec<&[usize]> = Vec::with_capacity(ranges.len());
+        let mut rest: &[usize] = &members;
+        for range in &ranges {
+            let (group, tail) = rest.split_at(rest.partition_point(|&i| i < range.end));
+            groups.push(group);
+            rest = tail;
+        }
+        let occ_max = groups.iter().map(|g| g.len()).max().unwrap_or(0);
+        self.obs.shard_occ_max.set(occ_max as f64);
+        self.obs
+            .shard_occ_mean
+            .set(members.len() as f64 / ranges.len().max(1) as f64);
+        let frames = {
+            let _shard = profiler.enter(Phase::ShardWalk);
+            let (config, gupa_config) = (&self.config, self.gupa.config());
+            // One stream per configured worker; `occupancy_ranges` may
+            // produce fewer shards than that (tiny populations), never more.
+            for_each_shard(
+                &ranges,
+                &mut self.nodes,
+                self.gupa.cells_mut(n),
+                &mut self.shard_rngs,
+                |shard| {
+                    let members = groups[shard.index];
+                    shard.tick(config, gupa_config, members, now, slot)
+                },
+            )
+        };
+        let merge_started = std::time::Instant::now();
+        let _merge = profiler.enter(Phase::ShardMerge);
+        let mut effect_count = 0;
+        for (effects, digested) in frames {
+            // Fold the shards' partial upload counts in ascending shard order.
+            self.gupa.add_uploads(digested);
+            effect_count += effects.len() as u64;
+            for node_effects in effects {
+                self.apply_node_effects(now, node_effects, queue);
+            }
+        }
+        self.obs.shard_frames.inc();
+        self.obs.shard_effects.add(effect_count);
+        self.obs
+            .shard_stall_ns
+            .add(merge_started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+    }
+
+    pub(super) fn update_tick(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        queue: &mut EventQueue<GridEvent>,
+    ) {
+        // The reported status derives from the owner observations the lazy
+        // walk defers — replay them before asking for an update.
+        self.catch_up_node(node, self.slots_elapsed);
+        let config = self.config.lrm;
+        let lrm = &mut self.nodes[node].lrm;
+        let update = lrm.next_update(&config);
+        let sent = update.is_some();
+        if let Some((seq, status)) = update {
+            // The update travels as a request so the GRM's ack (carrying
+            // its epoch) can retire piggybacked outcomes and reveal
+            // restarts. It is never retransmitted: the next periodic
+            // update supersedes it.
+            let (pending_done, pending_evicted) = lrm.piggyback_for(seq);
+            let msg = StatusUpdate {
+                node: NodeId(node as u32),
+                seq,
+                status,
+                replicas: lrm.replica_reports(),
+                pending_done,
+                pending_evicted,
+                progress: lrm.progress_reports(),
+            };
+            let from = self.node_hosts[node];
+            let mut out = self.pooled_buf();
+            let target = &self.grm_ior;
+            let orb = self.orbs.get_mut(from).expect("lrm orb");
+            let request_id =
+                orb.make_request_into(target, OP_UPDATE_STATUS, move |w| msg.encode(w), &mut out);
+            let bytes = self.protect(out);
+            // No timer guards the ack: one that arrives `request_timeout`
+            // or more after its update is ignored (`handle_reply`), and the
+            // entries such acks leave behind are swept here, by the same
+            // node's next send, so `pending` stays bounded whatever the
+            // ratio of update period to timeout.
+            let request_timeout = self.config.request_timeout;
+            let expired: Vec<(HostId, u64)> = self
+                .pending
+                .range((from, 0)..(from, request_id))
+                .filter(|(_, e)| {
+                    matches!(e.what, Pending::UpdateAck { .. })
+                        && now >= e.sent_at + request_timeout
+                })
+                .map(|(key, _)| *key)
+                .collect();
+            for key in expired {
+                self.pending.remove(&key);
+            }
+            let grm_host = self.grm_host;
+            if self.transmit(now, from, grm_host, bytes, 0, queue) {
+                self.pending.insert(
+                    (from, request_id),
+                    PendingEntry {
+                        what: Pending::UpdateAck { node, seq },
+                        dest: grm_host,
+                        wire: Vec::new(), // never retransmitted
+                        extra_bytes: 0,
+                        attempt: 0,
+                        sent_at: now,
+                        span: 0, // status updates are not traced
+                    },
+                );
+            } else {
+                // Nothing left the host, so no ack can come back.
+                self.log
+                    .record_indexed(now, "drops", "update from ", node as u64);
+            }
+        }
+        if self.config.tick_mode != TickMode::Reference
+            && !sent
+            && self.static_status[node]
+            && !self.nodes[node].lrm.is_engaged()
+        {
+            // Traceless node on an always-available schedule, nothing
+            // running, reserved or stored, and the update was just
+            // suppressed: until a frame next reaches this node every future
+            // timer firing would suppress too. Park the timer instead of
+            // rescheduling it; `handle_wire` resumes it at the next grid
+            // point when a delivery could change the node's status.
+            self.update_parked[node] = true;
+        } else {
+            queue.schedule_after(config.update_period, GridEvent::UpdateTick { node });
+        }
+    }
+}

@@ -63,26 +63,15 @@ impl TraceLog {
         }
     }
 
-    /// Appends a record (no-op when disabled).
-    pub fn record(&mut self, time: SimTime, category: &str, detail: impl Into<String>) {
+    /// Appends a record. The detail is rendered only when the log is
+    /// enabled, so a disabled log costs hot paths no formatting: pass
+    /// `format_args!(..)` rather than a `format!(..)` built up front.
+    pub fn record(&mut self, time: SimTime, category: &str, detail: impl fmt::Display) {
         if self.enabled {
             self.records.push(TraceRecord {
                 time,
                 category: category.to_owned(),
-                detail: detail.into(),
-            });
-        }
-    }
-
-    /// Appends a record whose detail is built lazily — the closure never
-    /// runs when the log is disabled, so hot paths pay nothing for
-    /// formatting they would throw away.
-    pub fn record_with(&mut self, time: SimTime, category: &str, detail: impl FnOnce() -> String) {
-        if self.enabled {
-            self.records.push(TraceRecord {
-                time,
-                category: category.to_owned(),
-                detail: detail(),
+                detail: detail.to_string(),
             });
         }
     }
@@ -198,8 +187,13 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::disabled();
-        log.record(SimTime::ZERO, "a", "ignored");
-        log.record_with(SimTime::ZERO, "a", || panic!("must not format"));
+        struct NeverRendered;
+        impl fmt::Display for NeverRendered {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("must not format")
+            }
+        }
+        log.record(SimTime::ZERO, "a", NeverRendered);
         log.record_indexed(SimTime::ZERO, "a", "node ", 7);
         assert!(log.is_empty());
     }
@@ -214,8 +208,8 @@ mod tests {
                 format!("node {index}")
             );
         }
-        log.record_with(SimTime::from_secs(1), "c", || "built".to_owned());
-        assert_eq!(log.last("c").unwrap().detail, "built");
+        log.record(SimTime::from_secs(1), "c", format_args!("built {}", 1));
+        assert_eq!(log.last("c").unwrap().detail, "built 1");
     }
 
     #[test]

@@ -430,3 +430,70 @@ fn derate_flap_and_grm_crash_with_speculation_still_complete() {
         );
     }
 }
+
+/// A gang member's launch frame is lost and sits in its 30 s retransmit
+/// window when another member is evicted: the teardown gives up on the
+/// launch (the member's LRM answers the cancel "not found" and keeps its
+/// reservation), the retransmission then arrives and is accepted. The GRM
+/// no longer tracks that launch, so the accepted copy must be torn back
+/// down — never left computing alone, never marked `Running` without a
+/// node — and the gang must restart whole.
+#[test]
+fn a_launch_accepted_after_its_gang_was_torn_down_is_cancelled() {
+    use integrade::usage::sample::UsageSample;
+    let (idle, busy) = (
+        UsageSample::new(0.02, 0.05, 0.0, 0.0),
+        UsageSample::new(0.8, 0.5, 0.1, 0.05),
+    );
+    // Node 0's owner returns at the 300 s slot and node 2's leaves then,
+    // both for longer than the run: the first gang can only be nodes
+    // 0 + 1 and the second only 1 + 2.
+    let from_300s = |first, then| [vec![first], vec![then; 60]].concat();
+    let traces = [from_300s(idle, busy), vec![], from_300s(busy, idle)];
+    let run = |partition_from: Option<SimTime>| {
+        let config = GridConfig::builder().gupa_warmup_days(0).build();
+        let mut builder = GridBuilder::new(config);
+        builder.add_cluster(
+            traces
+                .iter()
+                .map(|trace| NodeSetup {
+                    trace: trace.clone(),
+                    ..NodeSetup::idle_desktop()
+                })
+                .collect(),
+        );
+        let mut grid = builder.build();
+        if let Some(start) = partition_from {
+            grid.set_fault_plan(FaultPlan::new(1).with_partition(Partition {
+                island: vec![grid.host_of(NodeId(1))],
+                start,
+                heal: start + SimDuration::from_secs(5),
+            }));
+        }
+        grid.submit_at(
+            JobSpec::bsp("gang", 2, 40, 3000, 10_000),
+            SimTime::from_secs(290),
+        );
+        grid.run_until(SimTime::from_secs(4 * 3600));
+        grid
+    };
+    // Fault-free, the gang launches a few ms after 290 s; cutting node 1
+    // off from exactly that instant loses its launch frame and nothing
+    // before it.
+    let launched_at = run(None).log().first("job.gang_launch").unwrap().time;
+    let grid = run(Some(launched_at));
+    let log = grid.log();
+    assert!(
+        log.count("retransmits") >= 2,
+        "the launch was retransmitted"
+    );
+    assert_eq!(log.count("job.rollback"), 1, "node 0's eviction tore down");
+    let job = integrade::core::types::JobId(1);
+    assert_all_completed(&grid, &[job], "launch orphan");
+    let record = grid.job_record(job).unwrap();
+    assert_eq!((record.parts_done, record.evictions), (2, 1), "{record:?}");
+    assert_eq!(log.count("job.gang_launch"), 2, "the gang restarted whole");
+    assert_eq!(log.count("grm.launch_orphan"), 1, "the launch outlived it");
+    assert_eq!(log.count("grm.orphan_stopped"), 1, "and was found running");
+    assert!(log.happens_before("grm.orphan_stopped", "job.part_done"));
+}

@@ -102,17 +102,32 @@ fn crash_without_checkpointing_restarts_from_zero() {
 #[test]
 fn crash_during_negotiation_times_out_and_fails_over() {
     for seed in chaos_seeds() {
-        let mut grid = grid_seeded(3, seed);
-        // Crash node 0 *before* submitting: the GRM's initial trader view
-        // may still pick it; the reserve request then times out and fails
-        // over.
-        grid.run_until(SimTime::from_secs(60)); // initial updates arrive
-        grid.crash_node(NodeId(0));
-        let job = grid.submit(JobSpec::sequential("probe", 50_000));
-        grid.run_until(SimTime::from_secs(3600));
+        // Returns the node that ends up executing the probe.
+        let place = |crash: Option<NodeId>| {
+            let mut grid = grid_seeded(3, seed);
+            grid.run_until(SimTime::from_secs(60)); // initial updates arrive
+            if let Some(node) = crash {
+                grid.crash_node(node);
+            }
+            let job = grid.submit(JobSpec::sequential("probe", 300_000));
+            grid.run_until(SimTime::from_secs(700));
+            let executor = grid.part_executors(job, 0).first().copied();
+            grid.run_until(SimTime::from_secs(3600));
+            (executor, job, grid)
+        };
+        // Crash the scheduler's first choice *before* submitting: the
+        // GRM's trader view still offers it, so the reserve goes there,
+        // exhausts its retransmissions, counts as a refusal, and the next
+        // candidate of the same round is tried.
+        let (first_choice, ..) = place(None);
+        let (second_choice, job, grid) = place(first_choice);
+        assert!(second_choice.is_some() && second_choice != first_choice);
         let record = grid.job_record(job).unwrap();
         assert_eq!(record.state, JobState::Completed, "seed {seed}: {record:?}");
-        // The job never wedged even if the dead node was tried first.
+        assert_eq!(record.negotiation_refusals, 1, "seed {seed}");
+        assert!(grid.log().count("grm.timeout") >= 1, "seed {seed}");
+        let refused = grid.log().first("grm.refused").unwrap();
+        assert!(refused.detail.ends_with("transport error"), "{refused}");
     }
 }
 
