@@ -81,24 +81,6 @@ fn bench_query(c: &mut Criterion) {
             })
         });
 
-        // Scan path: cached plan but secondary indexes disabled, so the
-        // whole service-type bucket is evaluated. Isolates the index win
-        // from the plan-cache win.
-        let mut trader = trader_with(offers);
-        trader.set_use_indexes(false);
-        group.bench_with_input(BenchmarkId::new("bucket_scan", offers), &offers, |b, _| {
-            b.iter(|| {
-                trader
-                    .query(
-                        "integrade::node",
-                        black_box(PAPER_CONSTRAINT),
-                        "max cpu_mips",
-                        64,
-                    )
-                    .unwrap()
-            })
-        });
-
         // Seed baseline: the original linear-scan implementation kept as
         // `query_reference` — re-parses and sorts every call.
         let mut trader = trader_with(offers);

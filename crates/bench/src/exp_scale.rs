@@ -1,76 +1,86 @@
 //! E9 (hierarchy scalability) and E10 (middleware wire costs).
 
 use crate::table::{f2, Table};
-use integrade_core::hierarchy::{ClusterHierarchy, ClusterSummary, FlatDirectory, WideAreaRequest};
+use integrade_core::hierarchy::{ClusterHierarchy, ClusterSummary, UsageSummary, WideAreaRequest};
 use integrade_core::protocol::{LaunchRequest, ReserveRequest, StatusUpdate};
-use integrade_core::types::{JobId, NodeId, NodeStatus};
+use integrade_core::types::{ClusterId, JobId, NodeId, NodeStatus};
 use integrade_orb::cdr::CdrEncode;
 use integrade_orb::giop::Message;
 use integrade_orb::ior::ObjectKey;
+use integrade_simnet::time::{SimDuration, SimTime};
 
-fn leaf_summary() -> ClusterSummary {
-    ClusterSummary {
+fn leaf_usage(exporting: u32) -> UsageSummary {
+    let summary = ClusterSummary {
         nodes: 64,
-        exporting_nodes: 40,
+        exporting_nodes: exporting,
         max_cpu_mips: 1000,
         max_free_ram_mb: 256,
+        ..Default::default()
+    };
+    UsageSummary {
+        summary,
         ..Default::default()
     }
 }
 
-/// E9: per-manager message load, hierarchy vs flat directory, as the grid
-/// grows.
+/// E9: per-manager message load per reporting period, hierarchy vs flat
+/// directory, as the grid grows.
 pub fn e9() -> Table {
     let mut table = Table::new(
-        "E9: wide-area scalability — one summary update per leaf cluster",
+        "E9: wide-area scalability — one reporting period, every cluster reports once",
         &[
             "fanout",
             "depth",
             "clusters",
             "hier_total_msgs",
-            "hier_msgs_per_cluster",
+            "hier_msgs_per_manager",
             "flat_root_msgs",
             "route_hops",
         ],
     );
+    let now = SimTime::from_secs(60);
+    let staleness = SimDuration::from_secs(180);
     for &(fanout, depth) in &[(2usize, 2usize), (4, 2), (4, 3), (8, 2), (8, 3), (16, 2)] {
         let (mut hierarchy, leaves) = ClusterHierarchy::uniform(fanout, depth);
-        for &leaf in &leaves {
-            hierarchy.update_summary(leaf, leaf_summary()).unwrap();
+        // Only the last leaf can serve the request below, so routing it
+        // from the first leaf is the worst-case traversal.
+        let (&last, rest) = leaves.split_last().unwrap();
+        hierarchy.set_own_usage(last, leaf_usage(1000)).unwrap();
+        for &leaf in rest {
+            hierarchy.set_own_usage(leaf, leaf_usage(40)).unwrap();
+        }
+        // One period with nothing lost: every cluster sends its reported
+        // subtree one edge up, children before parents (`uniform` numbers
+        // clusters breadth-first, so descending id order is bottom-up).
+        for id in (1..hierarchy.len() as u32).rev().map(ClusterId) {
+            let parent = hierarchy.parent(id).unwrap();
+            let report = hierarchy.reported_subtree(id, now, staleness).unwrap();
+            hierarchy
+                .apply_child_report(parent, id, report, now)
+                .unwrap();
         }
         let hier_msgs = hierarchy.stats().update_messages;
-        let mut flat = FlatDirectory::new();
-        for (i, _) in leaves.iter().enumerate() {
-            flat.update_summary(integrade_core::types::ClusterId(i as u32), leaf_summary());
-        }
-        // Route a request from the first leaf that only the last leaf's
-        // numbers admit — worst-case traversal.
-        let mut hierarchy2 = hierarchy.clone();
-        let special = ClusterSummary {
-            exporting_nodes: 1000,
-            ..leaf_summary()
-        };
-        hierarchy2
-            .update_summary(*leaves.last().unwrap(), special)
-            .unwrap();
+        let managers = hierarchy.len() - leaves.len();
+        // In the flat design every cluster below the root reports straight
+        // to the one global GRM.
+        let flat_root_msgs = hierarchy.len() - 1;
         let request = WideAreaRequest {
             nodes: 500,
             min_cpu_mips: 500,
             min_ram_mb: 64,
         };
-        let hops = hierarchy2
-            .route_request(leaves[0], &request)
-            .unwrap()
-            .map(|(_, h)| h)
-            .unwrap_or(0);
+        let route = hierarchy
+            .route_soft(leaves[0], &request, now, staleness)
+            .unwrap();
+        assert_eq!(route.target, Some(last));
         table.push_row(vec![
             fanout.to_string(),
             depth.to_string(),
             hierarchy.len().to_string(),
             hier_msgs.to_string(),
-            f2(hier_msgs as f64 / leaves.len() as f64),
-            flat.root_messages.to_string(),
-            hops.to_string(),
+            f2(hier_msgs as f64 / managers as f64),
+            flat_root_msgs.to_string(),
+            route.walked.to_string(),
         ]);
     }
     table
@@ -159,24 +169,22 @@ mod tests {
     fn e9_hierarchy_bounds_per_cluster_load() {
         let table = e9();
         for row in 0..table.rows.len() {
+            let fanout = table.cell_f64(row, "fanout").unwrap();
             let depth = table.cell_f64(row, "depth").unwrap();
-            let per_cluster = table.cell_f64(row, "hier_msgs_per_cluster").unwrap();
-            // Per-leaf update cost = its depth; never the cluster count.
+            let clusters = table.cell_f64(row, "clusters").unwrap();
+            // A manager hears from its fan-out each period; never from the
+            // cluster count.
+            let per_manager = table.cell_f64(row, "hier_msgs_per_manager").unwrap();
             assert!(
-                (per_cluster - depth).abs() < 1e-9,
-                "row {row}: {per_cluster} vs depth {depth}"
+                (per_manager - fanout).abs() < 1e-9,
+                "row {row}: {per_manager} vs fan-out {fanout}"
             );
             // The flat root absorbs one message per cluster (linear).
             let flat = table.cell_f64(row, "flat_root_msgs").unwrap();
-            let clusters = table.cell_f64(row, "clusters").unwrap();
-            // Leaves only: fanout^depth.
-            assert!(flat < clusters);
-        }
-        // Routing stays within 2×depth hops.
-        for row in 0..table.rows.len() {
-            let depth = table.cell_f64(row, "depth").unwrap();
+            assert_eq!(flat, clusters - 1.0);
+            // The worst-case request is found, crossing the whole tree.
             let hops = table.cell_f64(row, "route_hops").unwrap();
-            assert!(hops <= 2.0 * depth, "{hops} <= 2×{depth}");
+            assert_eq!(hops, 2.0 * depth, "row {row}");
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The GRM consults the trader on every scheduling pass, so query cost
 //! bounds how large a cluster one manager can serve. This experiment times
-//! the paper's example constraint at growing offer counts across four
+//! the paper's example constraint at growing offer counts across three
 //! variants and emits both a prose table and a machine-readable
 //! `BENCH_trader.json` for tooling.
 
@@ -18,7 +18,7 @@ use std::time::Instant;
 pub const PAPER_CONSTRAINT: &str = "exporting == true and cpu_mips >= 500 and free_ram_mb >= 16";
 
 /// The query variants measured, in the order they appear in the table.
-pub const VARIANTS: [&str; 4] = ["seed_reference", "cold_plan", "bucket_scan", "warm_indexed"];
+pub const VARIANTS: [&str; 3] = ["seed_reference", "cold_plan", "warm_indexed"];
 
 fn trader_with(offers: usize) -> Trader {
     let mut trader = Trader::new(7);
@@ -120,20 +120,6 @@ pub fn measure(sizes: &[usize], iters: usize, samples: usize) -> Vec<(usize, &'s
         ));
 
         let mut trader = trader_with(offers);
-        trader.set_use_indexes(false);
-        results.push((
-            offers,
-            "bucket_scan",
-            time_ns(
-                || {
-                    run(&mut trader);
-                },
-                iters,
-                samples,
-            ),
-        ));
-
-        let mut trader = trader_with(offers);
         results.push((
             offers,
             "warm_indexed",
@@ -184,7 +170,6 @@ pub fn e10b() -> Table {
             "offers",
             "seed_reference",
             "cold_plan",
-            "bucket_scan",
             "warm_indexed",
             "speedup_vs_seed",
         ],
@@ -203,7 +188,6 @@ pub fn e10b() -> Table {
             offers.to_string(),
             f2(seed),
             f2(ns("cold_plan")),
-            f2(ns("bucket_scan")),
             f2(warm),
             format!("{:.1}x", seed / warm),
         ]);

@@ -26,7 +26,6 @@ use crate::scheduler::Strategy;
 use integrade_orb::security::ClusterKey;
 use integrade_simnet::rng::streams;
 use integrade_simnet::time::SimDuration;
-use integrade_usage::patterns::LupaConfig;
 use std::fmt;
 
 /// Why a [`GridConfigBuilder`] refused to produce a config.
@@ -199,12 +198,6 @@ impl GridConfigBuilder {
     /// Scheduling strategy.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.config.strategy = strategy;
-        self
-    }
-
-    /// LUPA/GUPA analysis configuration.
-    pub fn lupa(mut self, lupa: LupaConfig) -> Self {
-        self.config.lupa = lupa;
         self
     }
 

@@ -19,8 +19,8 @@
 //!   against a hop budget.
 //! - **Hierarchical GUPA aggregation**: on the update-period cadence each
 //!   cluster distils its GUPA usage-pattern models into a
-//!   [`UsageSummary`] (exporting counts plus a predicted-availability
-//!   histogram) and, under [`RoutingPolicy::HierarchySummaries`], reports
+//!   [`UsageSummary`](crate::hierarchy::UsageSummary) (exporting counts plus
+//!   a predicted-availability histogram) and, under [`RoutingPolicy::HierarchySummaries`], reports
 //!   it one edge up the tree as a [`FedSummary`] message. Inner nodes keep
 //!   staleness-bounded soft state and forward merged subtree views on
 //!   their own cadence; requests route over that soft state.
@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::asct::{JobRequirements, JobSpec, JobState};
 use crate::grid::{Grid, GridReport};
-use crate::hierarchy::{ClusterHierarchy, HierarchyError, UsageSummary, WideAreaRequest};
+use crate::hierarchy::{ClusterHierarchy, HierarchyError, SoftReports, WideAreaRequest};
 use crate::protocol::{FedForward, FedForwardAck, FedQuery, FedQueryReply, FedStatus, FedSummary};
 use crate::types::{ClusterId, JobId};
 
@@ -241,11 +241,9 @@ pub struct FederationBuilder {
     hop_budget: u32,
     max_retransmits: u32,
     routing: RoutingPolicy,
-    default_link: LinkSpec,
     wan_faults: Option<FaultPlan>,
-    aggregation: bool,
     root: Option<(ClusterId, Grid)>,
-    children: Vec<(ClusterId, ClusterId, Grid, Option<LinkSpec>)>,
+    children: Vec<(ClusterId, ClusterId, Grid, LinkSpec)>,
 }
 
 impl FederationBuilder {
@@ -257,9 +255,7 @@ impl FederationBuilder {
             hop_budget: 4,
             max_retransmits: 5,
             routing: RoutingPolicy::default(),
-            default_link: LinkSpec::wan_metro(),
             wan_faults: None,
-            aggregation: false,
             root: None,
             children: Vec::new(),
         }
@@ -306,25 +302,10 @@ impl FederationBuilder {
         self
     }
 
-    /// Link spec used for hierarchy edges without an explicit one
-    /// (default [`LinkSpec::wan_metro`]).
-    pub fn wan_link(mut self, link: LinkSpec) -> Self {
-        self.default_link = link;
-        self
-    }
-
     /// Fault plan applied to every WAN message (default quiet). Cluster
     /// `c` maps to `HostId(c.0)` for partitions and outages.
     pub fn wan_faults(mut self, plan: FaultPlan) -> Self {
         self.wan_faults = Some(plan);
-        self
-    }
-
-    /// Force hierarchical summary aggregation even under
-    /// [`RoutingPolicy::LinkedTraders`], where it is otherwise idle
-    /// (useful for apples-to-apples traffic comparisons).
-    pub fn aggregation(mut self, on: bool) -> Self {
-        self.aggregation = on;
         self
     }
 
@@ -334,29 +315,19 @@ impl FederationBuilder {
         self
     }
 
-    /// Adds `id` under `parent` over the default WAN link.
+    /// Adds `id` under `parent` over a [`LinkSpec::wan_metro`] link.
     pub fn child(self, id: ClusterId, parent: ClusterId, grid: Grid) -> Self {
-        self.child_inner(id, parent, grid, None)
+        self.child_linked(id, parent, grid, LinkSpec::wan_metro())
     }
 
     /// Adds `id` under `parent` over an explicit WAN link (e.g.
     /// [`LinkSpec::wan_intercontinental`]).
     pub fn child_linked(
-        self,
-        id: ClusterId,
-        parent: ClusterId,
-        grid: Grid,
-        link: LinkSpec,
-    ) -> Self {
-        self.child_inner(id, parent, grid, Some(link))
-    }
-
-    fn child_inner(
         mut self,
         id: ClusterId,
         parent: ClusterId,
         grid: Grid,
-        link: Option<LinkSpec>,
+        link: LinkSpec,
     ) -> Self {
         self.children.push((id, parent, grid, link));
         self
@@ -399,7 +370,7 @@ impl FederationBuilder {
             }
             hierarchy.add_cluster(id, parent)?;
             members.insert(id, grid);
-            links.insert(edge_key(id, parent), link.unwrap_or(self.default_link));
+            links.insert(edge_key(id, parent), link);
         }
 
         // Mirror every hierarchy edge as trader federation links: children
@@ -429,7 +400,6 @@ impl FederationBuilder {
             root_id,
             links,
             routing: self.routing,
-            aggregation: self.aggregation,
             update_period: self.update_period,
             staleness,
             hop_budget: self.hop_budget,
@@ -439,8 +409,7 @@ impl FederationBuilder {
             now: SimTime::ZERO,
             next_request: 1,
             queue: EventQueue::new(),
-            epochs: BTreeMap::new(),
-            flat: BTreeMap::new(),
+            flat: SoftReports::default(),
             placements: BTreeMap::new(),
             stats: WanStats::default(),
             reports: BTreeMap::new(),
@@ -498,7 +467,6 @@ pub struct Federation {
     root_id: ClusterId,
     links: BTreeMap<(u32, u32), LinkSpec>,
     routing: RoutingPolicy,
-    aggregation: bool,
     update_period: SimDuration,
     staleness: SimDuration,
     hop_budget: u32,
@@ -508,9 +476,8 @@ pub struct Federation {
     now: SimTime,
     next_request: u64,
     queue: EventQueue<FedEvent>,
-    epochs: BTreeMap<ClusterId, u64>,
     /// Flat-directory soft state kept at the root (FlatDirectory mode).
-    flat: BTreeMap<ClusterId, (UsageSummary, SimTime)>,
+    flat: SoftReports,
     placements: BTreeMap<GlobalJobId, PlacementRecord>,
     stats: WanStats,
     /// Member reports cached by [`Federation::refresh`] so aggregate
@@ -855,22 +822,11 @@ impl Federation {
         let (qlat, _) = self
             .wan_transfer(&path, wire_size(&query))
             .ok_or(FederationError::Unreachable(root))?;
-        let mut target = None;
-        for (&c, (usage, received_at)) in &self.flat {
-            if c == origin {
-                continue;
-            }
-            if self.now.duration_since(*received_at) > self.staleness {
-                continue;
-            }
-            if usage.summary.admits(request) {
-                target = Some(c);
-                break;
-            }
-        }
-        let Some(target) = target else {
-            return Err(FederationError::Unsatisfiable);
-        };
+        let (target, _) = self
+            .flat
+            .fresh(self.now, self.staleness)
+            .find(|&(c, usage)| c != origin && usage.summary.admits(request))
+            .ok_or(FederationError::Unsatisfiable)?;
         let reply = FedQueryReply {
             request_id: query.request_id,
             cluster: target,
@@ -892,14 +848,10 @@ impl Federation {
         origin: ClusterId,
         request: &WideAreaRequest,
     ) -> Result<(ClusterId, SimDuration), FederationError> {
-        let walked_before = self.hierarchy.stats().routing_messages;
-        let found = self
+        let route = self
             .hierarchy
             .route_soft(origin, request, self.now, self.staleness)?;
-        let walked = self.hierarchy.stats().routing_messages - walked_before;
-        let Some((target, _)) = found else {
-            return Err(FederationError::Unsatisfiable);
-        };
+        let target = route.target.ok_or(FederationError::Unsatisfiable)?;
         self.stats.spillover_queries += 1;
         let query = self.next_query(origin, request, 0);
         let qbytes = wire_size(&query);
@@ -907,7 +859,7 @@ impl Federation {
         // Edges walked beyond the direct path (failed descents while
         // climbing) still cost bytes even though the request ends up on
         // the direct path.
-        let extra = walked.saturating_sub((path.len() - 1) as u64);
+        let extra = u64::from(route.walked).saturating_sub((path.len() - 1) as u64);
         self.stats.messages += extra;
         self.stats.bytes += extra * qbytes;
         let (qlat, _) = self
@@ -981,14 +933,6 @@ impl Federation {
         })
     }
 
-    /// The WAN link on edge `(a, b)`.
-    fn link(&self, a: ClusterId, b: ClusterId) -> LinkSpec {
-        self.links
-            .get(&edge_key(a, b))
-            .copied()
-            .unwrap_or(LinkSpec::wan_metro())
-    }
-
     /// The tree path between two members, inclusive of both ends.
     fn path(&self, from: ClusterId, to: ClusterId) -> Vec<ClusterId> {
         self.hierarchy
@@ -1005,7 +949,7 @@ impl Federation {
         let mut total = SimDuration::ZERO;
         let mut spent = 0u64;
         for pair in path.windows(2) {
-            let link = self.link(pair[0], pair[1]);
+            let link = self.links[&edge_key(pair[0], pair[1])]; // every tree edge has one
             let from = HostId(pair[0].0);
             let to = HostId(pair[1].0);
             let serialise = SimDuration::from_micros(
@@ -1092,15 +1036,13 @@ impl Federation {
         }
     }
 
-    /// Distils the cluster's GUPA models into a [`UsageSummary`], stores
-    /// it as local soft state, and reports it over the WAN as the
-    /// routing policy demands.
+    /// Distils the cluster's GUPA models into a usage summary, stores it as
+    /// local soft state, and reports it over the WAN as the routing policy
+    /// demands.
     fn summary_tick(&mut self, cluster: ClusterId) {
-        let epoch = {
-            let e = self.epochs.entry(cluster).or_insert(0);
-            *e += 1;
-            *e
-        };
+        // The cluster's update round: one past the epoch it last stamped.
+        let last = self.hierarchy.own_usage(cluster).expect("member");
+        let epoch = last.epoch + 1;
         let usage = self.member_now(cluster).usage_summary(epoch);
         self.hierarchy
             .set_own_usage(cluster, usage)
@@ -1109,7 +1051,7 @@ impl Federation {
         match self.routing {
             RoutingPolicy::FlatDirectory => {
                 if cluster == self.root_id {
-                    self.flat.insert(cluster, (usage, self.now));
+                    self.flat.offer(cluster, usage, self.now);
                 } else {
                     let msg = FedSummary { cluster, usage };
                     let bytes = wire_size(&msg);
@@ -1118,11 +1060,7 @@ impl Federation {
                 }
             }
             RoutingPolicy::HierarchySummaries => self.send_subtree_report(cluster, epoch),
-            RoutingPolicy::LinkedTraders => {
-                if self.aggregation {
-                    self.send_subtree_report(cluster, epoch);
-                }
-            }
+            RoutingPolicy::LinkedTraders => {} // probes live offers; no summaries travel
         }
         let next = self.now.saturating_add(self.update_period);
         self.schedule(next, FedEvent::SummaryTick { cluster });
@@ -1192,17 +1130,10 @@ impl Federation {
         match msg {
             FedMsg::Summary(summary) => {
                 if self.routing == RoutingPolicy::FlatDirectory && to == self.root_id {
-                    let fresh = match self.flat.get(&summary.cluster) {
-                        Some((held, _)) => summary.usage.epoch >= held.epoch,
-                        None => true,
-                    };
-                    if fresh {
-                        self.flat.insert(summary.cluster, (summary.usage, self.now));
-                    }
+                    self.flat.offer(summary.cluster, summary.usage, self.now);
                 } else {
                     // `to` is the reporting cluster's parent by
-                    // construction; the hierarchy's epoch guard discards
-                    // out-of-order reports.
+                    // construction.
                     let _ = self.hierarchy.apply_child_report(
                         to,
                         summary.cluster,
@@ -1257,6 +1188,7 @@ mod tests {
     use super::*;
     use crate::asct::{GroupRequest, TopologyRequest};
     use crate::grid::{GridBuilder, GridConfig, NodeSetup};
+    use crate::hierarchy::UsageSummary;
     use crate::types::ResourceVector;
 
     fn grid_of(n: usize, mips: u64) -> Grid {
@@ -1482,6 +1414,33 @@ mod tests {
         assert_eq!(placed.id.cluster, ClusterId(2));
         fed.run_until(SimTime::from_secs(3600));
         assert_eq!(fed.job_state(placed.id), Some(JobState::Completed));
+    }
+
+    #[test]
+    fn reordered_summaries_keep_the_newer_report() {
+        for routing in [
+            RoutingPolicy::FlatDirectory,
+            RoutingPolicy::HierarchySummaries,
+        ] {
+            let mut fed = builder_3().routing(routing).build().unwrap();
+            let summary = |epoch| {
+                FedMsg::Summary(FedSummary {
+                    cluster: ClusterId(2),
+                    usage: UsageSummary {
+                        epoch,
+                        ..Default::default()
+                    },
+                })
+            };
+            // Epoch 2 overtook epoch 1 on the WAN.
+            fed.deliver(ClusterId(0), summary(2));
+            fed.deliver(ClusterId(0), summary(1));
+            let held = match routing {
+                RoutingPolicy::FlatDirectory => fed.flat.held(ClusterId(2)),
+                _ => fed.hierarchy.child_report(ClusterId(0), ClusterId(2)),
+            };
+            assert_eq!(held.map(|(usage, _)| usage.epoch), Some(2), "{routing:?}");
+        }
     }
 
     #[test]

@@ -137,8 +137,6 @@ pub struct GridConfig {
     pub lrm: LrmConfig,
     /// Scheduling strategy (E5's independent variable).
     pub strategy: Strategy,
-    /// LUPA/GUPA analysis configuration.
-    pub lupa: LupaConfig,
     /// Maximum candidates fetched per trader query.
     pub max_candidates: usize,
     /// Scheduling attempts before a job fails.
@@ -227,7 +225,6 @@ impl Default for GridConfig {
             tick: SimDuration::from_mins(5),
             lrm: LrmConfig::default(),
             strategy: Strategy::AvailabilityOnly,
-            lupa: LupaConfig::default(),
             max_candidates: 64,
             max_attempts: 200,
             prediction_horizon_mins: 120,
@@ -766,7 +763,7 @@ impl Grid {
             shard_rngs: (0..shards)
                 .map(|i| DetRng::for_shard(config.seed, i))
                 .collect(),
-            gupa: GupaState::new(config.lupa),
+            gupa: GupaState::new(LupaConfig::default()),
             net: Network::new(topo),
             orbs,
             nodes,

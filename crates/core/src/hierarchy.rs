@@ -7,12 +7,15 @@
 //! reservation across a collection of clusters organized in a wide-area
 //! hierarchy".
 //!
-//! Each cluster keeps an aggregated [`ClusterSummary`]; summaries propagate
-//! toward the root so every inner node knows what its subtree can offer. A
-//! request that the local cluster cannot satisfy climbs toward the root and
-//! descends into the first subtree whose aggregate satisfies it. The module
-//! counts protocol messages so experiment E9 can compare the hierarchy
-//! against a flat directory where every cluster reports to one global GRM.
+//! [`ClusterHierarchy`] is the tree plus message-fed soft state. Each
+//! cluster sets its own [`UsageSummary`] locally; its parent learns of it
+//! only when a report crosses the edge ([`ClusterHierarchy::apply_child_report`])
+//! and forgets it once the report is older than the staleness bound, so every
+//! inner cluster knows what its subtree *recently said* it can offer — never
+//! a synchronously consistent aggregate. A request the local cluster cannot
+//! satisfy climbs toward the root and descends into the first subtree whose
+//! fresh report admits it ([`ClusterHierarchy::route_soft`]). The module
+//! counts protocol messages per edge, which is what experiment E9 reads.
 
 use crate::types::ClusterId;
 use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
@@ -34,8 +37,8 @@ pub struct ClusterSummary {
     pub max_free_ram_mb: u64,
     /// Largest exporting-node count of any *single* cluster in the
     /// subtree. A request must fit in one cluster, so routing admits on
-    /// this, not the sum (set automatically on update; leave 0 when
-    /// constructing a leaf summary by hand).
+    /// this, not the sum (set by [`Self::merge`]; leave 0 when constructing
+    /// a single cluster's summary by hand).
     pub max_cluster_exporting: u32,
 }
 
@@ -47,7 +50,9 @@ impl ClusterSummary {
             exporting_nodes: self.exporting_nodes + other.exporting_nodes,
             max_cpu_mips: self.max_cpu_mips.max(other.max_cpu_mips),
             max_free_ram_mb: self.max_free_ram_mb.max(other.max_free_ram_mb),
-            max_cluster_exporting: self.max_cluster_exporting.max(other.max_cluster_exporting),
+            max_cluster_exporting: self
+                .single_cluster_exporting()
+                .max(other.single_cluster_exporting()),
         }
     }
 
@@ -61,7 +66,7 @@ impl ClusterSummary {
 
     /// The exporting capacity of the best single cluster this summary
     /// covers: `max_cluster_exporting` when set (aggregates), otherwise the
-    /// summary's own `exporting_nodes` (hand-built leaf summaries).
+    /// summary's own `exporting_nodes` (a single cluster's summary).
     pub fn single_cluster_exporting(&self) -> u32 {
         if self.max_cluster_exporting > 0 {
             self.max_cluster_exporting
@@ -199,7 +204,8 @@ impl CdrDecode for UsageSummary {
     }
 }
 
-/// A resource request forwarded across clusters.
+/// What a job asks of the cluster that will run it, as routing sees it (on
+/// the wire it travels as a [`crate::protocol::FedQuery`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WideAreaRequest {
     /// Exporting nodes needed.
@@ -208,23 +214,6 @@ pub struct WideAreaRequest {
     pub min_cpu_mips: u64,
     /// Minimum free RAM per node, MB.
     pub min_ram_mb: u64,
-}
-
-impl CdrEncode for WideAreaRequest {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.nodes.encode(w);
-        self.min_cpu_mips.encode(w);
-        self.min_ram_mb.encode(w);
-    }
-}
-impl CdrDecode for WideAreaRequest {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(WideAreaRequest {
-            nodes: u32::decode(r)?,
-            min_cpu_mips: u64::decode(r)?,
-            min_ram_mb: u64::decode(r)?,
-        })
-    }
 }
 
 /// Message-count statistics (E9's dependent variable).
@@ -260,56 +249,124 @@ impl fmt::Display for HierarchyError {
 
 impl std::error::Error for HierarchyError {}
 
-#[derive(Debug, Clone)]
-struct HierarchyEntry {
-    parent: Option<ClusterId>,
-    children: Vec<ClusterId>,
-    own: ClusterSummary,
-    /// Aggregate of `own` plus all descendant aggregates.
-    subtree: ClusterSummary,
-    /// The cluster's own usage summary, set locally at its update cadence.
-    own_usage: UsageSummary,
-    /// Soft state: each child's last *delivered* subtree report, with the
-    /// virtual time it arrived. Fed only by
-    /// [`ClusterHierarchy::apply_child_report`] — i.e. by real protocol
-    /// messages that survived the WAN — never synchronously, so a lost or
-    /// partitioned update genuinely leaves the parent stale.
-    child_reports: BTreeMap<ClusterId, (UsageSummary, SimTime)>,
+/// Soft state about a set of reporting clusters: each sender's latest
+/// [`UsageSummary`] and the virtual time it arrived. This is the one place
+/// that knows when a report is accepted (its epoch is not older than the
+/// held one) and when it is still usable (`now − arrived ≤ staleness`); the
+/// tree's per-parent child reports and the federation's flat directory are
+/// both one of these.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SoftReports {
+    held: BTreeMap<ClusterId, (UsageSummary, SimTime)>,
 }
 
-impl HierarchyEntry {
-    fn new(parent: Option<ClusterId>) -> Self {
-        HierarchyEntry {
-            parent,
-            children: Vec::new(),
-            own: ClusterSummary::default(),
-            subtree: ClusterSummary::default(),
-            own_usage: UsageSummary::default(),
-            child_reports: BTreeMap::new(),
+impl SoftReports {
+    /// Offers a report from `sender` that arrived at `now`. A report with an
+    /// older epoch than the held one is discarded, so out-of-order WAN
+    /// delivery never rolls a view backwards; an equal epoch refreshes the
+    /// arrival time.
+    pub(crate) fn offer(&mut self, sender: ClusterId, report: UsageSummary, now: SimTime) {
+        let older = |(held, _): &(UsageSummary, SimTime)| report.epoch < held.epoch;
+        if !self.held.get(&sender).is_some_and(older) {
+            self.held.insert(sender, (report, now));
         }
+    }
+
+    /// The report held for `sender` with its arrival time, fresh or not.
+    pub(crate) fn held(&self, sender: ClusterId) -> Option<(UsageSummary, SimTime)> {
+        self.held.get(&sender).copied()
+    }
+
+    /// Whether `sender`'s report is still usable at `now` and admits the
+    /// request.
+    pub(crate) fn admits(
+        &self,
+        sender: ClusterId,
+        request: &WideAreaRequest,
+        now: SimTime,
+        staleness: SimDuration,
+    ) -> bool {
+        let fresh = self
+            .held
+            .get(&sender)
+            .and_then(|held| usable(held, now, staleness));
+        fresh.is_some_and(|report| report.summary.admits(request))
+    }
+
+    /// Every report still usable at `now`, in ascending sender order.
+    pub(crate) fn fresh(
+        &self,
+        now: SimTime,
+        staleness: SimDuration,
+    ) -> impl Iterator<Item = (ClusterId, UsageSummary)> + '_ {
+        self.held
+            .iter()
+            .filter_map(move |(&sender, held)| Some((sender, usable(held, now, staleness)?)))
     }
 }
 
-/// A tree of clusters with aggregate summaries and request routing.
+/// A held report drops out exactly when it is older than `staleness` — the
+/// bound that keeps a partitioned sender from being advertised forever.
+fn usable(
+    &(report, arrived): &(UsageSummary, SimTime),
+    now: SimTime,
+    staleness: SimDuration,
+) -> Option<UsageSummary> {
+    (now.duration_since(arrived) <= staleness).then_some(report)
+}
+
+#[derive(Debug, Clone, Default)]
+struct HierarchyEntry {
+    parent: Option<ClusterId>,
+    children: Vec<ClusterId>,
+    /// The cluster's own usage summary, set locally at its update cadence.
+    own_usage: UsageSummary,
+    /// Each child's last *delivered* subtree report. Fed only by
+    /// [`ClusterHierarchy::apply_child_report`] — i.e. by real protocol
+    /// messages that survived the WAN — never synchronously, so a lost or
+    /// partitioned update genuinely leaves the parent stale.
+    child_reports: SoftReports,
+}
+
+/// What a [`ClusterHierarchy::route_soft`] walk found and what it cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SoftRoute {
+    /// The cluster whose own usage admits the request, if one was found.
+    pub target: Option<ClusterId>,
+    /// Edges the walk crossed: the tree path to `target`, plus every descent
+    /// into a subtree whose report admitted the request but which no longer
+    /// held a satisfying cluster.
+    pub walked: u32,
+}
+
+/// A tree of clusters with message-fed soft state and request routing.
 ///
 /// # Examples
 ///
 /// ```
-/// use integrade_core::hierarchy::{ClusterHierarchy, ClusterSummary, WideAreaRequest};
+/// use integrade_core::hierarchy::{
+///     ClusterHierarchy, ClusterSummary, UsageSummary, WideAreaRequest,
+/// };
 /// use integrade_core::types::ClusterId;
+/// use integrade_simnet::time::{SimDuration, SimTime};
 ///
 /// let mut h = ClusterHierarchy::new(ClusterId(0));
 /// h.add_cluster(ClusterId(1), ClusterId(0)).unwrap();
 /// h.add_cluster(ClusterId(2), ClusterId(0)).unwrap();
-/// h.update_summary(ClusterId(2), ClusterSummary {
+/// let summary = ClusterSummary {
 ///     nodes: 50, exporting_nodes: 40, max_cpu_mips: 1000, max_free_ram_mb: 256,
 ///     ..Default::default()
-/// }).unwrap();
+/// };
+/// let (now, staleness) = (SimTime::from_secs(60), SimDuration::from_secs(180));
+/// h.set_own_usage(ClusterId(2), UsageSummary { summary, ..Default::default() }).unwrap();
+/// // Nothing propagates until the report crosses the edge to the root.
+/// let report = h.reported_subtree(ClusterId(2), now, staleness).unwrap();
+/// h.apply_child_report(ClusterId(0), ClusterId(2), report, now).unwrap();
 ///
 /// let req = WideAreaRequest { nodes: 10, min_cpu_mips: 500, min_ram_mb: 64 };
-/// let (target, hops) = h.route_request(ClusterId(1), &req).unwrap().unwrap();
-/// assert_eq!(target, ClusterId(2));
-/// assert_eq!(hops, 2); // up to the root, down to the sibling
+/// let route = h.route_soft(ClusterId(1), &req, now, staleness).unwrap();
+/// assert_eq!(route.target, Some(ClusterId(2)));
+/// assert_eq!(route.walked, 2); // up to the root, down to the sibling
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterHierarchy {
@@ -322,7 +379,7 @@ impl ClusterHierarchy {
     /// Creates a hierarchy with a root cluster.
     pub fn new(root: ClusterId) -> Self {
         let mut entries = BTreeMap::new();
-        entries.insert(root, HierarchyEntry::new(None));
+        entries.insert(root, HierarchyEntry::default());
         ClusterHierarchy {
             entries,
             root,
@@ -387,7 +444,8 @@ impl ClusterHierarchy {
             .get_mut(&parent)
             .ok_or(HierarchyError::UnknownCluster(parent))?;
         parent_entry.children.push(id);
-        self.entries.insert(id, HierarchyEntry::new(Some(parent)));
+        let entry = self.entries.entry(id).or_default();
+        entry.parent = Some(parent);
         Ok(())
     }
 
@@ -436,48 +494,6 @@ impl ClusterHierarchy {
         down.reverse();
         path.extend(down);
         Some(path)
-    }
-
-    /// Updates a cluster's own summary and propagates aggregates to the
-    /// root, counting one update message per edge.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster is unknown.
-    pub fn update_summary(
-        &mut self,
-        cluster: ClusterId,
-        mut summary: ClusterSummary,
-    ) -> Result<(), HierarchyError> {
-        summary.max_cluster_exporting = summary.exporting_nodes;
-        {
-            let entry = self
-                .entries
-                .get_mut(&cluster)
-                .ok_or(HierarchyError::UnknownCluster(cluster))?;
-            entry.own = summary;
-        }
-        // Recompute aggregates along the path to the root.
-        let mut current = Some(cluster);
-        while let Some(id) = current {
-            let children = self.entries[&id].children.clone();
-            let mut aggregate = self.entries[&id].own;
-            for child in children {
-                aggregate = aggregate.merge(self.entries[&child].subtree);
-            }
-            let entry = self.entries.get_mut(&id).expect("visited");
-            entry.subtree = aggregate;
-            current = entry.parent;
-            if current.is_some() {
-                self.stats.update_messages += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// A cluster's subtree aggregate.
-    pub fn aggregate(&self, cluster: ClusterId) -> Option<ClusterSummary> {
-        self.entries.get(&cluster).map(|e| e.subtree)
     }
 
     /// Sets a cluster's *own* usage summary — a purely local operation (the
@@ -535,12 +551,7 @@ impl ClusterHierarchy {
             return Err(HierarchyError::NotAChild(child, parent));
         }
         self.stats.update_messages += 1;
-        match entry.child_reports.get(&child) {
-            Some((held, _)) if held.epoch > report.epoch => {} // stale duplicate
-            _ => {
-                entry.child_reports.insert(child, (report, now));
-            }
-        }
+        entry.child_reports.offer(child, report, now);
         Ok(())
     }
 
@@ -550,19 +561,13 @@ impl ClusterHierarchy {
         parent: ClusterId,
         child: ClusterId,
     ) -> Option<(UsageSummary, SimTime)> {
-        self.entries
-            .get(&parent)?
-            .child_reports
-            .get(&child)
-            .copied()
+        self.entries.get(&parent)?.child_reports.held(child)
     }
 
     /// A cluster's subtree summary as *reported soft state*: its own usage
     /// merged with every child report that arrived within `staleness` of
-    /// `now`. Stale children silently drop out of the aggregate — the
-    /// staleness bound is what keeps a partitioned subtree from being
-    /// advertised forever. This is exactly what the cluster sends its
-    /// parent at its next update tick.
+    /// `now`. Stale children silently drop out of the aggregate. This is
+    /// exactly what the cluster sends its parent at its next update tick.
     pub fn reported_subtree(
         &self,
         cluster: ClusterId,
@@ -570,20 +575,22 @@ impl ClusterHierarchy {
         staleness: SimDuration,
     ) -> Option<UsageSummary> {
         let entry = self.entries.get(&cluster)?;
-        let mut aggregate = entry.own_usage;
-        for (report, received_at) in entry.child_reports.values() {
-            if now.duration_since(*received_at) <= staleness {
-                aggregate = aggregate.merge(*report);
-            }
-        }
-        Some(aggregate)
+        Some(
+            entry
+                .child_reports
+                .fresh(now, staleness)
+                .fold(entry.own_usage, |aggregate, (_, report)| {
+                    aggregate.merge(report)
+                }),
+        )
     }
 
-    /// Routes a request on the staleness-bounded soft state: the
-    /// message-fed counterpart of [`Self::route_request`]. The request
-    /// climbs from `origin` toward the root; at every cluster it consults
-    /// only child reports that are fresh at `now`, descending into the
-    /// first admitting subtree. Counts one routing message per hop.
+    /// Routes a request on the staleness-bounded soft state. If the origin's
+    /// own usage admits it the answer is local (nothing walked). Otherwise
+    /// the request climbs toward the root; each cluster on the way consults
+    /// only child reports that are fresh at `now`, offering the request to
+    /// its other subtrees first and then to itself. Counts one routing
+    /// message per edge walked.
     ///
     /// # Errors
     ///
@@ -594,194 +601,80 @@ impl ClusterHierarchy {
         request: &WideAreaRequest,
         now: SimTime,
         staleness: SimDuration,
-    ) -> Result<Option<(ClusterId, u32)>, HierarchyError> {
-        if !self.entries.contains_key(&origin) {
-            return Err(HierarchyError::UnknownCluster(origin));
+    ) -> Result<SoftRoute, HierarchyError> {
+        let local = self
+            .entries
+            .get(&origin)
+            .ok_or(HierarchyError::UnknownCluster(origin))?;
+        if local.own_usage.summary.admits(request) {
+            return Ok(SoftRoute {
+                target: Some(origin),
+                walked: 0,
+            });
         }
-        let fresh = |held: &Option<(UsageSummary, SimTime)>| -> Option<UsageSummary> {
-            held.as_ref().and_then(|(report, received_at)| {
-                (now.duration_since(*received_at) <= staleness).then_some(*report)
-            })
-        };
-        if self.entries[&origin].own_usage.summary.admits(request) {
-            return Ok(Some((origin, 0)));
-        }
-        let mut hops = 0u32;
+        let mut walked = 0u32;
         let mut came_from: Option<ClusterId> = None;
         let mut current = origin;
-        loop {
-            // Offer the request to this cluster's (other) subtrees first.
-            let children = self.entries[&current].children.clone();
-            for child in children {
-                if Some(child) == came_from {
-                    continue;
-                }
-                let held = fresh(&self.child_report(current, child));
-                if held.is_some_and(|r| r.summary.admits(request)) {
-                    if let Some(found) = self.descend_soft(child, request, now, staleness, hops) {
-                        return Ok(Some(found));
-                    }
-                }
+        let target = loop {
+            let entry = &self.entries[&current];
+            let below = entry
+                .children
+                .iter()
+                .filter(|&&c| {
+                    Some(c) != came_from && entry.child_reports.admits(c, request, now, staleness)
+                })
+                .find_map(|&c| self.descend(c, request, now, staleness, &mut walked));
+            if below.is_some() {
+                break below;
             }
-            // This cluster itself (when the request arrived from below).
-            if came_from.is_some() && self.entries[&current].own_usage.summary.admits(request) {
-                return Ok(Some((current, hops)));
+            // The origin's own usage was refused above, so this only ever
+            // answers for an ancestor.
+            if entry.own_usage.summary.admits(request) {
+                break Some(current);
             }
-            let Some(parent) = self.entries[&current].parent else {
-                return Ok(None);
+            let Some(parent) = entry.parent else {
+                break None;
             };
-            hops += 1;
-            self.stats.routing_messages += 1;
+            walked += 1;
             came_from = Some(current);
             current = parent;
-        }
+        };
+        self.stats.routing_messages += u64::from(walked);
+        Ok(SoftRoute { target, walked })
     }
 
-    /// Descends into an admitting subtree on soft state. Unlike the
-    /// synchronous [`Self::descend`], an admitting report does not
-    /// guarantee a satisfying leaf (the soft state may be stale), so this
-    /// can come back empty-handed — the caller then keeps climbing.
-    fn descend_soft(
-        &mut self,
-        id: ClusterId,
+    /// Descends into a subtree whose report admitted the request. An
+    /// admitting report does not guarantee a satisfying cluster below it (a
+    /// grandchild's report may have aged out since the child last
+    /// aggregated), so this can come back empty-handed — the caller then
+    /// keeps climbing.
+    fn descend(
+        &self,
+        mut id: ClusterId,
         request: &WideAreaRequest,
         now: SimTime,
         staleness: SimDuration,
-        hops_so_far: u32,
-    ) -> Option<(ClusterId, u32)> {
-        let mut hops = hops_so_far + 1; // the edge into `id`
-        self.stats.routing_messages += 1;
-        let mut id = id;
+        walked: &mut u32,
+    ) -> Option<ClusterId> {
         loop {
-            if self.entries[&id].own_usage.summary.admits(request) {
-                return Some((id, hops));
+            *walked += 1; // the edge into `id`
+            let entry = &self.entries[&id];
+            if entry.own_usage.summary.admits(request) {
+                return Some(id);
             }
-            let children = self.entries[&id].children.clone();
-            let next = children.into_iter().find(|&c| {
-                self.child_report(id, c)
-                    .is_some_and(|(report, received_at)| {
-                        now.duration_since(received_at) <= staleness
-                            && report.summary.admits(request)
-                    })
-            })?;
-            hops += 1;
-            self.stats.routing_messages += 1;
-            id = next;
+            id = *entry
+                .children
+                .iter()
+                .find(|&&c| entry.child_reports.admits(c, request, now, staleness))?;
         }
-    }
-
-    /// Routes a request from `origin`: if the local cluster satisfies it,
-    /// the answer is local (0 hops). Otherwise the request climbs toward
-    /// the root and descends into the first admitting subtree. Returns the
-    /// satisfying cluster and the number of inter-cluster hops, or `None`
-    /// when nothing in the grid admits the request. Each hop counts one
-    /// routing message.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `origin` is unknown.
-    pub fn route_request(
-        &mut self,
-        origin: ClusterId,
-        request: &WideAreaRequest,
-    ) -> Result<Option<(ClusterId, u32)>, HierarchyError> {
-        if !self.entries.contains_key(&origin) {
-            return Err(HierarchyError::UnknownCluster(origin));
-        }
-        if self.entries[&origin].own.admits(request) {
-            return Ok(Some((origin, 0)));
-        }
-        // Requests flow down as well as up: an inner cluster (including the
-        // root) first offers the request to its own subtrees.
-        let origin_children = self.entries[&origin].children.clone();
-        for child in origin_children {
-            if self.entries[&child].subtree.admits(request) {
-                let (target, down_hops) = self.descend(child, request);
-                return Ok(Some((target, down_hops)));
-            }
-        }
-        let mut hops = 0u32;
-        let mut came_from = origin;
-        let mut current = self.entries[&origin].parent;
-        while let Some(id) = current {
-            hops += 1;
-            self.stats.routing_messages += 1;
-            // Check this inner cluster's other subtrees.
-            let children = self.entries[&id].children.clone();
-            for child in children {
-                if child == came_from {
-                    continue;
-                }
-                if self.entries[&child].subtree.admits(request) {
-                    let (target, down_hops) = self.descend(child, request);
-                    return Ok(Some((target, hops + down_hops)));
-                }
-            }
-            // The inner cluster itself may satisfy it.
-            if self.entries[&id].own.admits(request) {
-                return Ok(Some((id, hops)));
-            }
-            came_from = id;
-            current = self.entries[&id].parent;
-        }
-        Ok(None)
-    }
-
-    /// Descends into an admitting subtree to a satisfying cluster.
-    fn descend(&mut self, mut id: ClusterId, request: &WideAreaRequest) -> (ClusterId, u32) {
-        let mut hops = 1u32; // the edge into `id`
-        self.stats.routing_messages += 1;
-        loop {
-            if self.entries[&id].own.admits(request) {
-                return (id, hops);
-            }
-            let children = self.entries[&id].children.clone();
-            let next = children
-                .into_iter()
-                .find(|c| self.entries[c].subtree.admits(request))
-                .expect("subtree admits, so some child or self must");
-            hops += 1;
-            self.stats.routing_messages += 1;
-            id = next;
-        }
-    }
-}
-
-/// A flat global directory for comparison (every cluster reports to one
-/// global GRM; every query is answered there).
-#[derive(Debug, Clone, Default)]
-pub struct FlatDirectory {
-    summaries: BTreeMap<ClusterId, ClusterSummary>,
-    /// Messages received by the single global GRM.
-    pub root_messages: u64,
-}
-
-impl FlatDirectory {
-    /// Creates an empty directory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// One cluster reports (one message to the global GRM).
-    pub fn update_summary(&mut self, cluster: ClusterId, mut summary: ClusterSummary) {
-        summary.max_cluster_exporting = summary.exporting_nodes;
-        self.summaries.insert(cluster, summary);
-        self.root_messages += 1;
-    }
-
-    /// Finds any satisfying cluster (2 messages: query + reply).
-    pub fn route_request(&mut self, request: &WideAreaRequest) -> Option<ClusterId> {
-        self.root_messages += 2;
-        self.summaries
-            .iter()
-            .find(|(_, s)| s.admits(request))
-            .map(|(c, _)| *c)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const STALENESS: SimDuration = SimDuration::from_secs(60);
 
     fn summary(exporting: u32, mips: u64, ram: u64) -> ClusterSummary {
         ClusterSummary {
@@ -790,6 +683,14 @@ mod tests {
             max_cpu_mips: mips,
             max_free_ram_mb: ram,
             ..Default::default()
+        }
+    }
+
+    fn usage(exporting: u32, mips: u64, ram: u64, epoch: u64) -> UsageSummary {
+        UsageSummary {
+            summary: summary(exporting, mips, ram),
+            histogram: AvailabilityHistogram::default(),
+            epoch,
         }
     }
 
@@ -811,66 +712,91 @@ mod tests {
         h
     }
 
+    /// Sends `cluster`'s reported subtree one edge up, as its update tick
+    /// would with nothing lost on the way.
+    fn report_up(h: &mut ClusterHierarchy, cluster: ClusterId, now: SimTime) {
+        let parent = h.parent(cluster).unwrap();
+        let report = h.reported_subtree(cluster, now, STALENESS).unwrap();
+        h.apply_child_report(parent, cluster, report, now).unwrap();
+    }
+
+    /// One reporting period, children before parents (ids grow with depth
+    /// in every tree these tests build).
+    fn report_round(h: &mut ClusterHierarchy, now: SimTime) {
+        let bottom_up: Vec<ClusterId> = h.clusters().filter(|&c| c != h.root()).collect();
+        for &cluster in bottom_up.iter().rev() {
+            report_up(h, cluster, now);
+        }
+    }
+
+    fn exporting_below(h: &ClusterHierarchy, cluster: ClusterId, now: SimTime) -> u32 {
+        let subtree = h.reported_subtree(cluster, now, STALENESS).unwrap();
+        subtree.summary.exporting_nodes
+    }
+
     #[test]
     fn aggregates_propagate_to_root() {
         let mut h = small_tree();
-        h.update_summary(ClusterId(3), summary(10, 800, 128))
+        let t0 = SimTime::ZERO;
+        h.set_own_usage(ClusterId(3), usage(10, 800, 128, 1))
             .unwrap();
-        h.update_summary(ClusterId(4), summary(20, 600, 256))
+        h.set_own_usage(ClusterId(4), usage(20, 600, 256, 1))
             .unwrap();
-        let agg2 = h.aggregate(ClusterId(2)).unwrap();
-        assert_eq!(agg2.exporting_nodes, 30);
-        assert_eq!(agg2.max_cpu_mips, 800);
-        assert_eq!(agg2.max_free_ram_mb, 256);
-        let root = h.aggregate(ClusterId(0)).unwrap();
-        assert_eq!(root.exporting_nodes, 30);
+        assert_eq!(exporting_below(&h, ClusterId(0), t0), 0, "nothing sent");
+        report_round(&mut h, t0);
+        let agg2 = h.reported_subtree(ClusterId(2), t0, STALENESS).unwrap();
+        assert_eq!(agg2.summary.exporting_nodes, 30);
+        assert_eq!(agg2.summary.max_cpu_mips, 800);
+        assert_eq!(agg2.summary.max_free_ram_mb, 256);
+        assert_eq!(agg2.summary.max_cluster_exporting, 20);
+        assert_eq!(exporting_below(&h, ClusterId(0), t0), 30);
     }
 
     #[test]
     fn local_requests_stay_local() {
         let mut h = small_tree();
-        h.update_summary(ClusterId(1), summary(10, 800, 128))
+        h.set_own_usage(ClusterId(1), usage(10, 800, 128, 1))
             .unwrap();
-        let (target, hops) = h
-            .route_request(ClusterId(1), &request(5, 500, 64))
-            .unwrap()
+        let route = h
+            .route_soft(ClusterId(1), &request(5, 500, 64), SimTime::ZERO, STALENESS)
             .unwrap();
-        assert_eq!(target, ClusterId(1));
-        assert_eq!(hops, 0);
+        assert_eq!((route.target, route.walked), (Some(ClusterId(1)), 0));
         assert_eq!(h.stats().routing_messages, 0);
     }
 
     #[test]
     fn requests_route_to_sibling_subtree() {
         let mut h = small_tree();
-        h.update_summary(ClusterId(3), summary(50, 1000, 512))
+        let t0 = SimTime::ZERO;
+        h.set_own_usage(ClusterId(3), usage(50, 1000, 512, 1))
             .unwrap();
-        let (target, hops) = h
-            .route_request(ClusterId(1), &request(40, 900, 256))
-            .unwrap()
+        report_round(&mut h, t0);
+        let route = h
+            .route_soft(ClusterId(1), &request(40, 900, 256), t0, STALENESS)
             .unwrap();
-        assert_eq!(target, ClusterId(3));
         // c1 → root (1 hop) → c2 (1) → c3 (1).
-        assert_eq!(hops, 3);
+        assert_eq!((route.target, route.walked), (Some(ClusterId(3)), 3));
         assert_eq!(h.stats().routing_messages, 3);
     }
 
     #[test]
     fn unsatisfiable_requests_return_none() {
         let mut h = small_tree();
-        h.update_summary(ClusterId(3), summary(10, 500, 128))
+        let t0 = SimTime::ZERO;
+        h.set_own_usage(ClusterId(3), usage(10, 500, 128, 1))
             .unwrap();
-        let result = h
-            .route_request(ClusterId(1), &request(1000, 500, 64))
+        report_round(&mut h, t0);
+        let route = h
+            .route_soft(ClusterId(1), &request(1000, 500, 64), t0, STALENESS)
             .unwrap();
-        assert_eq!(result, None);
+        assert_eq!(route.target, None);
     }
 
     #[test]
     fn unknown_origin_is_an_error() {
         let mut h = small_tree();
         assert_eq!(
-            h.route_request(ClusterId(99), &request(1, 1, 1))
+            h.route_soft(ClusterId(99), &request(1, 1, 1), SimTime::ZERO, STALENESS)
                 .unwrap_err(),
             HierarchyError::UnknownCluster(ClusterId(99))
         );
@@ -887,6 +813,13 @@ mod tests {
             h.add_cluster(ClusterId(9), ClusterId(42)).unwrap_err(),
             HierarchyError::UnknownCluster(ClusterId(42))
         );
+        // Reports only land along tree edges.
+        let t0 = SimTime::ZERO;
+        assert_eq!(
+            h.apply_child_report(ClusterId(0), ClusterId(3), usage(1, 1, 1, 1), t0)
+                .unwrap_err(),
+            HierarchyError::NotAChild(ClusterId(3), ClusterId(0))
+        );
     }
 
     #[test]
@@ -894,9 +827,18 @@ mod tests {
         let (mut h, leaves) = ClusterHierarchy::uniform(2, 3);
         assert_eq!(h.len(), 1 + 2 + 4 + 8);
         assert_eq!(leaves.len(), 8);
-        h.update_summary(leaves[0], summary(10, 500, 128)).unwrap();
-        // Leaf at depth 3: three edges to the root.
+        let t0 = SimTime::ZERO;
+        h.set_own_usage(leaves[0], usage(10, 500, 128, 1)).unwrap();
+        // Leaf at depth 3: its usage is news at the root only after a
+        // report has crossed each of the three edges in between.
+        let mut cluster = leaves[0];
+        while cluster != h.root() {
+            assert_eq!(exporting_below(&h, ClusterId(0), t0), 0);
+            report_up(&mut h, cluster, t0);
+            cluster = h.parent(cluster).unwrap();
+        }
         assert_eq!(h.stats().update_messages, 3);
+        assert_eq!(exporting_below(&h, ClusterId(0), t0), 10);
     }
 
     #[test]
@@ -910,22 +852,20 @@ mod tests {
 
     #[test]
     fn flat_directory_counts_root_load() {
-        let mut flat = FlatDirectory::new();
-        for c in 0..100 {
-            flat.update_summary(ClusterId(c), summary(10, 500, 128));
+        // A flat directory is the depth-1 tree: every cluster reports
+        // straight to the one global GRM, which answers every query.
+        let (mut flat, clusters) = ClusterHierarchy::uniform(100, 1);
+        let t0 = SimTime::ZERO;
+        for &c in &clusters[1..] {
+            flat.set_own_usage(c, usage(10, 500, 128, 1)).unwrap();
         }
-        assert_eq!(flat.root_messages, 100);
-        let hit = flat.route_request(&request(5, 400, 64));
-        assert!(hit.is_some());
-        assert_eq!(flat.root_messages, 102);
-    }
-
-    fn usage(exporting: u32, mips: u64, ram: u64, epoch: u64) -> UsageSummary {
-        UsageSummary {
-            summary: summary(exporting, mips, ram),
-            histogram: AvailabilityHistogram::default(),
-            epoch,
-        }
+        report_round(&mut flat, t0);
+        assert_eq!(flat.stats().update_messages, 100, "all land on the root");
+        let route = flat
+            .route_soft(clusters[0], &request(5, 400, 64), t0, STALENESS)
+            .unwrap();
+        assert_eq!(route.target, Some(clusters[1]));
+        assert_eq!(route.walked, 2, "up to the root and down");
     }
 
     #[test]
@@ -934,111 +874,47 @@ mod tests {
         // c1 → root → c2 → c3.
         assert_eq!(
             h.tree_path(ClusterId(1), ClusterId(3)).unwrap(),
-            vec![ClusterId(0), ClusterId(2), ClusterId(3)]
-                .into_iter()
-                .fold(vec![ClusterId(1)], |mut p, c| {
-                    p.push(c);
-                    p
-                })
+            [1, 0, 2, 3].map(ClusterId)
         );
         assert_eq!(h.tree_path(ClusterId(3), ClusterId(3)).unwrap().len(), 1);
         assert_eq!(h.tree_path(ClusterId(3), ClusterId(99)), None);
     }
 
     #[test]
-    fn stale_child_reports_are_discarded_by_epoch() {
-        let mut h = small_tree();
-        let t0 = SimTime::ZERO;
-        h.apply_child_report(ClusterId(2), ClusterId(3), usage(30, 900, 256, 5), t0)
-            .unwrap();
-        // An older epoch arriving later (out-of-order WAN delivery) is dropped.
-        h.apply_child_report(
-            ClusterId(2),
-            ClusterId(3),
-            usage(1, 100, 16, 4),
-            t0 + SimDuration::from_secs(10),
-        )
-        .unwrap();
-        let (held, _) = h.child_report(ClusterId(2), ClusterId(3)).unwrap();
-        assert_eq!(held.epoch, 5);
-        assert_eq!(held.summary.exporting_nodes, 30);
-        // Reports only land along tree edges.
-        assert_eq!(
-            h.apply_child_report(ClusterId(0), ClusterId(3), usage(1, 1, 1, 1), t0)
-                .unwrap_err(),
-            HierarchyError::NotAChild(ClusterId(3), ClusterId(0))
-        );
-    }
-
-    #[test]
-    fn reported_subtree_drops_stale_children() {
-        let mut h = small_tree();
-        let t0 = SimTime::ZERO;
-        let staleness = SimDuration::from_secs(60);
-        h.set_own_usage(ClusterId(2), usage(5, 400, 64, 1)).unwrap();
-        h.apply_child_report(ClusterId(2), ClusterId(3), usage(30, 900, 256, 1), t0)
-            .unwrap();
-        let fresh = h.reported_subtree(ClusterId(2), t0, staleness).unwrap();
-        assert_eq!(fresh.summary.exporting_nodes, 35);
-        // Past the staleness bound the child silently drops out.
-        let later = t0 + SimDuration::from_secs(120);
-        let aged = h.reported_subtree(ClusterId(2), later, staleness).unwrap();
-        assert_eq!(aged.summary.exporting_nodes, 5);
-    }
-
-    #[test]
-    fn route_soft_follows_fresh_reports() {
-        let mut h = small_tree();
-        let t0 = SimTime::ZERO;
-        let staleness = SimDuration::from_secs(60);
-        // c3 can serve; its report has propagated to c2 and (aggregated) to root.
-        h.set_own_usage(ClusterId(3), usage(50, 1000, 512, 1))
-            .unwrap();
-        h.apply_child_report(ClusterId(2), ClusterId(3), usage(50, 1000, 512, 1), t0)
-            .unwrap();
-        let agg = h.reported_subtree(ClusterId(2), t0, staleness).unwrap();
-        h.apply_child_report(ClusterId(0), ClusterId(2), agg, t0)
-            .unwrap();
-        let (target, hops) = h
-            .route_soft(ClusterId(1), &request(40, 900, 256), t0, staleness)
-            .unwrap()
-            .unwrap();
-        assert_eq!(target, ClusterId(3));
-        assert_eq!(hops, 3);
-    }
-
-    #[test]
     fn route_soft_survives_stale_subtree() {
         let mut h = small_tree();
         let t0 = SimTime::ZERO;
-        let staleness = SimDuration::from_secs(60);
-        // Root once heard c2's subtree could serve, but the report has aged
-        // out; the only *fresh* capacity is c1's own. A request from c4 must
-        // climb past the stale promise and still find c1.
+        // Root once heard c2's subtree could serve, but c2 holds nothing
+        // below it that does; the only real capacity is c1's own.
         h.set_own_usage(ClusterId(1), usage(50, 1000, 512, 1))
             .unwrap();
-        h.apply_child_report(ClusterId(0), ClusterId(2), usage(50, 1000, 512, 1), t0)
+        h.apply_child_report(ClusterId(0), ClusterId(2), usage(80, 1000, 512, 1), t0)
             .unwrap();
         h.apply_child_report(ClusterId(0), ClusterId(1), usage(50, 1000, 512, 2), t0)
             .unwrap();
         let later = t0 + SimDuration::from_secs(30);
         h.apply_child_report(ClusterId(0), ClusterId(1), usage(50, 1000, 512, 3), later)
             .unwrap();
+        let route = |h: &mut ClusterHierarchy, origin, nodes, now| {
+            let req = request(nodes, 900, 256);
+            h.route_soft(ClusterId(origin), &req, now, STALENESS)
+                .unwrap()
+        };
+        // While c2's promise is fresh, following it costs an edge and
+        // comes back empty-handed: c1 → root → c2 → nobody.
+        let hollow = SoftRoute {
+            target: None,
+            walked: 2,
+        };
+        assert_eq!(route(&mut h, 1, 60, later), hollow);
+        // Once it has aged out, a request from c4 climbs past it and still
+        // finds c1: c4 → c2 → root → c1.
         let now = t0 + SimDuration::from_secs(70); // c2's report stale, c1's fresh
-        let (target, hops) = h
-            .route_soft(ClusterId(4), &request(40, 900, 256), now, staleness)
-            .unwrap()
-            .unwrap();
-        assert_eq!(target, ClusterId(1));
-        // c4 → c2 → root → c1.
-        assert_eq!(hops, 3);
+        let found = route(&mut h, 4, 40, now);
+        assert_eq!((found.target, found.walked), (Some(ClusterId(1)), 3));
         // And with every report stale, routing comes back empty.
         let much_later = now + SimDuration::from_secs(600);
-        assert_eq!(
-            h.route_soft(ClusterId(4), &request(40, 900, 256), much_later, staleness)
-                .unwrap(),
-            None
-        );
+        assert_eq!(route(&mut h, 4, 40, much_later).target, None);
     }
 
     #[test]
@@ -1063,21 +939,74 @@ mod tests {
 
     #[test]
     fn hierarchy_spreads_update_load_vs_flat() {
-        // E9's shape: in the hierarchy, an update touches depth edges; in
-        // the flat design every update lands on one root.
+        // E9's shape: per period every cluster sends one report up its own
+        // edge, so a manager hears from its fan-out, not from the grid.
         let (mut h, leaves) = ClusterHierarchy::uniform(4, 3); // 64 leaves
+        let t0 = SimTime::ZERO;
         for &leaf in &leaves {
-            h.update_summary(leaf, summary(10, 500, 128)).unwrap();
+            h.set_own_usage(leaf, usage(10, 500, 128, 1)).unwrap();
         }
-        let hierarchy_total = h.stats().update_messages;
-        assert_eq!(hierarchy_total, 64 * 3);
-        // But the *root* sees only fan-out=4 children's propagations rather
-        // than all 64 — per-GRM load is bounded by fan-out × depth, which is
-        // the scalability claim; the flat root absorbs all 64 directly.
-        let mut flat = FlatDirectory::new();
-        for (i, _) in leaves.iter().enumerate() {
-            flat.update_summary(ClusterId(i as u32), summary(10, 500, 128));
+        report_round(&mut h, t0);
+        assert_eq!(h.stats().update_messages, 4 + 16 + 64, "one per edge");
+        assert_eq!(exporting_below(&h, ClusterId(0), t0), 640);
+        // The root took 4 of those 84 messages — its children's — where a
+        // flat directory's root takes one from each of the 64 leaves.
+        let root_heard = (0..h.len() as u32)
+            .filter(|&c| h.child_report(ClusterId(0), ClusterId(c)).is_some())
+            .count();
+        assert_eq!(root_heard, 4);
+    }
+
+    proptest::proptest! {
+        /// The soft-report table under random interleavings of epochs and
+        /// arrival times, checked against the offers it was shown: the held
+        /// report is the latest offer carrying the highest epoch so far (so
+        /// an out-of-order epoch never rolls a view back and an equal one
+        /// refreshes the arrival), and it drops out exactly when
+        /// `now − arrived > staleness`. A parent's child reports are driven
+        /// with the same offers and must read the same.
+        #[test]
+        fn soft_reports_keep_the_newest_epoch_until_stale(
+            offers in proptest::collection::vec((1u32..4, 0u64..5, 0u64..40), 1..40),
+            staleness_s in 1u64..60,
+            probe_s in 0u64..120,
+        ) {
+            let staleness = SimDuration::from_secs(staleness_s);
+            let mut table = SoftReports::default();
+            let (mut tree, _) = ClusterHierarchy::uniform(3, 1);
+            let mut shown: Vec<(ClusterId, UsageSummary, SimTime)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (step, &(sender, epoch, wait_s)) in offers.iter().enumerate() {
+                now += SimDuration::from_secs(wait_s);
+                let report = usage(step as u32, 500, 128, epoch);
+                table.offer(ClusterId(sender), report, now);
+                tree.apply_child_report(ClusterId(0), ClusterId(sender), report, now).unwrap();
+                shown.push((ClusterId(sender), report, now));
+            }
+            let probe = now + SimDuration::from_secs(probe_s);
+            let mut fresh_exporting = 0;
+            for sender in (1..4).map(ClusterId) {
+                let from_sender = || shown.iter().filter(|o| o.0 == sender);
+                let newest = from_sender().map(|o| o.1.epoch).max();
+                let expected = from_sender()
+                    .rfind(|o| Some(o.1.epoch) == newest)
+                    .map(|&(_, report, arrived)| (report, arrived));
+                proptest::prop_assert_eq!(table.held(sender), expected);
+                proptest::prop_assert_eq!(tree.child_report(ClusterId(0), sender), expected);
+                if let Some((report, arrived)) = expected {
+                    let (edge, anything) = (arrived + staleness, request(0, 0, 0));
+                    proptest::prop_assert!(table.admits(sender, &anything, edge, staleness));
+                    let past = edge + SimDuration::from_micros(1);
+                    proptest::prop_assert!(!table.admits(sender, &anything, past, staleness));
+                    if probe <= edge {
+                        fresh_exporting += report.summary.exporting_nodes;
+                    }
+                }
+            }
+            let listed: u32 = table.fresh(probe, staleness).map(|(_, r)| r.summary.exporting_nodes).sum();
+            proptest::prop_assert_eq!(listed, fresh_exporting);
+            let merged = tree.reported_subtree(ClusterId(0), probe, staleness).unwrap();
+            proptest::prop_assert_eq!(merged.summary.exporting_nodes, fresh_exporting);
         }
-        assert_eq!(flat.root_messages, 64);
     }
 }

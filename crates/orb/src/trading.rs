@@ -502,7 +502,6 @@ pub struct Trader {
     /// Sorted secondary index over every numeric property value.
     num_index: BTreeMap<(TypeId, SlotId), BTreeSet<(IndexKey, OfferId)>>,
     plans: PlanCache,
-    use_indexes: bool,
     /// Federation links, in insertion order (spillover follows them in this
     /// order, which keeps federated routing deterministic).
     links: Vec<TraderLink>,
@@ -521,7 +520,6 @@ impl Trader {
             by_type: BTreeMap::new(),
             num_index: BTreeMap::new(),
             plans: PlanCache::default(),
-            use_indexes: true,
             links: Vec::new(),
         }
     }
@@ -790,13 +788,6 @@ impl Trader {
         self.plans.clear();
     }
 
-    /// Enables or disables range-scan prefiltering from the numeric
-    /// indexes (benchmark knob; results are identical either way because
-    /// the full constraint is evaluated per candidate).
-    pub fn set_use_indexes(&mut self, enabled: bool) {
-        self.use_indexes = enabled;
-    }
-
     /// Compiles (or fetches from cache) the plan for a
     /// `(constraint, preference)` pair.
     ///
@@ -867,16 +858,14 @@ impl Trader {
         // Fast path: `max p` / `min p` over a bare indexed numeric property
         // walks the secondary index in rank order and stops after
         // `max_offers` matches, instead of evaluating the whole bucket.
-        if self.use_indexes {
-            if let PlanPreference::Max(SlotExpr::Prop(slot))
-            | PlanPreference::Min(SlotExpr::Prop(slot)) = &plan.preference
+        if let PlanPreference::Max(SlotExpr::Prop(slot))
+        | PlanPreference::Min(SlotExpr::Prop(slot)) = &plan.preference
+        {
+            let maximise = matches!(plan.preference, PlanPreference::Max(_));
+            if let Some(hits) =
+                self.top_k_ordered_scan(service_type, *slot, plan, maximise, max_offers)
             {
-                let maximise = matches!(plan.preference, PlanPreference::Max(_));
-                if let Some(hits) =
-                    self.top_k_ordered_scan(service_type, *slot, plan, maximise, max_offers)
-                {
-                    return hits;
-                }
+                return hits;
             }
         }
         let matched = self.matched_ids(service_type, plan, max_offers);
@@ -918,7 +907,7 @@ impl Trader {
         // with early abort at the best size seen so far; the full bucket
         // scan is the baseline to beat.
         let mut candidates: Option<Vec<OfferId>> = None;
-        if self.use_indexes && !plan.prefilters.is_empty() {
+        if !plan.prefilters.is_empty() {
             let mut best: Option<&RangeFilter> = None;
             let mut best_count = bucket.len();
             for filter in &plan.prefilters {
@@ -1573,19 +1562,21 @@ mod tests {
 
     #[test]
     fn indexed_and_scan_paths_agree() {
-        let mut with_index = Trader::new(11);
-        let mut without_index = Trader::new(11);
-        without_index.set_use_indexes(false);
+        // Same store twice: one answers through the indexes (or, for the
+        // disjunction, which yields no prefilter, the bucket scan), the
+        // other through the reference linear scan.
+        let mut indexed = Trader::new(11);
+        let mut reference = Trader::new(11);
         for i in 0..100u32 {
             let props = node_props(
                 300 + (i as i64 * 13) % 1700,
                 (i as i64 * 7) % 512,
                 i % 5 != 0,
             );
-            with_index
+            indexed
                 .export("integrade::node", &node_ior(i), props.clone())
                 .unwrap();
-            without_index
+            reference
                 .export("integrade::node", &node_ior(i), props)
                 .unwrap();
         }
@@ -1595,11 +1586,11 @@ mod tests {
             ("mem_mb == 0 or cpu_mips > 1500", "first"),
             ("cpu_mips >= 0", "random"),
         ] {
-            let a = with_index
+            let a = indexed
                 .query("integrade::node", constraint, pref, 7)
                 .unwrap();
-            let b = without_index
-                .query("integrade::node", constraint, pref, 7)
+            let b = reference
+                .query_reference("integrade::node", constraint, pref, 7)
                 .unwrap();
             assert_eq!(a, b, "constraint {constraint:?} pref {pref:?}");
         }

@@ -6,9 +6,10 @@
 //!
 //! The paper's pipeline (§3): sample node usage every few minutes
 //! ([`sample`]), group samples into day-long periods, cluster the periods
-//! into behavioural categories ([`kmeans`], [`kmedoids`] with DTW for
-//! time-shifted routines, [`hierarchical`], combined in [`patterns`]), and use the categories to forecast how long an idle node
-//! will stay idle ([`predict`]) — the hint the GRM's scheduler consumes.
+//! into behavioural categories ([`kmeans`], which [`patterns`] trains with;
+//! [`kmedoids`] with DTW for time-shifted routines), and use the categories
+//! to forecast how long an idle node will stay idle ([`predict`]) — the hint
+//! the GRM's scheduler consumes.
 //!
 //! # Examples
 //!
@@ -31,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hierarchical;
 pub mod kmeans;
 pub mod kmedoids;
 pub mod patterns;

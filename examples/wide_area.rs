@@ -1,131 +1,110 @@
-//! Wide-area InteGrade: a hierarchy of clusters.
+//! Wide-area InteGrade: a hierarchy of running clusters.
 //!
 //! "Clusters are then arranged in a hierarchy, allowing a single InteGrade
-//! grid to encompass millions of machines" (§4). This example builds a
-//! three-level hierarchy (campus → departments → labs), propagates
-//! aggregated resource summaries upward, and routes a request that the
-//! local cluster cannot satisfy to a sibling subtree — the [MK02] wide-area
-//! extension. It then contrasts per-manager message load against a flat
-//! global directory.
+//! grid to encompass millions of machines" (§4). This example federates a
+//! three-level campus (campus → departments → labs), each cluster a running
+//! grid with its own GRM. Every update period each cluster reports its
+//! subtree's usage summary one WAN edge up; inner clusters hold those
+//! reports as soft state that expires. A request the local lab cannot
+//! satisfy is routed over that soft state to a lab in another department —
+//! the [MK02] wide-area extension — forwarded there, executed, and its
+//! completion reported back to the origin.
 //!
 //! Run with: `cargo run --example wide_area`
 
 use integrade::core::asct::JobSpec;
-use integrade::core::federation::Federation;
-use integrade::core::grid::{GridBuilder, GridConfig, NodeSetup};
-use integrade::core::hierarchy::{
-    ClusterHierarchy, ClusterSummary, FlatDirectory, WideAreaRequest,
-};
-use integrade::core::types::ClusterId;
+use integrade::core::federation::{Federation, RoutingPolicy};
+use integrade::core::grid::{Grid, GridBuilder, GridConfig, NodeSetup};
+use integrade::core::types::{ClusterId, ResourceVector};
 use integrade::simnet::time::{SimDuration, SimTime};
 use integrade::simnet::topology::LinkSpec;
 
+const NAMES: [&str; 6] = ["campus", "cs", "physics", "lab-a", "lab-b", "lab-c"];
+
+fn grid_of(nodes: usize, cpu_mips: u64) -> Grid {
+    let mut b = GridBuilder::new(GridConfig::builder().gupa_warmup_days(0).build());
+    b.add_cluster(
+        (0..nodes)
+            .map(|_| NodeSetup {
+                resources: ResourceVector {
+                    cpu_mips,
+                    ..ResourceVector::desktop()
+                },
+                ..NodeSetup::idle_desktop()
+            })
+            .collect(),
+    );
+    b.build()
+}
+
 fn main() {
     // campus(0) — cs(1), physics(2); cs — lab-a(3), lab-b(4); physics — lab-c(5).
-    let mut hierarchy = ClusterHierarchy::new(ClusterId(0));
-    hierarchy.add_cluster(ClusterId(1), ClusterId(0)).unwrap();
-    hierarchy.add_cluster(ClusterId(2), ClusterId(0)).unwrap();
-    hierarchy.add_cluster(ClusterId(3), ClusterId(1)).unwrap();
-    hierarchy.add_cluster(ClusterId(4), ClusterId(1)).unwrap();
-    hierarchy.add_cluster(ClusterId(5), ClusterId(2)).unwrap();
-
-    // Leaf clusters report their aggregated status (Information Update
-    // Protocol, inter-cluster flavour).
-    let small = ClusterSummary {
-        nodes: 20,
-        exporting_nodes: 8,
-        max_cpu_mips: 500,
-        max_free_ram_mb: 128,
-        ..Default::default()
-    };
-    let big = ClusterSummary {
-        nodes: 80,
-        exporting_nodes: 60,
-        max_cpu_mips: 1500,
-        max_free_ram_mb: 512,
-        ..Default::default()
-    };
-    hierarchy.update_summary(ClusterId(3), small).unwrap();
-    hierarchy.update_summary(ClusterId(4), small).unwrap();
-    hierarchy.update_summary(ClusterId(5), big).unwrap();
-
-    println!("== Hierarchy ==");
-    println!("clusters: {}", hierarchy.len());
-    for id in 0..6u32 {
-        let agg = hierarchy.aggregate(ClusterId(id)).unwrap();
-        println!(
-            "  cluster{id}: subtree = {} nodes, {} exporting, ≤{} MIPS",
-            agg.nodes, agg.exporting_nodes, agg.max_cpu_mips
-        );
-    }
-
-    // A user in lab-a asks for 40 fast nodes; lab-a has only 8 exporting.
-    let request = WideAreaRequest {
-        nodes: 40,
-        min_cpu_mips: 1000,
-        min_ram_mb: 256,
-    };
-    println!("\n== Request from cluster3 (lab-a): 40 nodes, ≥1000 MIPS, ≥256 MB ==");
-    match hierarchy.route_request(ClusterId(3), &request).unwrap() {
-        Some((target, hops)) => {
-            println!("routed to {target} in {hops} inter-cluster hops");
-        }
-        None => println!("no cluster in the grid admits the request"),
-    }
-    let stats = hierarchy.stats();
-    println!(
-        "hierarchy messages so far: {} updates, {} routing",
-        stats.update_messages, stats.routing_messages
-    );
-
-    // Contrast with a flat directory: every update hits one global GRM.
-    println!("\n== Flat directory comparison ==");
-    let mut flat = FlatDirectory::new();
-    for id in [3u32, 4, 5] {
-        flat.update_summary(ClusterId(id), if id == 5 { big } else { small });
-    }
-    flat.route_request(&request);
-    println!("flat global-GRM messages: {}", flat.root_messages);
-    println!(
-        "\nIn the hierarchy the root only ever talks to its fan-out; in the\n\
-         flat design the single GRM absorbs every cluster's updates — the\n\
-         scalability argument behind the paper's 'millions of machines'."
-    );
-
-    // Finally, run it for real: a grid of clusters, each with its own GRM,
-    // joined by linked traders over explicit WAN links, executing a
-    // forwarded job end to end with status reports flowing back.
-    println!("\n== Live federation: forwarding a job between running grids ==");
-    let make_grid = |n: usize| {
-        let mut b = GridBuilder::new(GridConfig::builder().gupa_warmup_days(0).build());
-        b.add_cluster((0..n).map(|_| NodeSetup::idle_desktop()).collect());
-        b.build()
-    };
+    // The departments sit a regional link away from the campus GRM; labs
+    // reach their department over the default metro link.
+    let staleness = SimDuration::from_secs(180);
     let mut federation = Federation::builder()
         .seed(42)
-        .update_period(SimDuration::from_secs(60))
-        .hop_budget(4)
-        .root(ClusterId(0), make_grid(2))
+        .routing(RoutingPolicy::HierarchySummaries)
+        .staleness(staleness)
+        .root(ClusterId(0), grid_of(2, 500))
         .child_linked(
             ClusterId(1),
             ClusterId(0),
-            make_grid(10),
+            grid_of(2, 500),
             LinkSpec::wan_regional(),
         )
+        .child_linked(
+            ClusterId(2),
+            ClusterId(0),
+            grid_of(2, 500),
+            LinkSpec::wan_regional(),
+        )
+        .child(ClusterId(3), ClusterId(1), grid_of(8, 500))
+        .child(ClusterId(4), ClusterId(1), grid_of(8, 500))
+        .child(ClusterId(5), ClusterId(2), grid_of(24, 1500))
         .build()
         .unwrap();
-    federation.run_until(SimTime::from_secs(120)); // populate GRM views
 
-    let placed = federation
-        .submit(
-            ClusterId(0),
-            JobSpec::bag_of_tasks("federated-bag", 6, 60_000),
-        )
-        .unwrap();
+    // Each cluster reports once per 60 s update period. A lab's summary is
+    // news at the campus GRM only after a report has crossed both edges in
+    // between: one period is not enough.
+    println!("== Reported soft state (nodes exporting / fastest MIPS in each subtree) ==");
+    for periods in [1u64, 3] {
+        federation.run_until(SimTime::from_secs(60 * periods + 59));
+        let views: Vec<String> = (0..6u32)
+            .map(|id| {
+                let view = federation
+                    .hierarchy()
+                    .reported_subtree(ClusterId(id), federation.now(), staleness)
+                    .unwrap()
+                    .summary;
+                format!(
+                    "{} {}/{}",
+                    NAMES[id as usize], view.exporting_nodes, view.max_cpu_mips
+                )
+            })
+            .collect();
+        println!("after {periods} period(s): {}", views.join(", "));
+    }
     println!(
-        "submitted at cluster0 (2 nodes) -> executing on {} after {} hop(s), {} WAN bytes",
-        placed.id.cluster, placed.hops, placed.wan_bytes
+        "{} summary reports delivered, one per edge per period — each GRM hears\n\
+         only from its own children, never from the whole grid",
+        federation.hierarchy().stats().update_messages
     );
+
+    // A user in lab-a asks for 12 fast nodes; lab-a has 8 slow ones.
+    println!("\n== Request from lab-a: 12 tasks on nodes of ≥1000 MIPS ==");
+    let mut spec = JobSpec::bag_of_tasks("federated-bag", 12, 60_000);
+    spec.requirements.min_cpu_mips = 1000;
+    let placed = federation.submit(ClusterId(3), spec).unwrap();
+    println!(
+        "routed to {} in {} inter-cluster hops ({} routing messages, {} WAN bytes)",
+        NAMES[placed.id.cluster.0 as usize],
+        placed.hops,
+        federation.hierarchy().stats().routing_messages,
+        placed.wan_bytes
+    );
+
     federation.run_until(SimTime::from_secs(4 * 3600));
     federation.refresh();
     let wan = federation.wan_stats();
@@ -136,7 +115,7 @@ fn main() {
         federation.total_completed()
     );
     println!(
-        "WAN traffic: {} messages, {} bytes ({} spillover queries, {} forwards, {} statuses)",
-        wan.messages, wan.bytes, wan.spillover_queries, wan.forwards, wan.status_messages
+        "WAN traffic: {} messages, {} bytes ({} summary updates, {} forwards, {} statuses)",
+        wan.messages, wan.bytes, wan.summary_updates, wan.forwards, wan.status_messages
     );
 }

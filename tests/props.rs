@@ -9,7 +9,7 @@ use integrade::orb::constraint;
 use integrade::orb::giop::Message;
 use integrade::orb::ior::{Endpoint, Ior, ObjectKey};
 use integrade::simnet::event::EventQueue;
-use integrade::simnet::time::SimTime;
+use integrade::simnet::time::{SimDuration, SimTime};
 use integrade::usage::kmeans::{fit, silhouette_score, KMeansConfig};
 use integrade::usage::series::{euclidean, normalize, resample};
 use proptest::prelude::*;
@@ -199,7 +199,7 @@ proptest! {
 
 // === Service-level invariants ===
 
-use integrade::core::hierarchy::{ClusterHierarchy, ClusterSummary, WideAreaRequest};
+use integrade::core::hierarchy::{ClusterHierarchy, ClusterSummary, UsageSummary, WideAreaRequest};
 use integrade::core::types::ClusterId;
 use integrade::orb::naming::NamingService;
 use integrade::orb::trading::Trader;
@@ -279,8 +279,8 @@ proptest! {
         prop_assert!(ns.is_empty());
     }
 
-    /// Hierarchy aggregation: the root subtree equals the merge of all leaf
-    /// summaries, regardless of tree shape or update order.
+    /// Hierarchy aggregation: whatever the tree's shape, once every report of a
+    /// period has landed the root's reported subtree merges every leaf summary.
     #[test]
     fn hierarchy_root_aggregates_all_leaves(
         fanout in 2usize..5,
@@ -292,48 +292,69 @@ proptest! {
         let mut expected_max_mips = 0u64;
         for (leaf, e) in leaves.iter().zip(exportings.iter().cycle()) {
             let mips = 100 + *e as u64 * 7;
-            h.update_summary(*leaf, ClusterSummary {
-                nodes: e + 1,
-                exporting_nodes: *e,
-                max_cpu_mips: mips,
-                max_free_ram_mb: 64,
-                ..Default::default()
-            }).unwrap();
+            h.set_own_usage(*leaf, leaf_usage(*e, mips)).unwrap();
             expected_exporting += e;
             expected_max_mips = expected_max_mips.max(mips);
         }
-        let root = h.aggregate(ClusterId(0)).unwrap();
+        reporting_round(&mut h);
+        let root = h.reported_subtree(ClusterId(0), SimTime::ZERO, STALENESS).unwrap().summary;
         prop_assert_eq!(root.exporting_nodes, expected_exporting);
         prop_assert_eq!(root.max_cpu_mips, expected_max_mips);
     }
 
-    /// Routing soundness: whatever cluster route_request returns really
-    /// admits the request, and unsatisfiable requests return None.
+    /// Routing soundness: whatever cluster route_soft returns really admits
+    /// the request on its own usage, however old the reports it followed.
+    /// Completeness: while every report is fresh, a request some cluster can
+    /// serve is routed; once they have all aged out only the origin's own
+    /// capacity is left.
     #[test]
     fn hierarchy_routing_is_sound(
         exportings in prop::collection::vec(0u32..50, 4..16),
         want in 1u32..60,
+        report_age_s in 0u64..120,
     ) {
         let (mut h, leaves) = ClusterHierarchy::uniform(2, 3);
         for (leaf, e) in leaves.iter().zip(exportings.iter().cycle()) {
-            h.update_summary(*leaf, ClusterSummary {
-                nodes: *e,
-                exporting_nodes: *e,
-                max_cpu_mips: 500,
-                max_free_ram_mb: 128,
-                ..Default::default()
-            }).unwrap();
+            h.set_own_usage(*leaf, leaf_usage(*e, 500)).unwrap();
         }
+        reporting_round(&mut h);
         let request = WideAreaRequest { nodes: want, min_cpu_mips: 500, min_ram_mb: 64 };
-        let satisfiable = exportings.iter().cycle().take(leaves.len()).any(|e| *e >= want);
-        match h.route_request(leaves[0], &request).unwrap() {
-            Some((target, _)) => {
-                prop_assert!(satisfiable);
-                let own_admits = h.aggregate(target).is_some();
-                prop_assert!(own_admits);
-            }
-            None => prop_assert!(!satisfiable),
+        let now = SimTime::from_secs(report_age_s);
+        let in_view = if now.duration_since(SimTime::ZERO) <= STALENESS { leaves.len() } else { 1 };
+        let satisfiable = exportings.iter().cycle().take(in_view).any(|e| *e >= want);
+        let route = h.route_soft(leaves[0], &request, now, STALENESS).unwrap();
+        prop_assert_eq!(route.target.is_some(), satisfiable);
+        if let Some(target) = route.target {
+            prop_assert!(h.own_usage(target).unwrap().summary.admits(&request));
+            prop_assert!(route.walked as usize >= h.tree_path(leaves[0], target).unwrap().len() - 1);
         }
+    }
+}
+
+const STALENESS: SimDuration = SimDuration::from_secs(60);
+
+fn leaf_usage(exporting: u32, mips: u64) -> UsageSummary {
+    let summary = ClusterSummary {
+        nodes: exporting + 1,
+        exporting_nodes: exporting,
+        max_cpu_mips: mips,
+        max_free_ram_mb: 128,
+        ..Default::default()
+    };
+    UsageSummary {
+        summary,
+        ..Default::default()
+    }
+}
+
+/// One update period at time zero with nothing lost: every cluster sends its
+/// reported subtree one edge up, children before parents (`uniform` numbers
+/// clusters breadth-first, so descending id order is bottom-up).
+fn reporting_round(h: &mut ClusterHierarchy) {
+    for id in (1..h.len() as u32).rev().map(ClusterId) {
+        let report = h.reported_subtree(id, SimTime::ZERO, STALENESS).unwrap();
+        h.apply_child_report(h.parent(id).unwrap(), id, report, SimTime::ZERO)
+            .unwrap();
     }
 }
 
