@@ -23,10 +23,10 @@ fn main() {
     } else {
         args
     };
-    for id in ids {
-        match integrade_bench::run(&id) {
-            Some(table) => println!("{table}"),
-            None => eprintln!("unknown experiment '{id}' (run with no args to list)"),
+    if let Err(unknown) = integrade_bench::run_ids(&ids, |table| println!("{table}")) {
+        for id in unknown {
+            eprintln!("unknown experiment '{id}' (run with no args to list)");
         }
+        std::process::exit(1);
     }
 }

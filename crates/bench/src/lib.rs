@@ -9,8 +9,8 @@
 //! Each experiment is a pure function returning a [`table::Table`]; the
 //! `experiments` binary prints them, and each module's tests assert the
 //! expected *shape* of its results (who wins, where the boundaries fall).
-//! Criterion micro-benchmarks for E10's marshalling/dispatch/query costs
-//! live under `benches/`.
+//! Wall-clock cost is measured in one place only, the `perf/` crate
+//! (`BENCHMARK.json`); nothing here compares a timing with a committed floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +26,6 @@ pub mod exp_par;
 pub mod exp_qos;
 pub mod exp_repo;
 pub mod exp_scale;
-pub mod exp_scale14;
 pub mod exp_sched;
 pub mod exp_spec;
 pub mod exp_trader;
@@ -92,29 +91,9 @@ pub fn experiments() -> Vec<ExperimentEntry> {
             exp_repo::e13,
         ),
         (
-            "e14",
-            "simulator hot-loop scaling to 50k nodes",
-            exp_scale14::e14,
-        ),
-        (
-            "e14smoke",
-            "5k-node throughput smoke vs committed floor",
-            exp_scale14::e14smoke,
-        ),
-        (
             "e15",
             "observability overhead: metrics on vs off at 5k nodes",
             exp_obs::e15,
-        ),
-        (
-            "e16",
-            "sharded parallel tick engine: nodes x workers sweep",
-            exp_par::e16,
-        ),
-        (
-            "e16smoke",
-            "50k-node 4-worker overhead floor + E19 speedup gate on multicore hosts",
-            exp_par::e16smoke,
         ),
         (
             "e17",
@@ -154,10 +133,70 @@ pub fn experiments() -> Vec<ExperimentEntry> {
     ]
 }
 
-/// Runs one experiment by id.
-pub fn run(id: &str) -> Option<Table> {
-    experiments()
-        .into_iter()
-        .find(|(eid, _, _)| *eid == id)
-        .map(|(_, _, f)| f())
+/// Runs `ids` in order, handing each table to `emit`. An unknown id does
+/// not stop the known ones from running; the unknown ids come back as the
+/// error, so the caller can exit non-zero.
+pub fn run_ids(ids: &[String], mut emit: impl FnMut(Table)) -> Result<(), Vec<String>> {
+    let registered = experiments();
+    let mut unknown = Vec::new();
+    for id in ids {
+        match registered.iter().find(|(eid, _, _)| eid == id) {
+            Some((_, _, runner)) => emit(runner()),
+            None => unknown.push(id.clone()),
+        }
+    }
+    if unknown.is_empty() {
+        Ok(())
+    } else {
+        Err(unknown)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        let mut ids: Vec<&str> = experiments().iter().map(|(id, _, _)| *id).collect();
+        ids.sort_unstable();
+        let total = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), total, "duplicate experiment id registered");
+    }
+
+    /// A CI step naming a retired id must not pass silently: every
+    /// `experiments <id>...` line in the workflow names registered ids.
+    #[test]
+    fn every_experiment_ci_runs_is_registered() {
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let registered = experiments();
+        let mut seen = 0;
+        for line in ci.lines() {
+            let Some((_, ids)) = line.split_once("--bin experiments ") else {
+                continue;
+            };
+            for id in ids.split_whitespace() {
+                seen += 1;
+                assert!(
+                    registered.iter().any(|(eid, _, _)| *eid == id),
+                    "ci.yml runs unregistered experiment '{id}'"
+                );
+            }
+        }
+        assert!(seen > 0, "ci.yml runs no experiment: the parse went stale");
+    }
+
+    #[test]
+    fn run_ids_runs_the_known_and_reports_the_unknown() {
+        let ids = ["nosuch".to_owned(), "e10".to_owned(), "e14smoke".to_owned()];
+        let mut tables = 0;
+        let result = run_ids(&ids, |_| tables += 1);
+        assert_eq!(tables, 1, "the known id still runs");
+        assert_eq!(
+            result,
+            Err(vec!["nosuch".to_owned(), "e14smoke".to_owned()])
+        );
+        assert_eq!(run_ids(&[], |_| unreachable!()), Ok(()));
+    }
 }

@@ -213,12 +213,6 @@ impl GridConfigBuilder {
         self
     }
 
-    /// Horizon for GUPA idle predictions, minutes.
-    pub fn prediction_horizon_mins(mut self, mins: u32) -> Self {
-        self.config.prediction_horizon_mins = mins;
-        self
-    }
-
     /// Checkpoint interval for sequential/bag-of-tasks parts, MIPS-s
     /// (0 = restart from scratch on eviction). Must be finite and ≥ 0.
     pub fn sequential_checkpoint_mips_s(mut self, interval: f64) -> Self {
@@ -235,12 +229,6 @@ impl GridConfigBuilder {
     /// On a reservation refusal, immediately try the next ranked candidate.
     pub fn candidate_failover(mut self, on: bool) -> Self {
         self.config.candidate_failover = on;
-        self
-    }
-
-    /// How long the GRM waits for a negotiation reply.
-    pub fn request_timeout(mut self, timeout: SimDuration) -> Self {
-        self.config.request_timeout = timeout;
         self
     }
 
@@ -266,12 +254,6 @@ impl GridConfigBuilder {
     /// repository and crashes restart parts from scratch).
     pub fn replication_factor(mut self, k: usize) -> Self {
         self.config.replication_factor = k;
-        self
-    }
-
-    /// Marshalled state size of sequential/bag-of-tasks checkpoints, bytes.
-    pub fn checkpoint_state_bytes(mut self, bytes: u64) -> Self {
-        self.config.checkpoint_state_bytes = bytes;
         self
     }
 

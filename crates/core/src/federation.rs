@@ -502,29 +502,14 @@ impl Federation {
         self.members.is_empty()
     }
 
-    /// The root cluster id.
-    pub fn root(&self) -> ClusterId {
-        self.root_id
-    }
-
     /// Current federation time.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// The active routing policy.
-    pub fn routing(&self) -> RoutingPolicy {
-        self.routing
-    }
-
     /// A member's grid.
     pub fn member(&self, id: ClusterId) -> Option<&Grid> {
         self.members.get(&id)
-    }
-
-    /// A member's grid, mutably.
-    pub fn member_mut(&mut self, id: ClusterId) -> Option<&mut Grid> {
-        self.members.get_mut(&id)
     }
 
     /// Member cluster ids, ascending.
@@ -540,11 +525,6 @@ impl Federation {
     /// Wide-area traffic accounting so far.
     pub fn wan_stats(&self) -> WanStats {
         self.stats
-    }
-
-    /// Everything the federation remembers about placed jobs.
-    pub fn placements(&self) -> impl Iterator<Item = (&GlobalJobId, &PlacementRecord)> {
-        self.placements.iter()
     }
 
     /// The record for one placement, if known.

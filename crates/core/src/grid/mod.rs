@@ -64,7 +64,7 @@ use integrade_simnet::trace::TraceLog;
 use integrade_usage::patterns::LupaConfig;
 use integrade_usage::sample::UsageSample;
 use std::collections::{BTreeMap, BTreeSet};
-use wire::{FetchWhy, Pending, PendingEntry, Role, Waste};
+use wire::{FetchWhy, Pending, PendingEntry, Role, Waste, REQUEST_TIMEOUT};
 
 /// How `slot_tick` walks the node population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,8 +141,6 @@ pub struct GridConfig {
     pub max_candidates: usize,
     /// Scheduling attempts before a job fails.
     pub max_attempts: u32,
-    /// Horizon for GUPA idle predictions, minutes.
-    pub prediction_horizon_mins: u32,
     /// Checkpoint interval for sequential/bag-of-tasks parts, MIPS-s
     /// (0 = restart from scratch on eviction).
     pub sequential_checkpoint_mips_s: f64,
@@ -153,9 +151,6 @@ pub struct GridConfig {
     /// the ranked list (the §4 protocol). Disable only for the E2b
     /// ablation, which shows why the paper's step is necessary.
     pub candidate_failover: bool,
-    /// How long the GRM waits for a negotiation reply before treating the
-    /// node as unreachable.
-    pub request_timeout: SimDuration,
     /// Silence after which a previously-reporting node is declared crashed
     /// and its parts recovered from the checkpoint repository.
     pub crash_silence: SimDuration,
@@ -170,10 +165,6 @@ pub struct GridConfig {
     /// `k = 0` checkpoints are never replicated and crash recovery restarts
     /// parts from scratch.
     pub replication_factor: usize,
-    /// Marshalled execution-state size of sequential/bag-of-tasks parts,
-    /// bytes — the payload each replicated checkpoint carries. BSP parts use
-    /// their spec's `state_bytes` instead.
-    pub checkpoint_state_bytes: u64,
     /// How the per-slot node loop is driven (the lazy walk on one or more
     /// shards, or the exhaustive reference walk).
     pub tick_mode: TickMode,
@@ -227,16 +218,13 @@ impl Default for GridConfig {
             strategy: Strategy::AvailabilityOnly,
             max_candidates: 64,
             max_attempts: 200,
-            prediction_horizon_mins: 120,
             sequential_checkpoint_mips_s: 0.0,
             gupa_warmup_days: 14,
             candidate_failover: true,
-            request_timeout: SimDuration::from_secs(30),
             crash_silence: SimDuration::from_secs(120),
             cluster_key: None,
             max_retransmits: 4,
             replication_factor: 2,
-            checkpoint_state_bytes: 4096,
             tick_mode: TickMode::Sharded { workers: 1 },
             speculation: false,
             certification: false,

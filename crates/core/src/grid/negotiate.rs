@@ -16,6 +16,14 @@ use integrade_usage::sample::SamplingConfig;
 /// or an eviction; [`GridWorld::reschedule_backoff`] scales it.
 const RESCHEDULE_BASE: SimDuration = SimDuration::from_secs(60);
 
+/// Horizon for GUPA idle predictions, minutes.
+const PREDICTION_HORIZON_MINS: u32 = 120;
+
+/// Marshalled execution-state size of sequential/bag-of-tasks parts,
+/// bytes — the payload each replicated checkpoint carries. BSP parts use
+/// their spec's `state_bytes` instead.
+pub(super) const CHECKPOINT_STATE_BYTES: u64 = 4096;
+
 impl GridWorld {
     pub(super) fn admit_job(
         &mut self,
@@ -369,7 +377,7 @@ impl GridWorld {
                 minute,
                 local.lrm.lupa_window().partial_day(),
                 slots_per_day,
-                self.config.prediction_horizon_mins,
+                PREDICTION_HORIZON_MINS,
                 &mut loads,
             ) {
                 out.insert(node, p);
@@ -421,7 +429,7 @@ impl GridWorld {
                         part,
                         work_mips_s: work,
                         checkpoint_interval_mips_s: interval,
-                        state_bytes: self.config.checkpoint_state_bytes,
+                        state_bytes: CHECKPOINT_STATE_BYTES,
                         resume_version: job.parts[part as usize].banked_version,
                         replicas,
                     });

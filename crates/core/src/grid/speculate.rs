@@ -4,6 +4,7 @@
 //! shared [`Pending::Reserve`] / [`Pending::Launch`] / [`Pending::Fetch`]
 //! with the twin's role.
 
+use super::negotiate::CHECKPOINT_STATE_BYTES;
 use super::*;
 use crate::protocol::{LaunchReply, LaunchRequest, ReserveReply};
 use crate::scheduler::rank;
@@ -314,7 +315,7 @@ impl GridWorld {
             part: part_id,
             work_mips_s: (part.remaining - twin.resume_work).max(1.0) as u64,
             checkpoint_interval_mips_s: 0.0,
-            state_bytes: self.config.checkpoint_state_bytes,
+            state_bytes: CHECKPOINT_STATE_BYTES,
             resume_version: twin.resume_version,
             replicas: Vec::new(),
         };

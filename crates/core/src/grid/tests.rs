@@ -284,7 +284,6 @@ fn acks_later_than_the_request_timeout_leave_the_epoch_unobserved() {
 #[test]
 fn the_ack_window_closes_exactly_at_the_request_timeout() {
     let mut grid = small_grid(Strategy::AvailabilityOnly);
-    let timeout = grid.world.config.request_timeout;
     let host = grid.host_of(NodeId(0));
     let sent_at = SimTime::from_secs(5);
     grid.world.nodes[0].lrm.observe_grm_epoch(1);
@@ -312,7 +311,7 @@ fn the_ack_window_closes_exactly_at_the_request_timeout() {
         );
         grid.log().count("grm.epoch")
     };
-    let closes = sent_at + timeout;
+    let closes = sent_at + REQUEST_TIMEOUT;
     let just_inside = SimTime::from_micros(closes.as_micros() - 1);
     assert_eq!(ack_at(900, 2, just_inside), 1);
     // At the closing instant the per-update timer used to fire first
@@ -345,10 +344,7 @@ fn pending_acks_stay_bounded_for_periods_below_and_above_the_timeout() {
         // to sweep it: never more than one timeout's worth per node.
         let mut grid = build();
         grid.set_fault_plan(FaultPlan::new(9).with_drop_probability(0.4));
-        let per_node = grid
-            .world
-            .config
-            .request_timeout
+        let per_node = REQUEST_TIMEOUT
             .as_micros()
             .div_ceil(SimDuration::from_secs(period_s).as_micros());
         let mut most = 0;

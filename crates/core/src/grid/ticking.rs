@@ -318,18 +318,17 @@ impl GridWorld {
             let request_id =
                 orb.make_request_into(target, OP_UPDATE_STATUS, move |w| msg.encode(w), &mut out);
             let bytes = self.protect(out);
-            // No timer guards the ack: one that arrives `request_timeout`
+            // No timer guards the ack: one that arrives `REQUEST_TIMEOUT`
             // or more after its update is ignored (`handle_reply`), and the
             // entries such acks leave behind are swept here, by the same
             // node's next send, so `pending` stays bounded whatever the
             // ratio of update period to timeout.
-            let request_timeout = self.config.request_timeout;
             let expired: Vec<(HostId, u64)> = self
                 .pending
                 .range((from, 0)..(from, request_id))
                 .filter(|(_, e)| {
                     matches!(e.what, Pending::UpdateAck { .. })
-                        && now >= e.sent_at + request_timeout
+                        && now >= e.sent_at + REQUEST_TIMEOUT
                 })
                 .map(|(key, _)| *key)
                 .collect();

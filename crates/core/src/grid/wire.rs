@@ -14,6 +14,11 @@ use integrade_obs::span::{SpanKind, SpanOutcome};
 use integrade_orb::cdr::{CdrDecode, CdrWriter};
 use integrade_orb::orb::{Incoming, RemoteError};
 
+/// How long a sender waits for a reply before treating the request as
+/// unanswered: the negotiation retransmit timer's base delay and the width
+/// of the status update's ack window.
+pub(super) const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
 /// Which copy of a part a reserve or launch request places: the scheduler's
 /// own placement, or the speculative backup racing it. The wire traffic is
 /// the same; only the decision taken on the reply differs.
@@ -215,7 +220,7 @@ impl GridWorld {
     /// doubled per attempt, capped at 8x, with ±25% seeded jitter.
     fn retransmit_backoff(&mut self, attempt: u32) -> SimDuration {
         let shift = attempt.saturating_sub(1).min(3);
-        let base = self.config.request_timeout * (1u64 << shift);
+        let base = REQUEST_TIMEOUT * (1u64 << shift);
         let micros = base.as_micros();
         let jittered = self
             .retry_rng
@@ -327,7 +332,7 @@ impl GridWorld {
             // Crashed nodes never answer: a timeout converts silence
             // into retransmission and, eventually, the failure path.
             queue.schedule_after(
-                self.config.request_timeout,
+                REQUEST_TIMEOUT,
                 GridEvent::RequestTimeout { from, request_id },
             );
         } else {
@@ -682,9 +687,9 @@ impl GridWorld {
                 );
             }
             Pending::UpdateAck { node, seq } => {
-                // The ack window: an ack `request_timeout` or more late
+                // The ack window: an ack `REQUEST_TIMEOUT` or more late
                 // counts as lost, and its entry (just removed) with it.
-                if now < entry.sent_at + self.config.request_timeout {
+                if now < entry.sent_at + REQUEST_TIMEOUT {
                     self.on_update_ack(now, node, seq, decode(result));
                 }
             }

@@ -410,12 +410,6 @@ impl GrmState {
         }
     }
 
-    /// Drops one executor's progress track for one part (that executor was
-    /// evicted or cancelled while the part lives on elsewhere).
-    pub fn clear_progress_on(&mut self, job: JobId, part: u32, node: NodeId) {
-        self.progress.remove(&(job, part, node));
-    }
-
     /// Takes `node` off the recency list (a no-op when it is not on it).
     fn clear_heard(&mut self, node: NodeId) {
         let Some(entry) = self.nodes.get_mut(node) else {
@@ -659,16 +653,6 @@ impl GrmState {
     pub fn record_cert_mismatch(&mut self, node: NodeId) -> bool {
         self.cert_credibility.remove(&node);
         self.cert_blacklist.insert(node)
-    }
-
-    /// Whether a node is currently blacklisted for a wrong result.
-    pub fn is_blacklisted(&self, node: NodeId) -> bool {
-        self.cert_blacklist.contains(&node)
-    }
-
-    /// Number of currently blacklisted executors.
-    pub fn blacklisted_count(&self) -> usize {
-        self.cert_blacklist.len()
     }
 
     /// The GRM's current incarnation number.

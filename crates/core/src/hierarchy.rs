@@ -102,20 +102,6 @@ impl AvailabilityHistogram {
         }
         out
     }
-
-    /// Modelled nodes counted.
-    pub fn total(&self) -> u32 {
-        self.0.iter().sum()
-    }
-
-    /// Expected number of nodes that stay idle, using bucket midpoints.
-    pub fn expected_idle(&self) -> f64 {
-        self.0
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (i as f64 + 0.5) / AVAIL_BUCKETS as f64 * n as f64)
-            .sum()
-    }
 }
 
 /// A cluster's (or subtree's) usage-pattern summary: the resource aggregate
@@ -918,18 +904,16 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_expected_idle() {
+    fn histogram_buckets_and_merge_epochs() {
         let mut hist = AvailabilityHistogram::default();
         hist.observe(0.0);
         hist.observe(0.99);
         hist.observe(1.0); // clamps into the top bucket
         hist.observe(0.5);
-        assert_eq!(hist.total(), 4);
         assert_eq!(hist.0[0], 1);
         assert_eq!(hist.0[AVAIL_BUCKETS - 1], 2);
         assert_eq!(hist.0[4], 1);
-        let expected = hist.expected_idle();
-        assert!((expected - (0.0625 + 0.9375 * 2.0 + 0.5625)).abs() < 1e-9);
+        assert_eq!(hist.0.iter().sum::<u32>(), 4);
         // Merge epochs take the minimum: an aggregate is only as fresh as
         // its stalest contributor.
         let merged = usage(1, 100, 16, 7).merge(usage(2, 200, 32, 3));

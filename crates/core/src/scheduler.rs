@@ -167,16 +167,6 @@ pub struct GroupPlacement {
     pub worst_inter: PathQuality,
 }
 
-impl GroupPlacement {
-    /// All placed nodes, flattened.
-    pub fn all_nodes(&self) -> Vec<NodeId> {
-        self.groups
-            .iter()
-            .flat_map(|g| g.iter().map(|c| c.node))
-            .collect()
-    }
-}
-
 /// Places a [`TopologyRequest`] over the candidates: each group goes into a
 /// single physical cluster whose internal bandwidth meets the group floor,
 /// and inter-group paths must meet the request's inter floor. Candidates

@@ -176,11 +176,6 @@ impl NamingServant {
     pub fn service(&self) -> &NamingService {
         &self.service
     }
-
-    /// Direct mutable access to the directory (collocated use).
-    pub fn service_mut(&mut self) -> &mut NamingService {
-        &mut self.service
-    }
 }
 
 impl From<NamingError> for ServerException {

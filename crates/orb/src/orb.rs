@@ -183,11 +183,6 @@ impl Orb {
         self.poa.endpoint()
     }
 
-    /// The object adapter, for collocated servant access.
-    pub fn poa_mut(&mut self) -> &mut Poa {
-        &mut self.poa
-    }
-
     /// Shared view of the object adapter.
     pub fn poa(&self) -> &Poa {
         &self.poa

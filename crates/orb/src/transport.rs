@@ -91,11 +91,6 @@ impl LoopbackBus {
         self.orbs.get(&endpoint)
     }
 
-    /// Mutably borrow an ORB.
-    pub fn orb_mut(&mut self, endpoint: Endpoint) -> Option<&mut Orb> {
-        self.orbs.get_mut(&endpoint)
-    }
-
     /// Removes an ORB (simulates a host leaving the grid). Its objects
     /// become unreachable.
     pub fn remove_orb(&mut self, endpoint: Endpoint) -> Option<Orb> {

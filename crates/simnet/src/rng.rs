@@ -278,11 +278,6 @@ impl DetRng {
         mean + std_dev * z0
     }
 
-    /// Returns a normal deviate clamped to `[lo, hi]`.
-    pub fn normal_clamped(&mut self, mean: f64, std_dev: f64, lo: f64, hi: f64) -> f64 {
-        self.normal(mean, std_dev).clamp(lo, hi)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

@@ -152,11 +152,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Returns the span as fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60e6
-    }
-
     /// Returns true if the span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

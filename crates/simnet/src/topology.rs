@@ -253,11 +253,6 @@ impl Topology {
         self.generation += 1;
     }
 
-    /// Number of vertices (hosts + switches).
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
     /// Iterator over all host ids (excluding switches).
     pub fn hosts(&self) -> impl Iterator<Item = HostId> + '_ {
         self.vertices

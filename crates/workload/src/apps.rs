@@ -41,15 +41,6 @@ impl JobMix {
             bsp: 0.0,
         }
     }
-
-    /// Parallel-heavy mix.
-    pub fn parallel_heavy() -> Self {
-        JobMix {
-            sequential: 0.2,
-            bag_of_tasks: 0.2,
-            bsp: 0.6,
-        }
-    }
 }
 
 /// Workload-stream parameters.

@@ -43,11 +43,8 @@ proptest! {
         checkpoint in prop_oneof![Just(0.0f64), Just(500.0), Just(30_000.0)],
         replication in 0usize..5,
         retransmits in 0u32..6,
-        state_bytes in 1u64..1_000_000,
-        timeout_s in 1u64..600,
         silence_s in 60u64..7_200,
         warmup in 0usize..3,
-        horizon_mins in 5u32..240,
     ) {
         let tick_mins = VALID_TICK_MINS[tick_idx];
         let built = GridConfig::builder()
@@ -60,11 +57,8 @@ proptest! {
             .sequential_checkpoint_mips_s(checkpoint)
             .replication_factor(replication)
             .max_retransmits(retransmits)
-            .checkpoint_state_bytes(state_bytes)
-            .request_timeout(SimDuration::from_secs(timeout_s))
             .crash_silence(SimDuration::from_secs(silence_s))
             .gupa_warmup_days(warmup)
-            .prediction_horizon_mins(horizon_mins)
             .tick_mode(TickMode::Reference)
             .build();
 
@@ -81,11 +75,8 @@ proptest! {
             sequential_checkpoint_mips_s: checkpoint,
             replication_factor: replication,
             max_retransmits: retransmits,
-            checkpoint_state_bytes: state_bytes,
-            request_timeout: SimDuration::from_secs(timeout_s),
             crash_silence: SimDuration::from_secs(silence_s),
             gupa_warmup_days: warmup,
-            prediction_horizon_mins: horizon_mins,
             tick_mode: TickMode::Reference,
             ..GridConfig::default()
         };
