@@ -6,13 +6,14 @@
 use super::*;
 use crate::lrm::DueCheckpoint;
 use crate::protocol::{
-    CheckpointBlob, FetchCheckpoint, FetchCheckpointReply, PartEvicted, StoreCheckpoint,
-    StoreCheckpointReply, OP_FETCH_CKPT, OP_STORE_CKPT,
+    CheckpointBlob, FetchCheckpoint, FetchCheckpointReply, PartEvicted, SharedBytes,
+    StoreCheckpoint, StoreCheckpointReply, OP_FETCH_CKPT, OP_STORE_CKPT,
 };
 use crate::repo::crc32;
 use integrade_bsp::checkpoint::GlobalCheckpoint;
 use integrade_obs::span::SpanKind;
-use integrade_orb::cdr::{CdrDecode, CdrWriter};
+use integrade_orb::cdr::CdrDecode;
+use std::sync::Arc;
 
 /// The blob of a fetch reply, if the holder had one and it is intact end
 /// to end: its digest matches its payload and the payload decodes as a real
@@ -47,7 +48,7 @@ impl GridWorld {
             version: due.version,
             work_mips_s: due.work_mips_s,
             digest: crc32(&payload),
-            payload: payload.into(),
+            payload,
         };
         let from = self.node_hosts[origin.0 as usize];
         for replica in due.replicas {
@@ -462,27 +463,36 @@ impl GridWorld {
 /// identity and progress and is zero-padded to `state_bytes`, so the blob
 /// has the configured on-disk size and recovery can decode and
 /// digest-verify actual bytes end to end.
+///
+/// The blob is the CDR encoding of `GlobalCheckpoint { superstep: version,
+/// halted: false, proc_states: vec![state], inboxes: vec![vec![]] }`, written
+/// straight into one zero-filled shared allocation: every byte past the
+/// 52-byte header is zero (the state's padding, the CDR alignment before
+/// the empty inbox and that inbox's zero length).
 pub(super) fn checkpoint_payload(
     job: JobId,
     part: u32,
     version: u64,
     work_mips_s: u64,
     state_bytes: u64,
-) -> Vec<u8> {
-    let mut w = CdrWriter::new();
-    w.write_u64(job.0);
-    w.write_u32(part);
-    w.write_u64(version);
-    w.write_u64(work_mips_s);
-    let mut state = w.into_bytes();
-    if (state.len() as u64) < state_bytes {
-        state.resize(state_bytes as usize, 0);
+) -> SharedBytes {
+    // The process state's own CDR struct — job u64, part u32, version u64
+    // (aligned to 8 from the state's start), work u64 — is 32 bytes.
+    let state_len = state_bytes.max(32) as usize;
+    let len = (20 + state_len).next_multiple_of(4) + 4;
+    let mut payload: SharedBytes = std::iter::repeat_n(0, len).collect();
+    let bytes = Arc::get_mut(&mut payload).expect("a fresh allocation is unshared");
+    let header: [(usize, &[u8]); 7] = [
+        (0, &version.to_be_bytes()), // superstep; halted = 0 at 8
+        (12, &1u32.to_be_bytes()),   // one process state
+        (16, &(state_len as u32).to_be_bytes()),
+        (20, &job.0.to_be_bytes()), // the state starts here
+        (28, &part.to_be_bytes()),
+        (36, &version.to_be_bytes()),
+        (44, &work_mips_s.to_be_bytes()),
+    ];
+    for (at, field) in header {
+        bytes[at..at + field.len()].copy_from_slice(field);
     }
-    GlobalCheckpoint {
-        superstep: version,
-        halted: false,
-        proc_states: vec![state],
-        inboxes: vec![Vec::new()],
-    }
-    .to_cdr_bytes()
+    payload
 }

@@ -429,6 +429,37 @@ fn span_key_is_what_the_per_variant_match_produced() {
     }
 }
 
+#[test]
+fn checkpoint_payload_is_the_global_checkpoint_encoding() {
+    use integrade_bsp::checkpoint::GlobalCheckpoint;
+    use integrade_orb::cdr::{CdrDecode, CdrWriter};
+    let (job, part, version, work) = (JobId(0x0102_0304_0506_0708), 9, 77, 123_456_789);
+    for state_bytes in [0, 1, 31, 32, 33, 4_096, 4_097] {
+        let mut w = CdrWriter::new();
+        w.write_u64(job.0);
+        w.write_u32(part);
+        w.write_u64(version);
+        w.write_u64(work);
+        let mut state = w.into_bytes();
+        if (state.len() as u64) < state_bytes {
+            state.resize(state_bytes as usize, 0);
+        }
+        let expected = GlobalCheckpoint {
+            superstep: version,
+            halted: false,
+            proc_states: vec![state],
+            inboxes: vec![Vec::new()],
+        };
+        let payload = checkpoint_payload(job, part, version, work, state_bytes);
+        assert_eq!(
+            &payload[..],
+            expected.to_cdr_bytes(),
+            "state_bytes {state_bytes}"
+        );
+        assert_eq!(GlobalCheckpoint::from_cdr_bytes(&payload), Ok(expected));
+    }
+}
+
 /// An intact version-3 replica of `(job, part)`, as a fetch reply.
 fn replica(job: JobId, part: u32) -> FetchCheckpointReply {
     let payload = checkpoint_payload(job, part, 3, 40_000, 64);
@@ -438,7 +469,7 @@ fn replica(job: JobId, part: u32) -> FetchCheckpointReply {
         version: 3,
         work_mips_s: 40_000,
         digest: crc32(&payload),
-        payload: payload.into(),
+        payload,
     };
     FetchCheckpointReply { found: true, blob }
 }

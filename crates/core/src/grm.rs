@@ -562,17 +562,23 @@ impl GrmState {
     /// alive by definition of the last update), then the rest, each group in
     /// node-id order; the executor itself is excluded so an executor crash
     /// can never take the only replica with it.
+    ///
+    /// The walk stops once `k` exporting nodes are found, and keeps at most
+    /// `k` of the rest in case fewer than `k` export.
     pub fn choose_replicas(&self, executor: NodeId, k: usize) -> Vec<NodeId> {
         let mut exporting = Vec::new();
         let mut rest = Vec::new();
         for entry in self.nodes.values() {
+            if exporting.len() == k {
+                return exporting;
+            }
             let node = entry.registration.node;
             if node == executor {
                 continue;
             }
             if entry.status.exporting {
                 exporting.push(node);
-            } else {
+            } else if rest.len() < k {
                 rest.push(node);
             }
         }
@@ -1174,6 +1180,53 @@ mod tests {
             "exporting nodes come first"
         );
         assert_eq!(grm.choose_replicas(NodeId(1), 10).len(), 2);
+    }
+
+    #[test]
+    fn choose_replicas_equals_the_full_scan() {
+        // The order the early-stopping walk must reproduce: every exporting
+        // node in id order, then the rest, executor excluded, cut at k.
+        let full_scan = |grm: &GrmState, executor: NodeId, k: usize| {
+            let (mut exporting, rest): (Vec<_>, Vec<_>) = grm
+                .nodes
+                .values()
+                .filter(|e| e.registration.node != executor)
+                .partition(|e| e.status.exporting);
+            exporting.extend(rest);
+            let mut order: Vec<NodeId> = exporting.iter().map(|e| e.registration.node).collect();
+            order.truncate(k);
+            order
+        };
+        // Ten registered ids with holes at 3 and 9.
+        let ids: Vec<u32> = (0..12).filter(|n| *n != 3 && *n != 9).collect();
+        let exporting_sets: [&[u32]; 5] =
+            [&[], &[7], &[0, 1, 2], &[0, 1, 2, 4, 5, 6], &[2, 5, 8, 11]];
+        for exporting in exporting_sets {
+            let mut grm = GrmState::new(7);
+            for &n in &ids {
+                grm.register_node(registration(n, 500));
+            }
+            for &n in exporting {
+                grm.handle_update(&StatusUpdate {
+                    node: NodeId(n),
+                    seq: 1,
+                    status: exporting_status(0.5, 128),
+                    replicas: vec![],
+                    pending_done: vec![],
+                    pending_evicted: vec![],
+                    progress: vec![],
+                });
+            }
+            for executor in (0..13).map(NodeId) {
+                for k in [0, 1, 2, 3, ids.len()] {
+                    assert_eq!(
+                        grm.choose_replicas(executor, k),
+                        full_scan(&grm, executor, k),
+                        "exporting {exporting:?}, executor {executor}, k {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

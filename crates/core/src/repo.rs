@@ -26,12 +26,15 @@ use crate::protocol::SharedBytes;
 use crate::types::{JobId, NodeId};
 use std::collections::BTreeMap;
 
-/// CRC32 lookup table for the reflected IEEE 802.3 polynomial, built at
-/// compile time so the crate needs no checksum dependency.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-16 lookup tables for the reflected IEEE 802.3 polynomial,
+/// built at compile time so the crate needs no checksum dependency.
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so sixteen lookups advance
+/// the register over sixteen input bytes at once.
+const CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -44,14 +47,26 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC32 (IEEE 802.3, reflected) of `bytes` — the digest attached to every
-/// replicated checkpoint blob.
+/// replicated checkpoint blob. Sixteen bytes per step through sixteen
+/// lookup tables (slicing-by-16), then the tail bytewise; the digest is the
+/// classic one-byte-per-lookup CRC's for every input.
 ///
 /// # Examples
 ///
@@ -61,9 +76,22 @@ const fn build_crc_table() -> [u32; 256] {
 /// assert_eq!(crc32(b""), 0);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        let word = |i: usize| u32::from_le_bytes(chunk[i..i + 4].try_into().expect("4 bytes"));
+        // Byte j of the chunk still has 15 - j bytes to travel: table 15 - j.
+        let lane = |w: u32, hi: usize| {
+            t[hi][(w & 0xFF) as usize]
+                ^ t[hi - 1][((w >> 8) & 0xFF) as usize]
+                ^ t[hi - 2][((w >> 16) & 0xFF) as usize]
+                ^ t[hi - 3][(w >> 24) as usize]
+        };
+        c = lane(word(0) ^ c, 15) ^ lane(word(4), 11) ^ lane(word(8), 7) ^ lane(word(12), 3);
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -232,16 +260,47 @@ impl ReplicaMap {
     pub fn clear(&mut self) {
         self.map.clear();
     }
-
-    /// Number of parts with at least one known holder.
-    pub fn part_count(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use integrade_simnet::rng::DetRng;
+
+    /// The classic one-lookup-per-byte CRC32 that [`crc32`] must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_crc_at_every_short_length_and_offset() {
+        let bytes: Vec<u8> = (0..116u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=100 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_crc_on_seeded_buffers_up_to_64_kib() {
+        let mut rng = DetRng::new(26);
+        let mut lens = vec![255, 4096, 4148, 65_521, 65_536];
+        lens.extend((0..8).map(|_| rng.uniform_range(0, 65_537)));
+        for len in lens {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+        }
+    }
 
     fn blob(version: u64, work: u64, payload: &[u8]) -> StoredCheckpoint {
         StoredCheckpoint {
@@ -369,7 +428,7 @@ mod tests {
             },
         );
         map.clear();
-        assert_eq!(map.part_count(), 0);
+        assert!(map.holders(JobId(1), 0).is_empty());
         assert!(map.holders(JobId(2), 0).is_empty());
     }
 }
