@@ -45,7 +45,7 @@ use crate::protocol::{GRM_OBJECT_KEY, LRM_OBJECT_KEY};
 use crate::qos::{OverheadLedger, QosLedger};
 use crate::scheduler::{CandidateNode, Strategy};
 pub use crate::tick::occupancy_ranges;
-use crate::tick::NodeLocal;
+use crate::tick::{NodeLocal, TraceInterner};
 use crate::types::{JobId, NodeId, NodeRoles, Platform, ResourceVector};
 use integrade_obs::metrics::MetricsSnapshot;
 use integrade_obs::profile::ProfileReport;
@@ -693,6 +693,9 @@ impl Grid {
         let mut lrm_iors = Vec::with_capacity(n_nodes);
         let mut node_hosts = Vec::with_capacity(n_nodes);
         let mut static_status = Vec::with_capacity(n_nodes);
+        // Experiments hand many nodes copies of a few traces; interning makes
+        // each distinct history one buffer and one warm-up digest.
+        let mut traces = TraceInterner::default();
 
         for (cluster_index, setups) in clusters.into_iter().enumerate() {
             let tag = ClusterTag(cluster_index as u32);
@@ -717,7 +720,7 @@ impl Grid {
                     setup.roles,
                     config.lrm,
                 );
-                nodes.push(NodeLocal::new(lrm, setup.trace));
+                nodes.push(NodeLocal::new(lrm, traces.intern(setup.trace)));
                 lrm_iors.push(ior);
                 node_hosts.push(host);
             }

@@ -10,14 +10,13 @@ use crate::protocol::{
 use crate::scheduler::{place_groups, rank, worst_path};
 use crate::tick::wall_at;
 use integrade_simnet::topology::PathQuality;
-use integrade_usage::sample::SamplingConfig;
 
 /// Base delay before the scheduling pipeline re-runs after a failed round
 /// or an eviction; [`GridWorld::reschedule_backoff`] scales it.
 const RESCHEDULE_BASE: SimDuration = SimDuration::from_secs(60);
 
 /// Horizon for GUPA idle predictions, minutes.
-const PREDICTION_HORIZON_MINS: u32 = 120;
+pub(super) const PREDICTION_HORIZON_MINS: u32 = 120;
 
 /// Marshalled execution-state size of sequential/bag-of-tasks parts,
 /// bytes — the payload each replicated checkpoint carries. BSP parts use
@@ -366,7 +365,7 @@ impl GridWorld {
         // as `report`).
         self.flush_catch_up();
         let (_, weekday, minute) = wall_at(now);
-        let slots_per_day = SamplingConfig::default().slots_per_day();
+        let slots_per_day = self.config.lrm.sampling.slots_per_day();
         let mut out = BTreeMap::new();
         let mut loads = Vec::new();
         for (i, local) in self.nodes.iter().enumerate() {

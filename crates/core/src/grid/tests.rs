@@ -6,7 +6,8 @@ use crate::repo::crc32;
 use integrade_obs::span::SpanKind::{
     CancelPart, FetchCkpt, Launch, RereplFetch, Reserve, StoreCkpt,
 };
-use integrade_usage::sample::Weekday;
+use integrade_usage::sample::{DayPeriod, Weekday};
+use std::sync::Arc;
 
 /// `nodes` always-idle desktops under `config`, without GUPA warm-up.
 fn idle_grid(nodes: usize, config: GridConfig) -> Grid {
@@ -190,6 +191,155 @@ fn warmup_gives_models_at_start() {
     let job = grid.submit(JobSpec::sequential("s", 1500));
     grid.run_until(SimTime::from_secs(3600));
     assert_eq!(grid.job_record(job).unwrap().state, JobState::Completed);
+}
+
+fn trace_bits(trace: &[UsageSample]) -> Vec<[u64; 4]> {
+    trace
+        .iter()
+        .map(|s| [s.cpu, s.mem, s.disk, s.net].map(f64::to_bits))
+        .collect()
+}
+
+fn curve_bits<'a>(curves: impl Iterator<Item = (Weekday, &'a [f64])>) -> Vec<(Weekday, Vec<u64>)> {
+    curves
+        .map(|(weekday, curve)| (weekday, curve.iter().map(|v| v.to_bits()).collect()))
+        .collect()
+}
+
+/// `days` warm-up days of `trace` sampled every `interval_mins`, indexed by
+/// hand: slot `k` reads the trace's 5-minute sample `k * interval_mins / 5`.
+fn warmup_periods(trace: &[UsageSample], days: u64, interval_mins: u64) -> Vec<DayPeriod> {
+    let per_day = 1440 / interval_mins;
+    (0..days)
+        .map(|day| DayPeriod {
+            day,
+            weekday: Weekday::from_day_number(day),
+            samples: (day * per_day..(day + 1) * per_day)
+                .map(|k| trace[(k * interval_mins / 5) as usize % trace.len()])
+                .collect(),
+        })
+        .collect()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+    /// Trace interning and shared warm-up against a fresh per-node digest:
+    /// the first `k` traces of a pool round-robined over `n` nodes, 0 to 14
+    /// warm-up days, at the default and a coarse tick. The pool holds near
+    /// twins of one trace — a zero's sign flipped, one sample changed that
+    /// the fingerprint does not read, an equal copy — beside an unrelated
+    /// trace and an empty one.
+    #[test]
+    fn warmup_sharing_matches_a_per_node_digest(
+        seed in proptest::arbitrary::any::<u64>(),
+        k in 1usize..=6,
+        n in 1usize..=12,
+        days in 0u64..=14,
+        coarse in proptest::arbitrary::any::<bool>(),
+    ) {
+        let mut rng = DetRng::new(seed);
+        let mut random_trace = |len: usize| -> Vec<UsageSample> {
+            (0..len)
+                .map(|_| UsageSample::new(rng.uniform_f64(), rng.uniform_f64(), 0.0, 0.0))
+                .collect()
+        };
+        let base = random_trace(100 + (seed % 600) as usize);
+        let mut signed = base.clone();
+        signed[(seed % 97) as usize].disk = -0.0;
+        let mut unprobed = base.clone();
+        unprobed[1].cpu += if unprobed[1].cpu < 0.5 { 0.25 } else { -0.25 };
+        proptest::prop_assert_eq!(
+            crate::tick::fingerprint(&unprobed),
+            crate::tick::fingerprint(&base)
+        );
+        let other = random_trace(288);
+        let pool = [base.clone(), signed, unprobed, base, other, Vec::new()];
+        let interval_mins = if coarse { 15 } else { 5 };
+        let config = GridConfig {
+            gupa_warmup_days: days as usize,
+            ..GridConfig::builder().tick_mins(interval_mins as u32).build()
+        };
+        let mut builder = GridBuilder::new(config);
+        builder.add_cluster(
+            (0..n)
+                .map(|i| NodeSetup {
+                    trace: pool[i % k].clone(),
+                    ..NodeSetup::idle_desktop()
+                })
+                .collect(),
+        );
+        let grid = builder.build();
+
+        let nodes = &grid.world.nodes;
+        for (i, a) in nodes.iter().enumerate() {
+            proptest::prop_assert_eq!(trace_bits(&a.trace), trace_bits(&pool[i % k]));
+            for b in nodes {
+                let equal = trace_bits(&a.trace) == trace_bits(&b.trace);
+                proptest::prop_assert_eq!(Arc::ptr_eq(&a.trace, &b.trace), equal);
+            }
+        }
+        let (gupa, mut uploads) = (grid.gupa(), 0);
+        for i in 0..n {
+            let (node, trace) = (NodeId(i as u32), &pool[i % k]);
+            let mut fresh = GupaState::new(LupaConfig::default());
+            if days > 0 && !trace.is_empty() {
+                fresh.upload(node, warmup_periods(trace, days, interval_mins));
+                uploads += 1;
+            }
+            proptest::prop_assert_eq!(
+                curve_bits(gupa.day_curves(node)),
+                curve_bits(fresh.day_curves(node))
+            );
+            proptest::prop_assert_eq!(gupa.model(node), fresh.model(node));
+            proptest::prop_assert_eq!(gupa.has_model(node), fresh.has_model(node));
+        }
+        proptest::prop_assert_eq!(gupa.uploads(), uploads);
+    }
+}
+
+/// At a 15-minute tick a day is 96 samples on both sides of the build:
+/// warm-up day `d` reads exactly the trace slots live day `d` reads, and
+/// predictions read the partial day as 96 slots a day.
+#[test]
+fn coarse_tick_warms_up_and_predicts_at_the_configured_sampling() {
+    let config = GridConfig {
+        gupa_warmup_days: 7,
+        ..GridConfig::builder().tick_mins(15).build()
+    };
+    // A 5-minute sawtooth on top of office hours, so a day averaged down
+    // from 288 samples differs from one sampled at 96.
+    let trace = office_trace()
+        .iter()
+        .enumerate()
+        .map(|(slot, s)| UsageSample::new(s.cpu + 0.01 * (slot % 3) as f64, s.mem, 0.0, 0.0))
+        .collect();
+    let mut builder = GridBuilder::new(config);
+    builder.add_cluster(vec![NodeSetup {
+        trace,
+        ..NodeSetup::idle_desktop()
+    }]);
+    let mut grid = builder.build();
+    let node = NodeId(0);
+    let warm = curve_bits(grid.gupa().day_curves(node));
+    // Tuesday 13:00, mid office hours; the live Monday has been uploaded.
+    let now = SimTime::from_secs((24 + 13) * 3600);
+    grid.run_until(now);
+    let predictions = grid.world.idle_predictions(now);
+    let curves = curve_bits(grid.gupa().day_curves(node));
+    assert_eq!(curves.len(), 8);
+    assert_eq!(curves[7], warm[0], "the live Monday is the warm-up Monday");
+    let expected = grid.gupa().predict_idle(
+        node,
+        Weekday::new(1),
+        13 * 60,
+        grid.world.nodes[0].lrm.lupa_window().partial_day(),
+        96,
+        super::negotiate::PREDICTION_HORIZON_MINS,
+        &mut Vec::new(),
+    );
+    assert!(expected.is_some());
+    assert_eq!(predictions.get(&node).copied(), expected);
 }
 
 #[test]

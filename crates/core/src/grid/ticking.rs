@@ -5,10 +5,12 @@
 use super::*;
 use crate::protocol::{PartDone, StatusUpdate, OP_PART_DONE, OP_PART_EVICTED, OP_UPDATE_STATUS};
 use crate::tick::{
-    for_each_shard, replay_node_local, shard_ranges, tick_node_local, NodeTickEffects,
+    for_each_shard, replay_node_local, shard_ranges, tick_node_local, trace_sample_at,
+    NodeTickEffects,
 };
 use integrade_obs::profile::Phase;
-use integrade_usage::sample::{DayPeriod, SamplingConfig, Weekday};
+use integrade_usage::sample::{DayPeriod, Weekday};
+use std::sync::Arc;
 
 impl GridWorld {
     /// Replays the deferred slot-tick bookkeeping of one node up to tick
@@ -100,29 +102,41 @@ impl GridWorld {
         SimTime::from_micros(offset + k * period)
     }
 
-    /// Replays warmup days of each node's trace into the GUPA so
-    /// pattern-aware scheduling starts with trained models.
+    /// Replays warmup days of each node's trace into the GUPA, sampled at
+    /// the configured interval, so pattern-aware scheduling starts with
+    /// trained models. Nodes share interned traces, and a digest depends on
+    /// nothing but the periods: each distinct trace is digested once, by
+    /// its first node, and every later node with it gets a copy of that
+    /// cell (one upload each, as before).
     pub(super) fn warmup_gupa(&mut self) {
-        let days = self.config.gupa_warmup_days;
+        let days = self.config.gupa_warmup_days as u64;
         if days == 0 {
             return;
         }
-        let slots_per_day = SamplingConfig::default().slots_per_day();
-        for (node, local) in self.nodes.iter().enumerate() {
-            let trace = &local.trace;
+        let sampling = self.config.lrm.sampling;
+        let slots_per_day = sampling.slots_per_day() as u64;
+        let interval = SimDuration::from_mins(u64::from(sampling.interval_mins)).as_micros();
+        let mut digested: BTreeMap<*const Vec<UsageSample>, NodeId> = BTreeMap::new();
+        for (i, local) in self.nodes.iter().enumerate() {
+            let (node, trace) = (NodeId(i as u32), &local.trace);
             if trace.is_empty() {
                 continue;
             }
+            if let Some(&first) = digested.get(&Arc::as_ptr(trace)) {
+                self.gupa.upload_same_as(node, first);
+                continue;
+            }
+            digested.insert(Arc::as_ptr(trace), node);
             let periods: Vec<DayPeriod> = (0..days)
-                .map(|d| DayPeriod {
-                    day: d as u64,
-                    weekday: Weekday::from_day_number(d as u64),
-                    samples: (0..slots_per_day)
-                        .map(|s| trace[(d * slots_per_day + s) % trace.len()])
+                .map(|day| DayPeriod {
+                    day,
+                    weekday: Weekday::from_day_number(day),
+                    samples: (day * slots_per_day..(day + 1) * slots_per_day)
+                        .map(|k| trace_sample_at(trace, SimTime::from_micros(k * interval)))
                         .collect(),
                 })
                 .collect();
-            self.gupa.upload(NodeId(node as u32), periods);
+            self.gupa.upload(node, periods);
         }
     }
 

@@ -25,12 +25,19 @@
 //! exactly that per day, so the period is reduced on arrival and dropped:
 //! 0.8 kB per node-day instead of the 9.2 kB of 288 four-component samples,
 //! with every model bit-identical to one trained on the raw history.
+//!
+//! Nodes that uploaded identical histories share one model: the cell holds
+//! it behind an `Arc`, and a node's first retrain copies it
+//! ([`Arc::make_mut`]). Build-time warm-up digests each distinct owner trace
+//! once and hands every other node with that trace a copy of the cell
+//! (`GupaState::upload_same_as`).
 
 use crate::types::NodeId;
 use integrade_usage::patterns::{day_features, LupaConfig, LupaModel};
 use integrade_usage::predict::{IdlePredictor, LupaPredictor, PredictionContext};
 use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Minimum training days before a model is trusted.
 pub const MIN_TRAINING_DAYS: usize = 7;
@@ -41,10 +48,12 @@ pub const MIN_TRAINING_DAYS: usize = 7;
 /// [`LupaModel::days`] are the single copy of the history, grown by
 /// [`LupaModel::retrain`]. Plain owned data — a shard worker can digest
 /// uploads into its nodes' cells without touching any other node's state.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct GupaCell {
     pending: Vec<(Weekday, Vec<f64>)>,
-    model: Option<LupaModel>,
+    /// Shared copy-on-write: cells cloned from one warm-up digest share the
+    /// model until a retrain copies it.
+    model: Option<Arc<LupaModel>>,
 }
 
 impl GupaCell {
@@ -62,7 +71,7 @@ impl GupaCell {
             return false;
         }
         if let Some(model) = &mut self.model {
-            model.retrain(&periods);
+            Arc::make_mut(model).retrain(&periods);
             return true;
         }
         self.pending.extend(
@@ -72,14 +81,14 @@ impl GupaCell {
         );
         if self.pending.len() >= MIN_TRAINING_DAYS {
             let days = std::mem::take(&mut self.pending);
-            self.model = Some(LupaModel::train_curves(days, config));
+            self.model = Some(Arc::new(LupaModel::train_curves(days, config)));
         }
         true
     }
 
     /// The stored days in arrival order, as `(weekday, feature curve)`.
     fn day_curves(&self) -> impl Iterator<Item = (Weekday, &[f64])> {
-        let trained = self.model.iter().flat_map(LupaModel::days);
+        let trained = self.model.iter().flat_map(|m| m.days());
         self.pending
             .iter()
             .map(|(weekday, curve)| (*weekday, curve.as_slice()))
@@ -118,6 +127,17 @@ impl GupaState {
         if self.cell_mut(node).digest(config, periods) {
             self.uploads += 1;
         }
+    }
+
+    /// Receives for `node` the upload `like` received as its only one, and
+    /// counts it: `node`'s cell becomes a copy of `like`'s, sharing the
+    /// model until either node retrains. Training is a pure function of the
+    /// periods and [`LupaConfig::seed`], so this equals digesting the same
+    /// periods again — how warm-up learns each distinct trace once.
+    pub(crate) fn upload_same_as(&mut self, node: NodeId, like: NodeId) {
+        let cell = self.cell(like).expect("`like` has uploaded").clone();
+        *self.cell_mut(node) = cell;
+        self.uploads += 1;
     }
 
     /// Mutable access to the node-indexed cell table, grown to cover at
@@ -161,7 +181,7 @@ impl GupaState {
 
     /// The trained model for a node, if any.
     pub fn model(&self, node: NodeId) -> Option<&LupaModel> {
-        self.cell(node)?.model.as_ref()
+        self.cell(node)?.model.as_deref()
     }
 
     /// The days uploaded for a node so far, in arrival order, as the
@@ -338,18 +358,18 @@ mod tests {
                 continue;
             }
             let trained = LupaModel::train(&raw[..len], config);
-            assert_eq!(daily.model.as_ref(), Some(&trained), "daily, {len} days");
+            assert_eq!(daily.model.as_deref(), Some(&trained), "daily, {len} days");
             // Warm-up's shape: the whole history in one call.
             let mut bulk = GupaCell::default();
             bulk.digest(config, raw[..len].to_vec());
-            assert_eq!(bulk.model.as_ref(), Some(&trained), "bulk, {len} days");
+            assert_eq!(bulk.model.as_deref(), Some(&trained), "bulk, {len} days");
             // And a warm-up followed by the run's daily uploads.
             let mut mixed = GupaCell::default();
             mixed.digest(config, raw[..MIN_TRAINING_DAYS - 2].to_vec());
             for period in &raw[MIN_TRAINING_DAYS - 2..len] {
                 mixed.digest(config, vec![period.clone()]);
             }
-            assert_eq!(mixed.model.as_ref(), Some(&trained), "mixed, {len} days");
+            assert_eq!(mixed.model.as_deref(), Some(&trained), "mixed, {len} days");
         }
     }
 
@@ -378,6 +398,28 @@ mod tests {
         assert!(par.has_model(NodeId(3)) && seq.has_model(NodeId(3)));
         assert_eq!(par.day_curves(NodeId(3)).count(), 8);
         assert_eq!(par.day_curves(NodeId(0)).count(), 0);
+    }
+
+    #[test]
+    fn a_copied_upload_shares_the_model_until_a_retrain() {
+        let mut gupa = gupa_with_history();
+        let original = gupa.model(NodeId(1)).cloned();
+        gupa.upload_same_as(NodeId(4), NodeId(1));
+        assert_eq!(gupa.uploads(), 2);
+        let shared = |g: &GupaState| {
+            let (a, b) = (g.cells[1].model.as_ref(), g.cells[4].model.as_ref());
+            Arc::ptr_eq(a.unwrap(), b.unwrap())
+        };
+        assert!(shared(&gupa));
+        gupa.upload(NodeId(4), vec![day(14, |_| 0.9)]);
+        assert!(!shared(&gupa), "the retrain copied");
+        assert_eq!(gupa.model(NodeId(1)).cloned(), original);
+        assert_eq!(gupa.history_days(NodeId(4)), 15);
+        // A copy of a cell below the threshold carries its pending days.
+        gupa.upload(NodeId(6), vec![day(0, office)]);
+        gupa.upload_same_as(NodeId(7), NodeId(6));
+        assert_eq!(gupa.history_days(NodeId(7)), 1);
+        assert!(!gupa.has_model(NodeId(7)));
     }
 
     #[test]

@@ -25,7 +25,9 @@ use integrade_simnet::rng::DetRng;
 use integrade_simnet::time::{SimDuration, SimTime};
 use integrade_usage::patterns::LupaConfig;
 use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
+use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Everything the per-slot walk reads or writes for one node, owned in one
 /// place so the walk splits a single slice.
@@ -41,14 +43,15 @@ pub(crate) struct NodeLocal {
     /// `slots_elapsed`) whose bookkeeping has been applied to this node.
     /// Nodes the lazy walk skips lag behind and are caught up in bulk.
     pub ticks_applied: u64,
-    /// Owner usage trace, one sample per slot, cycled when exhausted. Empty
-    /// means always idle.
-    pub trace: Vec<UsageSample>,
+    /// Owner usage trace, one sample per 5-minute slot, cycled when
+    /// exhausted. Empty means always idle. Shared with every node whose
+    /// trace has the same content ([`TraceInterner`]).
+    pub trace: Trace,
 }
 
 impl NodeLocal {
     /// A node at tick zero.
-    pub fn new(lrm: LrmState, trace: Vec<UsageSample>) -> Self {
+    pub fn new(lrm: LrmState, trace: Trace) -> Self {
         NodeLocal {
             lrm,
             qos: QosLedger::new(),
@@ -56,6 +59,65 @@ impl NodeLocal {
             trace,
         }
     }
+}
+
+/// An owner trace, shared by every node interned onto it.
+pub(crate) type Trace = Arc<Vec<UsageSample>>;
+
+/// Interns owner traces by exact content, so that nodes handed equal traces
+/// share one buffer and GUPA warm-up can learn each distinct history once.
+/// A trace's [`fingerprint`] picks its bucket; a match is confirmed by
+/// comparing every component's bits, so `-0.0` and `0.0` stay distinct.
+#[derive(Debug, Default)]
+pub(crate) struct TraceInterner {
+    buckets: BTreeMap<u64, Vec<Trace>>,
+}
+
+impl TraceInterner {
+    /// The shared copy of `trace`. The first occurrence of a content keeps
+    /// its own buffer (moved, not copied); later ones are dropped.
+    pub fn intern(&mut self, trace: Vec<UsageSample>) -> Trace {
+        let bucket = self.buckets.entry(fingerprint(&trace)).or_default();
+        if let Some(shared) = bucket.iter().find(|t| bitwise_eq(t, &trace)) {
+            return Arc::clone(shared);
+        }
+        let trace = Arc::new(trace);
+        bucket.push(Arc::clone(&trace));
+        trace
+    }
+}
+
+/// The bits of a sample's four components.
+fn sample_bits(s: &UsageSample) -> [u64; 4] {
+    [
+        s.cpu.to_bits(),
+        s.mem.to_bits(),
+        s.disk.to_bits(),
+        s.net.to_bits(),
+    ]
+}
+
+fn bitwise_eq(a: &[UsageSample], b: &[UsageSample]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| sample_bits(x) == sample_bits(y))
+}
+
+/// A cheap content hash: the length and the bits of eight evenly spaced
+/// samples. Traces differing only elsewhere collide, which the bucket's
+/// full comparison resolves.
+pub(crate) fn fingerprint(trace: &[UsageSample]) -> u64 {
+    const PROBES: usize = 8;
+    let mut hash = trace.len() as u64;
+    if !trace.is_empty() {
+        for probe in 0..PROBES {
+            for bits in sample_bits(&trace[probe * trace.len() / PROBES]) {
+                hash = (hash ^ bits).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    }
+    hash
 }
 
 // A shard worker receives `&mut [NodeLocal]`, `&mut [GupaCell]` and
@@ -79,7 +141,7 @@ pub(crate) fn wall_at(now: SimTime) -> (u64, Weekday, u32) {
 }
 
 /// The owner sample a trace yields at `now` (empty trace = always idle).
-fn trace_sample_at(trace: &[UsageSample], now: SimTime) -> UsageSample {
+pub(crate) fn trace_sample_at(trace: &[UsageSample], now: SimTime) -> UsageSample {
     if trace.is_empty() {
         return UsageSample::idle();
     }
@@ -487,7 +549,7 @@ mod tests {
         }
     }
 
-    fn node(trace: Vec<UsageSample>) -> NodeLocal {
+    fn node(trace: Trace) -> NodeLocal {
         let setup = NodeSetup::idle_desktop();
         NodeLocal::new(
             LrmState::new(
@@ -500,6 +562,20 @@ mod tests {
             ),
             trace,
         )
+    }
+
+    #[test]
+    fn interning_moves_the_first_buffer_and_shares_equal_content() {
+        let trace = |disk: f64| vec![UsageSample::new(0.5, 0.2, disk, 0.0); 300];
+        let mut interner = TraceInterner::default();
+        let first = trace(0.0);
+        let buffer = first.as_ptr();
+        let shared = interner.intern(first);
+        assert_eq!(shared.as_ptr(), buffer, "moved, not copied");
+        assert!(Arc::ptr_eq(&shared, &interner.intern(trace(0.0))));
+        let negative = interner.intern(trace(-0.0));
+        assert!(!Arc::ptr_eq(&shared, &negative), "-0.0 is not 0.0");
+        assert!(Arc::ptr_eq(&negative, &interner.intern(trace(-0.0))));
     }
 
     proptest::proptest! {
@@ -525,7 +601,8 @@ mod tests {
                     UsageSample::new(cpu, gen.uniform_f64(), 0.0, 0.0)
                 })
                 .collect();
-            let (mut run, mut run_rng) = (node(trace.clone()), DetRng::new(seed));
+            let trace = Arc::new(trace);
+            let (mut run, mut run_rng) = (node(Arc::clone(&trace)), DetRng::new(seed));
             let (mut slot, mut slot_rng) = (node(trace), DetRng::new(seed));
             // Both start mid-history, brought there by the oracle.
             replay_node_local_per_slot(config, &mut run, &mut run_rng, applied);
@@ -553,7 +630,7 @@ mod tests {
     #[test]
     fn replay_to_an_already_applied_tick_is_a_no_op() {
         let config = &config(0.05);
-        let mut node = node(Vec::new());
+        let mut node = node(Trace::default());
         let mut rng = DetRng::new(1);
         replay_node_local(config, &mut node, &mut rng, 300);
         let before = rng.clone();
@@ -566,7 +643,7 @@ mod tests {
     /// An idle `n`-node world with `workers` shard streams.
     fn world(n: usize, workers: u64) -> (Vec<NodeLocal>, Vec<GupaCell>, Vec<DetRng>) {
         (
-            (0..n).map(|_| node(Vec::new())).collect(),
+            (0..n).map(|_| node(Trace::default())).collect(),
             (0..n).map(|_| GupaCell::default()).collect(),
             (0..workers).map(|i| DetRng::for_shard(9, i)).collect(),
         )

@@ -8,9 +8,12 @@
 //! `Cell<bool>` load, so benchmark harnesses can measure the instrumented
 //! and uninstrumented configurations of the *same* binary.
 //!
-//! The whole workspace is single-threaded by construction (the simulator is
-//! a deterministic event loop built on `Rc`/`RefCell`), so the registry uses
-//! the same idiom rather than atomics.
+//! Only the coordinating thread touches a registry. The simulator's sharded
+//! slot walk does run shard workers on scoped threads, but they see only
+//! their own node and GUPA slices and return effects (messages, log
+//! records, metric updates) for the coordinator to apply at the frame
+//! boundary. So the handles need no atomics; being `Rc`-based they are not
+//! `Send`, and the compiler rejects any attempt to move one into a worker.
 //!
 //! # Examples
 //!
