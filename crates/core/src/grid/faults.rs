@@ -17,6 +17,7 @@ impl GridWorld {
         // timeout events find no entry and fall through harmlessly.
         self.pending.retain(|(from, _), _| *from != host);
         if host == self.grm_host {
+            self.grm_transitions.push((now, false));
             self.grm.crash();
             let epoch = self.grm.epoch();
             // Relays in flight died with the GRM's orb; the placement map
@@ -63,6 +64,7 @@ impl GridWorld {
             .set_up(host, true)
             .expect("known host");
         if host == self.grm_host {
+            self.grm_transitions.push((now, true));
             self.grm.restart(now);
             let epoch = self.grm.epoch();
             self.log

@@ -572,6 +572,10 @@ struct GridWorld {
     node_hosts: Vec<HostId>,
     grm: GrmState,
     grm_host: HostId,
+    /// Every up/down transition of `grm_host`, in the order they happened,
+    /// stamped with the event time: one entry per manager crash or restart.
+    /// [`Grid::grm_up_at`] answers from it for instants already run past.
+    grm_transitions: Vec<(SimTime, bool)>,
     grm_ior: Ior,
     gupa: GupaState,
     jobs: BTreeMap<JobId, JobExec>,
@@ -653,6 +657,12 @@ pub struct Grid {
     world: GridWorld,
     queue: EventQueue<GridEvent>,
 }
+
+// A federation advances its member grids on worker threads.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Grid>();
+};
 
 impl std::fmt::Debug for Grid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -762,6 +772,7 @@ impl Grid {
             node_hosts,
             grm,
             grm_host,
+            grm_transitions: Vec::new(),
             grm_ior,
             jobs: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -976,6 +987,20 @@ impl Grid {
     /// survive a manager crash.
     pub fn grm_up(&self) -> bool {
         self.world.net.topology().is_up(self.world.grm_host)
+    }
+
+    /// What [`Grid::grm_up`] said when every event at or before `at` had
+    /// fired and none after it, for a grid that has since run past `at`:
+    /// the manager host's state after its last transition at or before
+    /// `at`. A federation reads this when a status message arrives at a
+    /// member it has already advanced beyond the arrival.
+    pub(crate) fn grm_up_at(&self, at: SimTime) -> bool {
+        self.world
+            .grm_transitions
+            .iter()
+            .rev()
+            .find(|&&(t, _)| t <= at)
+            .is_none_or(|&(_, up)| up)
     }
 
     /// The GRM's incarnation number, bumped each restart. Federation soft

@@ -19,7 +19,7 @@ use integrade_orb::cdr::{CdrDecode, CdrReader};
 use integrade_orb::constraint::SlotId;
 use integrade_orb::ior::Ior;
 use integrade_orb::servant::{Servant, ServerException};
-use integrade_orb::trading::{OfferId, Trader, TraderError};
+use integrade_orb::trading::{OfferId, ServiceOffer, Trader, TraderError};
 use integrade_simnet::idmap::IdMap;
 use integrade_simnet::time::SimTime;
 use integrade_simnet::topology::HostId;
@@ -216,6 +216,16 @@ fn offer_properties(
     ]
     .into_iter()
     .collect()
+}
+
+/// The node a trader offer advertises, unless it is blacklisted: one caught
+/// lie costs an executor every future placement until GRM restart.
+fn schedulable(offer: &ServiceOffer, blacklist: &BTreeSet<NodeId>) -> Option<NodeId> {
+    let Some(AnyValue::Long(id)) = offer.properties.get(node_props::NODE_ID) else {
+        return None;
+    };
+    let node = NodeId(*id as u32);
+    (!blacklist.contains(&node)).then_some(node)
 }
 
 impl GrmState {
@@ -492,8 +502,11 @@ impl GrmState {
     /// right now. This consults the *offer set*, not a summary — the point
     /// of a linked-trader query ([`crate::protocol::FedQuery`]).
     pub fn matching_nodes(&mut self, constraint: &str) -> usize {
-        self.candidates(constraint, "first", usize::MAX, &BTreeMap::new())
-            .map(|c| c.len())
+        let (nodes, blacklist) = (&self.nodes, &self.cert_blacklist);
+        self.trader
+            .count_matching(NODE_SERVICE_TYPE, constraint, |offer| {
+                schedulable(offer, blacklist).is_some_and(|node| nodes.get(node).is_some())
+            })
             .unwrap_or(0)
     }
 
@@ -518,15 +531,9 @@ impl GrmState {
             .query(NODE_SERVICE_TYPE, constraint, preference, max)?;
         let mut out = Vec::with_capacity(offers.len());
         for offer in offers {
-            let Some(AnyValue::Long(node_id)) = offer.properties.get("node_id") else {
+            let Some(node) = schedulable(&offer, &self.cert_blacklist) else {
                 continue;
             };
-            let node = NodeId(*node_id as u32);
-            // A blacklisted executor never reaches the scheduler: one caught
-            // lie costs the node every future placement until GRM restart.
-            if self.cert_blacklist.contains(&node) {
-                continue;
-            }
             let Some(entry) = self.nodes.get(node) else {
                 continue;
             };

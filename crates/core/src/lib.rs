@@ -62,6 +62,7 @@ pub mod hierarchy;
 pub mod lrm;
 pub mod ncc;
 pub mod observe;
+mod par;
 pub mod protocol;
 pub mod qos;
 pub mod repo;

@@ -6,12 +6,13 @@
 //! body, [`replay_node_local`] the bulk catch-up of a node the lazy walk
 //! skipped. Neither touches the event queue, the log, the ORBs, the GRM or
 //! another node, so a contiguous range of nodes can be handed to a worker as
-//! a `&mut` slice — [`for_each_shard`] does exactly that, running shard 0 on
-//! the calling thread and shards `1..` on scoped threads, and returning the
-//! per-shard results in shard order. The shared-state half of a tick
-//! (messages, log records, event-queue inserts) comes back as
-//! [`NodeTickEffects`] for `GridWorld::apply_node_effects` to apply on the
-//! coordinating thread in ascending node order.
+//! a `&mut` slice — [`for_each_shard`] does exactly that on core's one
+//! scoped-thread executor, running shard 0 on the calling thread and shards
+//! `1..` on scoped threads, and returning the per-shard results in shard
+//! order. The shared-state half of a tick (messages, log records,
+//! event-queue inserts) comes back as [`NodeTickEffects`] for
+//! `GridWorld::apply_node_effects` to apply on the coordinating thread in
+//! ascending node order.
 //!
 //! Node state is `Send` by construction (checked at compile time below), so
 //! the split is ordinary safe borrowing.
@@ -19,6 +20,7 @@
 use crate::grid::GridConfig;
 use crate::gupa::GupaCell;
 use crate::lrm::{CompletedPart, DueCheckpoint, LrmState};
+use crate::par::scoped_map;
 use crate::protocol::PartEvicted;
 use crate::qos::{QosLedger, SharingDiscipline};
 use integrade_simnet::rng::DetRng;
@@ -484,11 +486,11 @@ impl Shard<'_> {
 /// `nodes`, `cells` (index-aligned with `nodes`) and `rngs` are split once
 /// along `ranges` — which must partition `0..nodes.len()` contiguously in
 /// order, with at most one range per stream — so each body gets exclusive
-/// `&mut` access to its shard and nothing else. Shards `1..` run on scoped
-/// threads; shard 0 runs *on the calling thread*, which would otherwise sit
-/// blocked until the workers join — so a single-shard walk never creates a
-/// thread. A panicking body, on whichever thread, unwinds out of this call
-/// with its original payload.
+/// `&mut` access to its shard and nothing else. One worker per shard
+/// ([`scoped_map`]): shards `1..` run on scoped threads and shard 0 *on the
+/// calling thread*, which would otherwise sit blocked until the workers
+/// join — so a single-shard walk never creates a thread. A panicking body,
+/// on whichever thread, unwinds out of this call with its original payload.
 pub(crate) fn for_each_shard<R: Send>(
     ranges: &[Range<usize>],
     mut nodes: &mut [NodeLocal],
@@ -513,26 +515,8 @@ pub(crate) fn for_each_shard<R: Send>(
             rng,
         });
     }
-    let mut shards = shards.into_iter();
-    let Some(first) = shards.next() else {
-        return Vec::new();
-    };
-    let body = &body;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = shards
-            .map(|shard| scope.spawn(move || body(shard)))
-            .collect();
-        let mut results = Vec::with_capacity(workers.len() + 1);
-        results.push(body(first));
-        for worker in workers {
-            results.push(
-                worker
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-        results
-    })
+    let workers = shards.len();
+    scoped_map(shards, workers, body)
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! being a debugging substrate. This crate is the replacement:
 //!
 //! * [`metrics`] — counters/gauges/histograms registered once and updated
-//!   through `Rc<Cell>` handles (the hot path never hashes a string), with
-//!   JSON and Prometheus-text export from a detached snapshot.
+//!   through `Send` handles with single-writer relaxed updates (the hot path
+//!   never hashes a string or takes a lock), with JSON and Prometheus-text
+//!   export from a detached snapshot.
 //! * [`span`] — causal spans reusing the grid-unique RPC `request_id`s, so
 //!   tracing allocates no new identifiers and cannot perturb determinism;
 //!   one call reconstructs the negotiation→launch→checkpoint→recovery tree

@@ -1,19 +1,24 @@
 //! The metrics registry: cheap labeled counters, gauges and fixed-bucket
 //! histograms behind pre-resolved handles.
 //!
-//! Instruments are registered **once** (a name lookup, an allocation) and
-//! then updated through handles that are plain `Rc<Cell>` pointers — the hot
-//! path never hashes a string, never takes a `RefCell` borrow, never
-//! allocates. A disabled registry turns every update into a single
-//! `Cell<bool>` load, so benchmark harnesses can measure the instrumented
-//! and uninstrumented configurations of the *same* binary.
+//! Instruments are registered **once** (a name lookup under the registry's
+//! lock, an allocation) and then updated through handles that are plain
+//! `Arc`'d atomics — the hot path never hashes a string, never takes a
+//! lock, never allocates. A disabled registry turns every update into a
+//! single boolean load, so benchmark harnesses can measure the
+//! instrumented and uninstrumented configurations of the *same* binary.
 //!
-//! Only the coordinating thread touches a registry. The simulator's sharded
-//! slot walk does run shard workers on scoped threads, but they see only
-//! their own node and GUPA slices and return effects (messages, log
-//! records, metric updates) for the coordinator to apply at the frame
-//! boundary. So the handles need no atomics; being `Rc`-based they are not
-//! `Send`, and the compiler rejects any attempt to move one into a worker.
+//! # Single writer
+//!
+//! A registry has one writer at a time: the thread that currently owns the
+//! grid (or federation) holding it. A federation advances its member grids
+//! on worker threads, so a grid — and with it its handles — moves between
+//! threads, but never is updated from two at once; the sharded slot walk's
+//! workers touch no handle at all and return effects for the coordinator
+//! to apply. Updates are therefore relaxed atomic `load` + `store` pairs,
+//! not read-modify-writes: they cost what a `Cell` costs, and the handles
+//! are `Send` so a grid can cross threads. Two threads updating one handle
+//! concurrently would lose increments; nothing in the workspace does that.
 //!
 //! # Examples
 //!
@@ -29,25 +34,53 @@
 //! assert!(snap.to_prometheus().contains("grid_retransmits_total 3"));
 //! ```
 
-use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A label set: `(key, value)` pairs attached to an instrument.
 pub type Labels = Vec<(String, String)>;
+
+/// A `u64` cell with relaxed single-writer updates (see the module docs).
+/// `f64` values are stored as their bits; all-zero bits are `0.0`.
+#[derive(Debug, Default)]
+struct Cell64(AtomicU64);
+
+impl Cell64 {
+    #[inline]
+    fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+
+    #[inline]
+    fn set(&self, v: u64) {
+        self.0.store(v, Relaxed);
+    }
+
+    #[inline]
+    fn get_f64(&self) -> f64 {
+        f64::from_bits(self.get())
+    }
+
+    #[inline]
+    fn set_f64(&self, v: f64) {
+        self.set(v.to_bits());
+    }
+}
 
 #[derive(Debug)]
 struct CounterEntry {
     name: String,
     labels: Labels,
-    value: Rc<Cell<u64>>,
+    value: Arc<Cell64>,
 }
 
 #[derive(Debug)]
 struct GaugeEntry {
     name: String,
     labels: Labels,
-    value: Rc<Cell<f64>>,
+    /// The gauge's `f64` bits.
+    value: Arc<Cell64>,
 }
 
 #[derive(Debug)]
@@ -56,31 +89,39 @@ struct HistogramCore {
     /// bucket follows.
     bounds: Vec<f64>,
     /// One count per finite bucket plus the overflow bucket.
-    counts: Vec<Cell<u64>>,
-    sum: Cell<f64>,
-    count: Cell<u64>,
+    counts: Vec<Cell64>,
+    /// The sum's `f64` bits.
+    sum: Cell64,
+    count: Cell64,
 }
 
 #[derive(Debug)]
 struct HistogramEntry {
     name: String,
     labels: Labels,
-    core: Rc<HistogramCore>,
+    core: Arc<HistogramCore>,
 }
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: RefCell<Vec<CounterEntry>>,
-    gauges: RefCell<Vec<GaugeEntry>>,
-    histograms: RefCell<Vec<HistogramEntry>>,
+    counters: Mutex<Vec<CounterEntry>>,
+    gauges: Mutex<Vec<GaugeEntry>>,
+    histograms: Mutex<Vec<HistogramEntry>>,
+}
+
+/// Locks one of the registry's instrument lists. Registration and snapshots
+/// never panic while holding the lock, so a poisoned list is still whole.
+fn lock<T>(list: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+    list.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The instrument registry. Cloning shares the underlying store — the grid
 /// keeps one clone, each snapshot consumer another.
 #[derive(Clone)]
 pub struct Registry {
-    enabled: Rc<Cell<bool>>,
-    inner: Rc<RegistryInner>,
+    enabled: Arc<AtomicBool>,
+    inner: Arc<RegistryInner>,
 }
 
 impl Default for Registry {
@@ -92,10 +133,10 @@ impl Default for Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
-            .field("enabled", &self.enabled.get())
-            .field("counters", &self.inner.counters.borrow().len())
-            .field("gauges", &self.inner.gauges.borrow().len())
-            .field("histograms", &self.inner.histograms.borrow().len())
+            .field("enabled", &self.is_enabled())
+            .field("counters", &lock(&self.inner.counters).len())
+            .field("gauges", &lock(&self.inner.gauges).len())
+            .field("histograms", &lock(&self.inner.histograms).len())
             .finish()
     }
 }
@@ -104,20 +145,20 @@ impl Registry {
     /// An empty, enabled registry.
     pub fn new() -> Self {
         Registry {
-            enabled: Rc::new(Cell::new(true)),
-            inner: Rc::new(RegistryInner::default()),
+            enabled: Arc::new(AtomicBool::new(true)),
+            inner: Arc::new(RegistryInner::default()),
         }
     }
 
     /// Turns every instrument on or off at once. Handles stay valid; a
     /// disabled update is a single boolean load.
     pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.set(enabled);
+        self.enabled.store(enabled, Relaxed);
     }
 
     /// Whether updates are currently recorded.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.get()
+        self.enabled.load(Relaxed)
     }
 
     /// Registers (or re-resolves) an unlabeled counter.
@@ -129,14 +170,14 @@ impl Registry {
     /// `(name, labels)` twice returns a handle to the same cell.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let labels = own_labels(labels);
-        let mut counters = self.inner.counters.borrow_mut();
+        let mut counters = lock(&self.inner.counters);
         let value = match counters
             .iter()
             .find(|c| c.name == name && c.labels == labels)
         {
             Some(existing) => existing.value.clone(),
             None => {
-                let value = Rc::new(Cell::new(0));
+                let value = Arc::new(Cell64::default());
                 counters.push(CounterEntry {
                     name: name.to_owned(),
                     labels,
@@ -159,11 +200,11 @@ impl Registry {
     /// Registers (or re-resolves) a labeled gauge.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let labels = own_labels(labels);
-        let mut gauges = self.inner.gauges.borrow_mut();
+        let mut gauges = lock(&self.inner.gauges);
         let value = match gauges.iter().find(|g| g.name == name && g.labels == labels) {
             Some(existing) => existing.value.clone(),
             None => {
-                let value = Rc::new(Cell::new(0.0));
+                let value = Arc::new(Cell64::default());
                 gauges.push(GaugeEntry {
                     name: name.to_owned(),
                     labels,
@@ -192,18 +233,18 @@ impl Registry {
             "histogram {name} bounds must ascend"
         );
         let labels: Labels = Vec::new();
-        let mut histograms = self.inner.histograms.borrow_mut();
+        let mut histograms = lock(&self.inner.histograms);
         let core = match histograms
             .iter()
             .find(|h| h.name == name && h.labels == labels)
         {
             Some(existing) => existing.core.clone(),
             None => {
-                let core = Rc::new(HistogramCore {
+                let core = Arc::new(HistogramCore {
                     bounds: bounds.to_vec(),
-                    counts: (0..=bounds.len()).map(|_| Cell::new(0)).collect(),
-                    sum: Cell::new(0.0),
-                    count: Cell::new(0),
+                    counts: (0..=bounds.len()).map(|_| Cell64::default()).collect(),
+                    sum: Cell64::default(),
+                    count: Cell64::default(),
                 });
                 histograms.push(HistogramEntry {
                     name: name.to_owned(),
@@ -222,10 +263,7 @@ impl Registry {
     /// A point-in-time copy of every instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .inner
-                .counters
-                .borrow()
+            counters: lock(&self.inner.counters)
                 .iter()
                 .map(|c| CounterSample {
                     name: c.name.clone(),
@@ -233,28 +271,22 @@ impl Registry {
                     value: c.value.get(),
                 })
                 .collect(),
-            gauges: self
-                .inner
-                .gauges
-                .borrow()
+            gauges: lock(&self.inner.gauges)
                 .iter()
                 .map(|g| GaugeSample {
                     name: g.name.clone(),
                     labels: g.labels.clone(),
-                    value: g.value.get(),
+                    value: g.value.get_f64(),
                 })
                 .collect(),
-            histograms: self
-                .inner
-                .histograms
-                .borrow()
+            histograms: lock(&self.inner.histograms)
                 .iter()
                 .map(|h| HistogramSample {
                     name: h.name.clone(),
                     labels: h.labels.clone(),
                     bounds: h.core.bounds.clone(),
-                    counts: h.core.counts.iter().map(Cell::get).collect(),
-                    sum: h.core.sum.get(),
+                    counts: h.core.counts.iter().map(Cell64::get).collect(),
+                    sum: h.core.sum.get_f64(),
                     count: h.core.count.get(),
                 })
                 .collect(),
@@ -269,11 +301,12 @@ fn own_labels(labels: &[(&str, &str)]) -> Labels {
         .collect()
 }
 
-/// A pre-resolved counter handle: `inc`/`add` are two `Cell` operations.
+/// A pre-resolved counter handle: `inc`/`add` are a flag load and a
+/// relaxed load + store.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    enabled: Rc<Cell<bool>>,
-    value: Rc<Cell<u64>>,
+    enabled: Arc<AtomicBool>,
+    value: Arc<Cell64>,
 }
 
 impl Counter {
@@ -286,7 +319,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.get() {
+        if self.enabled.load(Relaxed) {
             self.value.set(self.value.get().wrapping_add(n));
         }
     }
@@ -311,38 +344,38 @@ impl Counter {
 /// A pre-resolved gauge handle.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    enabled: Rc<Cell<bool>>,
-    value: Rc<Cell<f64>>,
+    enabled: Arc<AtomicBool>,
+    value: Arc<Cell64>,
 }
 
 impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if self.enabled.get() {
-            self.value.set(v);
+        if self.enabled.load(Relaxed) {
+            self.value.set_f64(v);
         }
     }
 
     /// The current value.
     pub fn get(&self) -> f64 {
-        self.value.get()
+        self.value.get_f64()
     }
 }
 
 /// A pre-resolved histogram handle. `observe` is a short linear scan over
-/// the fixed bounds (registries use ≤ 16 buckets) plus three `Cell` writes.
+/// the fixed bounds (registries use ≤ 16 buckets) plus three cell writes.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    enabled: Rc<Cell<bool>>,
-    core: Rc<HistogramCore>,
+    enabled: Arc<AtomicBool>,
+    core: Arc<HistogramCore>,
 }
 
 impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&self, v: f64) {
-        if !self.enabled.get() {
+        if !self.enabled.load(Relaxed) {
             return;
         }
         let core = &self.core;
@@ -355,7 +388,7 @@ impl Histogram {
         }
         let cell = &core.counts[index];
         cell.set(cell.get() + 1);
-        core.sum.set(core.sum.get() + v);
+        core.sum.set_f64(core.sum.get_f64() + v);
         core.count.set(core.count.get() + 1);
     }
 
@@ -366,7 +399,7 @@ impl Histogram {
 
     /// Sum of observations so far.
     pub fn sum(&self) -> f64 {
-        self.core.sum.get()
+        self.core.sum.get_f64()
     }
 }
 

@@ -20,7 +20,7 @@
 //! assert_eq!(report.phases.len(), Phase::ALL.len());
 //! ```
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The hot-loop phases the simulator attributes wall time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,28 +156,32 @@ impl ProfileReport {
 #[cfg(feature = "profile")]
 mod imp {
     use super::Phase;
-    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::time::Instant;
 
+    /// Per-phase totals. Like a metrics registry, a profiler has one writer
+    /// at a time (the thread owning its grid), so updates are relaxed
+    /// `load` + `store` pairs, not read-modify-writes.
     #[derive(Debug, Default)]
     pub struct ProfilerInner {
-        totals_ns: [Cell<u64>; 10],
-        entries: [Cell<u64>; 10],
+        totals_ns: [AtomicU64; 10],
+        entries: [AtomicU64; 10],
     }
 
     impl ProfilerInner {
         pub fn add(&self, phase: Phase, ns: u64) {
             let i = phase.index();
-            self.totals_ns[i].set(self.totals_ns[i].get() + ns);
-            self.entries[i].set(self.entries[i].get() + 1);
+            let (total, entries) = (&self.totals_ns[i], &self.entries[i]);
+            total.store(total.load(Relaxed) + ns, Relaxed);
+            entries.store(entries.load(Relaxed) + 1, Relaxed);
         }
 
         pub fn total_ns(&self, phase: Phase) -> u64 {
-            self.totals_ns[phase.index()].get()
+            self.totals_ns[phase.index()].load(Relaxed)
         }
 
         pub fn entries(&self, phase: Phase) -> u64 {
-            self.entries[phase.index()].get()
+            self.entries[phase.index()].load(Relaxed)
         }
     }
 
@@ -215,7 +219,7 @@ pub use imp::PhaseGuard;
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
     #[cfg_attr(not(feature = "profile"), allow(dead_code))]
-    inner: Rc<imp::ProfilerInner>,
+    inner: Arc<imp::ProfilerInner>,
 }
 
 impl Profiler {

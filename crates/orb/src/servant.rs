@@ -55,8 +55,9 @@ impl From<CdrError> for ServerException {
 /// The implementation side of a remote object.
 ///
 /// Implementations decode `args` according to the operation and return the
-/// CDR-encoded result.
-pub trait Servant {
+/// CDR-encoded result. Servants are `Send` so that an ORB, and the grid
+/// owning it, can move to another thread.
+pub trait Servant: Send {
     /// The repository id of the interface, e.g. `IDL:integrade/Lrm:1.0`.
     fn type_id(&self) -> &'static str;
 

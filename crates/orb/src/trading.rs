@@ -45,7 +45,9 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::ops::Bound;
-use std::rc::Rc;
+use std::sync::Arc;
+
+mod reference;
 
 /// Handle to an exported offer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -389,7 +391,7 @@ const PLAN_CACHE_CAP: usize = 64;
 
 #[derive(Debug)]
 struct PlanEntry {
-    plan: Rc<QueryPlan>,
+    plan: Arc<QueryPlan>,
     last_used: u64,
 }
 
@@ -406,15 +408,15 @@ struct PlanCache {
 }
 
 impl PlanCache {
-    fn get(&mut self, constraint: &str, preference: &str) -> Option<Rc<QueryPlan>> {
+    fn get(&mut self, constraint: &str, preference: &str) -> Option<Arc<QueryPlan>> {
         self.tick += 1;
         let entry = self.map.get_mut(constraint)?.get_mut(preference)?;
         entry.last_used = self.tick;
         self.hits += 1;
-        Some(Rc::clone(&entry.plan))
+        Some(Arc::clone(&entry.plan))
     }
 
-    fn insert(&mut self, constraint: &str, preference: &str, plan: Rc<QueryPlan>) {
+    fn insert(&mut self, constraint: &str, preference: &str, plan: Arc<QueryPlan>) {
         self.misses += 1;
         self.tick += 1;
         if self.len >= PLAN_CACHE_CAP {
@@ -798,7 +800,7 @@ impl Trader {
         &mut self,
         constraint_str: &str,
         preference_str: &str,
-    ) -> Result<Rc<QueryPlan>, TraderError> {
+    ) -> Result<Arc<QueryPlan>, TraderError> {
         if let Some(plan) = self.plans.get(constraint_str, preference_str) {
             return Ok(plan);
         }
@@ -815,13 +817,13 @@ impl Trader {
         };
         let mut prefilters = Vec::new();
         collect_prefilters(&constraint, &mut prefilters);
-        let plan = Rc::new(QueryPlan {
+        let plan = Arc::new(QueryPlan {
             constraint,
             preference,
             prefilters,
         });
         self.plans
-            .insert(constraint_str, preference_str, Rc::clone(&plan));
+            .insert(constraint_str, preference_str, Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -891,6 +893,29 @@ impl Trader {
                 self.top_k(&matched, expr, maximise, max_offers)
             }
         }
+    }
+
+    /// How many of the offers [`Trader::query`] would return under a
+    /// `first` preference and no limit pass `keep` — without cloning any of
+    /// them. Counts as one query and shares `query`'s plan cache, so the
+    /// trader's statistics move exactly as for the equivalent `query`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the constraint string is malformed.
+    pub fn count_matching(
+        &mut self,
+        service_type: &str,
+        constraint_str: &str,
+        mut keep: impl FnMut(&ServiceOffer) -> bool,
+    ) -> Result<usize, TraderError> {
+        let plan = self.prepare(constraint_str, "first")?;
+        self.queries += 1;
+        let matched = self.matched_ids(service_type, &plan, usize::MAX);
+        Ok(matched
+            .into_iter()
+            .filter(|&id| keep(&self.offers[id].offer))
+            .count())
     }
 
     /// Candidate generation + constraint evaluation, in ascending offer-id
@@ -1108,75 +1133,6 @@ impl Trader {
             .map(|rank| self.offers[rank.id].offer.clone())
             .collect()
     }
-
-    /// The pre-index linear-scan implementation, retained verbatim as the
-    /// oracle for `tests/trader_parity.rs` and as the honest baseline for
-    /// the before/after benchmarks. Semantically identical to
-    /// [`Trader::query`] (including RNG consumption under `random`), minus
-    /// the indexes and plan cache.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the constraint or preference strings are malformed.
-    pub fn query_reference(
-        &mut self,
-        service_type: &str,
-        constraint_str: &str,
-        preference_str: &str,
-        max_offers: usize,
-    ) -> Result<Vec<ServiceOffer>, TraderError> {
-        let expr = constraint::parse(constraint_str).map_err(TraderError::BadConstraint)?;
-        let preference = Preference::parse(preference_str).map_err(TraderError::BadPreference)?;
-        self.queries += 1;
-
-        let mut matched: Vec<&ServiceOffer> = self
-            .offers
-            .values()
-            .map(|rec| &rec.offer)
-            .filter(|o| o.service_type == service_type)
-            .filter(|o| constraint::matches(&expr, &o.properties))
-            .collect();
-
-        match &preference {
-            Preference::First => {} // table iteration = export order by id
-            Preference::Random => {
-                let mut owned: Vec<&ServiceOffer> = std::mem::take(&mut matched);
-                self.rng.shuffle(&mut owned);
-                matched = owned;
-            }
-            Preference::Max(expr) | Preference::Min(expr) => {
-                let minimise = matches!(preference, Preference::Min(_));
-                let mut keyed: Vec<(Option<f64>, &ServiceOffer)> = matched
-                    .into_iter()
-                    .map(|o| {
-                        let key = constraint::eval(expr, &o.properties)
-                            .ok()
-                            .and_then(|v| v.as_f64());
-                        (key, o)
-                    })
-                    .collect();
-                keyed.sort_by(|(ka, oa), (kb, ob)| {
-                    match (ka, kb) {
-                        (Some(a), Some(b)) => {
-                            let ord = a.partial_cmp(b).unwrap_or(Ordering::Equal);
-                            if minimise {
-                                ord
-                            } else {
-                                ord.reverse()
-                            }
-                        }
-                        (Some(_), None) => Ordering::Less, // defined first
-                        (None, Some(_)) => Ordering::Greater,
-                        (None, None) => Ordering::Equal,
-                    }
-                    .then(oa.id.cmp(&ob.id))
-                });
-                matched = keyed.into_iter().map(|(_, o)| o).collect();
-            }
-        }
-
-        Ok(matched.into_iter().take(max_offers).cloned().collect())
-    }
 }
 
 /// An entry in a `(service type, slot)` secondary index.
@@ -1357,6 +1313,27 @@ mod tests {
             .unwrap();
         let ids: Vec<u64> = hits.iter().map(|o| o.id.0).collect();
         assert_eq!(ids, vec![2, 3]);
+    }
+
+    #[test]
+    fn count_matching_counts_what_query_returns() {
+        let mut counted = seeded_trader();
+        let mut queried = seeded_trader();
+        for constraint in ["cpu_mips >= 500", "idle", "cpu_mips > 5000"] {
+            let n = counted
+                .count_matching("integrade::node", constraint, |o| o.id != OfferId(2))
+                .unwrap();
+            let hits = queried
+                .query("integrade::node", constraint, "first", usize::MAX)
+                .unwrap();
+            assert_eq!(n, hits.iter().filter(|o| o.id != OfferId(2)).count());
+        }
+        assert_eq!(counted.query_count(), queried.query_count());
+        assert_eq!(counted.plan_cache_stats(), queried.plan_cache_stats());
+        assert!(matches!(
+            counted.count_matching("integrade::node", "cpu_mips >=", |_| true),
+            Err(TraderError::BadConstraint(_))
+        ));
     }
 
     #[test]

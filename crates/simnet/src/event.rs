@@ -317,6 +317,18 @@ impl<E> EventQueue<E> {
         self.pop_at_or_before(SimTime::MAX)
     }
 
+    /// The next pending event and its time, if any, without popping it.
+    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
+        let (time, front) = self.front()?;
+        let entry = match front {
+            Front::Due => self.due.last(),
+            Front::Late => self.late.peek().map(|Reverse(e)| e),
+            Front::Far => self.heap.peek().map(|Reverse(e)| e),
+        }
+        .expect("front() located this entry");
+        Some((time, &entry.payload))
+    }
+
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.front().map(|(time, _)| time)

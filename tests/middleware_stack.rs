@@ -15,15 +15,14 @@ use integrade::orb::servant::{Servant, ServerException};
 use integrade::orb::trading::{ServiceOffer, TraderServant};
 use integrade::orb::transport::LoopbackBus;
 use integrade::simnet::time::SimTime;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// An LRM activated on the loopback bus. The grid lends its LRMs to the ORB
 /// call by call; a bus owns its servants, so this one shares the state with
 /// the test and forwards to the same dispatch body at a fixed virtual time.
 struct HostedLrm {
-    state: Rc<RefCell<LrmState>>,
+    state: Arc<Mutex<LrmState>>,
     now: SimTime,
 }
 
@@ -37,7 +36,10 @@ impl Servant for HostedLrm {
         operation: &str,
         args: &mut CdrReader<'_>,
     ) -> Result<Vec<u8>, ServerException> {
-        self.state.borrow_mut().dispatch(self.now, operation, args)
+        self.state
+            .lock()
+            .unwrap()
+            .dispatch(self.now, operation, args)
     }
 }
 
@@ -82,7 +84,7 @@ fn trader_mediated_negotiation_over_the_bus() {
     // A provider node hosts its LRM servant.
     let provider = bus.add_orb(Endpoint::new(1, 0));
     let now = SimTime::from_secs(100);
-    let lrm_state = Rc::new(RefCell::new(LrmState::new(
+    let lrm_state = Arc::new(Mutex::new(LrmState::new(
         NodeId(1),
         ResourceVector::lab_machine(),
         Platform::linux_x86(),
@@ -103,7 +105,7 @@ fn trader_mediated_negotiation_over_the_bus() {
 
     // LRM exports its node offer to the trader (Information Update
     // Protocol, first update).
-    let status = lrm_state.borrow().current_status();
+    let status = lrm_state.lock().unwrap().current_status();
     let properties: BTreeMap<String, AnyValue> = [
         ("cpu_mips".to_owned(), AnyValue::Long(1000)),
         (
@@ -171,7 +173,7 @@ fn trader_mediated_negotiation_over_the_bus() {
         .unwrap();
     let launch = LaunchReply::from_cdr_bytes(&out).unwrap();
     assert!(launch.accepted, "{}", launch.reason);
-    assert_eq!(lrm_state.borrow().running().len(), 1);
+    assert_eq!(lrm_state.lock().unwrap().running().len(), 1);
 }
 
 /// Stringified IORs survive a full round trip through the naming service —
@@ -208,7 +210,7 @@ fn negotiation_refusal_propagates() {
     use integrade::usage::sample::{UsageSample, Weekday};
     let mut bus = LoopbackBus::new();
     let provider = bus.add_orb(Endpoint::new(1, 0));
-    let lrm_state = Rc::new(RefCell::new(LrmState::new(
+    let lrm_state = Arc::new(Mutex::new(LrmState::new(
         NodeId(1),
         ResourceVector::desktop(),
         Platform::linux_x86(),
@@ -216,7 +218,7 @@ fn negotiation_refusal_propagates() {
         NodeRoles::provider(),
         LrmConfig::default(),
     )));
-    lrm_state.borrow_mut().observe_owner(
+    lrm_state.lock().unwrap().observe_owner(
         UsageSample::new(0.9, 0.6, 0.1, 0.1),
         Weekday::new(1),
         600,
