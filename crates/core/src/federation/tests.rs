@@ -5,6 +5,7 @@ use super::*;
 use crate::asct::{GroupRequest, TopologyRequest};
 use crate::grid::{GridBuilder, GridConfig, NodeSetup};
 use crate::hierarchy::UsageSummary;
+use crate::par::chaos_salts;
 use crate::types::ResourceVector;
 use integrade_simnet::faults::{HostFlap, HostOutage, Partition};
 use integrade_simnet::topology::HostId;
@@ -392,22 +393,6 @@ impl Federation {
         for member in self.members.values_mut() {
             member.advance(horizon);
         }
-    }
-}
-
-/// Scenario salts: one by default, `CHAOS_SEEDS` (comma-separated u64s)
-/// in CI's chaos step.
-fn chaos_salts() -> Vec<u64> {
-    match std::env::var("CHAOS_SEEDS") {
-        Ok(spec) => {
-            let seeds: Vec<u64> = spec
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect();
-            assert!(!seeds.is_empty(), "CHAOS_SEEDS set but empty: {spec:?}");
-            seeds
-        }
-        Err(_) => vec![0],
     }
 }
 

@@ -64,6 +64,7 @@ use integrade_simnet::trace::TraceLog;
 use integrade_usage::patterns::LupaConfig;
 use integrade_usage::sample::UsageSample;
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroUsize;
 use wire::{FetchWhy, Pending, PendingEntry, Role, Waste, REQUEST_TIMEOUT};
 
 /// How `slot_tick` walks the node population.
@@ -90,8 +91,10 @@ pub enum TickMode {
     /// boundary in (shard-id, seq) order before the single-threaded
     /// GRM/trader/event-queue phase runs. Shard 0 runs on the coordinating
     /// thread itself and shards `1..` on scoped worker threads, so
-    /// `workers: 1` (the default) is a plain sequential walk that never
-    /// creates a thread.
+    /// `workers: 1` (the default) is a plain sequential slot walk that
+    /// never creates a thread. The report flush is separate: at any width
+    /// it runs on every core the host has, drawing what the serial walk
+    /// over the shard ranges would draw.
     ///
     /// # Determinism contract
     ///
@@ -108,7 +111,7 @@ pub enum TickMode {
     /// single-node catch-ups hold stream 0). The contract is therefore:
     ///
     /// * **Fixed worker count:** bit-for-bit reproducible, run over run,
-    ///   regardless of OS thread scheduling.
+    ///   regardless of OS thread scheduling and of the host's core count.
     /// * **With `lupa_noise == 0` (the default):** no stream is ever
     ///   consumed, so every worker count and the reference walk are
     ///   observably identical.
@@ -599,10 +602,16 @@ struct GridWorld {
     /// `(seed, shard index)` alone ([`DetRng::for_shard`]) so a shard can be
     /// replayed in isolation. Per-node stochastic work — the
     /// [`GridConfig::lupa_noise`] measurement jitter — draws only from the
-    /// executing shard's stream; the coordinator's single-node catch-ups
+    /// executing shard's stream (the report flush's chunks from copies of
+    /// it jumped ahead to the serial walk's position); the coordinator's
+    /// single-node catch-ups
     /// (`catch_up_node`) and the reference walk draw from stream 0. The
     /// global `rng`/`retry_rng` streams belong to the single-threaded phase.
     shard_rngs: Vec<DetRng>,
+    /// Threads the report flush may run on: the host's available
+    /// parallelism, read once at build. It decides how fast a flush runs,
+    /// never what it computes (`flush_catch_up`).
+    flush_workers: usize,
     log: TraceLog,
     slots_elapsed: u64,
     /// Nodes with per-slot work to do: running parts, held reservations,
@@ -764,6 +773,7 @@ impl Grid {
             shard_rngs: (0..shards)
                 .map(|i| DetRng::for_shard(config.seed, i))
                 .collect(),
+            flush_workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             gupa: GupaState::new(LupaConfig::default()),
             net: Network::new(topo),
             orbs,

@@ -5,8 +5,8 @@
 use super::*;
 use crate::protocol::{PartDone, StatusUpdate, OP_PART_DONE, OP_PART_EVICTED, OP_UPDATE_STATUS};
 use crate::tick::{
-    for_each_shard, replay_node_local, shard_ranges, tick_node_local, trace_sample_at,
-    NodeTickEffects,
+    for_each_shard, replay_node_local, tick_node_local, trace_sample_at, Flush, NodeTickEffects,
+    FLUSH_CHUNK_SLOTS,
 };
 use integrade_obs::profile::Phase;
 use integrade_usage::sample::{DayPeriod, Weekday};
@@ -50,31 +50,40 @@ impl GridWorld {
     /// flush `report()` and pattern-aware prediction ranking need. Both the
     /// per-node replay work *and* the GUPA digestion of the uploads it
     /// produces (curve reduction + retrain — the O(n) terms that dominate
-    /// the flush at 50k nodes) run shard by shard, each shard against its
-    /// own disjoint slices of the node and GUPA cell tables; only the
-    /// per-shard upload counts are folded back at the merge, in ascending
-    /// shard order. (Under the reference walk nothing is ever deferred and
-    /// every replay returns at once.)
+    /// the flush at 50k nodes) run in chunks of contiguous nodes on up to
+    /// `flush_workers` threads ([`Flush`]), each chunk against its own
+    /// slices of the node and GUPA cell tables and its own copy of its
+    /// shard's stream, jumped ahead to where the serial walk would draw
+    /// from it. The result is the serial walk's at every shard width and
+    /// every host core count; only the per-chunk upload counts cross the
+    /// merge. A flush below one chunk of work (a small grid, or one whose
+    /// update timers keep every node caught up) runs on the calling thread.
+    /// (Under the reference walk nothing is ever deferred and every replay
+    /// returns at once.)
     pub(super) fn flush_catch_up(&mut self) {
         let target = self.slots_elapsed;
         let profiler = self.obs.profiler.clone();
         let _replay = profiler.enter(Phase::CatchUpReplay);
-        let digested = {
+        let digested: u64 = {
             let _shard = profiler.enter(Phase::ShardWalk);
             let (config, gupa_config) = (&self.config, self.gupa.config());
             let n = self.nodes.len();
-            for_each_shard(
-                &shard_ranges(n, self.shard_rngs.len()),
+            Flush::cut(
+                config,
                 &mut self.nodes,
                 self.gupa.cells_mut(n),
                 &mut self.shard_rngs,
-                |shard| shard.flush(config, gupa_config, target),
+                target,
+                FLUSH_CHUNK_SLOTS,
             )
+            .run(self.flush_workers, |chunk| {
+                chunk.replay(config, gupa_config, target)
+            })
+            .into_iter()
+            .sum()
         };
         let _merge = profiler.enter(Phase::ShardMerge);
-        for count in digested {
-            self.gupa.add_uploads(count);
-        }
+        self.gupa.add_uploads(digested);
     }
 
     /// Re-derives a node's active-set membership from its LRM engagement.

@@ -12,12 +12,13 @@
 //!
 //! Storage is a node-indexed table of [`GupaCell`]s rather than a map:
 //! every upload call site uploads the node's *own* periods, so the state is
-//! node-partitioned by construction, and the tick engine hands disjoint
-//! `&mut` cell slices to its shards (split in lock-step with the node
-//! table) so upload digestion — the curve reduction *and* the expensive
-//! retrain — runs in parallel. Only the upload counter is cross-shard;
-//! shards count locally and the frame boundary merges the partial counts
-//! in ascending shard order.
+//! node-partitioned by construction. The tick engine splits the table in
+//! lock-step with the node table and hands the disjoint `&mut` cell slices
+//! to its workers — the shards of a sharded slot frame, and the chunks of
+//! the report flush at any shard width — so upload digestion (the curve
+//! reduction *and* the expensive retrain) runs in parallel. Only the upload
+//! counter is shared; workers count locally and the coordinator adds the
+//! partial counts when they join.
 //!
 //! A cell keeps day *curves*, not raw samples. The learner's only read of
 //! an uploaded [`DayPeriod`] is its weekday and its [`day_features`] curve
@@ -48,7 +49,7 @@ pub const MIN_TRAINING_DAYS: usize = 7;
 /// [`LupaModel::days`] are the single copy of the history, grown by
 /// [`LupaModel::retrain`]. Plain owned data — a shard worker can digest
 /// uploads into its nodes' cells without touching any other node's state.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct GupaCell {
     pending: Vec<(Weekday, Vec<f64>)>,
     /// Shared copy-on-write: cells cloned from one warm-up digest share the
@@ -62,10 +63,10 @@ impl GupaCell {
     /// Returns whether the call counted as an upload (empty calls are
     /// ignored, matching the protocol's no-op on an empty report).
     ///
-    /// This is the worker-side half of [`GupaState::upload`]: shard threads
-    /// call it against their disjoint cell slices and report how many calls
-    /// counted; the coordinator folds the partial counts back in with
-    /// [`GupaState::add_uploads`] at the frame boundary.
+    /// This is the worker-side half of [`GupaState::upload`]: shard and
+    /// flush-chunk workers call it against their disjoint cell slices and
+    /// report how many calls counted; the coordinator folds the partial
+    /// counts back in with [`GupaState::add_uploads`] when they join.
     pub fn digest(&mut self, config: LupaConfig, periods: Vec<DayPeriod>) -> bool {
         if periods.is_empty() {
             return false;
@@ -142,7 +143,8 @@ impl GupaState {
 
     /// Mutable access to the node-indexed cell table, grown to cover at
     /// least `nodes` entries — the tick engine slices this with
-    /// `split_at_mut` so each shard digests its own nodes' uploads.
+    /// `split_at_mut` so each shard or flush chunk digests its own nodes'
+    /// uploads.
     pub fn cells_mut(&mut self, nodes: usize) -> &mut [GupaCell] {
         if self.cells.len() < nodes {
             self.cells.resize_with(nodes, GupaCell::default);
@@ -150,9 +152,9 @@ impl GupaState {
         &mut self.cells
     }
 
-    /// Folds a shard's partial upload count into the global counter (the
-    /// frame-boundary merge; counts are order-independent, but callers merge
-    /// in ascending shard order anyway, matching the effect outboxes).
+    /// Folds workers' partial upload counts into the global counter (a
+    /// slot frame's merge, or the report flush's; counts are
+    /// order-independent).
     pub fn add_uploads(&mut self, count: u64) {
         self.uploads += count;
     }

@@ -1,5 +1,6 @@
-//! The one scoped-thread executor in core. The sharded slot walk
-//! ([`crate::tick`]) and the federation's member rounds both run on it.
+//! The one scoped-thread executor in core. The sharded slot walk, the
+//! chunked report flush ([`crate::tick`]) and the federation's member
+//! rounds all run on it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -63,6 +64,24 @@ pub(crate) fn scoped_map<T: Send, R: Send>(
         .into_iter()
         .map(|r| r.expect("every item ran"))
         .collect()
+}
+
+/// Scenario salts for the parity tests of the code that runs on this
+/// executor: one by default, `CHAOS_SEEDS` (comma-separated u64s) in CI's
+/// chaos step.
+#[cfg(test)]
+pub(crate) fn chaos_salts() -> Vec<u64> {
+    match std::env::var("CHAOS_SEEDS") {
+        Ok(spec) => {
+            let seeds: Vec<u64> = spec
+                .split(',')
+                .filter_map(|t| t.trim().parse().ok())
+                .collect();
+            assert!(!seeds.is_empty(), "CHAOS_SEEDS set but empty: {spec:?}");
+            seeds
+        }
+        Err(_) => vec![0],
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The per-node tick kernel and its shard executor.
+//! The per-node tick kernel, its shard executor and the chunked report
+//! flush.
 //!
 //! Everything a slot tick does that touches only one node's own state lives
 //! here, as plain functions over owned data: [`NodeLocal`] is a node's LRM,
@@ -6,13 +7,17 @@
 //! body, [`replay_node_local`] the bulk catch-up of a node the lazy walk
 //! skipped. Neither touches the event queue, the log, the ORBs, the GRM or
 //! another node, so a contiguous range of nodes can be handed to a worker as
-//! a `&mut` slice — [`for_each_shard`] does exactly that on core's one
-//! scoped-thread executor, running shard 0 on the calling thread and shards
-//! `1..` on scoped threads, and returning the per-shard results in shard
-//! order. The shared-state half of a tick (messages, log records,
-//! event-queue inserts) comes back as [`NodeTickEffects`] for
-//! `GridWorld::apply_node_effects` to apply on the coordinating thread in
-//! ascending node order.
+//! a `&mut` slice. Two callers do exactly that on core's one scoped-thread
+//! executor ([`scoped_map`]). The lazy walk's slot frames go through
+//! [`for_each_shard`], one worker per shard: shard 0 on the calling thread,
+//! shards `1..` on scoped threads, results in shard order. The report and
+//! ranking flush goes through [`Flush`], which cuts every shard's range
+//! into chunks that each start from the stream position the serial walk
+//! would reach there ([`replay_draws`]), so it uses every core at any shard
+//! width and draws the same jitter. The shared-state half of a tick
+//! (messages, log records, event-queue inserts) comes back as
+//! [`NodeTickEffects`] for `GridWorld::apply_node_effects` to apply on the
+//! coordinating thread in ascending node order.
 //!
 //! Node state is `Send` by construction (checked at compile time below), so
 //! the split is ordinary safe borrowing.
@@ -185,10 +190,10 @@ fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSam
 /// case: every sample is idle and `QosLedger::record(0, 0, 0, _, _)` is a
 /// no-op by inspection, so the run is a plain fill.
 ///
-/// Runs on shard workers: it draws from `rng`, the executing shard's
-/// stream, only when `noise > 0` (two jitter draws per replayed slot,
-/// perturbing what the LUPA window records but never the owner state QoS
-/// sees).
+/// Runs on shard workers and flush chunks. It draws exactly
+/// [`replay_draws`] values from `rng`, the stream the serial walk would use
+/// for this node; the jitter perturbs what the LUPA window records but
+/// never the owner state QoS sees.
 pub(crate) fn replay_node_local(
     config: &GridConfig,
     node: &mut NodeLocal,
@@ -230,6 +235,20 @@ pub(crate) fn replay_node_local(
         .into_iter()
         .map(|period| vec![period])
         .collect()
+}
+
+/// How many raw values ([`DetRng::next_u64`]) [`replay_node_local`] draws
+/// to bring `node` to tick `target`: two jitter draws (CPU, then memory) per
+/// replayed slot with [`GridConfig::lupa_noise`] on, none with it off or
+/// when the node is already there. The count is known before the replay,
+/// so a stream cloned before it and advanced by this many
+/// ([`DetRng::skip_u64`]) equals the stream after it — the contract
+/// [`Flush`] starts each chunk from.
+pub(crate) fn replay_draws(config: &GridConfig, node: &NodeLocal, target: u64) -> u64 {
+    if config.lupa_noise == 0.0 {
+        return 0;
+    }
+    2 * target.saturating_sub(node.ticks_applied)
 }
 
 /// [`replay_node_local`] as the eager walk defines it — one observation,
@@ -426,41 +445,27 @@ pub(crate) struct Shard<'a> {
     pub rng: &'a mut DetRng,
 }
 
+/// Digests the upload calls one node produced into its GUPA cell; returns
+/// how many counted as uploads.
+fn digest(
+    cell: &mut GupaCell,
+    config: LupaConfig,
+    calls: impl IntoIterator<Item = Vec<DayPeriod>>,
+) -> u64 {
+    calls
+        .into_iter()
+        .map(|call| u64::from(cell.digest(config, call)))
+        .sum()
+}
+
 impl Shard<'_> {
-    /// Digests the upload calls node `id` (a member of this shard) produced
-    /// into its GUPA cell; returns how many counted as uploads.
-    fn digest(
-        &mut self,
-        config: LupaConfig,
-        id: usize,
-        calls: impl IntoIterator<Item = Vec<DayPeriod>>,
-    ) -> u64 {
-        let cell = &mut self.cells[id - self.start];
-        calls
-            .into_iter()
-            .map(|call| u64::from(cell.digest(config, call)))
-            .sum()
-    }
-
-    /// The report/ranking flush body: catches every node of the shard up to
-    /// tick `target` and digests the uploads that produces. Returns the
-    /// shard's upload count (the only thing that crosses the merge).
-    pub fn flush(mut self, config: &GridConfig, gupa: LupaConfig, target: u64) -> u64 {
-        let mut digested = 0;
-        for local in 0..self.nodes.len() {
-            let calls = replay_node_local(config, &mut self.nodes[local], self.rng, target);
-            digested += self.digest(gupa, self.start + local, calls);
-        }
-        digested
-    }
-
     /// The slot-frame body: for each of this shard's active `members`
     /// (ascending node ids), catch-up replay to the previous tick, the slot
     /// body, and digestion of every upload either produced — replay calls
     /// first, then the tick's own drain, the order the eager walk uses.
     /// Returns the members' effects in node order and the upload count.
     pub fn tick(
-        mut self,
+        self,
         config: &GridConfig,
         gupa: LupaConfig,
         members: &[usize],
@@ -474,14 +479,17 @@ impl Shard<'_> {
             let replayed = replay_node_local(config, node, self.rng, slot - 1);
             let mut effects = tick_node_local(config, node, self.rng, id, now, slot);
             let ticked = std::mem::take(&mut effects.tick_upload);
-            digested += self.digest(gupa, id, replayed.into_iter().chain([ticked]));
+            let cell = &mut self.cells[id - self.start];
+            digested += digest(cell, gupa, replayed.into_iter().chain([ticked]));
             out.push(effects);
         }
         (out, digested)
     }
 }
 
-/// Runs `body` once per shard and returns the results in shard order.
+/// Runs `body` once per shard and returns the results in shard order — the
+/// lazy walk's slot frame (`GridWorld::lazy_slot_walk`); the report flush
+/// has its own executor, [`Flush`].
 ///
 /// `nodes`, `cells` (index-aligned with `nodes`) and `rngs` are split once
 /// along `ranges` — which must partition `0..nodes.len()` contiguously in
@@ -517,6 +525,116 @@ pub(crate) fn for_each_shard<R: Send>(
     }
     let workers = shards.len();
     scoped_map(shards, workers, body)
+}
+
+/// The fewest deferred node-slots (nodes × ticks still to replay) one
+/// report-flush chunk carries. At ~2¹⁸ a chunk is milliseconds of replay,
+/// so a 50k-node flush spreads over every core while a chunk's own costs (a
+/// stream clone, a jump-ahead, one claim on the executor) stay noise; a
+/// flush below one chunk runs on the calling thread.
+pub(crate) const FLUSH_CHUNK_SLOTS: u64 = 1 << 18;
+
+/// The report/ranking flush — every node caught up to one tick and its
+/// uploads digested — cut so that chunks of nodes run side by side and
+/// still draw exactly the jitter the serial walk draws.
+///
+/// The serial walk takes each shard's node range ([`shard_ranges`]) in node
+/// order, drawing every node's jitter from that shard's stream. A node's
+/// draw count is known before its replay ([`replay_draws`]), so each range
+/// is cut into contiguous chunks, and each chunk gets a copy of the range's
+/// stream advanced past the draws of the nodes before it
+/// ([`DetRng::skip_u64`], O(log n)); the stream itself ends advanced past
+/// the whole range. A chunk writes only its own nodes and GUPA cells, so
+/// whatever the worker count and whichever chunk finishes first, the flush
+/// leaves the state — nodes, cells, streams, upload count — the serial walk
+/// leaves.
+pub(crate) struct Flush<'a> {
+    chunks: Vec<FlushChunk<'a>>,
+    /// Less than one chunk of work in all: run on the calling thread.
+    inline: bool,
+}
+
+/// One contiguous run of a shard's nodes, the matching GUPA cells, and the
+/// shard's stream where the serial walk reaches `nodes[0]`.
+pub(crate) struct FlushChunk<'a> {
+    nodes: &'a mut [NodeLocal],
+    cells: &'a mut [GupaCell],
+    rng: DetRng,
+}
+
+impl<'a> Flush<'a> {
+    /// Cuts the flush to tick `target`: each of `rngs`' node ranges into
+    /// chunks of at least `chunk_slots` deferred node-slots (the last of a
+    /// range may hold fewer), each stream advanced past its range's draws.
+    /// `cells` is index-aligned with `nodes`. `chunk_slots` is
+    /// [`FLUSH_CHUNK_SLOTS`] except in tests, which cut small worlds finer.
+    pub fn cut(
+        config: &GridConfig,
+        mut nodes: &'a mut [NodeLocal],
+        mut cells: &'a mut [GupaCell],
+        rngs: &mut [DetRng],
+        target: u64,
+        chunk_slots: u64,
+    ) -> Self {
+        debug_assert!(cells.len() >= nodes.len());
+        let mut chunks = Vec::new();
+        let mut total = 0;
+        for (range, rng) in shard_ranges(nodes.len(), rngs.len()).iter().zip(rngs) {
+            let mut left = range.len();
+            while left > 0 {
+                let (mut len, mut slots, mut draws) = (0, 0, 0);
+                while len < left && slots < chunk_slots {
+                    slots += target.saturating_sub(nodes[len].ticks_applied);
+                    draws += replay_draws(config, &nodes[len], target);
+                    len += 1;
+                }
+                let (chunk_nodes, rest) = std::mem::take(&mut nodes).split_at_mut(len);
+                nodes = rest;
+                let (chunk_cells, rest) = std::mem::take(&mut cells).split_at_mut(len);
+                cells = rest;
+                chunks.push(FlushChunk {
+                    nodes: chunk_nodes,
+                    cells: chunk_cells,
+                    rng: rng.clone(),
+                });
+                rng.skip_u64(draws);
+                left -= len;
+                total += slots;
+            }
+        }
+        Flush {
+            chunks,
+            inline: total < chunk_slots,
+        }
+    }
+
+    /// Runs `body` once per chunk on up to `workers` threads ([`scoped_map`])
+    /// and returns the results in chunk order. A flush below one chunk of
+    /// work creates no thread.
+    pub fn run<R: Send>(self, workers: usize, body: impl Fn(FlushChunk<'a>) -> R + Sync) -> Vec<R> {
+        let workers = if self.inline { 1 } else { workers };
+        scoped_map(self.chunks, workers, body)
+    }
+}
+
+impl FlushChunk<'_> {
+    /// Catches the chunk's nodes up to tick `target` in node order and
+    /// digests the uploads into their cells; returns the upload count.
+    pub fn replay(self, config: &GridConfig, gupa: LupaConfig, target: u64) -> u64 {
+        let FlushChunk {
+            nodes,
+            cells,
+            mut rng,
+        } = self;
+        nodes
+            .iter_mut()
+            .zip(cells)
+            .map(|(node, cell)| {
+                let calls = replay_node_local(config, node, &mut rng, target);
+                digest(cell, gupa, calls)
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -592,7 +710,12 @@ mod tests {
             replay_node_local_per_slot(config, &mut run, &mut run_rng, applied);
             replay_node_local_per_slot(config, &mut slot, &mut slot_rng, applied);
             let target = applied + span;
+            // The draw count is known up front: a pre-replay copy of the
+            // stream skipped by it lands where the replay leaves the stream.
+            let mut skipped = run_rng.clone();
+            skipped.skip_u64(replay_draws(config, &run, target));
             let run_uploads = replay_node_local(config, &mut run, &mut run_rng, target);
+            proptest::prop_assert_eq!(&skipped, &run_rng);
             let slot_uploads = replay_node_local_per_slot(config, &mut slot, &mut slot_rng, target);
             proptest::prop_assert_eq!(run_uploads, slot_uploads);
             proptest::prop_assert_eq!(
@@ -675,5 +798,133 @@ mod tests {
         for_each_shard(&ranges, &mut nodes, &mut cells, &mut rngs, |shard| {
             assert!(shard.index != 2, "shard {} lost its footing", shard.index);
         });
+    }
+
+    /// The serial flush [`Flush`] replaced, kept as its oracle: each
+    /// shard's range in node order, every node drawing from its shard's
+    /// stream.
+    fn serial_flush(
+        config: &GridConfig,
+        nodes: &mut [NodeLocal],
+        cells: &mut [GupaCell],
+        rngs: &mut [DetRng],
+        target: u64,
+    ) -> u64 {
+        let gupa = LupaConfig::default();
+        let mut digested = 0;
+        for (range, rng) in shard_ranges(nodes.len(), rngs.len()).into_iter().zip(rngs) {
+            for id in range {
+                let calls = replay_node_local(config, &mut nodes[id], rng, target);
+                digested += digest(&mut cells[id], gupa, calls);
+            }
+        }
+        digested
+    }
+
+    /// A world about to be flushed to its returned target tick (6–9 days
+    /// in): a mix of traced nodes, each with a history of its own length,
+    /// and untraced ones, each already at its own tick with the uploads
+    /// that got it there digested — node 0 at tick 0, about a quarter at
+    /// the target, as `catch_up_node` leaves them — and `shards` streams,
+    /// each partly drawn.
+    fn flush_world(
+        config: &GridConfig,
+        seed: u64,
+        shards: u64,
+    ) -> (Vec<NodeLocal>, Vec<GupaCell>, Vec<DetRng>, u64) {
+        let mut gen = DetRng::new(seed);
+        let target = 6 * 288 + gen.uniform_range(0, 3 * 288);
+        let mut setup = DetRng::new(!seed);
+        let (mut nodes, mut cells) = (Vec::new(), Vec::new());
+        for id in 0..4 + gen.index(16) {
+            let trace: Vec<UsageSample> = match gen.bernoulli(0.5) {
+                true => (0..1 + gen.index(700))
+                    .map(|_| UsageSample::new(gen.uniform_f64(), gen.uniform_f64(), 0.0, 0.0))
+                    .collect(),
+                false => Vec::new(),
+            };
+            let mut local = node(Arc::new(trace));
+            let applied = match (id, gen.index(4)) {
+                (0, _) => 0,
+                (_, 0) => target,
+                _ => gen.uniform_range(0, target),
+            };
+            let mut cell = GupaCell::default();
+            let calls = replay_node_local(config, &mut local, &mut setup, applied);
+            digest(&mut cell, LupaConfig::default(), calls);
+            nodes.push(local);
+            cells.push(cell);
+        }
+        let rngs = (0..shards)
+            .map(|i| {
+                let mut rng = DetRng::for_shard(seed, i);
+                rng.skip_u64(gen.uniform_range(0, 1_000));
+                rng
+            })
+            .collect();
+        (nodes, cells, rngs, target)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
+
+        /// The chunked flush against the serial one at 1, 2, 3 and 8
+        /// workers, 1 and 3 shard streams, noise off and on, and chunk
+        /// sizes from one node-slot to the production size: equal LUPA
+        /// windows, QoS ledgers, tick cursors, GUPA cells, upload counts
+        /// and final stream positions.
+        #[test]
+        fn chunked_flush_matches_the_serial_flush(seed in proptest::arbitrary::any::<u64>()) {
+            for salt in crate::par::chaos_salts() {
+                let seed = seed ^ salt;
+                let sizes = [1, 97, 1_000, 5_000, FLUSH_CHUNK_SLOTS];
+                let chunk_slots = sizes[DetRng::new(seed).index(sizes.len())];
+                for (noise, shards) in [(0.0, 1), (0.0, 3), (0.05, 1), (0.05, 3)] {
+                    let config = &config(noise);
+                    let (mut nodes, mut cells, mut rngs, target) = flush_world(config, seed, shards);
+                    let uploads = serial_flush(config, &mut nodes, &mut cells, &mut rngs, target);
+                    proptest::prop_assert!(uploads > 0, "node 0 crosses a midnight");
+                    for workers in [1, 2, 3, 8] {
+                        let case = format!(
+                            "seed {seed:#x}, noise {noise}, {shards} shards, \
+                             {workers} workers, chunks of {chunk_slots}"
+                        );
+                        let (mut n, mut c, mut r, _) = flush_world(config, seed, shards);
+                        let chunked: u64 = Flush::cut(config, &mut n, &mut c, &mut r, target, chunk_slots)
+                            .run(workers, |chunk| chunk.replay(config, LupaConfig::default(), target))
+                            .into_iter()
+                            .sum();
+                        proptest::prop_assert_eq!(chunked, uploads, "{}", case);
+                        proptest::prop_assert_eq!(&r, &rngs, "{}", case);
+                        proptest::prop_assert!(c == cells, "{}: GUPA cells diverged", case);
+                        for (id, (a, b)) in n.iter().zip(&nodes).enumerate() {
+                            proptest::prop_assert_eq!(a.ticks_applied, b.ticks_applied, "{} node {}", case, id);
+                            proptest::prop_assert_eq!(
+                                a.lrm.lupa_window().partial_day(),
+                                b.lrm.lupa_window().partial_day(),
+                                "{} node {}", case, id
+                            );
+                            proptest::prop_assert_eq!(&a.qos, &b.qos, "{} node {}", case, id);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_flush_below_one_chunk_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let config = &config(0.05);
+        for (chunk_slots, inline) in [(FLUSH_CHUNK_SLOTS, true), (1, false)] {
+            let (mut nodes, mut cells, mut rngs) = world(7, 3);
+            let threads = Flush::cut(config, &mut nodes, &mut cells, &mut rngs, 300, chunk_slots)
+                .run(8, |chunk| {
+                    chunk.replay(config, LupaConfig::default(), 300);
+                    std::thread::current().id()
+                });
+            assert_eq!(threads.len(), if inline { 3 } else { 7 });
+            assert_eq!(threads.iter().all(|t| *t == caller), inline);
+        }
     }
 }

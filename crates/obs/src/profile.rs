@@ -37,16 +37,20 @@ pub enum Phase {
     GiopEncode,
     /// GIOP/CDR decode of incoming wire frames.
     GiopDecode,
-    /// Sharded mode: the parallel per-shard node walk (local compute).
+    /// The parallel node-local compute: in sharded mode the per-shard node
+    /// walk of a slot frame, and at any width the report flush's chunks
+    /// (replay and digestion of every deferred node, on every core).
     ShardWalk,
-    /// Sharded mode: the frame-boundary merge of per-shard outboxes —
-    /// this is the serial stall the parallel walk pays for determinism.
+    /// The serial fold after [`Phase::ShardWalk`]: a slot frame's merge of
+    /// per-shard outboxes — the stall the parallel walk pays for
+    /// determinism — or the report flush's sum of per-chunk upload counts.
     ShardMerge,
     /// GUPA upload digestion: appending completed day-periods to a node's
     /// history and (once enough history exists) retraining its LUPA model.
-    /// In sharded mode the digestion runs on the shard workers and lands
-    /// inside [`Phase::ShardWalk`]; this phase times the single-threaded
-    /// digestion paths (eager walks, wire-triggered catch-up).
+    /// In sharded slot frames and in the report flush the digestion runs
+    /// on the workers and lands inside [`Phase::ShardWalk`]; this phase
+    /// times the single-threaded digestion paths (eager walks,
+    /// wire-triggered catch-up).
     GupaDigest,
     /// Sharded mode: computing the frame's occupancy-balanced shard ranges
     /// from the active set before the workers launch.

@@ -126,6 +126,26 @@ impl Pcg32 {
         let lo = self.next_u32() as u64;
         (hi << 32) | lo
     }
+
+    /// Moves the generator `delta` 32-bit draws ahead in O(log delta)
+    /// steps: the LCG jump-ahead of O'Neill's `pcg_advance_lcg_64`, which
+    /// composes `delta` state steps by square-and-multiply on the affine
+    /// map `(mult, inc)`. The period is 2⁶⁴, so `delta` is taken mod 2⁶⁴.
+    pub fn advance(&mut self, delta: u64) {
+        let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
+        let (mut cur_mult, mut cur_plus) = (PCG_MULT, self.inc);
+        let mut delta = delta;
+        while delta > 0 {
+            if delta & 1 == 1 {
+                acc_mult = acc_mult.wrapping_mul(cur_mult);
+                acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
+            }
+            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
+            cur_mult = cur_mult.wrapping_mul(cur_mult);
+            delta >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    }
 }
 
 /// Deterministic RNG with the distribution helpers used across the workspace.
@@ -189,6 +209,14 @@ impl DetRng {
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.pcg.next_u64()
+    }
+
+    /// Discards the next `n` raw 64-bit values in O(log n): afterwards the
+    /// generator is where `n` calls of [`next_u64`](Self::next_u64) would
+    /// have left it. A cached normal deviate is kept, exactly as those
+    /// calls would keep it.
+    pub fn skip_u64(&mut self, n: u64) {
+        self.pcg.advance(n.wrapping_mul(2));
     }
 
     /// Returns a uniform `f64` in `[0, 1)`.
@@ -337,6 +365,33 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u32(), b.next_u32());
         }
+    }
+
+    #[test]
+    fn pcg_advance_matches_stepping_by_single_draws() {
+        let mut stepped = Pcg32::new(99, 7);
+        for delta in 0..300 {
+            let mut jumped = Pcg32::new(99, 7);
+            jumped.advance(delta);
+            assert_eq!(jumped, stepped, "delta {delta}");
+            stepped.next_u32();
+        }
+    }
+
+    #[test]
+    fn a_cached_normal_deviate_survives_a_skip() {
+        let mut skipped = DetRng::new(37);
+        skipped.normal(0.0, 1.0); // caches the second deviate
+        let mut stepped = skipped.clone();
+        let mut untouched = skipped.clone();
+        skipped.skip_u64(1_000);
+        for _ in 0..1_000 {
+            stepped.next_u64();
+        }
+        assert_eq!(skipped, stepped);
+        let cached = untouched.normal(0.0, 1.0);
+        assert_eq!(skipped.normal(0.0, 1.0).to_bits(), cached.to_bits());
+        assert_eq!(skipped.next_u64(), stepped.next_u64());
     }
 
     #[test]
@@ -545,6 +600,44 @@ mod tests {
             let mut replay = DetRng::for_shard(seed, shard);
             let replayed: Vec<u64> = (0..draws).map(|_| replay.next_u64()).collect();
             proptest::prop_assert_eq!(recorded, replayed);
+        }
+
+        /// A skip of `n` lands where `n` draws do, on any seed and stream.
+        #[test]
+        fn prop_skip_equals_drawing(
+            seed in proptest::prelude::any::<u64>(),
+            stream in proptest::prelude::any::<u64>(),
+            n in 0u64..2_048,
+        ) {
+            let mut drawn = DetRng::with_stream(seed, stream);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut skipped = DetRng::with_stream(seed, stream);
+            skipped.skip_u64(n);
+            proptest::prop_assert_eq!(&skipped, &drawn);
+            proptest::prop_assert_eq!(skipped.next_u64(), drawn.next_u64());
+        }
+
+        /// Skips compose: `skip(a); skip(b)` is `skip(a + b)`, for small
+        /// spans and for spans near 2⁴⁰, far past anything drawn one by one.
+        #[test]
+        fn prop_skips_compose(
+            seed in proptest::prelude::any::<u64>(),
+            stream in proptest::prelude::any::<u64>(),
+            a in 0u64..4_096,
+            b in 0u64..4_096,
+            far in proptest::prelude::any::<bool>(),
+        ) {
+            let base = if far { (1u64 << 40) - 2_048 } else { 0 };
+            let (a, b) = (base + a, base + b);
+            let mut twice = DetRng::with_stream(seed, stream);
+            twice.skip_u64(a);
+            twice.skip_u64(b);
+            let mut once = DetRng::with_stream(seed, stream);
+            once.skip_u64(a + b);
+            proptest::prop_assert_eq!(&twice, &once);
+            proptest::prop_assert_eq!(twice.next_u64(), once.next_u64());
         }
     }
 }

@@ -10,7 +10,9 @@
 //! divergence here means the lazy catch-up, timer parking or the
 //! frame-boundary merge broke semantics, not just performance. One further
 //! contract gets dedicated tests: a fixed worker count reproduces itself
-//! exactly run over run (the determinism contract only pins a *fixed* `W`).
+//! exactly run over run (the determinism contract only pins a *fixed* `W`),
+//! and with noise on the learned GUPA histories are pinned by hash at
+//! W = 1, 2 and 3, so a flush that draws its jitter in another order fails.
 //!
 //! The seed matrix defaults to a small set for `cargo test`; CI widens it
 //! via the `CHAOS_SEEDS` environment variable (comma-separated u64s).
@@ -544,6 +546,79 @@ fn noisy_cross_width_execution_invariants_with_measurement_divergence() {
         "no worker count measured different jitter than the single shard — \
          the shard streams are not being consumed"
     );
+}
+
+/// FNV-1a over every node's GUPA history: node id, then each stored day's
+/// weekday and feature-curve bits, in arrival order.
+fn gupa_history_hash(grid: &Grid) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for n in 0..grid.node_count() as u32 {
+        feed(u64::from(n));
+        for (weekday, curve) in grid.gupa().day_curves(NodeId(n)) {
+            feed(u64::from(weekday.index()));
+            for v in curve {
+                feed(v.to_bits());
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn jittered_learner_state_is_pinned_at_every_width() {
+    // A flush-heavy noisy grid: the update timer and the crash detector are
+    // pushed past the horizon, so only the first quarter of the nodes is
+    // ever caught up one at a time (by its single update) and the report
+    // flush replays everything else, drawing the jitter of ~3 days per
+    // node. The hashes are those of a serial walk over each shard's range;
+    // an engine change that draws jitter in another order moves them.
+    const PINNED: [(usize, u64); 3] = [
+        (1, 0x0708_280c_a404_183a),
+        (2, 0x59b6_0a7d_fa8b_7a8f),
+        (3, 0x3fee_0a94_59df_c084),
+    ];
+    let horizon = SimDuration::from_secs(3 * 24 * 3600);
+    let far = SimDuration::from_micros(horizon.as_micros() * 4);
+    for (workers, pinned) in PINNED {
+        let config = GridConfig::builder()
+            .seed(29)
+            .gupa_warmup_days(6)
+            .lupa_noise(0.05)
+            .delta_suppression(true)
+            .update_period(far)
+            .crash_silence(far)
+            .tick_mode(TickMode::Sharded { workers })
+            .build();
+        let mut builder = GridBuilder::new(config);
+        builder.add_cluster(
+            (0..3_000)
+                .map(|i| NodeSetup {
+                    trace: if i % 7 == 0 {
+                        office_trace()
+                    } else {
+                        Vec::new()
+                    },
+                    ..NodeSetup::idle_desktop()
+                })
+                .collect(),
+        );
+        let mut grid = builder.build();
+        grid.submit(JobSpec::sequential("pinned-seq", 300_000));
+        grid.submit(JobSpec::bag_of_tasks("pinned-bag", 3, 60_000));
+        grid.run_until(SimTime::ZERO + horizon);
+        let report = grid.report();
+        assert!(report.gupa_models > 0, "W={workers}: no node trained");
+        assert_eq!(
+            gupa_history_hash(&grid),
+            pinned,
+            "W={workers}: jittered GUPA histories moved"
+        );
+    }
 }
 
 proptest! {
