@@ -22,7 +22,6 @@ pub mod exp_faults;
 pub mod exp_fed;
 pub mod exp_info;
 pub mod exp_obs;
-pub mod exp_par;
 pub mod exp_qos;
 pub mod exp_repo;
 pub mod exp_scale;
@@ -114,11 +113,6 @@ pub fn experiments() -> Vec<ExperimentEntry> {
             "e18smoke",
             "adaptive-vs-r3 redundancy savings smoke vs committed floor",
             exp_cert::e18smoke,
-        ),
-        (
-            "e19",
-            "sharded engine under load-bearing per-node work (writes BENCH_par.json)",
-            exp_par::e19,
         ),
         (
             "e20",

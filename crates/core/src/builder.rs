@@ -24,7 +24,6 @@ use crate::grid::{GridConfig, TickMode};
 use crate::lrm::LrmConfig;
 use crate::scheduler::Strategy;
 use integrade_orb::security::ClusterKey;
-use integrade_simnet::rng::streams;
 use integrade_simnet::time::SimDuration;
 use std::fmt;
 
@@ -50,19 +49,6 @@ pub enum ConfigError {
     NoAttempts,
     /// The sequential checkpoint interval is negative or not a number.
     BadCheckpointInterval(f64),
-    /// `workers == 0` — a slot frame with no shards could never tick.
-    /// Raised by [`GridConfigBuilder::workers`]`(0)` and by
-    /// [`TickMode::Sharded`]` { workers: 0 }` set directly.
-    ZeroWorkers,
-    /// More worker shards than the RNG stream family reserves ids for
-    /// ([`integrade_simnet::rng::streams::MAX_SHARDS`]); each shard needs
-    /// its own collision-free deterministic stream.
-    TooManyWorkers(usize),
-    /// The [`GridConfigBuilder::workers`] knob was combined with
-    /// [`TickMode::Reference`]. The reference walk is the eager
-    /// single-threaded oracle the lazy walk is checked against; sharding it
-    /// is a contradiction, not a configuration.
-    ShardedReference,
     /// `cert_replication == 0` with certification on — no part could ever
     /// gather a vote, so no result would ever be delivered.
     NoCertVotes,
@@ -104,20 +90,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "sequential_checkpoint_mips_s must be finite and >= 0, got {v}"
             ),
-            ConfigError::ZeroWorkers => {
-                write!(f, "sharded tick mode needs at least 1 worker")
-            }
-            ConfigError::TooManyWorkers(w) => write!(
-                f,
-                "at most {} worker shards (the deterministic RNG stream \
-                 family reserves one stream per shard), got {w}",
-                streams::MAX_SHARDS
-            ),
-            ConfigError::ShardedReference => write!(
-                f,
-                "workers() cannot be combined with TickMode::Reference; the \
-                 reference walk is the single-threaded parity oracle"
-            ),
             ConfigError::NoCertVotes => write!(
                 f,
                 "cert_replication must be at least 1 when certification is on"
@@ -145,14 +117,12 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone)]
 pub struct GridConfigBuilder {
     config: GridConfig,
-    workers: Option<usize>,
 }
 
 impl GridConfigBuilder {
     pub(crate) fn new() -> Self {
         GridConfigBuilder {
             config: GridConfig::default(),
-            workers: None,
         }
     }
 
@@ -306,47 +276,18 @@ impl GridConfigBuilder {
     }
 
     /// Amplitude of the per-slot LUPA measurement jitter, in `[0, 1)`.
-    /// Zero (the default) draws nothing and keeps every tick mode
+    /// Zero (the default) draws nothing and keeps both tick modes
     /// observably identical; a positive amplitude perturbs what the
-    /// pattern learner sees with draws from the executing shard's
-    /// deterministic stream. See [`GridConfig::lupa_noise`].
+    /// pattern learner sees with draws from the grid's jitter stream. See
+    /// [`GridConfig::lupa_noise`].
     pub fn lupa_noise(mut self, amplitude: f64) -> Self {
         self.config.lupa_noise = amplitude;
         self
     }
 
-    /// Tick the grid with `n` shards — shorthand for
-    /// [`tick_mode`]`(TickMode::Sharded { workers: n })`. One shard (the
-    /// default) is walked inline on the driver thread; each further shard
-    /// gets a scoped worker thread per frame. Build-time
-    /// validation rejects `n == 0` ([`ConfigError::ZeroWorkers`]),
-    /// `n > `[`streams::MAX_SHARDS`] ([`ConfigError::TooManyWorkers`]) and
-    /// any combination with [`TickMode::Reference`]
-    /// ([`ConfigError::ShardedReference`]).
-    ///
-    /// [`tick_mode`]: GridConfigBuilder::tick_mode
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
-        self
-    }
-
     /// Validates and returns the config, or says precisely what is wrong.
     pub fn try_build(self) -> Result<GridConfig, ConfigError> {
-        let mut c = self.config;
-        if let Some(workers) = self.workers {
-            if c.tick_mode == TickMode::Reference {
-                return Err(ConfigError::ShardedReference);
-            }
-            c.tick_mode = TickMode::Sharded { workers };
-        }
-        if let TickMode::Sharded { workers } = c.tick_mode {
-            if workers == 0 {
-                return Err(ConfigError::ZeroWorkers);
-            }
-            if workers as u64 > streams::MAX_SHARDS {
-                return Err(ConfigError::TooManyWorkers(workers));
-            }
-        }
+        let c = self.config;
         if c.tick == SimDuration::from_secs(0) {
             return Err(ConfigError::ZeroTick);
         }
@@ -408,15 +349,8 @@ impl GridConfig {
 
     /// The named default profile: 5-minute execution/sampling tick, 30 s
     /// update period, availability-only scheduling, `k = 2` replication,
-    /// the lazy walk on one shard ([`TickMode::Sharded`]` { workers: 1 }`,
-    /// run inline on the driver thread) — exactly [`GridConfig::default`],
+    /// the lazy walk ([`TickMode::Lazy`]) — exactly [`GridConfig::default`],
     /// under the name the tick actually has.
-    ///
-    /// To spread the per-slot walk across cores, layer the
-    /// [`workers`](GridConfigBuilder::workers) knob on top:
-    /// `GridConfig::builder().workers(4).build()` — every other default
-    /// stays as in this profile, and the run remains deterministic for the
-    /// chosen worker count.
     pub fn default_5min() -> Self {
         GridConfig::default()
     }
@@ -434,6 +368,12 @@ mod tests {
         assert_eq!(built.tick, named.tick);
         assert_eq!(built.max_candidates, named.max_candidates);
         assert_eq!(built.replication_factor, named.replication_factor);
+        assert_eq!(
+            built.tick_mode,
+            TickMode::Lazy,
+            "the engine is the lazy walk"
+        );
+        assert_eq!(named.tick_mode, TickMode::Lazy);
     }
 
     #[test]
@@ -528,54 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_knob_selects_sharded_mode() {
-        // Untouched, the engine is the lazy walk on one inline shard.
-        let c = GridConfig::builder().build();
-        assert_eq!(c.tick_mode, TickMode::Sharded { workers: 1 });
-        let c = GridConfig::builder().workers(4).build();
-        assert_eq!(c.tick_mode, TickMode::Sharded { workers: 4 });
-        // The knob wins over an earlier explicit Sharded width.
-        let c = GridConfig::builder()
-            .tick_mode(TickMode::Sharded { workers: 2 })
-            .workers(8)
-            .build();
-        assert_eq!(c.tick_mode, TickMode::Sharded { workers: 8 });
-    }
-
-    #[test]
-    fn rejects_zero_workers() {
-        assert_eq!(
-            GridConfig::builder().workers(0).try_build().unwrap_err(),
-            ConfigError::ZeroWorkers
-        );
-        // Also when Sharded{0} is set directly, bypassing the knob.
-        assert_eq!(
-            GridConfig::builder()
-                .tick_mode(TickMode::Sharded { workers: 0 })
-                .try_build()
-                .unwrap_err(),
-            ConfigError::ZeroWorkers
-        );
-    }
-
-    #[test]
-    fn rejects_workers_beyond_stream_family() {
-        let too_many = streams::MAX_SHARDS as usize + 1;
-        assert_eq!(
-            GridConfig::builder()
-                .workers(too_many)
-                .try_build()
-                .unwrap_err(),
-            ConfigError::TooManyWorkers(too_many)
-        );
-        // The last reserved stream id is still fine.
-        assert!(GridConfig::builder()
-            .workers(streams::MAX_SHARDS as usize)
-            .try_build()
-            .is_ok());
-    }
-
-    #[test]
     fn rejects_bad_certification_settings() {
         assert_eq!(
             GridConfig::builder()
@@ -653,22 +545,5 @@ mod tests {
         let c = GridConfig::builder().lupa_noise(0.05).build();
         assert_eq!(c.lupa_noise, 0.05);
         assert_eq!(GridConfig::default().lupa_noise, 0.0, "noise defaults off");
-    }
-
-    #[test]
-    fn rejects_workers_on_the_reference_oracle() {
-        let err = GridConfig::builder()
-            .tick_mode(TickMode::Reference)
-            .workers(2)
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ShardedReference);
-        // Setter order must not matter.
-        let err = GridConfig::builder()
-            .workers(2)
-            .tick_mode(TickMode::Reference)
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ShardedReference);
     }
 }

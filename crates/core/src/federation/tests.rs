@@ -564,13 +564,6 @@ fn play(seed: u64, workers: Option<usize>) -> Observed {
         .values()
         .map(|m| m.grid.metrics_snapshot())
         .chain([fed.metrics_snapshot()])
-        .map(|mut snapshot| {
-            // Wall-clock time, not simulation.
-            snapshot
-                .counters
-                .retain(|c| c.name != "grid_shard_merge_stall_ns");
-            snapshot
-        })
         .collect();
     observed
 }

@@ -44,7 +44,6 @@ use crate::observe::GridObs;
 use crate::protocol::{GRM_OBJECT_KEY, LRM_OBJECT_KEY};
 use crate::qos::{OverheadLedger, QosLedger};
 use crate::scheduler::{CandidateNode, Strategy};
-pub use crate::tick::occupancy_ranges;
 use crate::tick::{NodeLocal, TraceInterner};
 use crate::types::{JobId, NodeId, NodeRoles, Platform, ResourceVector};
 use integrade_obs::metrics::MetricsSnapshot;
@@ -70,63 +69,33 @@ use wire::{FetchWhy, Pending, PendingEntry, Role, Waste, REQUEST_TIMEOUT};
 /// How `slot_tick` walks the node population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickMode {
-    /// The original O(all nodes)-per-tick loop on one thread, kept as the
-    /// oracle the lazy walk is checked against (see `tests/tick_parity.rs`).
+    /// The original O(all nodes)-per-tick loop, kept as the oracle the lazy
+    /// walk is checked against (see `tests/tick_parity.rs`).
     Reference,
-    /// The lazy walk on `workers` shards — the engine. Per-slot work runs
-    /// only for nodes in the *active set*: nodes running grid parts,
-    /// holding reservations or checkpoint replicas, or with outcome notices
-    /// awaiting acknowledgement. Idle nodes' owner sampling, QoS accounting
-    /// and LUPA accumulation are replayed lazily (bulk-advanced) the moment
-    /// their state is next needed, and the information-update timers of
+    /// The lazy walk — the engine. Per-slot work runs only for nodes in the
+    /// *active set*: nodes running grid parts, holding reservations or
+    /// checkpoint replicas, or with outcome notices awaiting
+    /// acknowledgement. Idle nodes' owner sampling, QoS accounting and LUPA
+    /// accumulation are replayed lazily (bulk-advanced) the moment their
+    /// state is next needed, and the information-update timers of
     /// disengaged always-idle nodes are parked until a frame next reaches
-    /// them. Observable behaviour — messages, event logs, reports — is
-    /// bit-for-bit identical to [`Self::Reference`].
-    ///
-    /// Nodes are partitioned by id into `workers` contiguous shards. Each
-    /// shard runs its members' slot bodies (including lazy catch-up replay
-    /// and GUPA digestion) against its own `&mut` slice of the node table,
-    /// and the cross-shard effects — messages, event-queue inserts, log
-    /// records, metrics — are merged on the coordinating thread at the frame
-    /// boundary in (shard-id, seq) order before the single-threaded
-    /// GRM/trader/event-queue phase runs. Shard 0 runs on the coordinating
-    /// thread itself and shards `1..` on scoped worker threads, so
-    /// `workers: 1` (the default) is a plain sequential slot walk that
-    /// never creates a thread. The report flush is separate: at any width
-    /// it runs on every core the host has, drawing what the serial walk
-    /// over the shard ranges would draw.
+    /// them. A frame runs its members' node-local bodies in ascending node
+    /// order, then applies their effects — messages, event-queue inserts,
+    /// log records — in that order. The report flush replays every deferred
+    /// node on every core the host has, drawing what the serial walk would
+    /// draw (`tick::Flush`).
     ///
     /// # Determinism contract
     ///
-    /// Shards are *contiguous node-id ranges*, so (shard-id, seq) merge
-    /// order is exactly ascending node-id order — the order the reference
-    /// walk uses. Range boundaries are recomputed at every frame boundary
-    /// from the active set ([`occupancy_ranges`]) so each worker carries a
-    /// near-equal share of the frame's live members; a node never migrates
-    /// mid-frame, and shard `i` always owns the RNG stream derived from
-    /// `(seed, i)` alone ([`DetRng::for_shard`]) regardless of where the
-    /// boundaries fall. Per-node stochastic work — today the
-    /// [`GridConfig::lupa_noise`] measurement jitter — draws only from the
-    /// executing shard's stream (the reference walk and the coordinator's
-    /// single-node catch-ups hold stream 0). The contract is therefore:
-    ///
-    /// * **Fixed worker count:** bit-for-bit reproducible, run over run,
-    ///   regardless of OS thread scheduling and of the host's core count.
-    /// * **With `lupa_noise == 0` (the default):** no stream is ever
-    ///   consumed, so every worker count and the reference walk are
-    ///   observably identical.
-    /// * **With `lupa_noise > 0`, across worker counts:** the learned
-    ///   pattern models may legitimately differ (each width draws different
-    ///   jitter), but every execution-visible artifact — completions, QoS
-    ///   totals, upload/report counts, messages, logs — is invariant,
-    ///   because jitter feeds only the LUPA window, never the owner state
-    ///   that drives eviction, QoS and status updates. Proven in
-    ///   `tests/tick_parity.rs`.
-    Sharded {
-        /// Shards (and, beyond the first, worker threads). Must be nonzero;
-        /// validated by [`crate::builder::GridConfigBuilder::try_build`].
-        workers: usize,
-    },
+    /// A run is bit-for-bit reproducible from its seed, whatever the host's
+    /// core count. With [`GridConfig::lupa_noise`] off (the default) it is
+    /// also observably identical to [`Self::Reference`]: messages, event
+    /// logs, reports and the learned patterns. With noise on, both walks
+    /// draw the jitter from the one stream in different orders (the lazy
+    /// walk node by node, the reference walk slot by slot), so the learned
+    /// patterns differ, but the jitter feeds only the LUPA window, never the
+    /// owner state that drives eviction, QoS and status updates.
+    Lazy,
 }
 
 /// Global grid configuration.
@@ -168,8 +137,8 @@ pub struct GridConfig {
     /// `k = 0` checkpoints are never replicated and crash recovery restarts
     /// parts from scratch.
     pub replication_factor: usize,
-    /// How the per-slot node loop is driven (the lazy walk on one or more
-    /// shards, or the exhaustive reference walk).
+    /// How the per-slot node loop is driven (the lazy walk, or the
+    /// exhaustive reference walk).
     pub tick_mode: TickMode,
     /// Enables the straggler detector and speculative re-execution of
     /// lagging parts (gray-failure mitigation). Off by default: every
@@ -199,16 +168,13 @@ pub struct GridConfig {
     /// Amplitude of the per-slot measurement jitter applied to the owner
     /// samples the LUPA collection window records, in `[0, 1)`. Zero (the
     /// default) draws nothing: every pre-existing scenario replays
-    /// bit-for-bit and all tick modes stay observably identical. When
+    /// bit-for-bit and both tick modes stay observably identical. When
     /// positive, every slot observation perturbs the *measured* CPU and
-    /// memory components with two draws from the executing shard's
-    /// deterministic stream ([`DetRng::for_shard`]) before the sample
-    /// enters the LUPA window — modelling real sensor noise and putting
-    /// genuine per-node stochastic work on the shard workers. The true
-    /// owner sample still drives eviction, QoS accounting and status
-    /// updates, so runs stay bit-for-bit reproducible per (mode, worker
-    /// count) and execution-visibly invariant across worker counts; see
-    /// [`TickMode::Sharded`] for the full contract.
+    /// memory components with two draws from the grid's jitter stream
+    /// ([`streams::LUPA_JITTER`]) before the sample enters the LUPA window —
+    /// modelling real sensor noise. The true owner sample still drives
+    /// eviction, QoS accounting and status updates, so only the learned
+    /// patterns move; see [`TickMode::Lazy`] for the full contract.
     pub lupa_noise: f64,
 }
 
@@ -228,7 +194,7 @@ impl Default for GridConfig {
             cluster_key: None,
             max_retransmits: 4,
             replication_factor: 2,
-            tick_mode: TickMode::Sharded { workers: 1 },
+            tick_mode: TickMode::Lazy,
             speculation: false,
             certification: false,
             cert_replication: 2,
@@ -568,8 +534,9 @@ struct GridWorld {
     /// and the LRMs are owned below as plain data and lent to the receiving
     /// host's ORB for the duration of each dispatch (`handle_wire`).
     orbs: IdMap<HostId, Orb>,
-    /// Per-node state the slot walk owns and shards: LRM, QoS ledger, tick
-    /// cursor, owner trace (index = `NodeId.0`).
+    /// Per-node state the slot walk owns and the report flush splits into
+    /// chunks: LRM, QoS ledger, tick cursor, owner trace (index =
+    /// `NodeId.0`).
     nodes: Vec<NodeLocal>,
     lrm_iors: Vec<Ior>,
     node_hosts: Vec<HostId>,
@@ -597,17 +564,12 @@ struct GridWorld {
     /// Dedicated stream for retry/backoff jitter so retransmission noise
     /// never perturbs the scheduler's ranking stream.
     retry_rng: DetRng,
-    /// One RNG stream per shard of the slot walk ([`TickMode::Sharded`]'s
-    /// `workers`; the reference walk holds exactly one), each derived from
-    /// `(seed, shard index)` alone ([`DetRng::for_shard`]) so a shard can be
-    /// replayed in isolation. Per-node stochastic work — the
-    /// [`GridConfig::lupa_noise`] measurement jitter — draws only from the
-    /// executing shard's stream (the report flush's chunks from copies of
-    /// it jumped ahead to the serial walk's position); the coordinator's
-    /// single-node catch-ups
-    /// (`catch_up_node`) and the reference walk draw from stream 0. The
-    /// global `rng`/`retry_rng` streams belong to the single-threaded phase.
-    shard_rngs: Vec<DetRng>,
+    /// The [`GridConfig::lupa_noise`] measurement jitter
+    /// ([`streams::LUPA_JITTER`]): both walks, single-node catch-ups
+    /// (`catch_up_node`) and the report flush draw from it (the flush's
+    /// chunks from copies jumped ahead to the serial walk's position), and
+    /// nothing else does, so the jitter never perturbs scheduling.
+    jitter_rng: DetRng,
     /// Threads the report flush may run on: the host's available
     /// parallelism, read once at build. It decides how fast a flush runs,
     /// never what it computes (`flush_catch_up`).
@@ -622,7 +584,7 @@ struct GridWorld {
     active: BTreeSet<usize>,
     /// Per-node flag: the information-update timer is parked (no UpdateTick
     /// event in the queue). Only ever set by the lazy walk
-    /// ([`TickMode::Sharded`]), only for statically idle disengaged nodes
+    /// ([`TickMode::Lazy`]), only for statically idle disengaged nodes
     /// whose updates are suppressed; cleared (and the timer resumed) when a
     /// frame next reaches the node.
     update_parked: Vec<bool>,
@@ -763,16 +725,10 @@ impl Grid {
         for (i, host) in node_hosts.iter().enumerate() {
             host_to_node.insert(*host, i);
         }
-        let shards = match config.tick_mode {
-            TickMode::Sharded { workers } => workers.max(1) as u64,
-            TickMode::Reference => 1,
-        };
         let mut world = GridWorld {
             rng: DetRng::with_stream(config.seed, streams::GRID_WORLD),
             retry_rng: DetRng::with_stream(config.seed, streams::RETRY),
-            shard_rngs: (0..shards)
-                .map(|i| DetRng::for_shard(config.seed, i))
-                .collect(),
+            jitter_rng: DetRng::with_stream(config.seed, streams::LUPA_JITTER),
             flush_workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             gupa: GupaState::new(LupaConfig::default()),
             net: Network::new(topo),
@@ -1273,9 +1229,8 @@ impl Grid {
     }
 
     /// Read access to the cluster's GUPA — trained models, per-node upload
-    /// history, upload counter. The parity tests use this to prove that
-    /// different shard widths genuinely measured different (jittered)
-    /// samples even though every execution-visible artifact is invariant.
+    /// history, upload counter. The parity tests use this to pin the
+    /// jittered histories and to show that jitter moves nothing else.
     pub fn gupa(&self) -> &GupaState {
         &self.world.gupa
     }

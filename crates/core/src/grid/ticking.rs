@@ -1,11 +1,11 @@
-//! Time-driven work: the per-slot node walk (reference or lazy/sharded),
-//! lazy catch-up replay, active-set upkeep and the Information Update
-//! Protocol timer.
+//! Time-driven work: the per-slot node walk (reference or lazy), lazy
+//! catch-up replay and the report flush, active-set upkeep and the
+//! Information Update Protocol timer.
 
 use super::*;
 use crate::protocol::{PartDone, StatusUpdate, OP_PART_DONE, OP_PART_EVICTED, OP_UPDATE_STATUS};
 use crate::tick::{
-    for_each_shard, replay_node_local, tick_node_local, trace_sample_at, Flush, NodeTickEffects,
+    replay_node_local, tick_members, tick_node_local, trace_sample_at, Flush, NodeTickEffects,
     FLUSH_CHUNK_SLOTS,
 };
 use integrade_obs::profile::Phase;
@@ -15,13 +15,13 @@ use std::sync::Arc;
 impl GridWorld {
     /// Replays the deferred slot-tick bookkeeping of one node up to tick
     /// count `target` (the `slots_elapsed` value whose ticks should all be
-    /// applied), on the coordinating thread.
+    /// applied).
     ///
     /// A node outside the active set has no running parts, reservations,
     /// unacknowledged outcomes or stored replicas, so its reference
     /// per-slot body collapses to owner-trace sampling, LUPA accumulation
     /// and owner-QoS accounting — deterministic functions of the trace, the
-    /// tick index and (with [`GridConfig::lupa_noise`] on) the shard-0
+    /// tick index and (with [`GridConfig::lupa_noise`] on) the grid's
     /// measurement-jitter stream, sending no messages and writing no logs.
     /// Replaying them here in bulk is therefore bit-for-bit identical to
     /// having run them eagerly every tick of the same mode.
@@ -34,7 +34,7 @@ impl GridWorld {
         let uploads = replay_node_local(
             &self.config,
             &mut self.nodes[node],
-            &mut self.shard_rngs[0],
+            &mut self.jitter_rng,
             target,
         );
         drop(_replay);
@@ -52,12 +52,12 @@ impl GridWorld {
     /// produces (curve reduction + retrain — the O(n) terms that dominate
     /// the flush at 50k nodes) run in chunks of contiguous nodes on up to
     /// `flush_workers` threads ([`Flush`]), each chunk against its own
-    /// slices of the node and GUPA cell tables and its own copy of its
-    /// shard's stream, jumped ahead to where the serial walk would draw
-    /// from it. The result is the serial walk's at every shard width and
-    /// every host core count; only the per-chunk upload counts cross the
-    /// merge. A flush below one chunk of work (a small grid, or one whose
-    /// update timers keep every node caught up) runs on the calling thread.
+    /// slices of the node and GUPA cell tables and its own copy of the
+    /// jitter stream, jumped ahead to where the serial walk would draw from
+    /// it. The result is the serial walk's at every host core count; only
+    /// the per-chunk upload counts cross the merge. A flush below one chunk
+    /// of work (a small grid, or one whose update timers keep every node
+    /// caught up) runs on the calling thread.
     /// (Under the reference walk nothing is ever deferred and every replay
     /// returns at once.)
     pub(super) fn flush_catch_up(&mut self) {
@@ -72,7 +72,7 @@ impl GridWorld {
                 config,
                 &mut self.nodes,
                 self.gupa.cells_mut(n),
-                &mut self.shard_rngs,
+                &mut self.jitter_rng,
                 target,
                 FLUSH_CHUNK_SLOTS,
             )
@@ -163,7 +163,7 @@ impl GridWorld {
                     let effects = tick_node_local(
                         &self.config,
                         &mut self.nodes[i],
-                        &mut self.shard_rngs[0],
+                        &mut self.jitter_rng,
                         i,
                         now,
                         self.slots_elapsed,
@@ -171,7 +171,7 @@ impl GridWorld {
                     self.apply_node_effects(now, effects, queue);
                 }
             }
-            TickMode::Sharded { .. } => self.lazy_slot_walk(now, queue),
+            TickMode::Lazy => self.lazy_slot_walk(now, queue),
         }
         self.detect_crashed_nodes(now, queue);
         if self.config.speculation {
@@ -224,7 +224,7 @@ impl GridWorld {
             self.store_checkpoint(now, NodeId(i as u32), due, queue);
         }
         // LUPA uploads (completed day periods go to the GUPA). The lazy
-        // walk's effects arrive with this empty — the shard digested it.
+        // walk's effects arrive with this empty — `tick_members` digested it.
         if !effects.tick_upload.is_empty() {
             let profiler = self.obs.profiler.clone();
             let _digest = profiler.enter(Phase::GupaDigest);
@@ -233,77 +233,35 @@ impl GridWorld {
         self.refresh_activity(i);
     }
 
-    /// One slot frame of the lazy walk ([`TickMode::Sharded`]). Only engaged
+    /// One slot frame of the lazy walk ([`TickMode::Lazy`]). Only engaged
     /// nodes can complete work, hit checkpoint boundaries, expire leases or
     /// evict parts, so only the active set is visited; every other node's
-    /// slot work is deferred to catch-up replay. The population is cut into
-    /// contiguous node-id ranges balanced by active-set occupancy
-    /// ([`occupancy_ranges`]); each shard runs its members' catch-up + slot
-    /// bodies — including the LUPA measurement jitter from the shard's own
-    /// stream and the GUPA digestion of every upload its members produced —
-    /// against its own slices of the node and GUPA cell tables
-    /// (`for_each_shard`: shard 0 inline, the rest on scoped threads); then
-    /// the queued effects are merged in (shard-id, seq) order — which,
-    /// because shards are contiguous ranges, is exactly the ascending node
-    /// order the reference walk uses. Only the per-shard upload counts and
-    /// the effect outboxes cross the merge; the expensive work (replay,
-    /// retrain) stays on the shards.
+    /// slot work is deferred to catch-up replay. The members' node-local
+    /// bodies run first ([`tick_members`]: catch-up, slot body, LUPA jitter,
+    /// GUPA digestion), then their effects are applied in ascending node
+    /// order — the order the reference walk uses.
     fn lazy_slot_walk(&mut self, now: SimTime, queue: &mut EventQueue<GridEvent>) {
         let members: Vec<usize> = self.active.iter().copied().collect();
-        let slot = self.slots_elapsed;
-        let n = self.nodes.len();
         let profiler = self.obs.profiler.clone();
-        // Frame-boundary rebalance: place the range cuts so each shard
-        // carries a near-equal share of this frame's active members.
-        let ranges = {
-            let _rebalance = profiler.enter(Phase::ShardRebalance);
-            occupancy_ranges(n, self.shard_rngs.len(), &members)
-        };
-        // Ascending member list → per-shard sublists at range bounds.
-        let mut groups: Vec<&[usize]> = Vec::with_capacity(ranges.len());
-        let mut rest: &[usize] = &members;
-        for range in &ranges {
-            let (group, tail) = rest.split_at(rest.partition_point(|&i| i < range.end));
-            groups.push(group);
-            rest = tail;
-        }
-        let occ_max = groups.iter().map(|g| g.len()).max().unwrap_or(0);
-        self.obs.shard_occ_max.set(occ_max as f64);
-        self.obs
-            .shard_occ_mean
-            .set(members.len() as f64 / ranges.len().max(1) as f64);
-        let frames = {
-            let _shard = profiler.enter(Phase::ShardWalk);
-            let (config, gupa_config) = (&self.config, self.gupa.config());
-            // One stream per configured worker; `occupancy_ranges` may
-            // produce fewer shards than that (tiny populations), never more.
-            for_each_shard(
-                &ranges,
+        let (effects, digested) = {
+            let _walk = profiler.enter(Phase::ShardWalk);
+            let n = self.nodes.len();
+            tick_members(
+                &self.config,
+                self.gupa.config(),
                 &mut self.nodes,
                 self.gupa.cells_mut(n),
-                &mut self.shard_rngs,
-                |shard| {
-                    let members = groups[shard.index];
-                    shard.tick(config, gupa_config, members, now, slot)
-                },
+                &mut self.jitter_rng,
+                &members,
+                now,
+                self.slots_elapsed,
             )
         };
-        let merge_started = std::time::Instant::now();
         let _merge = profiler.enter(Phase::ShardMerge);
-        let mut effect_count = 0;
-        for (effects, digested) in frames {
-            // Fold the shards' partial upload counts in ascending shard order.
-            self.gupa.add_uploads(digested);
-            effect_count += effects.len() as u64;
-            for node_effects in effects {
-                self.apply_node_effects(now, node_effects, queue);
-            }
+        self.gupa.add_uploads(digested);
+        for node_effects in effects {
+            self.apply_node_effects(now, node_effects, queue);
         }
-        self.obs.shard_frames.inc();
-        self.obs.shard_effects.add(effect_count);
-        self.obs
-            .shard_stall_ns
-            .add(merge_started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
     pub(super) fn update_tick(
@@ -378,7 +336,7 @@ impl GridWorld {
                     .record_indexed(now, "drops", "update from ", node as u64);
             }
         }
-        if self.config.tick_mode != TickMode::Reference
+        if self.config.tick_mode == TickMode::Lazy
             && !sent
             && self.static_status[node]
             && !self.nodes[node].lrm.is_engaged()

@@ -12,13 +12,13 @@
 //!
 //! Storage is a node-indexed table of [`GupaCell`]s rather than a map:
 //! every upload call site uploads the node's *own* periods, so the state is
-//! node-partitioned by construction. The tick engine splits the table in
+//! node-partitioned by construction. The report flush splits the table in
 //! lock-step with the node table and hands the disjoint `&mut` cell slices
-//! to its workers — the shards of a sharded slot frame, and the chunks of
-//! the report flush at any shard width — so upload digestion (the curve
-//! reduction *and* the expensive retrain) runs in parallel. Only the upload
-//! counter is shared; workers count locally and the coordinator adds the
-//! partial counts when they join.
+//! to its chunks, so upload digestion (the curve reduction *and* the
+//! expensive retrain) runs on every core. Only the upload counter is
+//! shared; chunks count locally and the coordinator adds the partial counts
+//! when they join. The lazy slot walk digests into the same table through
+//! the same per-cell path.
 //!
 //! A cell keeps day *curves*, not raw samples. The learner's only read of
 //! an uploaded [`DayPeriod`] is its weekday and its [`day_features`] curve
@@ -47,7 +47,7 @@ pub const MIN_TRAINING_DAYS: usize = 7;
 /// Below [`MIN_TRAINING_DAYS`] they wait in `pending`; at the threshold the
 /// model is trained from them, and from then on the model's retained
 /// [`LupaModel::days`] are the single copy of the history, grown by
-/// [`LupaModel::retrain`]. Plain owned data — a shard worker can digest
+/// [`LupaModel::retrain`]. Plain owned data — a flush chunk can digest
 /// uploads into its nodes' cells without touching any other node's state.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct GupaCell {
@@ -63,10 +63,10 @@ impl GupaCell {
     /// Returns whether the call counted as an upload (empty calls are
     /// ignored, matching the protocol's no-op on an empty report).
     ///
-    /// This is the worker-side half of [`GupaState::upload`]: shard and
-    /// flush-chunk workers call it against their disjoint cell slices and
-    /// report how many calls counted; the coordinator folds the partial
-    /// counts back in with [`GupaState::add_uploads`] when they join.
+    /// This is the cell-side half of [`GupaState::upload`]: the lazy walk's
+    /// frames and the flush's chunks call it against the cell table and
+    /// report how many calls counted; the coordinator folds the counts back
+    /// in with [`GupaState::add_uploads`].
     pub fn digest(&mut self, config: LupaConfig, periods: Vec<DayPeriod>) -> bool {
         if periods.is_empty() {
             return false;
@@ -142,9 +142,8 @@ impl GupaState {
     }
 
     /// Mutable access to the node-indexed cell table, grown to cover at
-    /// least `nodes` entries — the tick engine slices this with
-    /// `split_at_mut` so each shard or flush chunk digests its own nodes'
-    /// uploads.
+    /// least `nodes` entries — the report flush slices this with
+    /// `split_at_mut` so each chunk digests its own nodes' uploads.
     pub fn cells_mut(&mut self, nodes: usize) -> &mut [GupaCell] {
         if self.cells.len() < nodes {
             self.cells.resize_with(nodes, GupaCell::default);
@@ -188,9 +187,8 @@ impl GupaState {
 
     /// The days uploaded for a node so far, in arrival order, as the
     /// `(weekday, feature curve)` pairs the cell stores. Exposed so tests
-    /// can prove that different shard widths genuinely measured different
-    /// (jittered) samples while every execution-visible artifact stayed
-    /// invariant.
+    /// can pin the jittered histories and show that the jitter moved
+    /// nothing execution can see.
     pub fn day_curves(&self, node: NodeId) -> impl Iterator<Item = (Weekday, &[f64])> {
         self.cell(node).into_iter().flat_map(GupaCell::day_curves)
     }
@@ -381,7 +379,8 @@ mod tests {
         for d in 0..8 {
             seq.upload(NodeId(3), vec![day(d, office)]);
         }
-        // The sharded path: digest into a cell slice, fold the count back.
+        // The slot-frame and flush path: digest into the cell table, fold
+        // the count back.
         let mut par = GupaState::new(LupaConfig::default());
         let config = par.config();
         let mut counted = 0u64;

@@ -27,9 +27,8 @@
 //!   and request routing; [`federation`] runs one grid per cluster under it.
 //! * [`qos`] — owner-perceived slowdown accounting.
 //! * [`grid`] — the assembled, runnable grid simulation. It owns every
-//!   node's state as plain data; the per-node slot kernel and the shard
-//!   executor that walks it (inline for one shard, scoped threads beyond)
-//!   live in the private `tick` module.
+//!   node's state as plain data; the per-node slot kernel, the lazy walk's
+//!   frame and the chunked report flush live in the private `tick` module.
 //!
 //! # Examples
 //!

@@ -249,10 +249,10 @@ impl LrmState {
     /// Like [`LrmState::observe_owner`], but records a *measured* sample in
     /// the LUPA collection window that may differ from the true owner state
     /// driving eviction, QoS and export decisions. This is the seam the
-    /// per-shard stochastic sampling uses: jitter perturbs only what the
-    /// pattern learner sees, never the execution-visible owner state — so
-    /// completions, QoS totals and status updates stay invariant across
-    /// worker counts while each width's learned models legitimately differ.
+    /// stochastic sampling (`GridConfig::lupa_noise`) uses: jitter perturbs
+    /// only what the pattern learner sees, never the execution-visible owner
+    /// state — so completions, QoS totals and status updates are those of a
+    /// noise-free run while the learned models legitimately differ.
     pub fn observe_owner_sampled(
         &mut self,
         owner: UsageSample,

@@ -58,14 +58,6 @@ pub struct GridObs {
     pub node_crashes: Counter,
     /// GRM crash events.
     pub grm_crashes: Counter,
-    /// Sharded tick mode: slot frames executed (one per slot tick).
-    pub shard_frames: Counter,
-    /// Sharded tick mode: cross-shard effect records merged at frame
-    /// boundaries (completions, evictions, checkpoint stores, uploads).
-    pub shard_effects: Counter,
-    /// Sharded tick mode: wall nanoseconds the merge phase stalled the
-    /// frame after the slowest worker finished its local walk.
-    pub shard_stall_ns: Counter,
     /// Parts whose observed progress rate tripped the straggler detector
     /// (past hysteresis).
     pub straggler_detected: Counter,
@@ -113,15 +105,6 @@ pub struct GridObs {
     // --- live gauges ----------------------------------------------------
     /// Nodes currently in the active scheduling set.
     pub active_nodes: Gauge,
-    /// Sharded tick mode: active members assigned to the most-loaded shard
-    /// at the last frame boundary. Together with
-    /// [`GridObs::shard_occ_mean`] this exposes the occupancy imbalance the
-    /// frame-boundary rebalancer exists to flatten — max/mean near 1 means
-    /// every worker carries the same per-frame walk.
-    pub shard_occ_max: Gauge,
-    /// Sharded tick mode: mean active members per shard at the last frame
-    /// boundary (population occupancy / shard count).
-    pub shard_occ_mean: Gauge,
 
     // --- mirrors of component-internal stats (synced on snapshot) -------
     net_messages: Counter,
@@ -170,9 +153,6 @@ impl GridObs {
             lease_expired: registry.counter("grid_lease_expired"),
             node_crashes: registry.counter_with("grid_crashes", &[("kind", "node")]),
             grm_crashes: registry.counter_with("grid_crashes", &[("kind", "grm")]),
-            shard_frames: registry.counter("grid_shard_frames"),
-            shard_effects: registry.counter("grid_shard_effects_merged"),
-            shard_stall_ns: registry.counter("grid_shard_merge_stall_ns"),
             straggler_detected: registry.counter("grid_straggler_detected"),
             spec_launched: registry.counter("grid_spec_launched"),
             spec_won: registry.counter("grid_spec_won"),
@@ -192,8 +172,6 @@ impl GridObs {
             trader_depth: registry.histogram("grid_trader_query_depth", DEPTH_BOUNDS),
             queue_depth: registry.histogram("grid_event_queue_depth", QUEUE_BOUNDS),
             active_nodes: registry.gauge("grid_active_nodes"),
-            shard_occ_max: registry.gauge("grid_shard_occupancy_max"),
-            shard_occ_mean: registry.gauge("grid_shard_occupancy_mean"),
             net_messages: registry.counter("net_messages"),
             net_bytes: registry.counter("net_bytes"),
             net_failures: registry.counter("net_failures"),

@@ -1,6 +1,5 @@
-//! The one scoped-thread executor in core. The sharded slot walk, the
-//! chunked report flush ([`crate::tick`]) and the federation's member
-//! rounds all run on it.
+//! The one scoped-thread executor in core. The chunked report flush
+//! ([`crate::tick::Flush`]) and the federation's member rounds run on it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -95,6 +94,27 @@ mod tests {
         for workers in [0, 1, 2, 3, 8, 64] {
             assert_eq!(scoped_map(items.clone(), workers, |i| i * i), expected);
         }
+    }
+
+    #[test]
+    fn item_zero_runs_on_the_caller_and_one_worker_spawns_nothing() {
+        let caller = std::thread::current().id();
+        let threads = |workers| scoped_map(vec![(); 3], workers, |()| std::thread::current().id());
+        assert!(threads(1).iter().all(|t| *t == caller));
+        let spread = threads(3);
+        assert_eq!(spread[0], caller, "item 0 is inline");
+        assert!(
+            spread[1..].iter().all(|t| *t != caller),
+            "items 1.. are spawned"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "item 2 lost its footing")]
+    fn a_worker_panic_propagates_with_its_own_message() {
+        scoped_map((0..3).collect(), 3, |i: usize| {
+            assert!(i != 2, "item {i} lost its footing");
+        });
     }
 
     #[test]

@@ -1,26 +1,23 @@
-//! The per-node tick kernel, its shard executor and the chunked report
-//! flush.
+//! The per-node tick kernel, the lazy walk's slot frame and the chunked
+//! report flush.
 //!
 //! Everything a slot tick does that touches only one node's own state lives
 //! here, as plain functions over owned data: [`NodeLocal`] is a node's LRM,
 //! QoS ledger, tick cursor and owner trace; [`tick_node_local`] is the slot
 //! body, [`replay_node_local`] the bulk catch-up of a node the lazy walk
 //! skipped. Neither touches the event queue, the log, the ORBs, the GRM or
-//! another node, so a contiguous range of nodes can be handed to a worker as
-//! a `&mut` slice. Two callers do exactly that on core's one scoped-thread
-//! executor ([`scoped_map`]). The lazy walk's slot frames go through
-//! [`for_each_shard`], one worker per shard: shard 0 on the calling thread,
-//! shards `1..` on scoped threads, results in shard order. The report and
-//! ranking flush goes through [`Flush`], which cuts every shard's range
-//! into chunks that each start from the stream position the serial walk
-//! would reach there ([`replay_draws`]), so it uses every core at any shard
-//! width and draws the same jitter. The shared-state half of a tick
-//! (messages, log records, event-queue inserts) comes back as
-//! [`NodeTickEffects`] for `GridWorld::apply_node_effects` to apply on the
-//! coordinating thread in ascending node order.
+//! another node. [`tick_members`] runs both over a slot frame's active
+//! members on the calling thread. The report and ranking flush goes through
+//! [`Flush`], which cuts the node table into contiguous chunks that each
+//! start from the jitter-stream position the serial walk would reach there
+//! ([`replay_draws`]), and runs them on core's one scoped-thread executor
+//! ([`scoped_map`]), so it uses every core and draws the same jitter. The
+//! shared-state half of a tick (messages, log records, event-queue inserts)
+//! comes back as [`NodeTickEffects`] for `GridWorld::apply_node_effects` to
+//! apply in ascending node order.
 //!
 //! Node state is `Send` by construction (checked at compile time below), so
-//! the split is ordinary safe borrowing.
+//! handing a chunk to a worker is ordinary safe borrowing.
 
 use crate::grid::GridConfig;
 use crate::gupa::GupaCell;
@@ -33,7 +30,6 @@ use integrade_simnet::time::{SimDuration, SimTime};
 use integrade_usage::patterns::LupaConfig;
 use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Everything the per-slot walk reads or writes for one node, owned in one
@@ -127,8 +123,8 @@ pub(crate) fn fingerprint(trace: &[UsageSample]) -> u64 {
     hash
 }
 
-// A shard worker receives `&mut [NodeLocal]`, `&mut [GupaCell]` and
-// `&mut DetRng`; all three must cross a thread boundary.
+// A flush chunk carries `&mut [NodeLocal]`, `&mut [GupaCell]` and a
+// `DetRng`; all three must cross a thread boundary.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<NodeLocal>();
@@ -158,7 +154,7 @@ pub(crate) fn trace_sample_at(trace: &[UsageSample], now: SimTime) -> UsageSampl
 
 /// The measured (LUPA-visible) version of an owner sample: the true sample
 /// when noise is off, otherwise the sample perturbed by two jitter draws
-/// (CPU then memory) from the executing shard's stream and re-clamped into
+/// (CPU then memory) from the grid's jitter stream and re-clamped into
 /// range. `noise == 0` consumes nothing from the stream — that is what
 /// keeps every pre-noise scenario bit-for-bit.
 fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSample {
@@ -190,10 +186,10 @@ fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSam
 /// case: every sample is idle and `QosLedger::record(0, 0, 0, _, _)` is a
 /// no-op by inspection, so the run is a plain fill.
 ///
-/// Runs on shard workers and flush chunks. It draws exactly
-/// [`replay_draws`] values from `rng`, the stream the serial walk would use
-/// for this node; the jitter perturbs what the LUPA window records but
-/// never the owner state QoS sees.
+/// Runs in slot frames, single-node catch-ups and flush chunks. It draws
+/// exactly [`replay_draws`] values from `rng`, positioned where the serial
+/// walk would draw for this node; the jitter perturbs what the LUPA window
+/// records but never the owner state QoS sees.
 pub(crate) fn replay_node_local(
     config: &GridConfig,
     node: &mut NodeLocal,
@@ -286,10 +282,9 @@ fn replay_node_local_per_slot(
 }
 
 /// The shared-state side effects of one node's slot tick, produced by
-/// [`tick_node_local`] (possibly on a worker thread) and applied by
-/// `GridWorld::apply_node_effects` on the coordinating thread. Applying
-/// queued effects in ascending node order reproduces the eager walk's
-/// message, log and RNG order exactly.
+/// [`tick_node_local`] and applied by `GridWorld::apply_node_effects`.
+/// Applying queued effects in ascending node order reproduces the eager
+/// walk's message, log and RNG order exactly.
 #[derive(Debug)]
 pub(crate) struct NodeTickEffects {
     /// The node the effects belong to.
@@ -302,18 +297,18 @@ pub(crate) struct NodeTickEffects {
     pub evictions: Vec<PartEvicted>,
     /// Checkpoints crossing an interval boundary (replica store requests).
     pub dues: Vec<DueCheckpoint>,
-    /// The tick's own LUPA drain (at most one completed period). The shard
-    /// walk digests this into its GUPA cell slice and ships the effects with
-    /// it emptied; the reference walk leaves it for `apply_node_effects`.
+    /// The tick's own LUPA drain (at most one completed period). The lazy
+    /// walk digests this in [`tick_members`] and ships the effects with it
+    /// emptied; the reference walk leaves it for `apply_node_effects`.
     pub tick_upload: Vec<DayPeriod>,
 }
 
 /// The node-local half of one slot tick: everything the tick does that
-/// touches only the node's own LRM, QoS ledger and tick cursor. Safe to run
-/// on a shard worker; the returned effects carry the shared-state work.
-/// Callers must have applied all earlier ticks to the node. `slot` is the
-/// 1-based index of the tick firing at `now`; `rng` is the executing shard's
-/// stream, consumed only when `lupa_noise > 0`.
+/// touches only the node's own LRM, QoS ledger and tick cursor; the
+/// returned effects carry the shared-state work. Callers must have applied
+/// all earlier ticks to the node. `slot` is the 1-based index of the tick
+/// firing at `now`; `rng` is the grid's jitter stream, consumed only when
+/// `lupa_noise > 0`.
 pub(crate) fn tick_node_local(
     config: &GridConfig,
     node: &mut NodeLocal,
@@ -360,91 +355,6 @@ pub(crate) fn tick_node_local(
     }
 }
 
-/// Contiguous node-id ranges for `workers` shards: near-equal sizes, the
-/// first `n % workers` shards one node larger. Concatenating the shards in
-/// shard-id order yields `0..n` — the property that makes (shard-id, seq)
-/// merge order equal ascending node-id order.
-pub(crate) fn shard_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let w = workers.clamp(1, n.max(1));
-    let base = n / w;
-    let extra = n % w;
-    let mut ranges = Vec::with_capacity(w);
-    let mut start = 0;
-    for shard in 0..w {
-        let len = base + usize::from(shard < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    ranges
-}
-
-/// Contiguous node-id ranges for `workers` shards, balanced by *occupancy*:
-/// the ascending `members` list (the frame's active nodes) is cut into
-/// near-equal groups — the first `members.len() % workers` groups one
-/// member larger — and the id-space boundaries are placed at the cuts, so
-/// every shard walks the same number of active members this frame no matter
-/// how they cluster in the id space. A static id split degrades badly when
-/// activity is skewed (one shard owns all the busy nodes and the others
-/// idle); this keeps the per-frame work even.
-///
-/// Determinism is preserved by construction. Boundaries move only here, at
-/// the frame boundary — a node never migrates between shards mid-frame —
-/// and the ranges still partition `0..n` contiguously in shard order, so
-/// (shard-id, seq) merge order remains ascending node-id order. The
-/// shard→stream binding is positional (shard `i` always owns stream `i`,
-/// and exactly `workers` ranges are returned, some possibly empty), so a
-/// fixed worker count replays identically however occupancy shifts.
-///
-/// `members` must be ascending with every element `< n`; when it is empty
-/// the static near-equal id split is used.
-pub fn occupancy_ranges(n: usize, workers: usize, members: &[usize]) -> Vec<Range<usize>> {
-    let w = workers.clamp(1, n.max(1));
-    if members.is_empty() {
-        return shard_ranges(n, w);
-    }
-    debug_assert!(members.windows(2).all(|p| p[0] < p[1]));
-    debug_assert!(members.last().copied().unwrap_or(0) < n);
-    let m = members.len();
-    let base = m / w;
-    let extra = m % w;
-    let mut ranges = Vec::with_capacity(w);
-    let mut start = 0usize;
-    let mut taken = 0usize;
-    for shard in 0..w {
-        let take = base + usize::from(shard < extra);
-        taken += take;
-        let end = if shard + 1 == w {
-            // The last shard absorbs the id-space tail past the last member.
-            n
-        } else if take == 0 {
-            start
-        } else {
-            members[taken - 1] + 1
-        };
-        ranges.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, n);
-    ranges
-}
-
-/// One shard's exclusive view of the world for the duration of a walk: its
-/// contiguous slice of the node table, the matching slice of the GUPA cell
-/// table, and its own RNG stream.
-pub(crate) struct Shard<'a> {
-    /// Shard id (position in the range list; also the stream id).
-    pub index: usize,
-    /// Node id of `nodes[0]` / `cells[0]`.
-    pub start: usize,
-    /// The shard's nodes.
-    pub nodes: &'a mut [NodeLocal],
-    /// The shard's GUPA cells, index-aligned with `nodes`.
-    pub cells: &'a mut [GupaCell],
-    /// The shard's stream: shard `i` always draws from stream `i`.
-    pub rng: &'a mut DetRng,
-}
-
 /// Digests the upload calls one node produced into its GUPA cell; returns
 /// how many counted as uploads.
 fn digest(
@@ -458,73 +368,37 @@ fn digest(
         .sum()
 }
 
-impl Shard<'_> {
-    /// The slot-frame body: for each of this shard's active `members`
-    /// (ascending node ids), catch-up replay to the previous tick, the slot
-    /// body, and digestion of every upload either produced — replay calls
-    /// first, then the tick's own drain, the order the eager walk uses.
-    /// Returns the members' effects in node order and the upload count.
-    pub fn tick(
-        self,
-        config: &GridConfig,
-        gupa: LupaConfig,
-        members: &[usize],
-        now: SimTime,
-        slot: u64,
-    ) -> (Vec<NodeTickEffects>, u64) {
-        let mut digested = 0;
-        let mut out = Vec::with_capacity(members.len());
-        for &id in members {
-            let node = &mut self.nodes[id - self.start];
-            let replayed = replay_node_local(config, node, self.rng, slot - 1);
-            let mut effects = tick_node_local(config, node, self.rng, id, now, slot);
+/// The node-local half of one lazy slot frame: for each active member
+/// (ascending node ids) the catch-up replay to the previous tick, the slot
+/// body, and digestion of every upload either produced into the member's
+/// cell — replay calls first, then the tick's own drain, the order the
+/// eager walk uses. Every jitter draw comes from `rng` in that order.
+/// `cells` is index-aligned with `nodes`. Returns the members' effects in
+/// node order and the upload count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tick_members(
+    config: &GridConfig,
+    gupa: LupaConfig,
+    nodes: &mut [NodeLocal],
+    cells: &mut [GupaCell],
+    rng: &mut DetRng,
+    members: &[usize],
+    now: SimTime,
+    slot: u64,
+) -> (Vec<NodeTickEffects>, u64) {
+    let mut digested = 0;
+    let effects = members
+        .iter()
+        .map(|&id| {
+            let node = &mut nodes[id];
+            let replayed = replay_node_local(config, node, rng, slot - 1);
+            let mut effects = tick_node_local(config, node, rng, id, now, slot);
             let ticked = std::mem::take(&mut effects.tick_upload);
-            let cell = &mut self.cells[id - self.start];
-            digested += digest(cell, gupa, replayed.into_iter().chain([ticked]));
-            out.push(effects);
-        }
-        (out, digested)
-    }
-}
-
-/// Runs `body` once per shard and returns the results in shard order — the
-/// lazy walk's slot frame (`GridWorld::lazy_slot_walk`); the report flush
-/// has its own executor, [`Flush`].
-///
-/// `nodes`, `cells` (index-aligned with `nodes`) and `rngs` are split once
-/// along `ranges` — which must partition `0..nodes.len()` contiguously in
-/// order, with at most one range per stream — so each body gets exclusive
-/// `&mut` access to its shard and nothing else. One worker per shard
-/// ([`scoped_map`]): shards `1..` run on scoped threads and shard 0 *on the
-/// calling thread*, which would otherwise sit blocked until the workers
-/// join — so a single-shard walk never creates a thread. A panicking body,
-/// on whichever thread, unwinds out of this call with its original payload.
-pub(crate) fn for_each_shard<R: Send>(
-    ranges: &[Range<usize>],
-    mut nodes: &mut [NodeLocal],
-    mut cells: &mut [GupaCell],
-    rngs: &mut [DetRng],
-    body: impl Fn(Shard<'_>) -> R + Sync,
-) -> Vec<R> {
-    debug_assert!(cells.len() >= nodes.len());
-    debug_assert_eq!(ranges.last().map_or(0, |r| r.end), nodes.len());
-    assert!(ranges.len() <= rngs.len(), "one stream per shard");
-    let mut shards = Vec::with_capacity(ranges.len());
-    for ((index, range), rng) in ranges.iter().enumerate().zip(rngs) {
-        let (shard_nodes, rest) = nodes.split_at_mut(range.len());
-        nodes = rest;
-        let (shard_cells, rest) = cells.split_at_mut(range.len());
-        cells = rest;
-        shards.push(Shard {
-            index,
-            start: range.start,
-            nodes: shard_nodes,
-            cells: shard_cells,
-            rng,
-        });
-    }
-    let workers = shards.len();
-    scoped_map(shards, workers, body)
+            digested += digest(&mut cells[id], gupa, replayed.into_iter().chain([ticked]));
+            effects
+        })
+        .collect();
+    (effects, digested)
 }
 
 /// The fewest deferred node-slots (nodes × ticks still to replay) one
@@ -538,24 +412,23 @@ pub(crate) const FLUSH_CHUNK_SLOTS: u64 = 1 << 18;
 /// uploads digested — cut so that chunks of nodes run side by side and
 /// still draw exactly the jitter the serial walk draws.
 ///
-/// The serial walk takes each shard's node range ([`shard_ranges`]) in node
-/// order, drawing every node's jitter from that shard's stream. A node's
-/// draw count is known before its replay ([`replay_draws`]), so each range
-/// is cut into contiguous chunks, and each chunk gets a copy of the range's
-/// stream advanced past the draws of the nodes before it
-/// ([`DetRng::skip_u64`], O(log n)); the stream itself ends advanced past
-/// the whole range. A chunk writes only its own nodes and GUPA cells, so
-/// whatever the worker count and whichever chunk finishes first, the flush
-/// leaves the state — nodes, cells, streams, upload count — the serial walk
-/// leaves.
+/// The serial walk takes the nodes in order, drawing every node's jitter
+/// from the grid's one stream. A node's draw count is known before its
+/// replay ([`replay_draws`]), so the node table is cut into contiguous
+/// chunks, and each chunk gets a copy of the stream advanced past the draws
+/// of the nodes before it ([`DetRng::skip_u64`], O(log n)); the stream
+/// itself ends advanced past every node. A chunk writes only its own nodes
+/// and GUPA cells, so whatever the worker count and whichever chunk
+/// finishes first, the flush leaves the state — nodes, cells, stream,
+/// upload count — the serial walk leaves.
 pub(crate) struct Flush<'a> {
     chunks: Vec<FlushChunk<'a>>,
     /// Less than one chunk of work in all: run on the calling thread.
     inline: bool,
 }
 
-/// One contiguous run of a shard's nodes, the matching GUPA cells, and the
-/// shard's stream where the serial walk reaches `nodes[0]`.
+/// One contiguous run of nodes, the matching GUPA cells, and the jitter
+/// stream where the serial walk reaches `nodes[0]`.
 pub(crate) struct FlushChunk<'a> {
     nodes: &'a mut [NodeLocal],
     cells: &'a mut [GupaCell],
@@ -563,44 +436,40 @@ pub(crate) struct FlushChunk<'a> {
 }
 
 impl<'a> Flush<'a> {
-    /// Cuts the flush to tick `target`: each of `rngs`' node ranges into
-    /// chunks of at least `chunk_slots` deferred node-slots (the last of a
-    /// range may hold fewer), each stream advanced past its range's draws.
-    /// `cells` is index-aligned with `nodes`. `chunk_slots` is
-    /// [`FLUSH_CHUNK_SLOTS`] except in tests, which cut small worlds finer.
+    /// Cuts the flush to tick `target` into chunks of at least
+    /// `chunk_slots` deferred node-slots (the last may hold fewer), and
+    /// advances `rng` past every chunk's draws. `cells` is index-aligned
+    /// with `nodes`. `chunk_slots` is [`FLUSH_CHUNK_SLOTS`] except in
+    /// tests, which cut small worlds finer.
     pub fn cut(
         config: &GridConfig,
         mut nodes: &'a mut [NodeLocal],
         mut cells: &'a mut [GupaCell],
-        rngs: &mut [DetRng],
+        rng: &mut DetRng,
         target: u64,
         chunk_slots: u64,
     ) -> Self {
         debug_assert!(cells.len() >= nodes.len());
         let mut chunks = Vec::new();
         let mut total = 0;
-        for (range, rng) in shard_ranges(nodes.len(), rngs.len()).iter().zip(rngs) {
-            let mut left = range.len();
-            while left > 0 {
-                let (mut len, mut slots, mut draws) = (0, 0, 0);
-                while len < left && slots < chunk_slots {
-                    slots += target.saturating_sub(nodes[len].ticks_applied);
-                    draws += replay_draws(config, &nodes[len], target);
-                    len += 1;
-                }
-                let (chunk_nodes, rest) = std::mem::take(&mut nodes).split_at_mut(len);
-                nodes = rest;
-                let (chunk_cells, rest) = std::mem::take(&mut cells).split_at_mut(len);
-                cells = rest;
-                chunks.push(FlushChunk {
-                    nodes: chunk_nodes,
-                    cells: chunk_cells,
-                    rng: rng.clone(),
-                });
-                rng.skip_u64(draws);
-                left -= len;
-                total += slots;
+        while !nodes.is_empty() {
+            let (mut len, mut slots, mut draws) = (0, 0, 0);
+            while len < nodes.len() && slots < chunk_slots {
+                slots += target.saturating_sub(nodes[len].ticks_applied);
+                draws += replay_draws(config, &nodes[len], target);
+                len += 1;
             }
+            let (chunk_nodes, rest) = std::mem::take(&mut nodes).split_at_mut(len);
+            nodes = rest;
+            let (chunk_cells, rest) = std::mem::take(&mut cells).split_at_mut(len);
+            cells = rest;
+            chunks.push(FlushChunk {
+                nodes: chunk_nodes,
+                cells: chunk_cells,
+                rng: rng.clone(),
+            });
+            rng.skip_u64(draws);
+            total += slots;
         }
         Flush {
             chunks,
@@ -747,96 +616,44 @@ mod tests {
         assert_eq!(rng, before);
     }
 
-    /// An idle `n`-node world with `workers` shard streams.
-    fn world(n: usize, workers: u64) -> (Vec<NodeLocal>, Vec<GupaCell>, Vec<DetRng>) {
+    /// An idle `n`-node world and a jitter stream.
+    fn world(n: usize) -> (Vec<NodeLocal>, Vec<GupaCell>, DetRng) {
         (
             (0..n).map(|_| node(Trace::default())).collect(),
             (0..n).map(|_| GupaCell::default()).collect(),
-            (0..workers).map(|i| DetRng::for_shard(9, i)).collect(),
+            DetRng::new(9),
         )
     }
 
-    /// A 7-node world cut into `workers` shards; each body reports where it
-    /// ran and what it was handed.
-    fn walk(workers: usize) -> Vec<(usize, usize, usize, std::thread::ThreadId)> {
-        let (mut nodes, mut cells, mut rngs) = world(7, workers as u64);
-        let ranges = shard_ranges(nodes.len(), workers);
-        for_each_shard(&ranges, &mut nodes, &mut cells, &mut rngs, |shard| {
-            assert_eq!(shard.nodes.len(), shard.cells.len());
-            assert_eq!(*shard.rng, DetRng::for_shard(9, shard.index as u64));
-            (
-                shard.index,
-                shard.start,
-                shard.nodes.len(),
-                std::thread::current().id(),
-            )
-        })
-    }
-
-    #[test]
-    fn shard_zero_runs_on_the_caller_and_results_come_back_in_shard_order() {
-        let caller = std::thread::current().id();
-        for workers in [1, 3] {
-            let results = walk(workers);
-            let shape: Vec<_> = results.iter().map(|&(i, s, n, _)| (i, s, n)).collect();
-            match workers {
-                1 => assert_eq!(shape, [(0, 0, 7)]),
-                _ => assert_eq!(shape, [(0, 0, 3), (1, 3, 2), (2, 5, 2)]),
-            }
-            assert_eq!(results[0].3, caller, "shard 0 is inline");
-            for (_, _, _, thread) in &results[1..] {
-                assert_ne!(*thread, caller, "shards 1.. are spawned");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard 2 lost its footing")]
-    fn a_worker_panic_propagates_with_its_own_message() {
-        let (mut nodes, mut cells, mut rngs) = world(3, 3);
-        let ranges = shard_ranges(3, 3);
-        for_each_shard(&ranges, &mut nodes, &mut cells, &mut rngs, |shard| {
-            assert!(shard.index != 2, "shard {} lost its footing", shard.index);
-        });
-    }
-
-    /// The serial flush [`Flush`] replaced, kept as its oracle: each
-    /// shard's range in node order, every node drawing from its shard's
-    /// stream.
+    /// The serial flush [`Flush`] replaced, kept as its oracle: every node
+    /// in order, each drawing from the one stream.
     fn serial_flush(
         config: &GridConfig,
         nodes: &mut [NodeLocal],
         cells: &mut [GupaCell],
-        rngs: &mut [DetRng],
+        rng: &mut DetRng,
         target: u64,
     ) -> u64 {
         let gupa = LupaConfig::default();
-        let mut digested = 0;
-        for (range, rng) in shard_ranges(nodes.len(), rngs.len()).into_iter().zip(rngs) {
-            for id in range {
-                let calls = replay_node_local(config, &mut nodes[id], rng, target);
-                digested += digest(&mut cells[id], gupa, calls);
-            }
-        }
-        digested
+        nodes
+            .iter_mut()
+            .zip(cells)
+            .map(|(node, cell)| digest(cell, gupa, replay_node_local(config, node, rng, target)))
+            .sum()
     }
 
     /// A world about to be flushed to its returned target tick (6–9 days
     /// in): a mix of traced nodes, each with a history of its own length,
     /// and untraced ones, each already at its own tick with the uploads
     /// that got it there digested — node 0 at tick 0, about a quarter at
-    /// the target, as `catch_up_node` leaves them — and `shards` streams,
-    /// each partly drawn.
-    fn flush_world(
-        config: &GridConfig,
-        seed: u64,
-        shards: u64,
-    ) -> (Vec<NodeLocal>, Vec<GupaCell>, Vec<DetRng>, u64) {
+    /// the target, as `catch_up_node` leaves them — and a partly drawn
+    /// stream.
+    fn flush_world(config: &GridConfig, seed: u64) -> (Vec<NodeLocal>, Vec<GupaCell>, DetRng, u64) {
         let mut gen = DetRng::new(seed);
         let target = 6 * 288 + gen.uniform_range(0, 3 * 288);
         let mut setup = DetRng::new(!seed);
         let (mut nodes, mut cells) = (Vec::new(), Vec::new());
-        for id in 0..4 + gen.index(16) {
+        for id in 0..4 + gen.index(48) {
             let trace: Vec<UsageSample> = match gen.bernoulli(0.5) {
                 true => (0..1 + gen.index(700))
                     .map(|_| UsageSample::new(gen.uniform_f64(), gen.uniform_f64(), 0.0, 0.0))
@@ -855,47 +672,40 @@ mod tests {
             nodes.push(local);
             cells.push(cell);
         }
-        let rngs = (0..shards)
-            .map(|i| {
-                let mut rng = DetRng::for_shard(seed, i);
-                rng.skip_u64(gen.uniform_range(0, 1_000));
-                rng
-            })
-            .collect();
-        (nodes, cells, rngs, target)
+        let mut rng = DetRng::with_stream(seed, integrade_simnet::rng::streams::LUPA_JITTER);
+        rng.skip_u64(gen.uniform_range(0, 1_000));
+        (nodes, cells, rng, target)
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(8))]
 
         /// The chunked flush against the serial one at 1, 2, 3 and 8
-        /// workers, 1 and 3 shard streams, noise off and on, and chunk
-        /// sizes from one node-slot to the production size: equal LUPA
-        /// windows, QoS ledgers, tick cursors, GUPA cells, upload counts
-        /// and final stream positions.
+        /// workers, noise off and on, and chunk sizes from one node-slot to
+        /// the production size: equal LUPA windows, QoS ledgers, tick
+        /// cursors, GUPA cells, upload counts and final stream positions.
         #[test]
         fn chunked_flush_matches_the_serial_flush(seed in proptest::arbitrary::any::<u64>()) {
             for salt in crate::par::chaos_salts() {
                 let seed = seed ^ salt;
                 let sizes = [1, 97, 1_000, 5_000, FLUSH_CHUNK_SLOTS];
                 let chunk_slots = sizes[DetRng::new(seed).index(sizes.len())];
-                for (noise, shards) in [(0.0, 1), (0.0, 3), (0.05, 1), (0.05, 3)] {
+                for noise in [0.0, 0.05] {
                     let config = &config(noise);
-                    let (mut nodes, mut cells, mut rngs, target) = flush_world(config, seed, shards);
-                    let uploads = serial_flush(config, &mut nodes, &mut cells, &mut rngs, target);
+                    let (mut nodes, mut cells, mut rng, target) = flush_world(config, seed);
+                    let uploads = serial_flush(config, &mut nodes, &mut cells, &mut rng, target);
                     proptest::prop_assert!(uploads > 0, "node 0 crosses a midnight");
                     for workers in [1, 2, 3, 8] {
                         let case = format!(
-                            "seed {seed:#x}, noise {noise}, {shards} shards, \
-                             {workers} workers, chunks of {chunk_slots}"
+                            "seed {seed:#x}, noise {noise}, {workers} workers, chunks of {chunk_slots}"
                         );
-                        let (mut n, mut c, mut r, _) = flush_world(config, seed, shards);
+                        let (mut n, mut c, mut r, _) = flush_world(config, seed);
                         let chunked: u64 = Flush::cut(config, &mut n, &mut c, &mut r, target, chunk_slots)
                             .run(workers, |chunk| chunk.replay(config, LupaConfig::default(), target))
                             .into_iter()
                             .sum();
                         proptest::prop_assert_eq!(chunked, uploads, "{}", case);
-                        proptest::prop_assert_eq!(&r, &rngs, "{}", case);
+                        proptest::prop_assert_eq!(&r, &rng, "{}", case);
                         proptest::prop_assert!(c == cells, "{}: GUPA cells diverged", case);
                         for (id, (a, b)) in n.iter().zip(&nodes).enumerate() {
                             proptest::prop_assert_eq!(a.ticks_applied, b.ticks_applied, "{} node {}", case, id);
@@ -917,13 +727,13 @@ mod tests {
         let caller = std::thread::current().id();
         let config = &config(0.05);
         for (chunk_slots, inline) in [(FLUSH_CHUNK_SLOTS, true), (1, false)] {
-            let (mut nodes, mut cells, mut rngs) = world(7, 3);
-            let threads = Flush::cut(config, &mut nodes, &mut cells, &mut rngs, 300, chunk_slots)
+            let (mut nodes, mut cells, mut rng) = world(7);
+            let threads = Flush::cut(config, &mut nodes, &mut cells, &mut rng, 300, chunk_slots)
                 .run(8, |chunk| {
                     chunk.replay(config, LupaConfig::default(), 300);
                     std::thread::current().id()
                 });
-            assert_eq!(threads.len(), if inline { 3 } else { 7 });
+            assert_eq!(threads.len(), if inline { 1 } else { 7 });
             assert_eq!(threads.iter().all(|t| *t == caller), inline);
         }
     }

@@ -13,9 +13,9 @@
 //! A registry has one writer at a time: the thread that currently owns the
 //! grid (or federation) holding it. A federation advances its member grids
 //! on worker threads, so a grid — and with it its handles — moves between
-//! threads, but never is updated from two at once; the sharded slot walk's
-//! workers touch no handle at all and return effects for the coordinator
-//! to apply. Updates are therefore relaxed atomic `load` + `store` pairs,
+//! threads, but never is updated from two at once; the report flush's
+//! chunk workers touch no handle at all and return upload counts for the
+//! coordinator to add. Updates are therefore relaxed atomic `load` + `store` pairs,
 //! not read-modify-writes: they cost what a `Cell` costs, and the handles
 //! are `Send` so a grid can cross threads. Two threads updating one handle
 //! concurrently would lose increments; nothing in the workspace does that.

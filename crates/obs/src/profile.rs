@@ -37,23 +37,24 @@ pub enum Phase {
     GiopEncode,
     /// GIOP/CDR decode of incoming wire frames.
     GiopDecode,
-    /// The parallel node-local compute: in sharded mode the per-shard node
-    /// walk of a slot frame, and at any width the report flush's chunks
-    /// (replay and digestion of every deferred node, on every core).
+    /// The node-local compute: a lazy slot frame's walk over its active
+    /// members, and the report flush's chunks (replay and digestion of
+    /// every deferred node, on every core).
     ShardWalk,
-    /// The serial fold after [`Phase::ShardWalk`]: a slot frame's merge of
-    /// per-shard outboxes — the stall the parallel walk pays for
-    /// determinism — or the report flush's sum of per-chunk upload counts.
+    /// The fold after [`Phase::ShardWalk`]: applying a slot frame's
+    /// effects in node order, or the report flush's sum of per-chunk upload
+    /// counts.
     ShardMerge,
     /// GUPA upload digestion: appending completed day-periods to a node's
     /// history and (once enough history exists) retraining its LUPA model.
-    /// In sharded slot frames and in the report flush the digestion runs
-    /// on the workers and lands inside [`Phase::ShardWalk`]; this phase
-    /// times the single-threaded digestion paths (eager walks,
-    /// wire-triggered catch-up).
+    /// In lazy slot frames and in the report flush the digestion lands
+    /// inside [`Phase::ShardWalk`]; this phase times the other digestion
+    /// paths (the reference walk, single-node catch-up).
     GupaDigest,
-    /// Sharded mode: computing the frame's occupancy-balanced shard ranges
-    /// from the active set before the workers launch.
+    /// Entered by nothing: the slot walk is no longer cut into shards, so
+    /// there are no shard ranges to rebalance. The variant stays because
+    /// per-layer metric lists generated from [`Phase::ALL`] publish its
+    /// name; it always reports zero.
     ShardRebalance,
 }
 

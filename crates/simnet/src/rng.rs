@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// Every independent stochastic process in the workspace draws from its own
 /// [`Pcg32`] stream so adding draws to one process never perturbs another.
-/// The ids live here, in one place, so the per-shard family can be *proven*
-/// disjoint from every global stream (see `shard` and the property tests).
+/// The ids live here, in one place, so they can be *proven* pairwise
+/// disjoint (see the tests).
 ///
 /// Two streams collide iff their PCG increments collide; the increment is
 /// `(stream << 1) | 1`, so ids are distinct whenever their low 63 bits are.
@@ -34,27 +34,14 @@ pub mod streams {
     /// member grids' streams so a federation run never perturbs any member
     /// cluster's own deterministic draws.
     pub const FED: u64 = 0x4645_4445;
-    /// Base of the per-shard stream family (`b"SHRD"` shifted clear of the
-    /// global ids). Shard `i` owns stream `SHARD_BASE | i`.
-    pub const SHARD_BASE: u64 = 0x5348_5244_0000_0000;
-    /// Shard indices the family reserves ids for.
-    pub const MAX_SHARDS: u64 = 64;
-    /// Every global (non-shard) stream id, for disjointness checks.
-    pub const GLOBALS: [u64; 4] = [GRID_WORLD, RETRY, DEFAULT, FED];
-
-    /// The stream id owned by shard `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= MAX_SHARDS` — the family only reserves ids for
-    /// 64 shards, and silently colliding beyond that would be worse.
-    pub fn shard(index: u64) -> u64 {
-        assert!(
-            index < MAX_SHARDS,
-            "shard stream family covers indices 0..{MAX_SHARDS}, got {index}"
-        );
-        SHARD_BASE | index
-    }
+    /// A grid's LUPA measurement jitter (`b"SHRD"` in the high half): every
+    /// jittered owner sample, in the slot walk, in catch-up replay and in the
+    /// report flush, draws from this one stream. The id is the one the slot
+    /// walk's first shard owned when the walk could be cut into several, so
+    /// jittered runs replay exactly as they did then.
+    pub const LUPA_JITTER: u64 = 0x5348_5244_0000_0000;
+    /// Every stream id above, for disjointness checks.
+    pub const ALL: [u64; 5] = [GRID_WORLD, RETRY, DEFAULT, FED, LUPA_JITTER];
 }
 
 /// SplitMix64 generator (Steele, Lea, Flood 2014). Primarily a seed expander.
@@ -191,21 +178,6 @@ impl DetRng {
         DetRng::with_stream(seed, tag | 1)
     }
 
-    /// The deterministic per-shard generator for a sharded tick engine.
-    ///
-    /// Derived from `(seed, shard)` alone — no global generator is consumed
-    /// — so a shard replayed in isolation reproduces exactly the draws it
-    /// made inside a full run, and the streams of distinct shards (and the
-    /// global [`streams`]) never collide for any shard count up to
-    /// [`streams::MAX_SHARDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard >= streams::MAX_SHARDS`.
-    pub fn for_shard(seed: u64, shard: u64) -> DetRng {
-        DetRng::with_stream(seed, streams::shard(shard))
-    }
-
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.pcg.next_u64()
@@ -259,8 +231,8 @@ impl DetRng {
     }
 
     /// Returns a uniform jitter in `[-amplitude, amplitude]` — the
-    /// symmetric perturbation per-slot measurement noise draws from a
-    /// shard-local stream. Exactly one `next_u64` is consumed per call, so
+    /// symmetric perturbation per-slot measurement noise draws from
+    /// [`streams::LUPA_JITTER`]. Exactly one `next_u64` is consumed per call, so
     /// stream advancement is independent of the amplitude.
     ///
     /// # Panics
@@ -534,72 +506,26 @@ mod tests {
         (stream << 1) | 1
     }
 
-    #[test]
-    fn shard_stream_family_is_disjoint_from_globals() {
-        for shard in 0..streams::MAX_SHARDS {
-            let id = streams::shard(shard);
-            for global in streams::GLOBALS {
-                assert_ne!(
-                    effective_inc(id),
-                    effective_inc(global),
-                    "shard {shard} collides with global stream {global:#x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard stream family")]
-    fn shard_index_beyond_family_panics() {
-        let _ = streams::shard(streams::MAX_SHARDS);
-    }
-
     proptest::proptest! {
-        /// For any seed and any shard count up to the family maximum, the
-        /// per-shard streams are pairwise distinct, distinct from every
-        /// global stream, and their generators produce effectively
-        /// independent sequences.
+        /// The registered streams are pairwise distinct and, for any seed,
+        /// their generators produce effectively independent sequences.
         #[test]
-        fn prop_shard_streams_never_collide(
+        fn prop_registered_streams_never_collide(
             seed in proptest::prelude::any::<u64>(),
-            shards in 1u64..=streams::MAX_SHARDS,
         ) {
-            let mut incs: Vec<u64> = (0..shards)
-                .map(|s| effective_inc(streams::shard(s)))
-                .collect();
-            incs.extend(streams::GLOBALS.map(effective_inc));
-            let mut sorted = incs.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            proptest::prop_assert_eq!(sorted.len(), incs.len(), "stream id collision");
-
-            // Adjacent shard generators must not track each other.
-            if shards >= 2 {
-                let mut a = DetRng::for_shard(seed, 0);
-                let mut b = DetRng::for_shard(seed, 1);
-                let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-                proptest::prop_assert!(same < 4, "shard streams track each other");
+            let mut incs = streams::ALL.map(effective_inc);
+            incs.sort_unstable();
+            proptest::prop_assert!(
+                incs.windows(2).all(|pair| pair[0] != pair[1]),
+                "stream id collision"
+            );
+            for (i, &a) in streams::ALL.iter().enumerate() {
+                for &b in &streams::ALL[i + 1..] {
+                    let (mut x, mut y) = (DetRng::with_stream(seed, a), DetRng::with_stream(seed, b));
+                    let same = (0..64).filter(|_| x.next_u64() == y.next_u64()).count();
+                    proptest::prop_assert!(same < 4, "streams {:#x} and {:#x} track each other", a, b);
+                }
             }
-            // Nor must a shard generator track the global world stream.
-            let mut shard0 = DetRng::for_shard(seed, 0);
-            let mut world = DetRng::with_stream(seed, streams::GRID_WORLD);
-            let same = (0..64).filter(|_| shard0.next_u64() == world.next_u64()).count();
-            proptest::prop_assert!(same < 4, "shard stream tracks the world stream");
-        }
-
-        /// Replaying a shard in isolation reproduces exactly the draws it
-        /// made inside a full run: derivation depends on (seed, shard) only.
-        #[test]
-        fn prop_shard_replay_reproduces_draws(
-            seed in proptest::prelude::any::<u64>(),
-            shard in 0u64..streams::MAX_SHARDS,
-            draws in 1usize..256,
-        ) {
-            let mut live = DetRng::for_shard(seed, shard);
-            let recorded: Vec<u64> = (0..draws).map(|_| live.next_u64()).collect();
-            let mut replay = DetRng::for_shard(seed, shard);
-            let replayed: Vec<u64> = (0..draws).map(|_| replay.next_u64()).collect();
-            proptest::prop_assert_eq!(recorded, replayed);
         }
 
         /// A skip of `n` lands where `n` draws do, on any seed and stream.

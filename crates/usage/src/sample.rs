@@ -71,7 +71,7 @@ impl UsageSample {
     /// window models sensor noise without ever leaving the valid sample
     /// space. Disk and network pass through unchanged: the idle predictor's
     /// load blend is CPU/memory-dominated, and two draws per slot keep the
-    /// per-shard stream advancement cheap and fixed.
+    /// jitter stream's advancement cheap and fixed.
     pub fn with_jitter(self, cpu_delta: f64, mem_delta: f64) -> Self {
         UsageSample::new(
             self.cpu + cpu_delta,

@@ -1,7 +1,7 @@
 //! Federation determinism and chaos: the wide-area layer must inherit the
 //! simulator's bit-for-bit reproducibility — identical seeds give identical
-//! federated placements, WAN traffic, and per-cluster reports across tick
-//! widths (one inline shard vs four shards on worker threads) — and its
+//! federated placements, WAN traffic, and per-cluster reports under both
+//! tick engines (the lazy walk and the reference walk) — and its
 //! fault tolerance: an inter-cluster partition combined with an origin-GRM
 //! crash must not lose forwarded jobs or their completion records.
 //!
@@ -29,9 +29,6 @@ fn chaos_seeds() -> Vec<u64> {
         Err(_) => vec![1, 2, 3],
     }
 }
-
-/// The default engine: the lazy walk on one shard, run inline.
-const ONE_SHARD: TickMode = TickMode::Sharded { workers: 1 };
 
 fn grid_of(mode: TickMode, seed: u64, n: usize, mips: u64) -> Grid {
     let config = GridConfig::builder()
@@ -107,7 +104,7 @@ fn drive(fed: &mut Federation) -> (Vec<FederatedPlacement>, WanStats, Vec<String
 #[test]
 fn federated_placement_is_identical_across_tick_modes() {
     for seed in chaos_seeds() {
-        let runs: Vec<_> = [ONE_SHARD, TickMode::Sharded { workers: 4 }]
+        let runs: Vec<_> = [TickMode::Lazy, TickMode::Reference]
             .into_iter()
             .map(|mode| {
                 let mut fed = federation(mode, seed, RoutingPolicy::LinkedTraders);
@@ -140,8 +137,8 @@ fn federation_reproduces_itself_bit_for_bit() {
             RoutingPolicy::FlatDirectory,
             RoutingPolicy::HierarchySummaries,
         ] {
-            let mut a = federation(ONE_SHARD, seed, routing);
-            let mut b = federation(ONE_SHARD, seed, routing);
+            let mut a = federation(TickMode::Lazy, seed, routing);
+            let mut b = federation(TickMode::Lazy, seed, routing);
             let run_a = drive(&mut a);
             let run_b = drive(&mut b);
             assert_eq!(run_a.0, run_b.0, "seed {seed} {routing:?}: placements");
@@ -160,7 +157,7 @@ fn routing_policies_agree_on_the_workload() {
         RoutingPolicy::FlatDirectory,
         RoutingPolicy::HierarchySummaries,
     ] {
-        let mut fed = federation(ONE_SHARD, 11, routing);
+        let mut fed = federation(TickMode::Lazy, 11, routing);
         let (placements, _, _) = drive(&mut fed);
         assert_eq!(placements.len(), 4, "{routing:?}");
         for p in &placements {
@@ -187,16 +184,16 @@ fn partition_plus_origin_crash_does_not_lose_forwarded_jobs() {
                 start: SimTime::from_secs(130),
                 heal: SimTime::from_secs(1600),
             }))
-            .root(ClusterId(0), grid_of(ONE_SHARD, seed, 2, 500))
+            .root(ClusterId(0), grid_of(TickMode::Lazy, seed, 2, 500))
             .child(
                 ClusterId(1),
                 ClusterId(0),
-                grid_of(ONE_SHARD, seed ^ 1, 4, 500),
+                grid_of(TickMode::Lazy, seed ^ 1, 4, 500),
             )
             .child(
                 ClusterId(2),
                 ClusterId(0),
-                grid_of(ONE_SHARD, seed ^ 2, 6, 1500),
+                grid_of(TickMode::Lazy, seed ^ 2, 6, 1500),
             )
             .build()
             .unwrap();
@@ -248,8 +245,12 @@ fn partition_makes_spillover_targets_unreachable() {
             start: SimTime::ZERO,
             heal: SimTime::from_secs(10_000),
         }))
-        .root(ClusterId(0), grid_of(ONE_SHARD, 5, 2, 500))
-        .child(ClusterId(1), ClusterId(0), grid_of(ONE_SHARD, 6, 8, 500))
+        .root(ClusterId(0), grid_of(TickMode::Lazy, 5, 2, 500))
+        .child(
+            ClusterId(1),
+            ClusterId(0),
+            grid_of(TickMode::Lazy, 6, 8, 500),
+        )
         .build()
         .unwrap();
     fed.run_until(SimTime::from_secs(120));

@@ -183,9 +183,9 @@ fn uniform_derate_triggers_no_speculation() {
     );
 }
 
-/// Gray-failure handling must behave identically under the lazy walk at
-/// every shard width — the detector reads GRM state in the single-threaded
-/// phase, so the log stream must match the reference walk exactly.
+/// Gray-failure handling must behave identically under the lazy walk — the
+/// detector reads GRM state between slot frames, so the log stream must
+/// match the reference walk exactly.
 #[test]
 fn speculation_is_identical_across_tick_modes() {
     let run = |mode: TickMode| {
@@ -211,8 +211,6 @@ fn speculation_is_identical_across_tick_modes() {
         )
     };
     let reference = run(TickMode::Reference);
-    for workers in [1usize, 2, 4, 8] {
-        assert_eq!(run(TickMode::Sharded { workers }), reference);
-    }
+    assert_eq!(run(TickMode::Lazy), reference);
     assert!(reference.2 >= 1, "the scenario must exercise a win");
 }

@@ -1,18 +1,17 @@
-//! Tick-engine parity: the lazy slot walk (`TickMode::Sharded`) at shard
-//! widths 1, 2, 4 and 8 — the inline single shard and the threaded frames —
-//! must be *observably identical* to the exhaustive per-node reference walk
+//! Tick-engine parity: the lazy slot walk (`TickMode::Lazy`) must be
+//! *observably identical* to the exhaustive per-node reference walk
 //! (`TickMode::Reference`) it replaced — same event logs, same completions
 //! and makespans, same network traffic, same update-protocol counters, same
 //! merged owner-QoS ledger — across seeds, owner-trace mixes,
 //! delta-suppression settings and injected faults.
 //!
 //! The reference walk is kept in the tree exactly so this oracle exists; a
-//! divergence here means the lazy catch-up, timer parking or the
-//! frame-boundary merge broke semantics, not just performance. One further
-//! contract gets dedicated tests: a fixed worker count reproduces itself
-//! exactly run over run (the determinism contract only pins a *fixed* `W`),
-//! and with noise on the learned GUPA histories are pinned by hash at
-//! W = 1, 2 and 3, so a flush that draws its jitter in another order fails.
+//! divergence here means the lazy catch-up, timer parking or the frame's
+//! effect order broke semantics, not just performance. The LUPA
+//! measurement jitter gets dedicated tests: a noisy run reproduces itself
+//! exactly, the jitter moves the learned histories and nothing else, and
+//! the histories of a flush-heavy noisy grid are pinned by hash, so a flush
+//! that draws its jitter in another order fails.
 //!
 //! The seed matrix defaults to a small set for `cargo test`; CI widens it
 //! via the `CHAOS_SEEDS` environment variable (comma-separated u64s).
@@ -175,7 +174,7 @@ fn assert_execution_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
 /// lazy catch-up replay writes, so comparing them checks the replay kernel
 /// against the eager walk itself, not just against what execution shows of
 /// it. Holds whenever both grids drew the same measurement jitter — always
-/// with noise off, and at equal worker counts with it on.
+/// with noise off, and for two runs of one engine with it on.
 fn assert_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
     assert_execution_parity(fast, reference, ctx);
     for n in 0..fast.node_count() as u32 {
@@ -193,11 +192,11 @@ fn assert_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
     }
 }
 
-/// The default engine (`GridConfig::default()`'s one inline shard, set by
-/// nobody) against the reference walk.
+/// The default engine (`GridConfig::default()`'s lazy walk, set by nobody)
+/// against the reference walk.
 fn check_parity(seed: u64, nodes: usize, traced: usize, delta: bool, drop_pct: f64, crash: bool) {
     let default_mode = GridConfig::default().tick_mode;
-    assert_eq!(default_mode, TickMode::Sharded { workers: 1 });
+    assert_eq!(default_mode, TickMode::Lazy);
     let mut fast = build_grid(default_mode, seed, nodes, traced, delta);
     let mut reference = build_grid(TickMode::Reference, seed, nodes, traced, delta);
     run_scenario(&mut fast, seed, drop_pct, crash);
@@ -209,62 +208,10 @@ fn check_parity(seed: u64, nodes: usize, traced: usize, delta: bool, drop_pct: f
     assert_parity(&mut fast, &mut reference, &ctx);
 }
 
-/// The shard widths every suite sweeps: the single inline shard, even
-/// splits, and more shards than fit evenly into the 8-node cluster (so
-/// trailing shards own short or empty id ranges).
-const SHARD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
 #[test]
 fn parity_across_chaos_seed_matrix_with_faults() {
     for seed in chaos_seeds() {
         check_parity(seed, 8, 3, false, 0.05, true);
-    }
-}
-
-#[test]
-fn sharded_parity_across_widths_and_chaos_seeds() {
-    // One reference oracle per seed, checked against every worker width
-    // under packet loss and a mid-run crash/restore.
-    for seed in chaos_seeds() {
-        let mut reference = build_grid(TickMode::Reference, seed, 8, 3, false);
-        run_scenario(&mut reference, seed, 0.05, true);
-        for workers in SHARD_WIDTHS {
-            let mut sharded = build_grid(TickMode::Sharded { workers }, seed, 8, 3, false);
-            run_scenario(&mut sharded, seed, 0.05, true);
-            let ctx = format!("Sharded{{{workers}}} vs Reference, seed {seed}");
-            assert_parity(&mut sharded, &mut reference, &ctx);
-        }
-    }
-}
-
-#[test]
-fn sharded_parity_with_delta_suppression_and_parked_timers() {
-    // Suppression + idle nodes parks update timers inside the sharded
-    // frame too; the merge must reconstruct the identical wake order.
-    for seed in chaos_seeds() {
-        let mut reference = build_grid(TickMode::Reference, seed, 8, 2, true);
-        run_scenario(&mut reference, seed, 0.0, false);
-        for workers in SHARD_WIDTHS {
-            let mut sharded = build_grid(TickMode::Sharded { workers }, seed, 8, 2, true);
-            run_scenario(&mut sharded, seed, 0.0, false);
-            let ctx = format!("Sharded{{{workers}}} suppression, seed {seed}");
-            assert_parity(&mut sharded, &mut reference, &ctx);
-        }
-    }
-}
-
-#[test]
-fn sharded_fixed_width_reproduces_itself() {
-    // The determinism contract pins a *fixed* worker count: the same seed
-    // and the same W must reproduce the run exactly, however the OS
-    // schedules the worker threads.
-    for workers in SHARD_WIDTHS {
-        let mut first = build_grid(TickMode::Sharded { workers }, 7, 8, 3, false);
-        let mut second = build_grid(TickMode::Sharded { workers }, 7, 8, 3, false);
-        run_scenario(&mut first, 7, 0.05, true);
-        run_scenario(&mut second, 7, 0.05, true);
-        let ctx = format!("Sharded{{{workers}}} self-reproducibility");
-        assert_parity(&mut first, &mut second, &ctx);
     }
 }
 
@@ -274,7 +221,7 @@ fn learner_state_parity_through_training_and_retraining() {
     // their models are all `None`. Here six warm-up days put every traced
     // node one upload short of the training threshold; the run crosses two
     // midnights, so each trains at the first and retrains at the second —
-    // by lazy replay in the scaled modes, slot by slot in the reference.
+    // by lazy replay in the lazy walk, slot by slot in the reference.
     let build = |mode| {
         let config = GridConfig::builder()
             .seed(5)
@@ -303,12 +250,9 @@ fn learner_state_parity_through_training_and_retraining() {
     run(&mut reference);
     assert_eq!(reference.report().gupa_models, 8, "every node trained");
     assert_eq!(reference.gupa().history_days(NodeId(0)), 8);
-    for workers in SHARD_WIDTHS {
-        let mut sharded = build(TickMode::Sharded { workers });
-        run(&mut sharded);
-        let ctx = format!("Sharded{{{workers}}}, two midnights");
-        assert_parity(&mut sharded, &mut reference, &ctx);
-    }
+    let mut lazy = build(TickMode::Lazy);
+    run(&mut lazy);
+    assert_parity(&mut lazy, &mut reference, "two midnights");
 }
 
 #[test]
@@ -325,8 +269,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Randomized scenario shapes: any mix of traced nodes, suppression,
-    /// loss and a mid-run crash must leave a sampled shard width and the
-    /// reference walk indistinguishable.
+    /// loss and a mid-run crash must leave the lazy walk and the reference
+    /// walk indistinguishable.
     #[test]
     fn parity_is_seed_and_shape_independent(
         seed in 1u64..1_000_000,
@@ -335,7 +279,6 @@ proptest! {
         delta in any::<bool>(),
         drop in prop_oneof![Just(0.0), Just(0.05), Just(0.15)],
         crash in any::<bool>(),
-        workers in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
     ) {
         let traced = nodes * traced_frac / 4;
         let mut reference = build_grid(TickMode::Reference, seed, nodes, traced, delta);
@@ -344,13 +287,9 @@ proptest! {
             "seed {seed}, {nodes} nodes ({traced} traced), delta={delta}, \
              drop={drop}, crash={crash}"
         );
-        let mut sharded = build_grid(TickMode::Sharded { workers }, seed, nodes, traced, delta);
-        run_scenario(&mut sharded, seed, drop, crash);
-        assert_parity(
-            &mut sharded,
-            &mut reference,
-            &format!("Sharded{{{workers}}}, {ctx}"),
-        );
+        let mut lazy = build_grid(TickMode::Lazy, seed, nodes, traced, delta);
+        run_scenario(&mut lazy, seed, drop, crash);
+        assert_parity(&mut lazy, &mut reference, &ctx);
     }
 }
 
@@ -422,28 +361,26 @@ fn gray_failure_speculation_parity_across_all_modes() {
     for seed in chaos_seeds() {
         let mut reference = build_gray(TickMode::Reference, seed);
         run_gray(&mut reference, seed);
-        for workers in SHARD_WIDTHS {
-            let mut sharded = build_gray(TickMode::Sharded { workers }, seed);
-            run_gray(&mut sharded, seed);
-            assert_parity(
-                &mut sharded,
-                &mut reference,
-                &format!("seed {seed}, gray plan, Sharded{{{workers}}}"),
-            );
-        }
+        let mut lazy = build_gray(TickMode::Lazy, seed);
+        run_gray(&mut lazy, seed);
+        assert_parity(
+            &mut lazy,
+            &mut reference,
+            &format!("seed {seed}, gray plan"),
+        );
     }
 }
 
-/// A grid with the LUPA measurement jitter armed: 8 nodes, 3 traced,
-/// checkpointing on, `lupa_noise` well inside its domain. Jitter is the
-/// first per-node work that actually draws from the shard streams, so these
-/// scenarios exercise the drawing-streams half of the determinism contract.
-fn build_noisy(mode: TickMode, seed: u64) -> Grid {
+/// A grid with the LUPA measurement jitter at amplitude `noise`: 8 nodes,
+/// 3 traced, checkpointing on. Jitter is the only per-node work that draws
+/// from a random stream, so these scenarios exercise the drawing half of
+/// the determinism contract.
+fn build_noisy(mode: TickMode, noise: f64, seed: u64) -> Grid {
     let config = GridConfig::builder()
         .seed(seed)
         .gupa_warmup_days(0)
         .sequential_checkpoint_mips_s(30_000.0)
-        .lupa_noise(0.05)
+        .lupa_noise(noise)
         .tick_mode(mode)
         .build();
     let mut builder = GridBuilder::new(config);
@@ -473,8 +410,7 @@ fn run_noisy(grid: &mut Grid) {
 }
 
 /// Every node's uploaded GUPA history (the day curves its cell stores) —
-/// the one artifact the contract allows to differ across worker counts when
-/// noise is on.
+/// the one artifact the measurement jitter is allowed to move.
 fn gupa_histories(grid: &Grid) -> Vec<Vec<(Weekday, Vec<f64>)>> {
     (0..grid.node_count() as u32)
         .map(|n| {
@@ -488,64 +424,50 @@ fn gupa_histories(grid: &Grid) -> Vec<Vec<(Weekday, Vec<f64>)>> {
 
 #[test]
 fn noisy_fixed_width_reproduces_itself() {
-    // Now that the shard streams actually draw, the fixed-(mode, W) half of
-    // the contract: same seed + same worker count → bit-for-bit, including
-    // the jittered GUPA history content.
-    for mode in [
-        TickMode::Sharded { workers: 1 },
-        TickMode::Sharded { workers: 2 },
-        TickMode::Sharded { workers: 4 },
-    ] {
-        let mut first = build_noisy(mode, 11);
-        let mut second = build_noisy(mode, 11);
-        run_noisy(&mut first);
-        run_noisy(&mut second);
-        let ctx = format!("{mode:?} with lupa_noise, self-reproducibility");
-        assert_parity(&mut first, &mut second, &ctx);
-        assert_eq!(
-            gupa_histories(&first),
-            gupa_histories(&second),
-            "{ctx}: jittered GUPA histories diverged"
-        );
-        assert!(
-            first.gupa().uploads() > 0,
-            "{ctx}: no uploads — the rollover never happened"
-        );
-    }
+    // Same seed → bit-for-bit, including the jittered GUPA history content.
+    let mut first = build_noisy(TickMode::Lazy, 0.05, 11);
+    let mut second = build_noisy(TickMode::Lazy, 0.05, 11);
+    run_noisy(&mut first);
+    run_noisy(&mut second);
+    let ctx = "lupa_noise, self-reproducibility";
+    assert_parity(&mut first, &mut second, ctx);
+    assert_eq!(
+        gupa_histories(&first),
+        gupa_histories(&second),
+        "{ctx}: jittered GUPA histories diverged"
+    );
+    assert!(
+        first.gupa().uploads() > 0,
+        "{ctx}: no uploads — the rollover never happened"
+    );
 }
 
 #[test]
-fn noisy_cross_width_execution_invariants_with_measurement_divergence() {
-    // The cross-W half of the contract: different worker counts draw
-    // different jitter, so the *measured* samples the GUPA stores genuinely
-    // differ — but jitter feeds only the pattern learner, never the owner
-    // state that drives eviction, QoS, status updates or uploads, so every
-    // execution-visible artifact must stay bitwise invariant.
-    let mut base = build_noisy(TickMode::Sharded { workers: 1 }, 11);
-    run_noisy(&mut base);
-    let base_histories = gupa_histories(&base);
-    let mut any_divergence = false;
-    for workers in [2usize, 4, 8] {
-        let mut sharded = build_noisy(TickMode::Sharded { workers }, 11);
-        run_noisy(&mut sharded);
-        let ctx = format!("Sharded{{{workers}}} vs Sharded{{1}} with lupa_noise");
-        assert_execution_parity(&mut sharded, &mut base, &ctx);
-        let histories = gupa_histories(&sharded);
+fn noise_moves_only_the_learned_histories() {
+    // The jitter feeds only the pattern learner, never the owner state that
+    // drives eviction, QoS, status updates or uploads: a noisy run under
+    // either engine (each drawing the one stream in its own order) shows
+    // execution exactly what a noise-free run shows, while the measured
+    // samples the GUPA stores genuinely differ.
+    let mut quiet = build_noisy(TickMode::Lazy, 0.0, 11);
+    run_noisy(&mut quiet);
+    let quiet_histories = gupa_histories(&quiet);
+    for mode in [TickMode::Lazy, TickMode::Reference] {
+        let mut noisy = build_noisy(mode, 0.05, 11);
+        run_noisy(&mut noisy);
+        let ctx = format!("{mode:?} with lupa_noise vs without");
+        assert_execution_parity(&mut noisy, &mut quiet, &ctx);
+        let histories = gupa_histories(&noisy);
         // Same shape — one upload per node per rollover...
         assert_eq!(
             histories.iter().map(Vec::len).collect::<Vec<_>>(),
-            base_histories.iter().map(Vec::len).collect::<Vec<_>>(),
+            quiet_histories.iter().map(Vec::len).collect::<Vec<_>>(),
             "{ctx}: upload counts diverged"
         );
-        // ...but the sample content must differ somewhere, or the shard
-        // streams never actually drew and this whole suite is vacuous.
-        any_divergence |= histories != base_histories;
+        // ...but different content, or the jitter never drew and this
+        // suite is vacuous.
+        assert_ne!(histories, quiet_histories, "{ctx}: no jitter was drawn");
     }
-    assert!(
-        any_divergence,
-        "no worker count measured different jitter than the single shard — \
-         the shard streams are not being consumed"
-    );
 }
 
 /// FNV-1a over every node's GUPA history: node id, then each stored day's
@@ -570,106 +492,57 @@ fn gupa_history_hash(grid: &Grid) -> u64 {
 }
 
 #[test]
-fn jittered_learner_state_is_pinned_at_every_width() {
+fn jittered_learner_state_is_pinned() {
     // A flush-heavy noisy grid: the update timer and the crash detector are
     // pushed past the horizon, so only the first quarter of the nodes is
     // ever caught up one at a time (by its single update) and the report
     // flush replays everything else, drawing the jitter of ~3 days per
-    // node. The hashes are those of a serial walk over each shard's range;
-    // an engine change that draws jitter in another order moves them.
-    const PINNED: [(usize, u64); 3] = [
-        (1, 0x0708_280c_a404_183a),
-        (2, 0x59b6_0a7d_fa8b_7a8f),
-        (3, 0x3fee_0a94_59df_c084),
-    ];
+    // node — enough node-slots for the flush to run in several chunks. The
+    // hash is that of a serial walk over the nodes; an engine change that
+    // draws jitter in another order moves it.
+    const PINNED: u64 = 0x0708_280c_a404_183a;
     let horizon = SimDuration::from_secs(3 * 24 * 3600);
     let far = SimDuration::from_micros(horizon.as_micros() * 4);
-    for (workers, pinned) in PINNED {
-        let config = GridConfig::builder()
-            .seed(29)
-            .gupa_warmup_days(6)
-            .lupa_noise(0.05)
-            .delta_suppression(true)
-            .update_period(far)
-            .crash_silence(far)
-            .tick_mode(TickMode::Sharded { workers })
-            .build();
-        let mut builder = GridBuilder::new(config);
-        builder.add_cluster(
-            (0..3_000)
-                .map(|i| NodeSetup {
-                    trace: if i % 7 == 0 {
-                        office_trace()
-                    } else {
-                        Vec::new()
-                    },
-                    ..NodeSetup::idle_desktop()
-                })
-                .collect(),
-        );
-        let mut grid = builder.build();
-        grid.submit(JobSpec::sequential("pinned-seq", 300_000));
-        grid.submit(JobSpec::bag_of_tasks("pinned-bag", 3, 60_000));
-        grid.run_until(SimTime::ZERO + horizon);
-        let report = grid.report();
-        assert!(report.gupa_models > 0, "W={workers}: no node trained");
-        assert_eq!(
-            gupa_history_hash(&grid),
-            pinned,
-            "W={workers}: jittered GUPA histories moved"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Occupancy-balanced sharding is safe by construction: for any
-    /// population and member set the ranges are exactly `workers` (clamped)
-    /// contiguous pieces partitioning `0..n` in order, the members split
-    /// near-equally (sizes differ by at most one), and the function is pure
-    /// — the same frame-boundary inputs always produce the same cuts, so a
-    /// node can never migrate between shards mid-frame.
-    #[test]
-    fn occupancy_ranges_partition_balance_and_are_pure(
-        n in 1usize..200,
-        workers in 1usize..9,
-        bits in prop::collection::vec(any::<bool>(), 200),
-    ) {
-        use integrade::core::grid::occupancy_ranges;
-        let members: Vec<usize> = (0..n).filter(|&i| bits[i]).collect();
-        let ranges = occupancy_ranges(n, workers, &members);
-        prop_assert_eq!(ranges.len(), workers.min(n));
-        // Contiguous partition of 0..n in shard order.
-        let mut cursor = 0usize;
-        for r in &ranges {
-            prop_assert_eq!(r.start, cursor);
-            prop_assert!(r.end >= r.start);
-            cursor = r.end;
-        }
-        prop_assert_eq!(cursor, n);
-        // Near-equal member occupancy.
-        let counts: Vec<usize> = ranges
-            .iter()
-            .map(|r| members.iter().filter(|&&m| r.contains(&m)).count())
-            .collect();
-        prop_assert_eq!(counts.iter().sum::<usize>(), members.len());
-        if !members.is_empty() {
-            let hi = *counts.iter().max().unwrap();
-            let lo = *counts.iter().min().unwrap();
-            prop_assert!(hi - lo <= 1, "imbalanced: {:?}", counts);
-        }
-        // Purity: identical inputs → identical cuts (no mid-frame drift).
-        prop_assert_eq!(ranges, occupancy_ranges(n, workers, &members));
-    }
+    let config = GridConfig::builder()
+        .seed(29)
+        .gupa_warmup_days(6)
+        .lupa_noise(0.05)
+        .delta_suppression(true)
+        .update_period(far)
+        .crash_silence(far)
+        .build();
+    let mut builder = GridBuilder::new(config);
+    builder.add_cluster(
+        (0..3_000)
+            .map(|i| NodeSetup {
+                trace: if i % 7 == 0 {
+                    office_trace()
+                } else {
+                    Vec::new()
+                },
+                ..NodeSetup::idle_desktop()
+            })
+            .collect(),
+    );
+    let mut grid = builder.build();
+    grid.submit(JobSpec::sequential("pinned-seq", 300_000));
+    grid.submit(JobSpec::bag_of_tasks("pinned-bag", 3, 60_000));
+    grid.run_until(SimTime::ZERO + horizon);
+    let report = grid.report();
+    assert!(report.gupa_models > 0, "no node trained");
+    assert_eq!(
+        gupa_history_hash(&grid),
+        PINNED,
+        "jittered GUPA histories moved"
+    );
 }
 
 /// Byzantine parity: a sabotage plan — one loner, one colluding pair —
 /// with the full certification stack armed (voting quorum, spot-check
 /// probes, credibility-adaptive trust) must replay bit-for-bit across
-/// every tick engine. Sabotage decisions and probe designations are pure
+/// both tick engines. Sabotage decisions and probe designations are pure
 /// hashes of part identity, never live RNG draws, so the adversarial
-/// machinery costs the parallel engine nothing in determinism.
+/// machinery costs the lazy walk nothing in determinism.
 #[test]
 fn sabotage_and_certification_parity_across_all_modes() {
     use integrade::simnet::faults::Saboteur;
@@ -734,19 +607,17 @@ fn sabotage_and_certification_parity_across_all_modes() {
             reference.log().count("cert.certified") >= 1,
             "seed {seed}: the scenario must actually certify something"
         );
-        for workers in SHARD_WIDTHS {
-            let mut sharded = build_cert(TickMode::Sharded { workers }, seed);
-            run_cert(&mut sharded, seed);
-            assert_eq!(
-                cert_counters(&sharded),
-                ref_counters,
-                "seed {seed}: cert counters diverged (Sharded{{{workers}}})"
-            );
-            assert_parity(
-                &mut sharded,
-                &mut reference,
-                &format!("seed {seed}, sabotage plan, Sharded{{{workers}}}"),
-            );
-        }
+        let mut lazy = build_cert(TickMode::Lazy, seed);
+        run_cert(&mut lazy, seed);
+        assert_eq!(
+            cert_counters(&lazy),
+            ref_counters,
+            "seed {seed}: cert counters diverged"
+        );
+        assert_parity(
+            &mut lazy,
+            &mut reference,
+            &format!("seed {seed}, sabotage plan"),
+        );
     }
 }
