@@ -980,6 +980,7 @@ impl CdrDecode for FedStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use integrade_orb::cdr::assert_wire_sound;
 
     fn status() -> NodeStatus {
         NodeStatus {
@@ -991,225 +992,235 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_messages_round_trip() {
-        let u = StatusUpdate {
-            node: NodeId(4),
-            seq: 17,
-            status: status(),
-            replicas: vec![ReplicaReport {
-                job: JobId(2),
-                part: 1,
-                version: 6,
-                work_mips_s: 300,
-            }],
-            pending_done: vec![PartDone {
-                job: JobId(5),
-                part: 0,
+    /// Runs the generic wire check on `message` and appends its encoding to
+    /// `wire`, the concatenated corpus the pinned hash covers.
+    fn sample<T>(wire: &mut Vec<u8>, message: T)
+    where
+        T: CdrEncode + CdrDecode + PartialEq + std::fmt::Debug,
+    {
+        assert_wire_sound(&message);
+        wire.extend_from_slice(&message.to_cdr_bytes());
+    }
+
+    /// Every intra-cluster message, with its piggybacked reports.
+    fn intra_cluster_corpus(wire: &mut Vec<u8>) {
+        sample(
+            wire,
+            StatusUpdate {
                 node: NodeId(4),
-                digest: canonical_result_digest(JobId(5), 0),
-            }],
-            pending_evicted: vec![PartEvicted {
-                job: JobId(6),
-                part: 2,
-                node: NodeId(4),
-                checkpointed_work_mips_s: 40,
-                checkpoint_version: 2,
-                lost_work_mips_s: 10,
-            }],
-            progress: vec![ProgressReport {
-                job: JobId(2),
-                part: 1,
-                done_mips_s: 12_500,
-            }],
-        };
-        assert_eq!(StatusUpdate::from_cdr_bytes(&u.to_cdr_bytes()).unwrap(), u);
-
-        let ack = UpdateAck { epoch: 3, seq: 17 };
-        assert_eq!(UpdateAck::from_cdr_bytes(&ack.to_cdr_bytes()).unwrap(), ack);
-
-        let rr = ReserveRequest {
-            request_id: 41,
-            job: JobId(2),
-            part: 3,
-            ram_mb: 64,
-            min_cpu_fraction: 0.25,
-            duration_hint_s: 600,
-        };
-        assert_eq!(
-            ReserveRequest::from_cdr_bytes(&rr.to_cdr_bytes()).unwrap(),
-            rr
+                seq: 17,
+                status: status(),
+                replicas: vec![ReplicaReport {
+                    job: JobId(2),
+                    part: 1,
+                    version: 6,
+                    work_mips_s: 300,
+                }],
+                pending_done: vec![PartDone {
+                    job: JobId(5),
+                    part: 0,
+                    node: NodeId(4),
+                    digest: canonical_result_digest(JobId(5), 0),
+                }],
+                pending_evicted: vec![PartEvicted {
+                    job: JobId(6),
+                    part: 2,
+                    node: NodeId(4),
+                    checkpointed_work_mips_s: 40,
+                    checkpoint_version: 2,
+                    lost_work_mips_s: 10,
+                }],
+                progress: vec![ProgressReport {
+                    job: JobId(2),
+                    part: 1,
+                    done_mips_s: 12_500,
+                }],
+            },
         );
 
-        let rp = ReserveReply {
-            granted: true,
-            reservation: 99,
-            reason: String::new(),
-        };
-        assert_eq!(
-            ReserveReply::from_cdr_bytes(&rp.to_cdr_bytes()).unwrap(),
-            rp
-        );
+        sample(wire, UpdateAck { epoch: 3, seq: 17 });
 
-        let lr = LaunchRequest {
-            request_id: 42,
-            reservation: 99,
-            job: JobId(2),
-            part: 3,
-            work_mips_s: 1000,
-            checkpoint_interval_mips_s: 250.0,
-            state_bytes: 8192,
-            resume_version: 4,
-            replicas: vec![NodeId(1), NodeId(5)],
-        };
-        assert_eq!(
-            LaunchRequest::from_cdr_bytes(&lr.to_cdr_bytes()).unwrap(),
-            lr
-        );
-
-        let lp = LaunchReply {
-            accepted: false,
-            reason: "reservation expired".into(),
-        };
-        assert_eq!(LaunchReply::from_cdr_bytes(&lp.to_cdr_bytes()).unwrap(), lp);
-
-        let cpr = CancelPartRequest {
-            request_id: 43,
-            job: JobId(2),
-            part: 3,
-        };
-        assert_eq!(
-            CancelPartRequest::from_cdr_bytes(&cpr.to_cdr_bytes()).unwrap(),
-            cpr
-        );
-
-        let cpp = CancelPartReply {
-            found: true,
-            checkpointed_work_mips_s: 450,
-            checkpoint_version: 9,
-            done_work_mips_s: 510,
-        };
-        assert_eq!(
-            CancelPartReply::from_cdr_bytes(&cpp.to_cdr_bytes()).unwrap(),
-            cpp
-        );
-
-        let pd = PartDone {
-            job: JobId(2),
-            part: 3,
-            node: NodeId(4),
-            digest: canonical_result_digest(JobId(2), 3),
-        };
-        assert_eq!(PartDone::from_cdr_bytes(&pd.to_cdr_bytes()).unwrap(), pd);
-
-        let pe = PartEvicted {
-            job: JobId(2),
-            part: 3,
-            node: NodeId(4),
-            checkpointed_work_mips_s: 500,
-            checkpoint_version: 7,
-            lost_work_mips_s: 120,
-        };
-        assert_eq!(PartEvicted::from_cdr_bytes(&pe.to_cdr_bytes()).unwrap(), pe);
-
-        let sc = StoreCheckpoint {
-            request_id: 44,
-            origin: NodeId(4),
-            blob: CheckpointBlob {
+        sample(
+            wire,
+            ReserveRequest {
+                request_id: 41,
                 job: JobId(2),
                 part: 3,
-                version: 8,
-                work_mips_s: 600,
-                digest: 0xDEAD_BEEF,
-                payload: vec![1, 2, 3, 4, 5].into(),
+                ram_mb: 64,
+                min_cpu_fraction: 0.25,
+                duration_hint_s: 600,
             },
-        };
-        assert_eq!(
-            StoreCheckpoint::from_cdr_bytes(&sc.to_cdr_bytes()).unwrap(),
-            sc
         );
 
-        let sr = StoreCheckpointReply {
-            accepted: true,
-            corrupt: false,
-            held_version: 8,
-        };
-        assert_eq!(
-            StoreCheckpointReply::from_cdr_bytes(&sr.to_cdr_bytes()).unwrap(),
-            sr
+        sample(
+            wire,
+            ReserveReply {
+                granted: true,
+                reservation: 99,
+                reason: String::new(),
+            },
         );
 
-        let fc = FetchCheckpoint {
-            request_id: 45,
-            job: JobId(2),
-            part: 3,
-        };
-        assert_eq!(
-            FetchCheckpoint::from_cdr_bytes(&fc.to_cdr_bytes()).unwrap(),
-            fc
+        sample(
+            wire,
+            LaunchRequest {
+                request_id: 42,
+                reservation: 99,
+                job: JobId(2),
+                part: 3,
+                work_mips_s: 1000,
+                checkpoint_interval_mips_s: 250.0,
+                state_bytes: 8192,
+                resume_version: 4,
+                replicas: vec![NodeId(1), NodeId(5)],
+            },
         );
 
-        let fr = FetchCheckpointReply {
-            found: false,
-            blob: CheckpointBlob::empty(JobId(2), 3),
-        };
-        assert_eq!(
-            FetchCheckpointReply::from_cdr_bytes(&fr.to_cdr_bytes()).unwrap(),
-            fr
+        sample(
+            wire,
+            LaunchReply {
+                accepted: false,
+                reason: "reservation expired".into(),
+            },
         );
 
-        let pc = PurgeCheckpoint {
-            job: JobId(2),
-            part: 3,
-        };
-        assert_eq!(
-            PurgeCheckpoint::from_cdr_bytes(&pc.to_cdr_bytes()).unwrap(),
-            pc
+        sample(
+            wire,
+            CancelPartRequest {
+                request_id: 43,
+                job: JobId(2),
+                part: 3,
+            },
+        );
+
+        sample(
+            wire,
+            CancelPartReply {
+                found: true,
+                checkpointed_work_mips_s: 450,
+                checkpoint_version: 9,
+                done_work_mips_s: 510,
+            },
+        );
+
+        sample(
+            wire,
+            PartDone {
+                job: JobId(2),
+                part: 3,
+                node: NodeId(4),
+                digest: canonical_result_digest(JobId(2), 3),
+            },
+        );
+
+        sample(
+            wire,
+            PartEvicted {
+                job: JobId(2),
+                part: 3,
+                node: NodeId(4),
+                checkpointed_work_mips_s: 500,
+                checkpoint_version: 7,
+                lost_work_mips_s: 120,
+            },
+        );
+
+        sample(
+            wire,
+            StoreCheckpoint {
+                request_id: 44,
+                origin: NodeId(4),
+                blob: CheckpointBlob {
+                    job: JobId(2),
+                    part: 3,
+                    version: 8,
+                    work_mips_s: 600,
+                    digest: 0xDEAD_BEEF,
+                    payload: vec![1, 2, 3, 4, 5].into(),
+                },
+            },
+        );
+
+        sample(
+            wire,
+            StoreCheckpointReply {
+                accepted: true,
+                corrupt: false,
+                held_version: 8,
+            },
+        );
+
+        sample(
+            wire,
+            FetchCheckpoint {
+                request_id: 45,
+                job: JobId(2),
+                part: 3,
+            },
+        );
+
+        sample(
+            wire,
+            FetchCheckpointReply {
+                found: false,
+                blob: CheckpointBlob::empty(JobId(2), 3),
+            },
+        );
+
+        sample(
+            wire,
+            PurgeCheckpoint {
+                job: JobId(2),
+                part: 3,
+            },
         );
     }
 
-    #[test]
-    fn federation_messages_round_trip() {
+    /// Every federation message; a forward carries each `JobKind` shape.
+    fn federation_corpus(wire: &mut Vec<u8>) {
         use crate::asct::{JobKind, JobSpec};
         use crate::hierarchy::{AvailabilityHistogram, ClusterSummary};
 
         let mut histogram = AvailabilityHistogram::default();
         histogram.observe(0.2);
         histogram.observe(0.9);
-        let fs = FedSummary {
-            cluster: ClusterId(3),
-            usage: UsageSummary {
-                summary: ClusterSummary {
-                    nodes: 40,
-                    exporting_nodes: 25,
-                    max_cpu_mips: 1500,
-                    max_free_ram_mb: 512,
-                    max_cluster_exporting: 25,
+        sample(
+            wire,
+            FedSummary {
+                cluster: ClusterId(3),
+                usage: UsageSummary {
+                    summary: ClusterSummary {
+                        nodes: 40,
+                        exporting_nodes: 25,
+                        max_cpu_mips: 1500,
+                        max_free_ram_mb: 512,
+                        max_cluster_exporting: 25,
+                    },
+                    histogram,
+                    epoch: 9,
                 },
-                histogram,
-                epoch: 9,
             },
-        };
-        assert_eq!(FedSummary::from_cdr_bytes(&fs.to_cdr_bytes()).unwrap(), fs);
+        );
 
-        let fq = FedQuery {
-            request_id: 77,
-            origin: ClusterId(1),
-            nodes: 4,
-            min_cpu_mips: 1000,
-            min_ram_mb: 64,
-            hop_budget: 3,
-        };
-        assert_eq!(FedQuery::from_cdr_bytes(&fq.to_cdr_bytes()).unwrap(), fq);
+        sample(
+            wire,
+            FedQuery {
+                request_id: 77,
+                origin: ClusterId(1),
+                nodes: 4,
+                min_cpu_mips: 1000,
+                min_ram_mb: 64,
+                hop_budget: 3,
+            },
+        );
 
-        let fr = FedQueryReply {
-            request_id: 77,
-            cluster: ClusterId(2),
-            matches: 6,
-        };
-        assert_eq!(
-            FedQueryReply::from_cdr_bytes(&fr.to_cdr_bytes()).unwrap(),
-            fr
+        sample(
+            wire,
+            FedQueryReply {
+                request_id: 77,
+                cluster: ClusterId(2),
+                matches: 6,
+            },
         );
 
         // A forward carries the full marshalled JobSpec, every JobKind shape.
@@ -1227,44 +1238,71 @@ mod tests {
                 state_bytes: 8192,
             },
         ] {
-            let ff = FedForward {
-                request_id: 78,
-                origin: ClusterId(1),
-                job: JobId(12),
-                spec: JobSpec {
-                    name: "wide-area".into(),
-                    kind,
-                    requirements: crate::asct::JobRequirements {
-                        platform: Some(crate::types::Platform::linux_x86()),
-                        min_ram_mb: 64,
-                        min_cpu_mips: 1000,
-                        extra_constraint: Some("free_cpu >= 0.5".into()),
+            sample(
+                wire,
+                FedForward {
+                    request_id: 78,
+                    origin: ClusterId(1),
+                    job: JobId(12),
+                    spec: JobSpec {
+                        name: "wide-area".into(),
+                        kind,
+                        requirements: crate::asct::JobRequirements {
+                            platform: Some(crate::types::Platform::linux_x86()),
+                            min_ram_mb: 64,
+                            min_cpu_mips: 1000,
+                            extra_constraint: Some("free_cpu >= 0.5".into()),
+                        },
+                        preference: crate::asct::SchedulingPreference::LongestPredictedIdle,
+                        topology: None,
                     },
-                    preference: crate::asct::SchedulingPreference::LongestPredictedIdle,
-                    topology: None,
                 },
-            };
-            assert_eq!(FedForward::from_cdr_bytes(&ff.to_cdr_bytes()).unwrap(), ff);
+            );
         }
 
-        let fa = FedForwardAck {
-            request_id: 78,
-            accepted: true,
-            remote_job: JobId(3),
-        };
-        assert_eq!(
-            FedForwardAck::from_cdr_bytes(&fa.to_cdr_bytes()).unwrap(),
-            fa
+        sample(
+            wire,
+            FedForwardAck {
+                request_id: 78,
+                accepted: true,
+                remote_job: JobId(3),
+            },
         );
 
-        let st = FedStatus {
-            cluster: ClusterId(2),
-            job: JobId(12),
-            parts_done: 2,
-            parts_total: 3,
-            completed: false,
-        };
-        assert_eq!(FedStatus::from_cdr_bytes(&st.to_cdr_bytes()).unwrap(), st);
+        sample(
+            wire,
+            FedStatus {
+                cluster: ClusterId(2),
+                job: JobId(12),
+                parts_done: 2,
+                parts_total: 3,
+                completed: false,
+            },
+        );
+    }
+
+    #[test]
+    fn all_messages_round_trip() {
+        intra_cluster_corpus(&mut Vec::new());
+    }
+
+    #[test]
+    fn federation_messages_round_trip() {
+        federation_corpus(&mut Vec::new());
+    }
+
+    #[test]
+    fn corpus_wire_bytes_are_pinned() {
+        // FNV-1a over the concatenated encodings of every corpus sample. A
+        // codec change that moves a single wire byte of any message moves it.
+        const PINNED: u64 = 0x2d68_028e_644f_282e;
+        let mut wire = Vec::new();
+        intra_cluster_corpus(&mut wire);
+        federation_corpus(&mut wire);
+        let hash = wire.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(hash, PINNED, "protocol wire bytes moved: {hash:#018x}");
     }
 
     #[test]

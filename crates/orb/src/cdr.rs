@@ -8,11 +8,37 @@
 //! the paper's UIC-CORBA-based prototype.
 //!
 //! The [`CdrEncode`]/[`CdrDecode`] traits are implemented for primitives,
-//! `String`, `Vec<T>`, `Option<T>`, maps and small tuples; application types
-//! implement them by composing fields in order (classic CDR struct layout).
+//! `String`, `Vec<T>`, `Option<T>`, shared byte slices, maps and small
+//! tuples. An application type declares its wire shape once with
+//! [`impl_cdr!`](crate::impl_cdr), the way an IDL compiler emits stubs: the
+//! fields in wire order (classic CDR struct layout), a newtype's inner type,
+//! or a fieldless enum's discriminants. [`assert_wire_sound`] is the one test
+//! every such type's samples go through.
+//!
+//! ```
+//! use integrade_orb::cdr::{assert_wire_sound, CdrDecode, CdrEncode};
+//!
+//! #[derive(Debug, PartialEq)]
+//! struct NodeId(u32);
+//! #[derive(Debug, PartialEq)]
+//! enum Mode { Idle = 0, Busy = 1 }
+//! #[derive(Debug, PartialEq)]
+//! struct Status { node: NodeId, mode: Mode, load: f64 }
+//!
+//! integrade_orb::impl_cdr!(NodeId(u32));
+//! integrade_orb::impl_cdr!(Mode { Idle = 0, Busy = 1 });
+//! integrade_orb::impl_cdr!(Status { node, mode, load });
+//!
+//! let s = Status { node: NodeId(7), mode: Mode::Busy, load: 0.5 };
+//! // u32 node, u32 tag, then the f64 aligned to eight.
+//! assert_eq!(s.to_cdr_bytes().len(), 16);
+//! assert_eq!(Status::from_cdr_bytes(&s.to_cdr_bytes()).unwrap(), s);
+//! assert_wire_sound(&s);
+//! ```
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error produced when decoding malformed CDR data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -333,6 +359,17 @@ impl CdrDecode for i64 {
     }
 }
 
+impl CdrEncode for usize {
+    fn encode(&self, w: &mut CdrWriter) {
+        w.write_u64(*self as u64);
+    }
+}
+impl CdrDecode for usize {
+    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
+        Ok(r.read_u64()? as usize)
+    }
+}
+
 impl CdrEncode for f64 {
     fn encode(&self, w: &mut CdrWriter) {
         w.write_u64(self.to_bits());
@@ -412,6 +449,21 @@ impl<T: CdrDecode> CdrDecode for Vec<T> {
     }
 }
 
+/// Shared raw bytes: the wire shape of `Vec<u8>` (a u32 length, then the
+/// bytes), written and read as one slice rather than byte by byte.
+impl CdrEncode for Arc<[u8]> {
+    fn encode(&self, w: &mut CdrWriter) {
+        w.write_u32(self.len() as u32);
+        w.write_bytes(self);
+    }
+}
+impl CdrDecode for Arc<[u8]> {
+    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
+        let len = r.read_u32()? as usize;
+        Ok(Arc::from(r.read_bytes(len)?))
+    }
+}
+
 impl<T: CdrEncode> CdrEncode for Option<T> {
     fn encode(&self, w: &mut CdrWriter) {
         match self {
@@ -488,29 +540,134 @@ impl_cdr_tuple!(A: 0, B: 1, C: 2);
 impl_cdr_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_cdr_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 
+/// Declares a type's CDR codec from its wire shape, written once:
+///
+/// * a struct's named fields in wire order — `Status { node, mode, load }`.
+///   Decoding builds the struct literal, so a missing or repeated field is a
+///   compile error;
+/// * a newtype and its inner type — `NodeId(u32)`;
+/// * a fieldless enum and its u32 discriminants —
+///   `Mode { Idle = 0, Busy = 1 }`; an unknown tag decodes to
+///   [`CdrError::InvalidDiscriminant`].
+///
+/// See the [`cdr`](crate::cdr) module for an example.
+#[macro_export]
+macro_rules! impl_cdr {
+    ($ty:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::cdr::CdrEncode for $ty {
+            fn encode(&self, w: &mut $crate::cdr::CdrWriter) {
+                w.write_u32(match self {
+                    $($ty::$variant => $tag,)+
+                });
+            }
+        }
+        impl $crate::cdr::CdrDecode for $ty {
+            fn decode(
+                r: &mut $crate::cdr::CdrReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::cdr::CdrError> {
+                match r.read_u32()? {
+                    $($tag => Ok($ty::$variant),)+
+                    value => Err($crate::cdr::CdrError::InvalidDiscriminant {
+                        type_name: ::std::stringify!($ty),
+                        value,
+                    }),
+                }
+            }
+        }
+    };
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::cdr::CdrEncode for $ty {
+            fn encode(&self, _w: &mut $crate::cdr::CdrWriter) {
+                $($crate::cdr::CdrEncode::encode(&self.$field, _w);)*
+            }
+        }
+        impl $crate::cdr::CdrDecode for $ty {
+            fn decode(
+                _r: &mut $crate::cdr::CdrReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::cdr::CdrError> {
+                Ok($ty {
+                    $($field: $crate::cdr::CdrDecode::decode(_r)?,)*
+                })
+            }
+        }
+    };
+    ($ty:ident ( $inner:ty )) => {
+        impl $crate::cdr::CdrEncode for $ty {
+            fn encode(&self, w: &mut $crate::cdr::CdrWriter) {
+                $crate::cdr::CdrEncode::encode(&self.0, w);
+            }
+        }
+        impl $crate::cdr::CdrDecode for $ty {
+            fn decode(
+                r: &mut $crate::cdr::CdrReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::cdr::CdrError> {
+                Ok($ty(<$inner as $crate::cdr::CdrDecode>::decode(r)?))
+            }
+        }
+    };
+}
+
+/// Test support: checks that `sample` survives the wire and that damaged
+/// copies of it are refused or decoded, never a crash. Four checks:
+///
+/// * the sample round-trips;
+/// * every strict prefix of its encoding fails to decode;
+/// * one appended byte gives [`CdrError::TrailingBytes`];
+/// * every single-bit flip, tried exhaustively, decodes to `Ok` or `Err`
+///   without panicking.
+///
+/// # Panics
+///
+/// Panics naming the first check that fails.
+pub fn assert_wire_sound<T>(sample: &T)
+where
+    T: CdrEncode + CdrDecode + PartialEq + fmt::Debug,
+{
+    let bytes = sample.to_cdr_bytes();
+    match T::from_cdr_bytes(&bytes) {
+        Ok(back) => assert_eq!(&back, sample, "round trip changed the value"),
+        Err(e) => panic!("{sample:?} does not decode from its own encoding: {e}"),
+    }
+    for cut in 0..bytes.len() {
+        assert!(
+            T::from_cdr_bytes(&bytes[..cut]).is_err(),
+            "{sample:?} decoded from its first {cut} of {} bytes",
+            bytes.len()
+        );
+    }
+    let mut longer = bytes.clone();
+    longer.push(0);
+    assert_eq!(
+        T::from_cdr_bytes(&longer).err(),
+        Some(CdrError::TrailingBytes(1)),
+        "{sample:?} with one byte appended"
+    );
+    let mut flipped = bytes;
+    for bit in 0..flipped.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let decoded = std::panic::catch_unwind(|| T::from_cdr_bytes(&flipped).is_ok());
+        assert!(decoded.is_ok(), "flipping bit {bit} of {sample:?} panicked");
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip<T: CdrEncode + CdrDecode + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = v.to_cdr_bytes();
-        let back = T::from_cdr_bytes(&bytes).expect("decode");
-        assert_eq!(back, v);
-    }
-
     #[test]
     fn primitives_round_trip() {
-        round_trip(0u8);
-        round_trip(255u8);
-        round_trip(0xBEEFu16);
-        round_trip(0xDEAD_BEEFu32);
-        round_trip(u64::MAX);
-        round_trip(-42i32);
-        round_trip(i64::MIN);
-        round_trip(std::f64::consts::PI);
-        round_trip(f64::NEG_INFINITY);
-        round_trip(true);
-        round_trip(false);
+        assert_wire_sound(&0u8);
+        assert_wire_sound(&255u8);
+        assert_wire_sound(&0xBEEFu16);
+        assert_wire_sound(&0xDEAD_BEEFu32);
+        assert_wire_sound(&u64::MAX);
+        assert_wire_sound(&-42i32);
+        assert_wire_sound(&i64::MIN);
+        assert_wire_sound(&std::f64::consts::PI);
+        assert_wire_sound(&f64::NEG_INFINITY);
+        assert_wire_sound(&true);
+        assert_wire_sound(&false);
     }
 
     #[test]
@@ -522,9 +679,9 @@ mod tests {
 
     #[test]
     fn strings_round_trip() {
-        round_trip(String::new());
-        round_trip("hello world".to_owned());
-        round_trip("ünïcødé ✓".to_owned());
+        assert_wire_sound(&String::new());
+        assert_wire_sound(&"hello world".to_owned());
+        assert_wire_sound(&"ünïcødé ✓".to_owned());
     }
 
     #[test]
@@ -569,17 +726,17 @@ mod tests {
 
     #[test]
     fn vec_round_trips() {
-        round_trip(Vec::<u32>::new());
-        round_trip(vec![1u32, 2, 3]);
-        round_trip(vec!["a".to_owned(), String::new(), "c".to_owned()]);
-        round_trip(vec![vec![1u8], vec![], vec![2, 3]]);
+        assert_wire_sound(&Vec::<u32>::new());
+        assert_wire_sound(&vec![1u32, 2, 3]);
+        assert_wire_sound(&vec!["a".to_owned(), String::new(), "c".to_owned()]);
+        assert_wire_sound(&vec![vec![1u8], vec![], vec![2, 3]]);
     }
 
     #[test]
     fn option_round_trips() {
-        round_trip(Option::<u32>::None);
-        round_trip(Some(17u32));
-        round_trip(Some("text".to_owned()));
+        assert_wire_sound(&Option::<u32>::None);
+        assert_wire_sound(&Some(17u32));
+        assert_wire_sound(&Some("text".to_owned()));
     }
 
     #[test]
@@ -587,14 +744,70 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert("cpu".to_owned(), 95u64);
         m.insert("mem".to_owned(), 2048u64);
-        round_trip(m);
+        assert_wire_sound(&m);
     }
 
     #[test]
     fn tuples_round_trip() {
-        round_trip((1u32,));
-        round_trip((1u32, "two".to_owned()));
-        round_trip((1u8, 2u16, 3u32, 4u64, true));
+        assert_wire_sound(&(1u32,));
+        assert_wire_sound(&(1u32, "two".to_owned()));
+        assert_wire_sound(&(1u8, 2u16, 3u32, 4u64, true));
+    }
+
+    #[test]
+    fn shared_bytes_travel_as_a_byte_sequence() {
+        let shared: Arc<[u8]> = Arc::from(&[1u8, 2, 3][..]);
+        assert_eq!(shared.to_cdr_bytes(), vec![1u8, 2, 3].to_cdr_bytes());
+        assert_wire_sound(&shared);
+        assert_wire_sound(&Arc::<[u8]>::from(&[][..]));
+        assert_wire_sound(&usize::MAX);
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Mode {
+        Idle,
+        Busy,
+    }
+    crate::impl_cdr!(Mode { Idle = 0, Busy = 7 });
+
+    #[derive(Debug, PartialEq)]
+    struct Tagged(u16);
+    crate::impl_cdr!(Tagged(u16));
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        mode: Mode,
+        tag: Tagged,
+        name: String,
+    }
+    crate::impl_cdr!(Pair { mode, tag, name });
+
+    #[derive(Debug, PartialEq)]
+    struct Unit;
+    crate::impl_cdr!(Unit {});
+
+    #[test]
+    fn declared_codecs_write_fields_in_listed_order() {
+        let pair = Pair {
+            mode: Mode::Busy,
+            tag: Tagged(9),
+            name: "x".to_owned(),
+        };
+        let mut w = CdrWriter::new();
+        7u32.encode(&mut w);
+        9u16.encode(&mut w);
+        "x".encode(&mut w);
+        assert_eq!(pair.to_cdr_bytes(), w.into_bytes());
+        assert_wire_sound(&pair);
+        assert_wire_sound(&Mode::Idle);
+        assert!(Unit.to_cdr_bytes().is_empty());
+        assert_eq!(
+            Mode::from_cdr_bytes(&1u32.to_cdr_bytes()).unwrap_err(),
+            CdrError::InvalidDiscriminant {
+                type_name: "Mode",
+                value: 1
+            }
+        );
     }
 
     #[test]
