@@ -11,7 +11,7 @@
 //!   traffic (the cluster-friendly case for topology-aware scheduling).
 
 use crate::program::{BspContext, BspProgram, StepOutcome};
-use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use integrade_orb::impl_cdr;
 
 /// Parallel prefix sum (Hillis–Steele): after ⌈log₂ n⌉ + 1 supersteps, each
 /// process holds the inclusive prefix sum of the initial values.
@@ -21,18 +21,7 @@ pub struct PrefixSum {
     pub value: i64,
 }
 
-impl CdrEncode for PrefixSum {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.value.encode(w);
-    }
-}
-impl CdrDecode for PrefixSum {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(PrefixSum {
-            value: i64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct PrefixSum { value });
 
 impl BspProgram for PrefixSum {
     type Message = i64;
@@ -118,28 +107,7 @@ impl PageRank {
     }
 }
 
-impl CdrEncode for PageRank {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.total_vertices.encode(w);
-        self.owned.encode(w);
-        self.edges.encode(w);
-        self.ranks.encode(w);
-        self.remaining.encode(w);
-        self.damping.encode(w);
-    }
-}
-impl CdrDecode for PageRank {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(PageRank {
-            total_vertices: u64::decode(r)?,
-            owned: Vec::decode(r)?,
-            edges: Vec::decode(r)?,
-            ranks: Vec::decode(r)?,
-            remaining: u64::decode(r)?,
-            damping: f64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct PageRank { total_vertices, owned, edges, ranks, remaining, damping });
 
 impl BspProgram for PageRank {
     /// (target vertex, contribution)
@@ -234,27 +202,7 @@ impl Stencil1d {
     }
 }
 
-impl CdrEncode for Stencil1d {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.cells.encode(w);
-        self.left_boundary.encode(w);
-        self.right_boundary.encode(w);
-        self.remaining.encode(w);
-        self.halo.0.encode(w);
-        self.halo.1.encode(w);
-    }
-}
-impl CdrDecode for Stencil1d {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(Stencil1d {
-            cells: Vec::decode(r)?,
-            left_boundary: f64::decode(r)?,
-            right_boundary: f64::decode(r)?,
-            remaining: u64::decode(r)?,
-            halo: (f64::decode(r)?, f64::decode(r)?),
-        })
-    }
-}
+impl_cdr!(struct Stencil1d { cells, left_boundary, right_boundary, remaining, halo });
 
 impl BspProgram for Stencil1d {
     /// (is_left_halo, value): halo cell from a neighbour.

@@ -39,6 +39,7 @@ impl GlobalCheckpoint {
     }
 }
 
+// Hand-written: one count shared by the two sequences that follow it.
 impl CdrEncode for GlobalCheckpoint {
     fn encode(&self, w: &mut CdrWriter) {
         self.superstep.encode(w);
@@ -59,13 +60,15 @@ impl CdrDecode for GlobalCheckpoint {
     fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
         let superstep = u64::decode(r)?;
         let halted = bool::decode(r)?;
+        // The count is untrusted: reserve a bounded amount and let a short
+        // buffer end the loops.
         let n = u32::decode(r)? as usize;
-        let mut proc_states = Vec::with_capacity(n);
+        let mut proc_states = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let len = u32::decode(r)? as usize;
             proc_states.push(r.read_bytes(len)?.to_vec());
         }
-        let mut inboxes = Vec::with_capacity(n);
+        let mut inboxes = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let len = u32::decode(r)? as usize;
             inboxes.push(r.read_bytes(len)?.to_vec());
@@ -192,6 +195,8 @@ mod tests {
     use super::*;
     use crate::program::{BspContext, StepOutcome};
     use crate::runtime::RunResult;
+    use integrade_orb::cdr::assert_wire_sound;
+    use integrade_orb::impl_cdr;
 
     /// Iterative averaging with neighbours: runs a fixed number of rounds so
     /// mid-run checkpoints are interesting.
@@ -201,20 +206,8 @@ mod tests {
         rounds: u64,
     }
 
-    impl CdrEncode for Diffuse {
-        fn encode(&self, w: &mut CdrWriter) {
-            self.value.encode(w);
-            self.rounds.encode(w);
-        }
-    }
-    impl CdrDecode for Diffuse {
-        fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-            Ok(Diffuse {
-                value: f64::decode(r)?,
-                rounds: u64::decode(r)?,
-            })
-        }
-    }
+    impl_cdr!(struct Diffuse { value, rounds });
+
     impl BspProgram for Diffuse {
         type Message = f64;
         fn superstep(&mut self, ctx: &mut BspContext<f64>) -> StepOutcome {
@@ -281,13 +274,18 @@ mod tests {
 
     #[test]
     fn checkpoint_wire_round_trip() {
-        let mut rt = job(3, 4);
-        rt.step();
-        let ckpt = checkpoint(&rt);
-        let bytes = ckpt.to_cdr_bytes();
-        let back = GlobalCheckpoint::from_cdr_bytes(&bytes).unwrap();
-        assert_eq!(back, ckpt);
-        assert!(ckpt.size_bytes() > 0);
+        // Running with messages in flight, and halted. A flipped bit in the
+        // shared process count must be refused, not abort on allocation.
+        let mut running = job(3, 4);
+        running.step();
+        let mut halted = job(2, 2);
+        halted.run(100);
+        for rt in [running, halted] {
+            let ckpt = checkpoint(&rt);
+            assert_eq!(ckpt.halted, rt.is_halted());
+            assert_wire_sound(&ckpt);
+            assert!(ckpt.size_bytes() > 0);
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! [`BspContext`] carrying the delivered messages and collecting sends.
 //! State and messages must be CDR-marshallable so checkpoints are machine-
 //! independent — the property the paper needs for migration across
-//! heterogeneous grid nodes.
+//! heterogeneous grid nodes. For a plain state struct that is one
+//! [`integrade_orb::impl_cdr!`] line listing its fields.
 
 use integrade_orb::cdr::{CdrDecode, CdrEncode};
 

@@ -48,19 +48,12 @@ pub enum RunResult {
 /// ```
 /// use integrade_bsp::program::{BspContext, BspProgram, StepOutcome};
 /// use integrade_bsp::runtime::BspRuntime;
-/// use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
 ///
 /// // Each process adds its pid to a ring token until it has gone around.
+/// // Its state checkpoints as CDR, fields in the order listed.
 /// #[derive(Clone, Debug)]
 /// struct Ring { total: u64, hops: u64 }
-/// impl CdrEncode for Ring {
-///     fn encode(&self, w: &mut CdrWriter) { self.total.encode(w); self.hops.encode(w); }
-/// }
-/// impl CdrDecode for Ring {
-///     fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-///         Ok(Ring { total: u64::decode(r)?, hops: u64::decode(r)? })
-///     }
-/// }
+/// integrade_orb::impl_cdr!(struct Ring { total, hops });
 /// impl BspProgram for Ring {
 ///     type Message = u64;
 ///     fn superstep(&mut self, ctx: &mut BspContext<u64>) -> StepOutcome {
@@ -232,7 +225,7 @@ impl<P: BspProgram> BspRuntime<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use integrade_orb::cdr::{CdrDecode, CdrError, CdrReader, CdrWriter};
+    use integrade_orb::impl_cdr;
 
     /// Every process sends its value to pid 0, which sums; used across the
     /// runtime tests.
@@ -242,20 +235,8 @@ mod tests {
         total: u64,
     }
 
-    impl CdrEncode for SumToZero {
-        fn encode(&self, w: &mut CdrWriter) {
-            self.value.encode(w);
-            self.total.encode(w);
-        }
-    }
-    impl CdrDecode for SumToZero {
-        fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-            Ok(SumToZero {
-                value: u64::decode(r)?,
-                total: u64::decode(r)?,
-            })
-        }
-    }
+    impl_cdr!(struct SumToZero { value, total });
+
     impl BspProgram for SumToZero {
         type Message = u64;
         fn superstep(&mut self, ctx: &mut BspContext<u64>) -> StepOutcome {
@@ -298,20 +279,8 @@ mod tests {
             saw_early: bool,
             saw_late: bool,
         }
-        impl CdrEncode for Probe {
-            fn encode(&self, w: &mut CdrWriter) {
-                self.saw_early.encode(w);
-                self.saw_late.encode(w);
-            }
-        }
-        impl CdrDecode for Probe {
-            fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-                Ok(Probe {
-                    saw_early: bool::decode(r)?,
-                    saw_late: bool::decode(r)?,
-                })
-            }
-        }
+        impl_cdr!(struct Probe { saw_early, saw_late });
+
         impl BspProgram for Probe {
             type Message = u8;
             fn superstep(&mut self, ctx: &mut BspContext<u8>) -> StepOutcome {
@@ -362,18 +331,8 @@ mod tests {
         struct Lazy {
             received: u64,
         }
-        impl CdrEncode for Lazy {
-            fn encode(&self, w: &mut CdrWriter) {
-                self.received.encode(w);
-            }
-        }
-        impl CdrDecode for Lazy {
-            fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-                Ok(Lazy {
-                    received: u64::decode(r)?,
-                })
-            }
-        }
+        impl_cdr!(struct Lazy { received });
+
         impl BspProgram for Lazy {
             type Message = u64;
             fn superstep(&mut self, ctx: &mut BspContext<u64>) -> StepOutcome {
@@ -394,14 +353,10 @@ mod tests {
     fn budget_exhaustion_reported() {
         #[derive(Clone, Debug)]
         struct Forever;
-        impl CdrEncode for Forever {
-            fn encode(&self, _w: &mut CdrWriter) {}
-        }
-        impl CdrDecode for Forever {
-            fn decode(_r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-                Ok(Forever)
-            }
-        }
+        impl_cdr!(
+            struct Forever {}
+        );
+
         impl BspProgram for Forever {
             type Message = u8;
             fn superstep(&mut self, _ctx: &mut BspContext<u8>) -> StepOutcome {

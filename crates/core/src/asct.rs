@@ -16,6 +16,7 @@
 
 use crate::types::{JobId, Platform};
 use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use integrade_orb::impl_cdr;
 use integrade_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -444,9 +445,9 @@ impl JobRecord {
 
 // CDR marshalling for the submission types, so a [`JobSpec`] can travel
 // between clusters inside [`crate::protocol::FedForward`] with a realistic
-// wire size. Enum variants go on the wire as a u32 discriminant followed by
-// the variant's fields, the CDR union idiom.
+// wire size.
 
+// Hand-written: a CDR union, a u32 discriminant then the variant's fields.
 impl CdrEncode for JobKind {
     fn encode(&self, w: &mut CdrWriter) {
         match self {
@@ -467,7 +468,7 @@ impl CdrEncode for JobKind {
                 state_bytes,
             } => {
                 2u32.encode(w);
-                (*procs as u64).encode(w);
+                procs.encode(w);
                 supersteps.encode(w);
                 work_per_superstep_mips_s.encode(w);
                 bytes_per_superstep.encode(w);
@@ -487,7 +488,7 @@ impl CdrDecode for JobKind {
                 task_work_mips_s: Vec::decode(r)?,
             }),
             2 => Ok(JobKind::Bsp {
-                procs: u64::decode(r)? as usize,
+                procs: usize::decode(r)?,
                 supersteps: u64::decode(r)?,
                 work_per_superstep_mips_s: u64::decode(r)?,
                 bytes_per_superstep: u64::decode(r)?,
@@ -502,103 +503,23 @@ impl CdrDecode for JobKind {
     }
 }
 
-impl CdrEncode for JobRequirements {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.platform.encode(w);
-        self.min_ram_mb.encode(w);
-        self.min_cpu_mips.encode(w);
-        self.extra_constraint.encode(w);
-    }
-}
-impl CdrDecode for JobRequirements {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(JobRequirements {
-            platform: Option::decode(r)?,
-            min_ram_mb: u64::decode(r)?,
-            min_cpu_mips: u64::decode(r)?,
-            extra_constraint: Option::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct JobRequirements { platform, min_ram_mb, min_cpu_mips, extra_constraint });
 
-impl CdrEncode for SchedulingPreference {
-    fn encode(&self, w: &mut CdrWriter) {
-        let tag: u32 = match self {
-            SchedulingPreference::FastestCpu => 0,
-            SchedulingPreference::MostFreeRam => 1,
-            SchedulingPreference::LeastLoaded => 2,
-            SchedulingPreference::LongestPredictedIdle => 3,
-            SchedulingPreference::Random => 4,
-        };
-        tag.encode(w);
+impl_cdr!(
+    enum SchedulingPreference {
+        FastestCpu = 0,
+        MostFreeRam = 1,
+        LeastLoaded = 2,
+        LongestPredictedIdle = 3,
+        Random = 4,
     }
-}
-impl CdrDecode for SchedulingPreference {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        match u32::decode(r)? {
-            0 => Ok(SchedulingPreference::FastestCpu),
-            1 => Ok(SchedulingPreference::MostFreeRam),
-            2 => Ok(SchedulingPreference::LeastLoaded),
-            3 => Ok(SchedulingPreference::LongestPredictedIdle),
-            4 => Ok(SchedulingPreference::Random),
-            tag => Err(CdrError::InvalidDiscriminant {
-                type_name: "SchedulingPreference",
-                value: tag,
-            }),
-        }
-    }
-}
+);
 
-impl CdrEncode for GroupRequest {
-    fn encode(&self, w: &mut CdrWriter) {
-        (self.nodes as u64).encode(w);
-        self.min_intra_bps.encode(w);
-    }
-}
-impl CdrDecode for GroupRequest {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(GroupRequest {
-            nodes: u64::decode(r)? as usize,
-            min_intra_bps: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct GroupRequest { nodes, min_intra_bps });
 
-impl CdrEncode for TopologyRequest {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.groups.encode(w);
-        self.min_inter_bps.encode(w);
-    }
-}
-impl CdrDecode for TopologyRequest {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(TopologyRequest {
-            groups: Vec::decode(r)?,
-            min_inter_bps: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct TopologyRequest { groups, min_inter_bps });
 
-impl CdrEncode for JobSpec {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.name.encode(w);
-        self.kind.encode(w);
-        self.requirements.encode(w);
-        self.preference.encode(w);
-        self.topology.encode(w);
-    }
-}
-impl CdrDecode for JobSpec {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(JobSpec {
-            name: String::decode(r)?,
-            kind: JobKind::decode(r)?,
-            requirements: JobRequirements::decode(r)?,
-            preference: SchedulingPreference::decode(r)?,
-            topology: Option::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct JobSpec { name, kind, requirements, preference, topology });
 
 #[cfg(test)]
 mod tests {

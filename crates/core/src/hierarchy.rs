@@ -19,6 +19,7 @@
 
 use crate::types::ClusterId;
 use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use integrade_orb::impl_cdr;
 use integrade_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -134,30 +135,13 @@ impl UsageSummary {
     }
 }
 
-impl CdrEncode for ClusterSummary {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.nodes.encode(w);
-        self.exporting_nodes.encode(w);
-        self.max_cpu_mips.encode(w);
-        self.max_free_ram_mb.encode(w);
-        self.max_cluster_exporting.encode(w);
-    }
-}
-impl CdrDecode for ClusterSummary {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ClusterSummary {
-            nodes: u32::decode(r)?,
-            exporting_nodes: u32::decode(r)?,
-            max_cpu_mips: u64::decode(r)?,
-            max_free_ram_mb: u64::decode(r)?,
-            max_cluster_exporting: u32::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct ClusterSummary {
+    nodes, exporting_nodes, max_cpu_mips, max_free_ram_mb, max_cluster_exporting
+});
 
+// Hand-written: a fixed-width array, with no length prefix on the wire.
 impl CdrEncode for AvailabilityHistogram {
     fn encode(&self, w: &mut CdrWriter) {
-        // Fixed-width array: no length prefix on the wire.
         for bucket in &self.0 {
             bucket.encode(w);
         }
@@ -173,22 +157,7 @@ impl CdrDecode for AvailabilityHistogram {
     }
 }
 
-impl CdrEncode for UsageSummary {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.summary.encode(w);
-        self.histogram.encode(w);
-        self.epoch.encode(w);
-    }
-}
-impl CdrDecode for UsageSummary {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(UsageSummary {
-            summary: ClusterSummary::decode(r)?,
-            histogram: AvailabilityHistogram::decode(r)?,
-            epoch: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct UsageSummary { summary, histogram, epoch });
 
 /// What a job asks of the cluster that will run it, as routing sees it (on
 /// the wire it travels as a [`crate::protocol::FedQuery`]).

@@ -18,7 +18,7 @@
 use crate::asct::JobSpec;
 use crate::hierarchy::UsageSummary;
 use crate::types::{ClusterId, JobId, NodeId, NodeStatus};
-use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use integrade_orb::impl_cdr;
 use serde::{Deserialize, Serialize};
 
 /// Reference-counted immutable byte payload. Checkpoint blobs carry one so
@@ -118,24 +118,7 @@ pub struct ReplicaReport {
     pub work_mips_s: u64,
 }
 
-impl CdrEncode for ReplicaReport {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.job.encode(w);
-        self.part.encode(w);
-        self.version.encode(w);
-        self.work_mips_s.encode(w);
-    }
-}
-impl CdrDecode for ReplicaReport {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ReplicaReport {
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-            version: u64::decode(r)?,
-            work_mips_s: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct ReplicaReport { job, part, version, work_mips_s });
 
 /// Observed execution progress of one running part, piggybacked on status
 /// updates. The GRM differences consecutive observations of `done_mips_s`
@@ -155,22 +138,7 @@ pub struct ProgressReport {
     pub done_mips_s: u64,
 }
 
-impl CdrEncode for ProgressReport {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.job.encode(w);
-        self.part.encode(w);
-        self.done_mips_s.encode(w);
-    }
-}
-impl CdrDecode for ProgressReport {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ProgressReport {
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-            done_mips_s: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct ProgressReport { job, part, done_mips_s });
 
 /// LRM → GRM: periodic node status (the Information Update Protocol).
 ///
@@ -197,30 +165,9 @@ pub struct StatusUpdate {
     pub progress: Vec<ProgressReport>,
 }
 
-impl CdrEncode for StatusUpdate {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.node.encode(w);
-        self.seq.encode(w);
-        self.status.encode(w);
-        self.replicas.encode(w);
-        self.pending_done.encode(w);
-        self.pending_evicted.encode(w);
-        self.progress.encode(w);
-    }
-}
-impl CdrDecode for StatusUpdate {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(StatusUpdate {
-            node: NodeId::decode(r)?,
-            seq: u64::decode(r)?,
-            status: NodeStatus::decode(r)?,
-            replicas: Vec::decode(r)?,
-            pending_done: Vec::decode(r)?,
-            pending_evicted: Vec::decode(r)?,
-            progress: Vec::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct StatusUpdate {
+    node, seq, status, replicas, pending_done, pending_evicted, progress
+});
 
 /// GRM → LRM: acknowledgement of a [`StatusUpdate`].
 ///
@@ -236,20 +183,7 @@ pub struct UpdateAck {
     pub seq: u64,
 }
 
-impl CdrEncode for UpdateAck {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.epoch.encode(w);
-        self.seq.encode(w);
-    }
-}
-impl CdrDecode for UpdateAck {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(UpdateAck {
-            epoch: u64::decode(r)?,
-            seq: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct UpdateAck { epoch, seq });
 
 /// GRM → LRM: request a reservation for one part.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -270,28 +204,9 @@ pub struct ReserveRequest {
     pub duration_hint_s: u64,
 }
 
-impl CdrEncode for ReserveRequest {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.job.encode(w);
-        self.part.encode(w);
-        self.ram_mb.encode(w);
-        self.min_cpu_fraction.encode(w);
-        self.duration_hint_s.encode(w);
-    }
-}
-impl CdrDecode for ReserveRequest {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ReserveRequest {
-            request_id: u64::decode(r)?,
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-            ram_mb: u64::decode(r)?,
-            min_cpu_fraction: f64::decode(r)?,
-            duration_hint_s: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct ReserveRequest {
+    request_id, job, part, ram_mb, min_cpu_fraction, duration_hint_s
+});
 
 /// LRM → GRM: outcome of a reservation request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -315,22 +230,7 @@ impl ReserveReply {
     }
 }
 
-impl CdrEncode for ReserveReply {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.granted.encode(w);
-        self.reservation.encode(w);
-        self.reason.encode(w);
-    }
-}
-impl CdrDecode for ReserveReply {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ReserveReply {
-            granted: bool::decode(r)?,
-            reservation: u64::decode(r)?,
-            reason: String::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct ReserveReply { granted, reservation, reason });
 
 /// GRM → LRM: start a part under a previously granted reservation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -361,34 +261,10 @@ pub struct LaunchRequest {
     pub replicas: Vec<NodeId>,
 }
 
-impl CdrEncode for LaunchRequest {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.reservation.encode(w);
-        self.job.encode(w);
-        self.part.encode(w);
-        self.work_mips_s.encode(w);
-        self.checkpoint_interval_mips_s.encode(w);
-        self.state_bytes.encode(w);
-        self.resume_version.encode(w);
-        self.replicas.encode(w);
-    }
-}
-impl CdrDecode for LaunchRequest {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(LaunchRequest {
-            request_id: u64::decode(r)?,
-            reservation: u64::decode(r)?,
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-            work_mips_s: u64::decode(r)?,
-            checkpoint_interval_mips_s: f64::decode(r)?,
-            state_bytes: u64::decode(r)?,
-            resume_version: u64::decode(r)?,
-            replicas: Vec::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct LaunchRequest {
+    request_id, reservation, job, part, work_mips_s, checkpoint_interval_mips_s, state_bytes,
+    resume_version, replicas
+});
 
 /// LRM → GRM: launch outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -399,20 +275,7 @@ pub struct LaunchReply {
     pub reason: String,
 }
 
-impl CdrEncode for LaunchReply {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.accepted.encode(w);
-        self.reason.encode(w);
-    }
-}
-impl CdrDecode for LaunchReply {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(LaunchReply {
-            accepted: bool::decode(r)?,
-            reason: String::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct LaunchReply { accepted, reason });
 
 /// GRM → LRM: stop a running part (gang teardown after a sibling eviction).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -425,22 +288,7 @@ pub struct CancelPartRequest {
     pub part: u32,
 }
 
-impl CdrEncode for CancelPartRequest {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.job.encode(w);
-        self.part.encode(w);
-    }
-}
-impl CdrDecode for CancelPartRequest {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(CancelPartRequest {
-            request_id: u64::decode(r)?,
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct CancelPartRequest { request_id, job, part });
 
 /// LRM → GRM: progress of a cancelled part.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -456,24 +304,9 @@ pub struct CancelPartReply {
     pub done_work_mips_s: u64,
 }
 
-impl CdrEncode for CancelPartReply {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.found.encode(w);
-        self.checkpointed_work_mips_s.encode(w);
-        self.checkpoint_version.encode(w);
-        self.done_work_mips_s.encode(w);
-    }
-}
-impl CdrDecode for CancelPartReply {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(CancelPartReply {
-            found: bool::decode(r)?,
-            checkpointed_work_mips_s: u64::decode(r)?,
-            checkpoint_version: u64::decode(r)?,
-            done_work_mips_s: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct CancelPartReply {
+    found, checkpointed_work_mips_s, checkpoint_version, done_work_mips_s
+});
 
 /// LRM → GRM: a part finished (oneway notification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -509,24 +342,7 @@ pub fn canonical_result_digest(job: JobId, part: u32) -> u64 {
     h.max(1)
 }
 
-impl CdrEncode for PartDone {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.job.encode(w);
-        self.part.encode(w);
-        self.node.encode(w);
-        self.digest.encode(w);
-    }
-}
-impl CdrDecode for PartDone {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(PartDone {
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-            node: NodeId::decode(r)?,
-            digest: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct PartDone { job, part, node, digest });
 
 /// LRM → GRM: a part was evicted by the returning owner (oneway).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -549,28 +365,9 @@ pub struct PartEvicted {
     pub lost_work_mips_s: u64,
 }
 
-impl CdrEncode for PartEvicted {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.job.encode(w);
-        self.part.encode(w);
-        self.node.encode(w);
-        self.checkpointed_work_mips_s.encode(w);
-        self.checkpoint_version.encode(w);
-        self.lost_work_mips_s.encode(w);
-    }
-}
-impl CdrDecode for PartEvicted {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(PartEvicted {
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-            node: NodeId::decode(r)?,
-            checkpointed_work_mips_s: u64::decode(r)?,
-            checkpoint_version: u64::decode(r)?,
-            lost_work_mips_s: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct PartEvicted {
+    job, part, node, checkpointed_work_mips_s, checkpoint_version, lost_work_mips_s
+});
 
 /// A part's checkpoint as it travels the wire: the real marshalled
 /// `GlobalCheckpoint` CDR bytes plus enough metadata to version and verify
@@ -607,34 +404,7 @@ impl CheckpointBlob {
     }
 }
 
-impl CdrEncode for CheckpointBlob {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.job.encode(w);
-        self.part.encode(w);
-        self.version.encode(w);
-        self.work_mips_s.encode(w);
-        self.digest.encode(w);
-        // Length-prefixed raw bytes: same wire shape as Vec<u8>, without
-        // the per-byte encode loop (payloads are kilobytes, not words).
-        (self.payload.len() as u32).encode(w);
-        w.write_bytes(&self.payload);
-    }
-}
-impl CdrDecode for CheckpointBlob {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(CheckpointBlob {
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-            version: u64::decode(r)?,
-            work_mips_s: u64::decode(r)?,
-            digest: u32::decode(r)?,
-            payload: {
-                let len = u32::decode(r)? as usize;
-                SharedBytes::from(r.read_bytes(len)?)
-            },
-        })
-    }
-}
+impl_cdr!(struct CheckpointBlob { job, part, version, work_mips_s, digest, payload });
 
 /// Executing LRM → replica LRM (or GRM → LRM when re-replicating): write a
 /// checkpoint replica to the destination's disk.
@@ -648,22 +418,7 @@ pub struct StoreCheckpoint {
     pub blob: CheckpointBlob,
 }
 
-impl CdrEncode for StoreCheckpoint {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.origin.encode(w);
-        self.blob.encode(w);
-    }
-}
-impl CdrDecode for StoreCheckpoint {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(StoreCheckpoint {
-            request_id: u64::decode(r)?,
-            origin: NodeId::decode(r)?,
-            blob: CheckpointBlob::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct StoreCheckpoint { request_id, origin, blob });
 
 /// Replica LRM → writer: outcome of a [`StoreCheckpoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -679,22 +434,7 @@ pub struct StoreCheckpointReply {
     pub held_version: u64,
 }
 
-impl CdrEncode for StoreCheckpointReply {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.accepted.encode(w);
-        self.corrupt.encode(w);
-        self.held_version.encode(w);
-    }
-}
-impl CdrDecode for StoreCheckpointReply {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(StoreCheckpointReply {
-            accepted: bool::decode(r)?,
-            corrupt: bool::decode(r)?,
-            held_version: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct StoreCheckpointReply { accepted, corrupt, held_version });
 
 /// GRM → replica LRM: read back a held replica (recovery or re-replication).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -708,22 +448,7 @@ pub struct FetchCheckpoint {
     pub part: u32,
 }
 
-impl CdrEncode for FetchCheckpoint {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.job.encode(w);
-        self.part.encode(w);
-    }
-}
-impl CdrDecode for FetchCheckpoint {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FetchCheckpoint {
-            request_id: u64::decode(r)?,
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FetchCheckpoint { request_id, job, part });
 
 /// Replica LRM → GRM: the held replica, if any.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -734,20 +459,7 @@ pub struct FetchCheckpointReply {
     pub blob: CheckpointBlob,
 }
 
-impl CdrEncode for FetchCheckpointReply {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.found.encode(w);
-        self.blob.encode(w);
-    }
-}
-impl CdrDecode for FetchCheckpointReply {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FetchCheckpointReply {
-            found: bool::decode(r)?,
-            blob: CheckpointBlob::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FetchCheckpointReply { found, blob });
 
 /// GRM → replica LRM: a part completed; drop its replica (oneway).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -758,20 +470,7 @@ pub struct PurgeCheckpoint {
     pub part: u32,
 }
 
-impl CdrEncode for PurgeCheckpoint {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.job.encode(w);
-        self.part.encode(w);
-    }
-}
-impl CdrDecode for PurgeCheckpoint {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(PurgeCheckpoint {
-            job: JobId::decode(r)?,
-            part: u32::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct PurgeCheckpoint { job, part });
 
 /// GRM → parent GRM: the cluster's (subtree's) usage summary, sent every
 /// update period — the inter-cluster arm of the Information Update Protocol
@@ -788,20 +487,7 @@ pub struct FedSummary {
     pub usage: UsageSummary,
 }
 
-impl CdrEncode for FedSummary {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.cluster.encode(w);
-        self.usage.encode(w);
-    }
-}
-impl CdrDecode for FedSummary {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FedSummary {
-            cluster: ClusterId::decode(r)?,
-            usage: UsageSummary::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FedSummary { cluster, usage });
 
 /// GRM → linked GRM: a spillover probe along a trader federation link —
 /// "can your offer set satisfy this?" Carries the origin and a hop budget
@@ -822,28 +508,7 @@ pub struct FedQuery {
     pub hop_budget: u32,
 }
 
-impl CdrEncode for FedQuery {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.origin.encode(w);
-        self.nodes.encode(w);
-        self.min_cpu_mips.encode(w);
-        self.min_ram_mb.encode(w);
-        self.hop_budget.encode(w);
-    }
-}
-impl CdrDecode for FedQuery {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FedQuery {
-            request_id: u64::decode(r)?,
-            origin: ClusterId::decode(r)?,
-            nodes: u32::decode(r)?,
-            min_cpu_mips: u64::decode(r)?,
-            min_ram_mb: u64::decode(r)?,
-            hop_budget: u32::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FedQuery { request_id, origin, nodes, min_cpu_mips, min_ram_mb, hop_budget });
 
 /// Linked GRM → querying GRM: live match count for a [`FedQuery`] — the
 /// probed trader's current offers matching the constraint, not a stale
@@ -858,22 +523,7 @@ pub struct FedQueryReply {
     pub matches: u32,
 }
 
-impl CdrEncode for FedQueryReply {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.cluster.encode(w);
-        self.matches.encode(w);
-    }
-}
-impl CdrDecode for FedQueryReply {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FedQueryReply {
-            request_id: u64::decode(r)?,
-            cluster: ClusterId::decode(r)?,
-            matches: u32::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FedQueryReply { request_id, cluster, matches });
 
 /// Origin GRM → remote GRM: forward a job for remote execution (the
 /// request-forwarding arm of \[MK02\]). The full [`JobSpec`] is marshalled —
@@ -891,24 +541,7 @@ pub struct FedForward {
     pub spec: JobSpec,
 }
 
-impl CdrEncode for FedForward {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.origin.encode(w);
-        self.job.encode(w);
-        self.spec.encode(w);
-    }
-}
-impl CdrDecode for FedForward {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FedForward {
-            request_id: u64::decode(r)?,
-            origin: ClusterId::decode(r)?,
-            job: JobId::decode(r)?,
-            spec: JobSpec::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FedForward { request_id, origin, job, spec });
 
 /// Remote GRM → origin GRM: admission outcome of a [`FedForward`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -921,22 +554,7 @@ pub struct FedForwardAck {
     pub remote_job: JobId,
 }
 
-impl CdrEncode for FedForwardAck {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.request_id.encode(w);
-        self.accepted.encode(w);
-        self.remote_job.encode(w);
-    }
-}
-impl CdrDecode for FedForwardAck {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FedForwardAck {
-            request_id: u64::decode(r)?,
-            accepted: bool::decode(r)?,
-            remote_job: JobId::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FedForwardAck { request_id, accepted, remote_job });
 
 /// Remote GRM → origin GRM: periodic status of a forwarded job, so the
 /// submitting user's ASCT can "monitor application progress" (§4) across
@@ -956,31 +574,12 @@ pub struct FedStatus {
     pub completed: bool,
 }
 
-impl CdrEncode for FedStatus {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.cluster.encode(w);
-        self.job.encode(w);
-        self.parts_done.encode(w);
-        self.parts_total.encode(w);
-        self.completed.encode(w);
-    }
-}
-impl CdrDecode for FedStatus {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(FedStatus {
-            cluster: ClusterId::decode(r)?,
-            job: JobId::decode(r)?,
-            parts_done: u32::decode(r)?,
-            parts_total: u32::decode(r)?,
-            completed: bool::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct FedStatus { cluster, job, parts_done, parts_total, completed });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use integrade_orb::cdr::assert_wire_sound;
+    use integrade_orb::cdr::{assert_wire_sound, CdrDecode, CdrEncode};
 
     fn status() -> NodeStatus {
         NodeStatus {
@@ -1306,100 +905,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_federation_messages_rejected() {
-        let bytes = FedForward {
-            request_id: 5,
-            origin: ClusterId(1),
-            job: JobId(2),
-            spec: crate::asct::JobSpec::sequential("trunc", 100),
-        }
-        .to_cdr_bytes();
-        for cut in 1..8 {
-            assert!(
-                FedForward::from_cdr_bytes(&bytes[..bytes.len() - cut]).is_err(),
-                "decoded despite losing {cut} trailing bytes"
-            );
-        }
-        let bytes = FedSummary {
-            cluster: ClusterId(1),
-            usage: UsageSummary::default(),
-        }
-        .to_cdr_bytes();
-        assert!(FedSummary::from_cdr_bytes(&bytes[..bytes.len() - 2]).is_err());
-    }
-
-    #[test]
     fn refusal_constructor() {
         let r = ReserveReply::refused("owner active");
         assert!(!r.granted);
         assert_eq!(r.reason, "owner active");
-    }
-
-    #[test]
-    fn truncated_messages_rejected() {
-        let bytes = StatusUpdate {
-            node: NodeId(1),
-            seq: 1,
-            status: status(),
-            replicas: vec![],
-            pending_done: vec![],
-            pending_evicted: vec![],
-            progress: vec![ProgressReport {
-                job: JobId(3),
-                part: 0,
-                done_mips_s: 99,
-            }],
-        }
-        .to_cdr_bytes();
-        assert!(StatusUpdate::from_cdr_bytes(&bytes[..bytes.len() - 2]).is_err());
-    }
-
-    #[test]
-    fn truncated_checkpoint_blobs_rejected() {
-        // The payload length prefix must not read past the frame.
-        let bytes = StoreCheckpoint {
-            request_id: 7,
-            origin: NodeId(2),
-            blob: CheckpointBlob {
-                job: JobId(1),
-                part: 0,
-                version: 1,
-                work_mips_s: 100,
-                digest: 42,
-                payload: vec![9; 64].into(),
-            },
-        }
-        .to_cdr_bytes();
-        for cut in [1, 16, 63, 64] {
-            assert!(
-                StoreCheckpoint::from_cdr_bytes(&bytes[..bytes.len() - cut]).is_err(),
-                "decoded despite losing {cut} trailing bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_cancel_part_messages_rejected() {
-        let bytes = CancelPartRequest {
-            request_id: 7,
-            job: JobId(2),
-            part: 3,
-        }
-        .to_cdr_bytes();
-        for cut in 1..bytes.len() {
-            assert!(
-                CancelPartRequest::from_cdr_bytes(&bytes[..bytes.len() - cut]).is_err(),
-                "decoded despite losing {cut} trailing bytes"
-            );
-        }
-        let bytes = CancelPartReply {
-            found: true,
-            checkpointed_work_mips_s: 450,
-            checkpoint_version: 9,
-            done_work_mips_s: 510,
-        }
-        .to_cdr_bytes();
-        assert!(CancelPartReply::from_cdr_bytes(&bytes[..bytes.len() - 2]).is_err());
     }
 
     #[test]

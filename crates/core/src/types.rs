@@ -1,6 +1,6 @@
 //! Core identifier and resource-description types.
 
-use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use integrade_orb::impl_cdr;
 use integrade_simnet::idmap::DenseId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -21,16 +21,7 @@ impl DenseId for NodeId {
     }
 }
 
-impl CdrEncode for NodeId {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.0.encode(w);
-    }
-}
-impl CdrDecode for NodeId {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(NodeId(u32::decode(r)?))
-    }
-}
+impl_cdr!(struct NodeId(u32));
 
 /// Identifier of an InteGrade cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -42,16 +33,7 @@ impl fmt::Display for ClusterId {
     }
 }
 
-impl CdrEncode for ClusterId {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.0.encode(w);
-    }
-}
-impl CdrDecode for ClusterId {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ClusterId(u32::decode(r)?))
-    }
-}
+impl_cdr!(struct ClusterId(u32));
 
 /// Identifier of a submitted application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -63,16 +45,7 @@ impl fmt::Display for JobId {
     }
 }
 
-impl CdrEncode for JobId {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.0.encode(w);
-    }
-}
-impl CdrDecode for JobId {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(JobId(u64::decode(r)?))
-    }
-}
+impl_cdr!(struct JobId(u64));
 
 /// Hardware/software platform of a node — the "execution prerequisites"
 /// ASCT lets users state (§4).
@@ -108,20 +81,7 @@ impl fmt::Display for Platform {
     }
 }
 
-impl CdrEncode for Platform {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.os.encode(w);
-        self.arch.encode(w);
-    }
-}
-impl CdrDecode for Platform {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(Platform {
-            os: String::decode(r)?,
-            arch: String::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct Platform { os, arch });
 
 /// Static hardware capacity of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -163,22 +123,7 @@ impl ResourceVector {
     }
 }
 
-impl CdrEncode for ResourceVector {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.cpu_mips.encode(w);
-        self.ram_mb.encode(w);
-        self.disk_mb.encode(w);
-    }
-}
-impl CdrDecode for ResourceVector {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ResourceVector {
-            cpu_mips: u64::decode(r)?,
-            ram_mb: u64::decode(r)?,
-            disk_mb: u64::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct ResourceVector { cpu_mips, ram_mb, disk_mb });
 
 /// The overlapping node roles of Figure 1. "Note that those categories can
 /// overlap; for example, a node can be a User Node and a Resource Provider
@@ -273,31 +218,14 @@ impl NodeStatus {
     }
 }
 
-impl CdrEncode for NodeStatus {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.free_cpu_fraction.encode(w);
-        self.free_ram_mb.encode(w);
-        self.owner_active.encode(w);
-        self.exporting.encode(w);
-        self.running_parts.encode(w);
-    }
-}
-impl CdrDecode for NodeStatus {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(NodeStatus {
-            free_cpu_fraction: f64::decode(r)?,
-            free_ram_mb: u64::decode(r)?,
-            owner_active: bool::decode(r)?,
-            exporting: bool::decode(r)?,
-            running_parts: u32::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct NodeStatus {
+    free_cpu_fraction, free_ram_mb, owner_active, exporting, running_parts
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use integrade_orb::cdr::{CdrDecode, CdrEncode};
+    use integrade_orb::cdr::assert_wire_sound;
 
     #[test]
     fn ids_display() {
@@ -308,23 +236,16 @@ mod tests {
 
     #[test]
     fn cdr_round_trips() {
-        let n = NodeId(7);
-        assert_eq!(NodeId::from_cdr_bytes(&n.to_cdr_bytes()).unwrap(), n);
-        let p = Platform::linux_x86();
-        assert_eq!(Platform::from_cdr_bytes(&p.to_cdr_bytes()).unwrap(), p);
-        let r = ResourceVector::desktop();
-        assert_eq!(
-            ResourceVector::from_cdr_bytes(&r.to_cdr_bytes()).unwrap(),
-            r
-        );
-        let s = NodeStatus {
+        assert_wire_sound(&NodeId(7));
+        assert_wire_sound(&Platform::linux_x86());
+        assert_wire_sound(&ResourceVector::desktop());
+        assert_wire_sound(&NodeStatus {
             free_cpu_fraction: 0.7,
             free_ram_mb: 128,
             owner_active: false,
             exporting: true,
             running_parts: 2,
-        };
-        assert_eq!(NodeStatus::from_cdr_bytes(&s.to_cdr_bytes()).unwrap(), s);
+        });
     }
 
     #[test]

@@ -150,6 +150,7 @@ const TAG_DOUBLE: u8 = 2;
 const TAG_STR: u8 = 3;
 const TAG_SEQ: u8 = 4;
 
+// Hand-written: a union whose discriminant is a single u8 tag.
 impl CdrEncode for AnyValue {
     fn encode(&self, w: &mut CdrWriter) {
         match self {
@@ -196,7 +197,7 @@ impl CdrDecode for AnyValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cdr::{CdrDecode, CdrEncode};
+    use crate::cdr::{assert_wire_sound, CdrDecode};
 
     #[test]
     fn round_trips_all_kinds() {
@@ -205,10 +206,13 @@ mod tests {
             AnyValue::Long(-5),
             AnyValue::Double(2.5),
             AnyValue::Str("node".into()),
-            AnyValue::Seq(vec![AnyValue::Long(1), AnyValue::Str("x".into())]),
+            AnyValue::Seq(vec![
+                AnyValue::Long(1),
+                AnyValue::Str("x".into()),
+                AnyValue::Seq(vec![AnyValue::Bool(false), AnyValue::Double(0.5)]),
+            ]),
         ] {
-            let back = AnyValue::from_cdr_bytes(&v.to_cdr_bytes()).unwrap();
-            assert_eq!(back, v);
+            assert_wire_sound(&v);
         }
     }
 

@@ -6,7 +6,8 @@
 //! form, so references can be passed through the Naming/Trading services or
 //! embedded in protocol messages.
 
-use crate::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use crate::cdr::{CdrDecode, CdrEncode, CdrError};
+use crate::impl_cdr;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -32,21 +33,7 @@ impl fmt::Display for Endpoint {
     }
 }
 
-impl CdrEncode for Endpoint {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.host.encode(w);
-        self.port.encode(w);
-    }
-}
-
-impl CdrDecode for Endpoint {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(Endpoint {
-            host: u32::decode(r)?,
-            port: u16::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct Endpoint { host, port });
 
 /// Opaque key identifying a servant within its object adapter.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -76,17 +63,7 @@ impl From<&str> for ObjectKey {
     }
 }
 
-impl CdrEncode for ObjectKey {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.0.encode(w);
-    }
-}
-
-impl CdrDecode for ObjectKey {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ObjectKey(String::decode(r)?))
-    }
-}
+impl_cdr!(struct ObjectKey(String));
 
 /// An interoperable object reference.
 ///
@@ -195,27 +172,12 @@ impl fmt::Display for Ior {
     }
 }
 
-impl CdrEncode for Ior {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.type_id.encode(w);
-        self.endpoint.encode(w);
-        self.object_key.encode(w);
-    }
-}
-
-impl CdrDecode for Ior {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(Ior {
-            type_id: String::decode(r)?,
-            endpoint: Endpoint::decode(r)?,
-            object_key: ObjectKey::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct Ior { type_id, endpoint, object_key });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdr::assert_wire_sound;
 
     fn sample() -> Ior {
         Ior::new(
@@ -235,9 +197,7 @@ mod tests {
 
     #[test]
     fn cdr_round_trip() {
-        let ior = sample();
-        let back = Ior::from_cdr_bytes(&ior.to_cdr_bytes()).unwrap();
-        assert_eq!(back, ior);
+        assert_wire_sound(&sample());
     }
 
     #[test]

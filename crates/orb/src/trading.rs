@@ -34,8 +34,9 @@
 //! holds the two paths together under randomised offers and constraints.
 
 use crate::any::AnyValue;
-use crate::cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
+use crate::cdr::{CdrDecode, CdrEncode, CdrReader};
 use crate::constraint::{self, Expr, ParseError, SlotExpr, SlotId};
+use crate::impl_cdr;
 use crate::ior::Ior;
 use crate::servant::{Servant, ServerException};
 use integrade_simnet::idmap::{DenseId, IdMap};
@@ -65,16 +66,7 @@ impl fmt::Display for OfferId {
     }
 }
 
-impl CdrEncode for OfferId {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.0.encode(w);
-    }
-}
-impl CdrDecode for OfferId {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(OfferId(u64::decode(r)?))
-    }
-}
+impl_cdr!(struct OfferId(u64));
 
 /// An advertised service.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,25 +81,7 @@ pub struct ServiceOffer {
     pub properties: BTreeMap<String, AnyValue>,
 }
 
-impl CdrEncode for ServiceOffer {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.id.encode(w);
-        self.service_type.encode(w);
-        self.reference.encode(w);
-        self.properties.encode(w);
-    }
-}
-
-impl CdrDecode for ServiceOffer {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ServiceOffer {
-            id: OfferId::decode(r)?,
-            service_type: String::decode(r)?,
-            reference: Ior::decode(r)?,
-            properties: BTreeMap::decode(r)?,
-        })
-    }
-}
+impl_cdr!(struct ServiceOffer { id, service_type, reference, properties });
 
 /// How matched offers are ordered before truncation to `max_offers`.
 #[derive(Debug, Clone, PartialEq)]
@@ -1655,13 +1629,11 @@ mod tests {
 
     #[test]
     fn offer_cdr_round_trip() {
-        let offer = ServiceOffer {
+        crate::cdr::assert_wire_sound(&ServiceOffer {
             id: OfferId(9),
             service_type: "integrade::node".into(),
             reference: node_ior(9),
             properties: node_props(500, 16, true),
-        };
-        let back = ServiceOffer::from_cdr_bytes(&offer.to_cdr_bytes()).unwrap();
-        assert_eq!(back, offer);
+        });
     }
 }
