@@ -27,6 +27,7 @@ impl GridWorld {
             self.log
                 .record(now, "grm.crash", format_args!("next epoch {epoch}"));
         } else if let Some(&node) = self.host_to_node.get(host) {
+            self.update_acks[node].clear();
             {
                 let lrm = &mut self.nodes[node].lrm;
                 for part in lrm.running() {

@@ -1,4 +1,5 @@
 use super::repo_flow::{checkpoint_payload, verified};
+use super::wire::REQUEST_TIMEOUT;
 use super::*;
 use crate::lrm::DueCheckpoint;
 use crate::protocol::{CheckpointBlob, FetchCheckpointReply, UpdateAck, OP_LAUNCH};
@@ -393,6 +394,37 @@ const LATE: SimDuration = SimDuration::from_secs(20);
 const IN_TIME: SimDuration = SimDuration::from_secs(10);
 
 #[test]
+fn offers_mirror_the_accepted_status_across_a_grm_crash_and_restart() {
+    // Idle nodes mostly repeat their status, so most updates take the
+    // skipped-write branch; the job moves `running_parts` through the
+    // written one, and the crash marks every node unavailable.
+    let mut grid = small_grid(Strategy::AvailabilityOnly);
+    let job = grid.submit(JobSpec::bag_of_tasks("bag", 2, 30_000));
+    let mut accepted = 0;
+    for (until, then) in [
+        (200, Some(Grid::crash_grm as fn(&mut Grid))),
+        (260, Some(Grid::restart_grm)),
+        (1200, None),
+    ] {
+        grid.run_until(SimTime::from_secs(until));
+        for node in 0..4 {
+            assert!(
+                grid.world.grm.offer_mirrors_status(NodeId(node)),
+                "node {node} at {until} s"
+            );
+        }
+        // Nothing is accepted while the manager is down (200 to 260 s).
+        let now_accepted = grid.report().updates.accepted;
+        assert_eq!(now_accepted > accepted, until != 260, "at {until} s");
+        accepted = now_accepted;
+        if let Some(step) = then {
+            step(&mut grid);
+        }
+    }
+    assert_eq!(grid.job_record(job).unwrap().state, JobState::Completed);
+}
+
+#[test]
 fn acks_later_than_the_request_timeout_retire_nothing() {
     let unacked_after_a_job = |one_way| {
         let mut grid = limping_grid(one_way);
@@ -440,24 +472,18 @@ fn the_ack_window_closes_exactly_at_the_request_timeout() {
     // Delivers an ack announcing a new `epoch` for an update sent at
     // `sent_at`; returns how many epoch changes node 0 has logged.
     let mut ack_at = |request_id: u64, epoch: u64, at: SimTime| {
-        grid.world.pending.insert(
-            (host, request_id),
-            PendingEntry {
-                what: Pending::UpdateAck { node: 0, seq: 1 },
-                dest: grid.world.grm_host,
-                wire: Vec::new(),
-                extra_bytes: 0,
-                attempt: 0,
-                sent_at,
-                span: 0,
-            },
-        );
+        let ack = AwaitedAck {
+            request_id,
+            seq: 1,
+            sent_at,
+        };
+        grid.world.await_update_ack(sent_at, 0, ack);
         let ack = UpdateAck { epoch, seq: 1 }.to_cdr_bytes();
         grid.world
-            .handle_reply(at, host, request_id, Ok(ack), &mut grid.queue);
+            .handle_reply(at, host, request_id, Ok(&ack), &mut grid.queue);
         assert!(
-            !grid.world.pending.contains_key(&(host, request_id)),
-            "an ack consumes its entry, late or not"
+            grid.world.update_acks[0].is_empty(),
+            "an ack consumes its record, late or not"
         );
         grid.log().count("grm.epoch")
     };
@@ -471,40 +497,46 @@ fn the_ack_window_closes_exactly_at_the_request_timeout() {
 }
 
 #[test]
-fn an_update_that_never_left_its_host_leaves_no_pending_entry() {
+fn an_update_that_never_left_its_host_awaits_no_ack() {
     let mut grid = small_grid(Strategy::AvailabilityOnly);
     grid.set_fault_plan(FaultPlan::new(5).with_drop_probability(1.0));
     grid.run_until(SimTime::from_secs(100));
     assert!(grid.log().count("drops") >= 12, "4 nodes, 3+ rounds");
+    assert!(grid.world.update_acks.iter().all(Vec::is_empty));
     assert!(grid.world.pending.is_empty());
     assert_eq!(grid.report().updates.accepted, 0);
 }
 
 #[test]
-fn pending_acks_stay_bounded_for_periods_below_and_above_the_timeout() {
+fn awaited_acks_stay_bounded_for_periods_below_and_above_the_timeout() {
+    let awaited = |grid: &Grid| {
+        let per_node = grid.world.update_acks.iter().map(Vec::len);
+        (per_node.clone().sum::<usize>(), per_node.max().unwrap_or(0))
+    };
     for period_s in [10, 75] {
         let build = || small_grid_updating_every(SimDuration::from_secs(period_s));
         // Fault-free, every ack is back within a millisecond: between
-        // rounds nothing is pending.
+        // rounds nothing is awaited, and nothing ever enters `pending`.
         let mut grid = build();
         grid.run_until(SimTime::from_secs(399));
+        assert_eq!(awaited(&grid), (0, 0), "period {period_s} s");
         assert!(grid.world.pending.is_empty(), "period {period_s} s");
         assert!(grid.report().updates.accepted >= 4 * (399 / period_s));
-        // With acks being lost, an entry waits for its node's next send
-        // to sweep it: never more than one timeout's worth per node.
+        // With acks being lost, a record waits for its node's next send to
+        // drop it: never more than one timeout's worth per node.
         let mut grid = build();
         grid.set_fault_plan(FaultPlan::new(9).with_drop_probability(0.4));
         let per_node = REQUEST_TIMEOUT
             .as_micros()
-            .div_ceil(SimDuration::from_secs(period_s).as_micros());
+            .div_ceil(SimDuration::from_secs(period_s).as_micros()) as usize;
         let mut most = 0;
         for t in (50..=1500).step_by(50) {
             grid.run_until(SimTime::from_secs(t));
-            most = most.max(grid.world.pending.len());
+            let (total, on_one_node) = awaited(&grid);
+            most = most.max(total);
             assert!(
-                grid.world.pending.len() as u64 <= 4 * per_node,
-                "period {period_s} s at {t} s: {} pending",
-                grid.world.pending.len()
+                on_one_node <= per_node,
+                "period {period_s} s at {t} s: {on_one_node} awaited on one node"
             );
         }
         assert!(most > 0, "no ack was lost: the bound was never tested");
@@ -538,23 +570,19 @@ fn span_key_is_what_the_per_variant_match_produced() {
     let loser = Some((part, node, SPECULATIVE));
     let mut cases = vec![
         // A gang teardown's cancel is job-wide, per node asked.
-        (
-            Pending::Cancel { job, loser: None },
-            Some((CancelPart, u32::MAX)),
-        ),
-        (Pending::Cancel { job, loser }, Some((CancelPart, part))),
+        (Pending::Cancel { job, loser: None }, (CancelPart, u32::MAX)),
+        (Pending::Cancel { job, loser }, (CancelPart, part)),
         // Only relays get a fetch kind of their own.
         (
             fetch(FetchWhy::Recover { dead_node: node }),
-            Some((FetchCkpt, part)),
+            (FetchCkpt, part),
         ),
-        (fetch(FetchWhy::Twin), Some((FetchCkpt, part))),
+        (fetch(FetchWhy::Twin), (FetchCkpt, part)),
         (
             fetch(FetchWhy::Rerepl { target: node }),
-            Some((RereplFetch, part)),
+            (RereplFetch, part),
         ),
-        (store, Some((StoreCkpt, part))),
-        (Pending::UpdateAck { node: 1, seq: 1 }, None),
+        (store, (StoreCkpt, part)),
     ];
     // Twin traffic shares the primary's span kinds.
     for role in [Role::Primary, Role::Twin] {
@@ -570,12 +598,11 @@ fn span_key_is_what_the_per_variant_match_produced() {
             node,
             role,
         };
-        cases.push((reserve, Some((Reserve, part))));
-        cases.push((launch, Some((Launch, part))));
+        cases.push((reserve, (Reserve, part)));
+        cases.push((launch, (Launch, part)));
     }
-    for (pending, expected) in cases {
-        let expected = expected.map(|(kind, part)| (kind, 7, part, 5));
-        assert_eq!(pending.span_key(node), expected, "{pending:?}");
+    for (pending, (kind, part)) in cases {
+        assert_eq!(pending.span_key(node), (kind, 7, part, 5), "{pending:?}");
     }
 }
 

@@ -299,37 +299,14 @@ impl GridWorld {
             let request_id =
                 orb.make_request_into(target, OP_UPDATE_STATUS, move |w| msg.encode(w), &mut out);
             let bytes = self.protect(out);
-            // No timer guards the ack: one that arrives `REQUEST_TIMEOUT`
-            // or more after its update is ignored (`handle_reply`), and the
-            // entries such acks leave behind are swept here, by the same
-            // node's next send, so `pending` stays bounded whatever the
-            // ratio of update period to timeout.
-            let expired: Vec<(HostId, u64)> = self
-                .pending
-                .range((from, 0)..(from, request_id))
-                .filter(|(_, e)| {
-                    matches!(e.what, Pending::UpdateAck { .. })
-                        && now >= e.sent_at + REQUEST_TIMEOUT
-                })
-                .map(|(key, _)| *key)
-                .collect();
-            for key in expired {
-                self.pending.remove(&key);
-            }
             let grm_host = self.grm_host;
             if self.transmit(now, from, grm_host, bytes, 0, queue) {
-                self.pending.insert(
-                    (from, request_id),
-                    PendingEntry {
-                        what: Pending::UpdateAck { node, seq },
-                        dest: grm_host,
-                        wire: Vec::new(), // never retransmitted
-                        extra_bytes: 0,
-                        attempt: 0,
-                        sent_at: now,
-                        span: 0, // status updates are not traced
-                    },
-                );
+                let ack = AwaitedAck {
+                    request_id,
+                    seq,
+                    sent_at: now,
+                };
+                self.await_update_ack(now, node, ack);
             } else {
                 // Nothing left the host, so no ack can come back.
                 self.log

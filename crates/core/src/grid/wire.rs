@@ -2,7 +2,8 @@
 //! once ([`Pending`]), sent through one path ([`GridWorld::send_request_from`]),
 //! retransmitted by one timer ([`GridWorld::on_request_timeout`]) and
 //! answered through one dispatcher ([`GridWorld::handle_reply`]) that names
-//! the continuation of each kind.
+//! the continuation of each kind. Status updates, never retransmitted, wait
+//! for their acks per node ([`AwaitedAck`]) instead.
 
 use super::*;
 use crate::protocol::{
@@ -106,19 +107,15 @@ pub(super) enum Pending {
         resends: u32,
         rerepl: bool,
     },
-    /// An LRM status update awaiting the GRM's [`UpdateAck`]. Never
-    /// retransmitted: the seq/piggyback machinery is the retry layer.
-    UpdateAck { node: usize, seq: u64 },
 }
 
 impl Pending {
     /// The `(kind, job, part, node)` the request's trace span is keyed on,
     /// `dest` being the node it is sent to — the node a reserve, launch or
     /// single cancel names, the replica of a store, the holder a fetch
-    /// asks; `None` for untraced requests. Twin traffic shares the
-    /// primary's span kinds: the twin always targets a different node than
-    /// the primary's in-flight requests.
-    pub(super) fn span_key(&self, dest: NodeId) -> Option<(SpanKind, u64, u32, u64)> {
+    /// asks. Twin traffic shares the primary's span kinds: the twin always
+    /// targets a different node than the primary's in-flight requests.
+    pub(super) fn span_key(&self, dest: NodeId) -> (SpanKind, u64, u32, u64) {
         let (kind, job, part) = match self {
             Pending::Reserve { job, part, .. } => (SpanKind::Reserve, job, *part),
             Pending::Launch { job, part, .. } => (SpanKind::Launch, job, *part),
@@ -133,10 +130,21 @@ impl Pending {
                 FetchWhy::Rerepl { .. } => (SpanKind::RereplFetch, job, *part),
                 FetchWhy::Recover { .. } | FetchWhy::Twin => (SpanKind::FetchCkpt, job, *part),
             },
-            Pending::UpdateAck { .. } => return None,
         };
-        Some((kind, job.0, part, u64::from(dest.0)))
+        (kind, job.0, part, u64::from(dest.0))
     }
+}
+
+/// An LRM status update awaiting the GRM's [`UpdateAck`]. Never
+/// retransmitted: the seq/piggyback machinery is the retry layer, so no
+/// timer guards it either. An ack arriving `REQUEST_TIMEOUT` or more after
+/// its update counts as lost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct AwaitedAck {
+    /// The update's ORB request id at its node's host.
+    pub request_id: u64,
+    pub seq: u64,
+    pub sent_at: SimTime,
 }
 
 /// An in-flight request: its continuation plus everything needed to put the
@@ -156,14 +164,13 @@ pub(super) struct PendingEntry {
     /// When the original frame was first put on the wire (for RTT
     /// histograms; retransmissions do not reset it).
     pub sent_at: SimTime,
-    /// Trace-span id covering this request, or 0 when untraced
-    /// (status-update acks, which bypass the request path).
+    /// Trace-span id covering this request.
     pub span: u64,
 }
 
 /// The reply body, or `None` for a transport error or an undecodable one.
-fn decode<R: CdrDecode>(result: Result<Vec<u8>, RemoteError>) -> Option<R> {
-    result.ok().and_then(|b| R::from_cdr_bytes(&b).ok())
+fn decode<R: CdrDecode>(result: Result<&[u8], RemoteError>) -> Option<R> {
+    result.ok().and_then(|b| R::from_cdr_bytes(b).ok())
 }
 
 impl GridWorld {
@@ -304,16 +311,11 @@ impl GridWorld {
         // `next_rpc` still holds that id. Using it as the span id keys the
         // trace on the same grid-unique id the receiver deduplicates on,
         // without consuming ids of its own.
-        let span = match pending.span_key(node) {
-            Some((kind, job, part, on_node)) => {
-                let id = self.next_rpc;
-                self.obs
-                    .spans
-                    .start_rpc(id, kind, job, part, on_node, now.as_micros());
-                id
-            }
-            None => 0,
-        };
+        let span = self.next_rpc;
+        let (kind, job, part, on_node) = pending.span_key(node);
+        self.obs
+            .spans
+            .start_rpc(span, kind, job, part, on_node, now.as_micros());
         let bytes = self.protect(out);
         let to = self.node_hosts[node.0 as usize];
         self.pending.insert(
@@ -594,7 +596,7 @@ impl GridWorld {
         &mut self,
         now: SimTime,
         span: u64,
-        result: Result<Vec<u8>, RemoteError>,
+        result: Result<&[u8], RemoteError>,
         ok: impl Fn(&R) -> bool,
     ) -> Option<R> {
         let reply = decode::<R>(result);
@@ -613,9 +615,17 @@ impl GridWorld {
         now: SimTime,
         at: HostId,
         request_id: u64,
-        result: Result<Vec<u8>, RemoteError>,
+        result: Result<&[u8], RemoteError>,
         queue: &mut EventQueue<GridEvent>,
     ) {
+        if let Some((node, ack)) = self.take_awaited_ack(at, request_id) {
+            // The ack window: an ack `REQUEST_TIMEOUT` or more late counts
+            // as lost, and its record (just taken) with it.
+            if now < ack.sent_at + REQUEST_TIMEOUT {
+                self.on_update_ack(now, node, ack.seq, decode(result));
+            }
+            return;
+        }
         let Some(entry) = self.pending.remove(&(at, request_id)) else {
             return;
         };
@@ -686,14 +696,26 @@ impl GridWorld {
                     now, at, origin, blob, replica, resends, rerepl, reply, queue,
                 );
             }
-            Pending::UpdateAck { node, seq } => {
-                // The ack window: an ack `REQUEST_TIMEOUT` or more late
-                // counts as lost, and its entry (just removed) with it.
-                if now < entry.sent_at + REQUEST_TIMEOUT {
-                    self.on_update_ack(now, node, seq, decode(result));
-                }
-            }
         }
+    }
+
+    /// Records a status update `node` just put on the wire as awaiting its
+    /// ack. Records whose window has closed go first: their acks would be
+    /// ignored anyway, so a node holds at most one timeout's worth of them
+    /// whatever the ratio of update period to timeout.
+    pub(super) fn await_update_ack(&mut self, now: SimTime, node: usize, ack: AwaitedAck) {
+        let acks = &mut self.update_acks[node];
+        acks.retain(|a| now < a.sent_at + REQUEST_TIMEOUT);
+        acks.push(ack);
+    }
+
+    /// Takes the awaited-ack record `request_id` names at `at`, if that is
+    /// a node's host and the id one of its status updates.
+    fn take_awaited_ack(&mut self, at: HostId, request_id: u64) -> Option<(usize, AwaitedAck)> {
+        let node = *self.host_to_node.get(at)?;
+        let acks = &mut self.update_acks[node];
+        let i = acks.iter().position(|a| a.request_id == request_id)?;
+        Some((node, acks.remove(i)))
     }
 
     /// Processes the GRM's acknowledgement of a status update: retire the

@@ -18,7 +18,7 @@ use crate::protocol::{
 };
 use crate::repo::{ReplicaStore, StoreOutcome, StoredCheckpoint};
 use crate::types::{JobId, NodeId, NodeRoles, NodeStatus, Platform, ResourceVector};
-use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrReader};
+use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrReader, CdrWriter};
 use integrade_orb::servant::{Servant, ServerException};
 use integrade_simnet::faults::scheduled_draw;
 use integrade_simnet::time::{SimDuration, SimTime};
@@ -901,69 +901,93 @@ impl LrmState {
         operation: &str,
         args: &mut CdrReader<'_>,
     ) -> Result<Vec<u8>, ServerException> {
+        let mut out = CdrWriter::new();
+        self.dispatch_into(now, operation, args, &mut out)?;
+        Ok(out.into_bytes())
+    }
+
+    /// [`Self::dispatch`] encoding the result into `out`: the reply frame's
+    /// body when the ORB dispatches.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::dispatch`].
+    pub fn dispatch_into(
+        &mut self,
+        now: SimTime,
+        operation: &str,
+        args: &mut CdrReader<'_>,
+        out: &mut CdrWriter,
+    ) -> Result<(), ServerException> {
         match operation {
             OP_RESERVE => {
                 let req = ReserveRequest::decode(args)?;
-                Ok(self.deduplicated(req.request_id, |lrm| {
-                    (lrm.handle_reserve(&req, now).to_cdr_bytes(), true)
-                }))
+                self.deduplicated(req.request_id, out, |lrm, out| {
+                    lrm.handle_reserve(&req, now).encode(out);
+                    true
+                });
             }
             OP_LAUNCH => {
                 let req = LaunchRequest::decode(args)?;
-                Ok(self.deduplicated(req.request_id, |lrm| {
-                    (lrm.handle_launch(&req, now).to_cdr_bytes(), true)
-                }))
+                self.deduplicated(req.request_id, out, |lrm, out| {
+                    lrm.handle_launch(&req, now).encode(out);
+                    true
+                });
             }
             OP_STORE_CKPT => {
                 let req = StoreCheckpoint::decode(args)?;
-                Ok(self.deduplicated(req.request_id, |lrm| {
+                self.deduplicated(req.request_id, out, |lrm, out| {
                     let reply = lrm.handle_store(&req);
+                    reply.encode(out);
                     // A corrupt nack is deliberately not cached: the corruption
                     // happened in flight, so a retransmission of the same frame
                     // should re-execute the store, not replay the refusal.
-                    (reply.to_cdr_bytes(), !reply.corrupt)
-                }))
+                    !reply.corrupt
+                });
             }
             OP_FETCH_CKPT => {
                 // Read-only and naturally idempotent: no reply caching, a
                 // retransmission re-reads the (possibly newer) disk state.
                 let req = FetchCheckpoint::decode(args)?;
-                Ok(self.handle_fetch(&req).to_cdr_bytes())
+                self.handle_fetch(&req).encode(out);
             }
             OP_PURGE_CKPT => {
                 let req = PurgeCheckpoint::decode(args)?;
-                Ok(self.handle_purge(&req).to_cdr_bytes())
+                self.handle_purge(&req).encode(out);
             }
             OP_CANCEL => {
                 let reservation = u64::decode(args)?;
-                Ok(self.handle_cancel(reservation).to_cdr_bytes())
+                self.handle_cancel(reservation).encode(out);
             }
             crate::protocol::OP_CANCEL_PART => {
                 let req = crate::protocol::CancelPartRequest::decode(args)?;
-                Ok(self.deduplicated(req.request_id, |lrm| {
-                    (lrm.cancel_running(req.job, req.part).to_cdr_bytes(), true)
-                }))
+                self.deduplicated(req.request_id, out, |lrm, out| {
+                    lrm.cancel_running(req.job, req.part).encode(out);
+                    true
+                });
             }
-            other => Err(ServerException::BadOperation(other.to_owned())),
+            other => return Err(ServerException::BadOperation(other.to_owned())),
         }
+        Ok(())
     }
 
     /// Idempotent execution: replays the cached reply for an already-answered
-    /// `request_id`, otherwise runs `handler` and caches the reply bytes it
-    /// returns when it says they are cacheable.
+    /// `request_id` into `out`, otherwise runs `handler`, which encodes the
+    /// reply into `out` and says whether it may be cached.
     fn deduplicated(
         &mut self,
         request_id: u64,
-        handler: impl FnOnce(&mut Self) -> (Vec<u8>, bool),
-    ) -> Vec<u8> {
+        out: &mut CdrWriter,
+        handler: impl FnOnce(&mut Self, &mut CdrWriter) -> bool,
+    ) {
         if let Some(cached) = self.cached_reply(request_id) {
-            return cached;
+            out.write_bytes(&cached);
+            return;
         }
-        let (reply, cacheable) = handler(self);
-        if cacheable {
-            self.cache_reply(request_id, reply.clone());
+        let start = out.as_bytes().len();
+        if handler(self, out) {
+            self.cache_reply(request_id, out.as_bytes()[start..].to_vec());
         }
-        reply
     }
 
     /// This LRM as a remote object for one call arriving at `now` — what the
@@ -992,6 +1016,15 @@ impl Servant for LrmServant<'_> {
         args: &mut CdrReader<'_>,
     ) -> Result<Vec<u8>, ServerException> {
         self.state.dispatch(self.now, operation, args)
+    }
+
+    fn dispatch_into(
+        &mut self,
+        operation: &str,
+        args: &mut CdrReader<'_>,
+        out: &mut CdrWriter,
+    ) -> Result<(), ServerException> {
+        self.state.dispatch_into(self.now, operation, args, out)
     }
 }
 

@@ -189,6 +189,12 @@ impl CdrWriter {
         self.len() == 0
     }
 
+    /// Discards everything written since the writer's start, keeping any
+    /// prefix it was appended to.
+    pub fn clear(&mut self) {
+        self.buf.truncate(self.base);
+    }
+
     /// Consumes the writer and returns the encoded buffer (including any
     /// prefix it was appended to).
     pub fn into_bytes(self) -> Vec<u8> {
@@ -270,6 +276,21 @@ impl<'a> CdrReader<'a> {
     /// Reads `n` raw bytes.
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CdrError> {
         self.take(n)
+    }
+
+    /// Reads a CDR string (u32 length including the NUL, the bytes, the NUL)
+    /// borrowed from the input.
+    pub fn read_str(&mut self) -> Result<&'a str, CdrError> {
+        let len = self.read_u32()? as u64;
+        if len == 0 || len > MAX_SEQ_LEN {
+            return Err(CdrError::LengthOverflow(len));
+        }
+        let bytes = self.read_bytes(len as usize)?;
+        let (body, nul) = bytes.split_at(bytes.len() - 1);
+        if nul != [0] {
+            return Err(CdrError::InvalidUtf8);
+        }
+        std::str::from_utf8(body).map_err(|_| CdrError::InvalidUtf8)
     }
 
     /// Fails with [`CdrError::TrailingBytes`] unless fully consumed.
@@ -406,16 +427,7 @@ impl CdrEncode for String {
 }
 impl CdrDecode for String {
     fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        let len = r.read_u32()? as u64;
-        if len == 0 || len > MAX_SEQ_LEN {
-            return Err(CdrError::LengthOverflow(len));
-        }
-        let bytes = r.read_bytes(len as usize)?;
-        let (body, nul) = bytes.split_at(bytes.len() - 1);
-        if nul != [0] {
-            return Err(CdrError::InvalidUtf8);
-        }
-        String::from_utf8(body.to_vec()).map_err(|_| CdrError::InvalidUtf8)
+        r.read_str().map(str::to_owned)
     }
 }
 

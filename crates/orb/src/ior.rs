@@ -9,6 +9,7 @@
 use crate::cdr::{CdrDecode, CdrEncode, CdrError};
 use crate::impl_cdr;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Network endpoint of an object: a simulated host plus a logical port.
@@ -54,6 +55,14 @@ impl ObjectKey {
 impl fmt::Display for ObjectKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// Keys compare, order and hash as their text does, so a map keyed by
+/// `ObjectKey` can be searched with a key borrowed from the wire.
+impl Borrow<str> for ObjectKey {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 

@@ -9,7 +9,7 @@
 //! grid simulation — so the same middleware code runs in both settings.
 
 use crate::cdr::CdrWriter;
-use crate::giop::{write_request_frame, FrameError, Message, ReplyStatus};
+use crate::giop::{write_request_frame, Frame, FrameError, Reply, ReplyStatus, Request};
 use crate::ior::{Endpoint, Ior, ObjectKey};
 use crate::servant::{Poa, Servant};
 use std::fmt;
@@ -53,9 +53,10 @@ impl From<FrameError> for RemoteError {
     }
 }
 
-/// What an ORB did with an incoming wire message.
+/// What an ORB did with an incoming wire message; a received reply's body
+/// is borrowed from the wire bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Incoming {
+pub enum Incoming<'a> {
     /// The message was a request; these reply bytes must be sent back to the
     /// requester.
     ReplyToSend(Vec<u8>),
@@ -67,34 +68,30 @@ pub enum Incoming {
         /// Id of the originating request.
         request_id: u64,
         /// The operation result or failure.
-        result: Result<Vec<u8>, RemoteError>,
+        result: Result<&'a [u8], RemoteError>,
     },
 }
 
-/// Decodes reply wire bytes into `(request_id, result)`.
+/// Decodes reply wire bytes into `(request_id, result)`, the result
+/// borrowed from `bytes`.
 ///
 /// # Errors
 ///
 /// Fails if the bytes are not a well-formed reply frame.
-pub fn decode_reply(bytes: &[u8]) -> Result<(u64, Result<Vec<u8>, RemoteError>), RemoteError> {
-    match Message::from_wire(bytes)? {
-        Message::Reply {
-            request_id,
-            status,
-            body,
-        } => {
-            let result = match status {
-                ReplyStatus::NoException => Ok(body.into_owned()),
-                ReplyStatus::UserException => Err(RemoteError::User(
-                    String::from_utf8_lossy(&body).into_owned(),
-                )),
-                ReplyStatus::SystemException => Err(RemoteError::System(
-                    String::from_utf8_lossy(&body).into_owned(),
-                )),
-            };
-            Ok((request_id, result))
-        }
-        Message::Request { .. } => Err(RemoteError::Frame(FrameError::BadMessageType(0))),
+pub fn decode_reply(bytes: &[u8]) -> Result<(u64, Result<&[u8], RemoteError>), RemoteError> {
+    match Frame::parse(bytes)? {
+        Frame::Reply(reply) => Ok((reply.request_id, reply_result(&reply))),
+        Frame::Request(_) => Err(RemoteError::Frame(FrameError::BadMessageType(0))),
+    }
+}
+
+/// A reply's body on success, its exception detail as the error otherwise.
+fn reply_result<'a>(reply: &Reply<'a>) -> Result<&'a [u8], RemoteError> {
+    let detail = || String::from_utf8_lossy(reply.body).into_owned();
+    match reply.status {
+        ReplyStatus::NoException => Ok(reply.body),
+        ReplyStatus::UserException => Err(RemoteError::User(detail())),
+        ReplyStatus::SystemException => Err(RemoteError::System(detail())),
     }
 }
 
@@ -130,7 +127,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<(u64, Result<Vec<u8>, RemoteError>),
 /// let Incoming::ReplyToSend(reply) = server.handle_wire(&wire).unwrap() else { panic!() };
 /// let (rid, result) = decode_reply(&reply).unwrap();
 /// assert_eq!(rid, id);
-/// assert_eq!(String::from_cdr_bytes(&result.unwrap()).unwrap(), "hi");
+/// assert_eq!(String::from_cdr_bytes(result.unwrap()).unwrap(), "hi");
 /// ```
 #[derive(Debug)]
 pub struct Orb {
@@ -140,10 +137,6 @@ pub struct Orb {
     oneways_sent: u64,
     replies_received: u64,
     requests_dispatched: u64,
-    /// Reusable argument-encoding buffer: CDR alignment is relative to the
-    /// argument block's own start, so args are staged here and appended to
-    /// the frame as raw bytes.
-    scratch: Vec<u8>,
 }
 
 /// Point-in-time traffic counters for one [`Orb`].
@@ -174,7 +167,6 @@ impl Orb {
             oneways_sent: 0,
             replies_received: 0,
             requests_dispatched: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -259,17 +251,13 @@ impl Orb {
         if !response_expected {
             self.oneways_sent += 1;
         }
-        self.scratch.clear();
-        let mut w = CdrWriter::append_to(std::mem::take(&mut self.scratch));
-        encode_args(&mut w);
-        self.scratch = w.into_bytes();
         write_request_frame(
             out,
             request_id,
             response_expected,
-            &target.object_key,
+            target.object_key.as_str(),
             operation,
-            &self.scratch,
+            encode_args,
         );
         request_id
     }
@@ -280,7 +268,7 @@ impl Orb {
     /// # Errors
     ///
     /// Fails if the bytes are not a well-formed frame.
-    pub fn handle_wire(&mut self, bytes: &[u8]) -> Result<Incoming, RemoteError> {
+    pub fn handle_wire<'a>(&mut self, bytes: &'a [u8]) -> Result<Incoming<'a>, RemoteError> {
         self.handle_wire_via(bytes, |poa, request| poa.handle_request(request))
     }
 
@@ -293,46 +281,36 @@ impl Orb {
     /// # Errors
     ///
     /// Fails if the bytes are not a well-formed frame.
-    pub fn handle_wire_with(
+    pub fn handle_wire_with<'a>(
         &mut self,
-        bytes: &[u8],
+        bytes: &'a [u8],
         key: &ObjectKey,
         servant: &mut dyn Servant,
-    ) -> Result<Incoming, RemoteError> {
+    ) -> Result<Incoming<'a>, RemoteError> {
         self.handle_wire_via(bytes, |poa, request| {
             poa.handle_request_with(request, key, servant)
         })
     }
 
-    fn handle_wire_via(
+    fn handle_wire_via<'a>(
         &mut self,
-        bytes: &[u8],
-        serve: impl FnOnce(&mut Poa, &Message<'_>) -> Option<Message<'static>>,
-    ) -> Result<Incoming, RemoteError> {
-        match Message::from_wire(bytes)? {
-            req @ Message::Request { .. } => {
+        bytes: &'a [u8],
+        serve: impl FnOnce(&mut Poa, &Request<'_>) -> Option<Vec<u8>>,
+    ) -> Result<Incoming<'a>, RemoteError> {
+        match Frame::parse(bytes)? {
+            Frame::Request(request) => {
                 self.requests_dispatched += 1;
-                match serve(&mut self.poa, &req) {
-                    Some(reply) => Ok(Incoming::ReplyToSend(reply.to_wire())),
-                    None => Ok(Incoming::OnewayHandled),
-                }
+                Ok(match serve(&mut self.poa, &request) {
+                    Some(reply) => Incoming::ReplyToSend(reply),
+                    None => Incoming::OnewayHandled,
+                })
             }
-            Message::Reply {
-                request_id,
-                status,
-                body,
-            } => {
+            Frame::Reply(reply) => {
                 self.replies_received += 1;
-                let result = match status {
-                    ReplyStatus::NoException => Ok(body.into_owned()),
-                    ReplyStatus::UserException => Err(RemoteError::User(
-                        String::from_utf8_lossy(&body).into_owned(),
-                    )),
-                    ReplyStatus::SystemException => Err(RemoteError::System(
-                        String::from_utf8_lossy(&body).into_owned(),
-                    )),
-                };
-                Ok(Incoming::ReplyReceived { request_id, result })
+                Ok(Incoming::ReplyReceived {
+                    request_id: reply.request_id,
+                    result: reply_result(&reply),
+                })
             }
         }
     }
@@ -402,7 +380,7 @@ mod tests {
             panic!()
         };
         assert_eq!(request_id, id);
-        assert_eq!(i64::from_cdr_bytes(&result.unwrap()).unwrap(), 7);
+        assert_eq!(i64::from_cdr_bytes(result.unwrap()).unwrap(), 7);
     }
 
     #[test]
@@ -438,7 +416,7 @@ mod tests {
             panic!()
         };
         let (_, result) = decode_reply(&reply).unwrap();
-        assert_eq!(i64::from_cdr_bytes(&result.unwrap()).unwrap(), 7);
+        assert_eq!(i64::from_cdr_bytes(result.unwrap()).unwrap(), 7);
     }
 
     #[test]

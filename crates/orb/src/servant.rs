@@ -7,8 +7,8 @@
 //! servants, activates/deactivates them and converts invocation failures
 //! into GIOP system exceptions.
 
-use crate::cdr::{CdrError, CdrReader};
-use crate::giop::{Message, ReplyStatus};
+use crate::cdr::{CdrError, CdrReader, CdrWriter};
+use crate::giop::{write_reply_frame, ReplyStatus, Request};
 use crate::ior::{Endpoint, Ior, ObjectKey};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,6 +72,25 @@ pub trait Servant: Send {
         operation: &str,
         args: &mut CdrReader<'_>,
     ) -> Result<Vec<u8>, ServerException>;
+
+    /// [`Servant::dispatch`] encoding a successful result straight into
+    /// `out`: for a two-way request, the body of the reply frame itself.
+    /// On an error, whatever was written is discarded. The provided body
+    /// copies `dispatch`'s result; a servant on a hot path overrides it to
+    /// encode the result in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`Servant::dispatch`].
+    fn dispatch_into(
+        &mut self,
+        operation: &str,
+        args: &mut CdrReader<'_>,
+        out: &mut CdrWriter,
+    ) -> Result<(), ServerException> {
+        out.write_bytes(&self.dispatch(operation, args)?);
+        Ok(())
+    }
 }
 
 /// Object adapter: routes requests to activated servants.
@@ -170,15 +189,11 @@ impl Poa {
         self.dispatched
     }
 
-    /// Dispatches a request message; returns the reply message, or `None`
-    /// for oneway requests.
-    ///
-    /// Non-request messages yield a system-exception reply when a response
-    /// is expected, mirroring ORB behaviour of never letting a client hang
-    /// on a malformed interaction.
-    pub fn handle_request(&mut self, message: &Message<'_>) -> Option<Message<'static>> {
+    /// Dispatches a request; returns the reply frame, or `None` for a
+    /// oneway request.
+    pub fn handle_request(&mut self, request: &Request<'_>) -> Option<Vec<u8>> {
         let servants = &mut self.servants;
-        serve(&mut self.dispatched, message, |key| {
+        serve(&mut self.dispatched, request, |key| {
             servants.get_mut(key).map(|s| &mut **s as &mut dyn Servant)
         })
     }
@@ -191,60 +206,64 @@ impl Poa {
     /// every invocation through the adapter's exception mapping and counts.
     pub fn handle_request_with(
         &mut self,
-        message: &Message<'_>,
+        request: &Request<'_>,
         key: &ObjectKey,
         servant: &mut dyn Servant,
-    ) -> Option<Message<'static>> {
-        serve(&mut self.dispatched, message, |target| {
-            (target == key).then_some(servant)
+    ) -> Option<Vec<u8>> {
+        serve(&mut self.dispatched, request, |target| {
+            (target == key.as_str()).then_some(servant)
         })
     }
 }
 
 /// The one dispatch body behind both [`Poa`] entries: count the request,
 /// resolve its object key to a servant, invoke, and map the outcome to a
-/// reply (`None` for oneways and for non-request messages).
+/// reply frame whose body the servant encodes in place (`None` for a
+/// oneway).
 fn serve<'s>(
     dispatched: &mut u64,
-    message: &Message<'_>,
-    resolve: impl FnOnce(&ObjectKey) -> Option<&'s mut (dyn Servant + 's)>,
-) -> Option<Message<'static>> {
-    let Message::Request {
-        request_id,
-        response_expected,
-        object_key,
-        operation,
-        body,
-    } = message
-    else {
-        return None;
-    };
+    request: &Request<'_>,
+    resolve: impl FnOnce(&str) -> Option<&'s mut (dyn Servant + 's)>,
+) -> Option<Vec<u8>> {
     *dispatched += 1;
-    let outcome = match resolve(object_key) {
+    let invoke = |out: &mut CdrWriter| match resolve(request.object_key) {
         None => Err(ServerException::Internal(format!(
-            "no servant for object key '{object_key}'"
+            "no servant for object key '{}'",
+            request.object_key
         ))),
-        Some(servant) => servant.dispatch(operation, &mut CdrReader::new(body)),
+        Some(servant) => {
+            servant.dispatch_into(request.operation, &mut CdrReader::new(request.args), out)
+        }
     };
-    if !response_expected {
+    if !request.response_expected {
+        let _ = invoke(&mut CdrWriter::new());
         return None;
     }
-    let (status, body) = match outcome {
-        Ok(result) => (ReplyStatus::NoException, result),
-        Err(ServerException::User(detail)) => (ReplyStatus::UserException, detail.into_bytes()),
-        Err(e) => (ReplyStatus::SystemException, e.to_string().into_bytes()),
-    };
-    Some(Message::Reply {
-        request_id: *request_id,
-        status,
-        body: body.into(),
-    })
+    let mut reply = Vec::with_capacity(64);
+    write_reply_frame(&mut reply, request.request_id, |body| {
+        let Err(e) = invoke(body) else {
+            return ReplyStatus::NoException;
+        };
+        body.clear();
+        match e {
+            ServerException::User(detail) => {
+                body.write_bytes(detail.as_bytes());
+                ReplyStatus::UserException
+            }
+            e => {
+                body.write_bytes(e.to_string().as_bytes());
+                ReplyStatus::SystemException
+            }
+        }
+    });
+    Some(reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cdr::{CdrDecode, CdrEncode};
+    use crate::giop::Frame;
 
     struct Adder {
         calls: u32,
@@ -271,13 +290,29 @@ mod tests {
         }
     }
 
-    fn request(key: &str, op: &str, body: Vec<u8>, expect: bool) -> Message<'static> {
-        Message::Request {
+    /// Sends `op` with `args` to `key`; the reply's status and body, or
+    /// `None` for a oneway.
+    fn call(
+        poa: &mut Poa,
+        key: &str,
+        op: &str,
+        args: &[u8],
+        response_expected: bool,
+    ) -> Option<(ReplyStatus, Vec<u8>)> {
+        let request = Request {
             request_id: 1,
-            response_expected: expect,
-            object_key: ObjectKey::new(key),
-            operation: op.into(),
-            body: body.into(),
+            response_expected,
+            object_key: key,
+            operation: op,
+            args,
+        };
+        let wire = poa.handle_request(&request)?;
+        match Frame::parse(&wire).unwrap() {
+            Frame::Reply(reply) => {
+                assert_eq!(reply.request_id, 1);
+                Some((reply.status, reply.body.to_vec()))
+            }
+            Frame::Request(_) => panic!("expected reply"),
         }
     }
 
@@ -290,12 +325,8 @@ mod tests {
     #[test]
     fn successful_dispatch_returns_result() {
         let mut poa = poa_with_adder();
-        let reply = poa
-            .handle_request(&request("adder", "add", (2i64, 3i64).to_cdr_bytes(), true))
-            .unwrap();
-        let Message::Reply { status, body, .. } = reply else {
-            panic!("expected reply")
-        };
+        let args = (2i64, 3i64).to_cdr_bytes();
+        let (status, body) = call(&mut poa, "adder", "add", &args, true).unwrap();
         assert_eq!(status, ReplyStatus::NoException);
         assert_eq!(i64::from_cdr_bytes(&body).unwrap(), 5);
     }
@@ -303,61 +334,41 @@ mod tests {
     #[test]
     fn user_exception_maps_to_user_status() {
         let mut poa = poa_with_adder();
-        let reply = poa
-            .handle_request(&request("adder", "fail", vec![], true))
-            .unwrap();
-        let Message::Reply { status, body, .. } = reply else {
-            panic!()
-        };
+        let (status, body) = call(&mut poa, "adder", "fail", &[], true).unwrap();
         assert_eq!(status, ReplyStatus::UserException);
-        assert_eq!(
-            String::from_utf8(body.into_owned()).unwrap(),
-            "requested failure"
-        );
+        assert_eq!(String::from_utf8(body).unwrap(), "requested failure");
     }
 
     #[test]
     fn unknown_operation_is_system_exception() {
         let mut poa = poa_with_adder();
-        let reply = poa
-            .handle_request(&request("adder", "nope", vec![], true))
-            .unwrap();
-        let Message::Reply { status, .. } = reply else {
-            panic!()
-        };
+        let (status, _) = call(&mut poa, "adder", "nope", &[], true).unwrap();
         assert_eq!(status, ReplyStatus::SystemException);
     }
 
     #[test]
     fn unknown_object_is_system_exception() {
         let mut poa = poa_with_adder();
-        let reply = poa
-            .handle_request(&request("ghost", "add", vec![], true))
-            .unwrap();
-        let Message::Reply { status, .. } = reply else {
-            panic!()
-        };
+        let (status, body) = call(&mut poa, "ghost", "add", &[], true).unwrap();
         assert_eq!(status, ReplyStatus::SystemException);
+        assert_eq!(
+            String::from_utf8(body).unwrap(),
+            "internal servant error: no servant for object key 'ghost'"
+        );
     }
 
     #[test]
     fn marshal_error_is_system_exception() {
         let mut poa = poa_with_adder();
-        let reply = poa
-            .handle_request(&request("adder", "add", vec![1], true))
-            .unwrap();
-        let Message::Reply { status, .. } = reply else {
-            panic!()
-        };
+        let (status, _) = call(&mut poa, "adder", "add", &[1], true).unwrap();
         assert_eq!(status, ReplyStatus::SystemException);
     }
 
     #[test]
     fn oneway_requests_get_no_reply() {
         let mut poa = poa_with_adder();
-        let reply =
-            poa.handle_request(&request("adder", "add", (1i64, 1i64).to_cdr_bytes(), false));
-        assert!(reply.is_none());
+        let args = (1i64, 1i64).to_cdr_bytes();
+        assert!(call(&mut poa, "adder", "add", &args, false).is_none());
         assert_eq!(poa.dispatched(), 1);
     }
 

@@ -123,7 +123,7 @@ impl LoopbackBus {
             Incoming::ReplyToSend(reply) => {
                 let (rid, result) = decode_reply(&reply)?;
                 debug_assert_eq!(rid, id);
-                result
+                result.map(<[u8]>::to_vec)
             }
             Incoming::OnewayHandled => Ok(Vec::new()),
             Incoming::ReplyReceived { .. } => {
