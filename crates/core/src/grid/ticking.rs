@@ -5,8 +5,8 @@
 use super::*;
 use crate::protocol::{PartDone, StatusUpdate, OP_PART_DONE, OP_PART_EVICTED, OP_UPDATE_STATUS};
 use crate::tick::{
-    replay_node_local, tick_members, tick_node_local, trace_sample_at, Flush, NodeTickEffects,
-    FLUSH_CHUNK_SLOTS,
+    digest, replay_node_local, tick_members, tick_node_local, trace_sample_at, Flush,
+    NodeTickEffects, FLUSH_CHUNK_SLOTS,
 };
 use integrade_obs::profile::Phase;
 use integrade_usage::sample::{DayPeriod, Weekday};
@@ -31,18 +31,19 @@ impl GridWorld {
         }
         let profiler = self.obs.profiler.clone();
         let _replay = profiler.enter(Phase::CatchUpReplay);
-        let uploads = replay_node_local(
+        let days = replay_node_local(
             &self.config,
             &mut self.nodes[node],
             &mut self.jitter_rng,
             target,
         );
         drop(_replay);
-        if !uploads.is_empty() {
+        if !days.is_empty() {
             let _digest = profiler.enter(Phase::GupaDigest);
-            for call in uploads {
-                self.gupa.upload(NodeId(node as u32), call);
-            }
+            let config = self.gupa.config();
+            let n = self.nodes.len();
+            let uploads = digest(&mut self.gupa.cells_mut(n)[node], config, days);
+            self.gupa.add_uploads(uploads);
         }
     }
 

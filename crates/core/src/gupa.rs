@@ -58,15 +58,18 @@ pub struct GupaCell {
 }
 
 impl GupaCell {
-    /// Digests one upload call into this cell: reduces the periods to their
-    /// feature curves and (re)trains the model once enough days exist.
-    /// Returns whether the call counted as an upload (empty calls are
+    /// Digests a batch of completed days into this cell: reduces the
+    /// periods to their feature curves and (re)trains the model once enough
+    /// days exist — once per batch, however many days it holds or where in
+    /// it the history reaches [`MIN_TRAINING_DAYS`]. A model is fit over its
+    /// whole history, so one batch trains the model a digest per day would.
+    /// Returns whether the batch counted as an upload call (empty ones are
     /// ignored, matching the protocol's no-op on an empty report).
     ///
-    /// This is the cell-side half of [`GupaState::upload`]: the lazy walk's
-    /// frames and the flush's chunks call it against the cell table and
-    /// report how many calls counted; the coordinator folds the counts back
-    /// in with [`GupaState::add_uploads`].
+    /// This is the cell-side half of [`GupaState::upload`]. The lazy walk
+    /// calls it against the cell table with every day one catch-up
+    /// completed, counts one upload per day, and the coordinator folds the
+    /// counts back in with [`GupaState::add_uploads`].
     pub fn digest(&mut self, config: LupaConfig, periods: Vec<DayPeriod>) -> bool {
         if periods.is_empty() {
             return false;
@@ -289,9 +292,9 @@ mod tests {
         }
     }
 
-    fn gupa_with_history() -> GupaState {
-        let mut gupa = GupaState::new(LupaConfig::default());
-        let days: Vec<DayPeriod> = (0..14)
+    /// Two weeks of office days and idle weekends.
+    fn history() -> Vec<DayPeriod> {
+        (0..14)
             .map(|d| {
                 if Weekday::from_day_number(d).is_weekend() {
                     day(d, |_| 0.02)
@@ -299,8 +302,12 @@ mod tests {
                     day(d, office)
                 }
             })
-            .collect();
-        gupa.upload(NodeId(1), days);
+            .collect()
+    }
+
+    fn gupa_with_history() -> GupaState {
+        let mut gupa = GupaState::new(LupaConfig::default());
+        gupa.upload(NodeId(1), history());
         gupa
     }
 
@@ -350,7 +357,7 @@ mod tests {
         let config = LupaConfig::default();
         let mut daily = GupaCell::default();
         for len in 1..=raw.len() {
-            // The run's shape: one completed day per upload call.
+            // The reference walk's shape: one completed day per upload call.
             assert!(daily.digest(config, vec![raw[len - 1].clone()]));
             assert_eq!(daily.day_curves().count(), len);
             if len < MIN_TRAINING_DAYS {
@@ -363,7 +370,7 @@ mod tests {
             let mut bulk = GupaCell::default();
             bulk.digest(config, raw[..len].to_vec());
             assert_eq!(bulk.model.as_deref(), Some(&trained), "bulk, {len} days");
-            // And a warm-up followed by the run's daily uploads.
+            // And a warm-up followed by the reference walk's daily uploads.
             let mut mixed = GupaCell::default();
             mixed.digest(config, raw[..MIN_TRAINING_DAYS - 2].to_vec());
             for period in &raw[MIN_TRAINING_DAYS - 2..len] {
@@ -371,6 +378,44 @@ mod tests {
             }
             assert_eq!(mixed.model.as_deref(), Some(&trained), "mixed, {len} days");
         }
+    }
+
+    #[test]
+    fn a_batch_crossing_the_training_threshold_trains_the_daily_model() {
+        let raw: Vec<DayPeriod> = (0..11)
+            .map(|d| day(d, |h| office(h) - 0.01 * d as f64))
+            .collect();
+        let config = LupaConfig::default();
+        let (mut batched, mut daily) = (GupaCell::default(), GupaCell::default());
+        let first = MIN_TRAINING_DAYS - 3;
+        batched.digest(config, raw[..first].to_vec());
+        assert!(batched.model.is_none());
+        // One call from below the threshold to four days past it.
+        assert!(batched.digest(config, raw[first..].to_vec()));
+        for period in &raw {
+            daily.digest(config, vec![period.clone()]);
+        }
+        assert_eq!(batched, daily);
+        assert_eq!(
+            batched.model.as_deref(),
+            Some(&LupaModel::train(&raw, config))
+        );
+        assert!(batched.pending.is_empty());
+    }
+
+    #[test]
+    fn a_batch_retrain_leaves_a_copied_siblings_model_alone() {
+        let mut gupa = gupa_with_history();
+        gupa.upload_same_as(NodeId(4), NodeId(1));
+        let original = gupa.model(NodeId(1)).cloned().unwrap();
+        let batch: Vec<DayPeriod> = (14..17).map(|d| day(d, |_| 0.9)).collect();
+        gupa.upload(NodeId(4), batch.clone());
+        assert_eq!(gupa.model(NodeId(1)), Some(&original));
+        assert_eq!(gupa.history_days(NodeId(1)), 14);
+        let whole = [history(), batch].concat();
+        let expected = LupaModel::train(&whole, LupaConfig::default());
+        assert_eq!(gupa.model(NodeId(4)), Some(&expected));
+        assert_eq!(gupa.history_days(NodeId(4)), 17);
     }
 
     #[test]

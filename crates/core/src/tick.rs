@@ -25,7 +25,7 @@ use crate::lrm::{CompletedPart, DueCheckpoint, LrmState};
 use crate::par::scoped_map;
 use crate::protocol::PartEvicted;
 use crate::qos::{QosLedger, SharingDiscipline};
-use integrade_simnet::rng::DetRng;
+use integrade_simnet::rng::{DetRng, Jitter};
 use integrade_simnet::time::{SimDuration, SimTime};
 use integrade_usage::patterns::LupaConfig;
 use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
@@ -166,12 +166,58 @@ fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSam
     owner.with_jitter(cpu_delta, mem_delta)
 }
 
+/// How many jitter values a catch-up replay reads from the stream at a
+/// time: 32 slots' worth, a 512-byte stack block.
+const JITTER_BLOCK: usize = 64;
+
+/// The measurement jitter of one catch-up replay, read from the grid's
+/// stream in stack blocks of [`JITTER_BLOCK`] values ([`DetRng::fill_u64`])
+/// rather than one serial draw at a time. The amplitude is checked once, and
+/// the blocks draw exactly the `undrawn` values the replay asked for — the
+/// last block is cut short — so the stream ends where per-slot draws leave
+/// it.
+struct ReplayJitter<'a> {
+    rng: &'a mut DetRng,
+    jitter: Jitter,
+    block: [u64; JITTER_BLOCK],
+    /// The next unread value of `block`, and how many of it are filled.
+    next: usize,
+    filled: usize,
+    /// Values still to draw from the stream.
+    undrawn: u64,
+}
+
+impl<'a> ReplayJitter<'a> {
+    fn new(rng: &'a mut DetRng, noise: f64, draws: u64) -> Self {
+        ReplayJitter {
+            rng,
+            jitter: Jitter::new(noise),
+            block: [0; JITTER_BLOCK],
+            next: 0,
+            filled: 0,
+            undrawn: draws,
+        }
+    }
+
+    /// [`measured_sample`] of one slot: the owner sample perturbed by the
+    /// next two values (CPU, then memory).
+    fn measure(&mut self, owner: UsageSample) -> UsageSample {
+        if self.next == self.filled {
+            debug_assert!(self.undrawn > 0, "drew past the replay's draw count");
+            let len = self.undrawn.min(JITTER_BLOCK as u64) as usize;
+            self.rng.fill_u64(&mut self.block[..len]);
+            (self.undrawn, self.next, self.filled) = (self.undrawn - len as u64, 0, len);
+        }
+        let (cpu, mem) = (self.block[self.next], self.block[self.next + 1]);
+        self.next += 2;
+        owner.with_jitter(self.jitter.of(cpu), self.jitter.of(mem))
+    }
+}
+
 /// The node-local half of catch-up replay: advances one node's deferred
 /// owner sampling, LUPA accumulation and QoS accounting to tick `target`
-/// using only that node's state. Returns the GUPA upload calls the replayed
-/// slots would have made, in order, one inner vec per original call — the
-/// caller digests them (this keeps the upload-call count identical to the
-/// eager walk, which tests observe).
+/// using only that node's state. Returns the days the replayed slots
+/// completed, in day order, for the caller to [`digest`] as one batch.
 ///
 /// The whole span `[applied, target)` goes to the LUPA window as one run of
 /// measured samples; the window cuts it into days. That equals the eager
@@ -180,27 +226,29 @@ fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSam
 /// window (same samples, same order, drawn from `rng` in slot order), the
 /// QoS record (same records, same order), the owner state and clock (only
 /// the last slot's survive — nothing reads the intermediate ones), and the
-/// drain of a completed day (a slot completes at most one day and the eager
-/// walk drains after every slot, so each completed day is its own upload
-/// call, in day order). An untraced node with noise off is the constant
-/// case: every sample is idle and `QosLedger::record(0, 0, 0, _, _)` is a
-/// no-op by inspection, so the run is a plain fill.
+/// drain of a completed day (a slot completes at most one day, so the eager
+/// walk's per-slot drains are the run's days, in day order). An untraced
+/// node with noise off is the constant case: every sample is idle and
+/// `QosLedger::record(0, 0, 0, _, _)` is a no-op by inspection, so the run
+/// is a plain fill.
 ///
 /// Runs in slot frames, single-node catch-ups and flush chunks. It draws
-/// exactly [`replay_draws`] values from `rng`, positioned where the serial
-/// walk would draw for this node; the jitter perturbs what the LUPA window
-/// records but never the owner state QoS sees.
+/// exactly [`replay_draws`] values from `rng`, in blocks
+/// ([`ReplayJitter`]), positioned where the serial walk would draw for this
+/// node; the jitter perturbs what the LUPA window records but never the
+/// owner state QoS sees.
 pub(crate) fn replay_node_local(
     config: &GridConfig,
     node: &mut NodeLocal,
     rng: &mut DetRng,
     target: u64,
-) -> Vec<Vec<DayPeriod>> {
+) -> Vec<DayPeriod> {
     let applied = node.ticks_applied;
     if applied >= target {
         return Vec::new();
     }
     let (tick, noise) = (config.tick, config.lupa_noise);
+    let draws = replay_draws(config, node, target);
     let NodeLocal {
         lrm, qos, trace, ..
     } = node;
@@ -218,19 +266,19 @@ pub(crate) fn replay_node_local(
         lrm.observe_owner_run(last_owner, idle, weekday, minute);
     } else {
         let cap = lrm.policy.max_cpu_fraction;
+        let mut jitter = (noise != 0.0).then(|| ReplayJitter::new(rng, noise, draws));
         let measured = (applied..target).map(|k| {
             let owner = trace_sample_at(trace, fired_at(k));
             qos.record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
-            measured_sample(owner, noise, rng)
+            match &mut jitter {
+                Some(jitter) => jitter.measure(owner),
+                None => owner,
+            }
         });
         lrm.observe_owner_run(last_owner, measured, weekday, minute);
     }
     node.ticks_applied = target;
-    node.lrm
-        .take_lupa_periods()
-        .into_iter()
-        .map(|period| vec![period])
-        .collect()
+    node.lrm.take_lupa_periods()
 }
 
 /// How many raw values ([`DetRng::next_u64`]) [`replay_node_local`] draws
@@ -256,12 +304,12 @@ fn replay_node_local_per_slot(
     node: &mut NodeLocal,
     rng: &mut DetRng,
     target: u64,
-) -> Vec<Vec<DayPeriod>> {
+) -> Vec<DayPeriod> {
     let applied = node.ticks_applied;
     if applied >= target {
         return Vec::new();
     }
-    let mut uploads: Vec<Vec<DayPeriod>> = Vec::new();
+    let mut days = Vec::new();
     let cap = node.lrm.policy.max_cpu_fraction;
     for k in applied..target {
         let then = SimTime::from_micros(config.tick.as_micros() * k);
@@ -270,15 +318,12 @@ fn replay_node_local_per_slot(
         let (_, weekday, minute) = wall_at(then);
         node.lrm
             .observe_owner_sampled(owner, measured, weekday, minute);
-        let periods = node.lrm.take_lupa_periods();
+        days.extend(node.lrm.take_lupa_periods());
         node.qos
             .record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
-        if !periods.is_empty() {
-            uploads.push(periods);
-        }
     }
     node.ticks_applied = target;
-    uploads
+    days
 }
 
 /// The shared-state side effects of one node's slot tick, produced by
@@ -355,24 +400,25 @@ pub(crate) fn tick_node_local(
     }
 }
 
-/// Digests the upload calls one node produced into its GUPA cell; returns
-/// how many counted as uploads.
-fn digest(
-    cell: &mut GupaCell,
-    config: LupaConfig,
-    calls: impl IntoIterator<Item = Vec<DayPeriod>>,
-) -> u64 {
-    calls
-        .into_iter()
-        .map(|call| u64::from(cell.digest(config, call)))
-        .sum()
+/// Digests the days one node completed since its last digest into its GUPA
+/// cell as one batch — one retrain however many days there are, which
+/// trains the model per-day digests would, since a model is fit over its
+/// whole history and nothing reads the cell between the days — and returns
+/// the uploads they count as: one per day, the eager walk's one upload call
+/// per completed day. Every lazy digest goes through here: slot frames,
+/// single-node catch-ups and flush chunks.
+pub(crate) fn digest(cell: &mut GupaCell, config: LupaConfig, days: Vec<DayPeriod>) -> u64 {
+    let uploads = days.len() as u64;
+    cell.digest(config, days);
+    uploads
 }
 
 /// The node-local half of one lazy slot frame: for each active member
 /// (ascending node ids) the catch-up replay to the previous tick, the slot
-/// body, and digestion of every upload either produced into the member's
-/// cell — replay calls first, then the tick's own drain, the order the
-/// eager walk uses. Every jitter draw comes from `rng` in that order.
+/// body, and one [`digest`] of every day either completed into the
+/// member's cell — replayed days first, then the tick's own drain, the
+/// order the eager walk uses. Every jitter draw comes from `rng` in that
+/// order.
 /// `cells` is index-aligned with `nodes`. Returns the members' effects in
 /// node order and the upload count.
 #[allow(clippy::too_many_arguments)]
@@ -391,10 +437,10 @@ pub(crate) fn tick_members(
         .iter()
         .map(|&id| {
             let node = &mut nodes[id];
-            let replayed = replay_node_local(config, node, rng, slot - 1);
+            let mut days = replay_node_local(config, node, rng, slot - 1);
             let mut effects = tick_node_local(config, node, rng, id, now, slot);
-            let ticked = std::mem::take(&mut effects.tick_upload);
-            digested += digest(&mut cells[id], gupa, replayed.into_iter().chain([ticked]));
+            days.append(&mut effects.tick_upload);
+            digested += digest(&mut cells[id], gupa, days);
             effects
         })
         .collect();
@@ -499,8 +545,8 @@ impl FlushChunk<'_> {
             .iter_mut()
             .zip(cells)
             .map(|(node, cell)| {
-                let calls = replay_node_local(config, node, &mut rng, target);
-                digest(cell, gupa, calls)
+                let days = replay_node_local(config, node, &mut rng, target);
+                digest(cell, gupa, days)
             })
             .sum()
     }
@@ -551,55 +597,63 @@ mod tests {
 
     proptest::proptest! {
         /// The run-form replay against the per-slot body it replaced: same
-        /// upload calls in the same order, same LUPA window, QoS ledger,
+        /// completed days in the same order, same LUPA window, QoS ledger,
         /// tick cursor, owner state and jitter-stream position — over empty
         /// and wrapping traces, noise off and on, and spans that start
-        /// mid-day and cross zero to three day rollovers.
+        /// mid-day, cross zero to three day rollovers and end on either
+        /// side of a jitter-block edge.
         #[test]
-        fn run_replay_matches_the_per_slot_body(
-            seed in proptest::arbitrary::any::<u64>(),
-            trace_len in 0usize..700,
-            noisy in proptest::arbitrary::any::<bool>(),
-            applied in 0u64..600,
-            span in 0u64..(3 * 288 + 100),
-        ) {
-            let config = &config(if noisy { 0.05 } else { 0.0 });
-            let mut gen = DetRng::new(seed);
-            let trace: Vec<UsageSample> = (0..trace_len)
-                .map(|_| {
-                    // A third of the slots idle, so QoS sees both branches.
-                    let cpu = (gen.uniform_f64() - 0.33).max(0.0);
-                    UsageSample::new(cpu, gen.uniform_f64(), 0.0, 0.0)
-                })
-                .collect();
-            let trace = Arc::new(trace);
-            let (mut run, mut run_rng) = (node(Arc::clone(&trace)), DetRng::new(seed));
-            let (mut slot, mut slot_rng) = (node(trace), DetRng::new(seed));
-            // Both start mid-history, brought there by the oracle.
-            replay_node_local_per_slot(config, &mut run, &mut run_rng, applied);
-            replay_node_local_per_slot(config, &mut slot, &mut slot_rng, applied);
-            let target = applied + span;
-            // The draw count is known up front: a pre-replay copy of the
-            // stream skipped by it lands where the replay leaves the stream.
-            let mut skipped = run_rng.clone();
-            skipped.skip_u64(replay_draws(config, &run, target));
-            let run_uploads = replay_node_local(config, &mut run, &mut run_rng, target);
-            proptest::prop_assert_eq!(&skipped, &run_rng);
-            let slot_uploads = replay_node_local_per_slot(config, &mut slot, &mut slot_rng, target);
-            proptest::prop_assert_eq!(run_uploads, slot_uploads);
-            proptest::prop_assert_eq!(
-                run.lrm.lupa_window().partial_day(),
-                slot.lrm.lupa_window().partial_day()
-            );
-            proptest::prop_assert!(run.lrm.lupa_window().completed().is_empty());
-            proptest::prop_assert_eq!(run.lrm.owner_load(), slot.lrm.owner_load());
-            proptest::prop_assert_eq!(
-                run.lrm.grid_share().to_bits(),
-                slot.lrm.grid_share().to_bits()
-            );
-            proptest::prop_assert_eq!(&run.qos, &slot.qos);
-            proptest::prop_assert_eq!(run.ticks_applied, slot.ticks_applied);
-            proptest::prop_assert_eq!(run_rng.next_u64(), slot_rng.next_u64());
+        fn run_replay_matches_the_per_slot_body(seed in proptest::arbitrary::any::<u64>()) {
+            for salt in crate::par::chaos_salts() {
+                let seed = seed ^ salt;
+                let mut gen = DetRng::new(seed);
+                let trace_len = gen.index(700);
+                let noisy = gen.bernoulli(0.5);
+                let applied = gen.uniform_range(0, 600);
+                let span = gen.uniform_range(0, 3 * 288 + 100);
+                let case = format!(
+                    "seed {seed:#x}: trace of {trace_len}, noisy {noisy}, {applied} + {span} ticks"
+                );
+                let config = &config(if noisy { 0.05 } else { 0.0 });
+                let trace: Vec<UsageSample> = (0..trace_len)
+                    .map(|_| {
+                        // A third of the slots idle, so QoS sees both branches.
+                        let cpu = (gen.uniform_f64() - 0.33).max(0.0);
+                        UsageSample::new(cpu, gen.uniform_f64(), 0.0, 0.0)
+                    })
+                    .collect();
+                let trace = Arc::new(trace);
+                let (mut run, mut run_rng) = (node(Arc::clone(&trace)), DetRng::new(seed));
+                let (mut slot, mut slot_rng) = (node(trace), DetRng::new(seed));
+                // Both start mid-history, brought there by the oracle.
+                replay_node_local_per_slot(config, &mut run, &mut run_rng, applied);
+                replay_node_local_per_slot(config, &mut slot, &mut slot_rng, applied);
+                let target = applied + span;
+                // The draw count is known up front: a pre-replay copy of the
+                // stream skipped by it lands where the replay leaves the
+                // stream.
+                let mut skipped = run_rng.clone();
+                skipped.skip_u64(replay_draws(config, &run, target));
+                let run_days = replay_node_local(config, &mut run, &mut run_rng, target);
+                proptest::prop_assert_eq!(&skipped, &run_rng, "{}", case);
+                let slot_days = replay_node_local_per_slot(config, &mut slot, &mut slot_rng, target);
+                proptest::prop_assert_eq!(run_days, slot_days, "{}", case);
+                proptest::prop_assert_eq!(
+                    run.lrm.lupa_window().partial_day(),
+                    slot.lrm.lupa_window().partial_day(),
+                    "{}", case
+                );
+                proptest::prop_assert!(run.lrm.lupa_window().completed().is_empty(), "{}", case);
+                proptest::prop_assert_eq!(run.lrm.owner_load(), slot.lrm.owner_load(), "{}", case);
+                proptest::prop_assert_eq!(
+                    run.lrm.grid_share().to_bits(),
+                    slot.lrm.grid_share().to_bits(),
+                    "{}", case
+                );
+                proptest::prop_assert_eq!(&run.qos, &slot.qos, "{}", case);
+                proptest::prop_assert_eq!(run.ticks_applied, slot.ticks_applied, "{}", case);
+                proptest::prop_assert_eq!(run_rng.next_u64(), slot_rng.next_u64(), "{}", case);
+            }
         }
     }
 
@@ -667,8 +721,8 @@ mod tests {
                 _ => gen.uniform_range(0, target),
             };
             let mut cell = GupaCell::default();
-            let calls = replay_node_local(config, &mut local, &mut setup, applied);
-            digest(&mut cell, LupaConfig::default(), calls);
+            let days = replay_node_local(config, &mut local, &mut setup, applied);
+            digest(&mut cell, LupaConfig::default(), days);
             nodes.push(local);
             cells.push(cell);
         }

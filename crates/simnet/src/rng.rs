@@ -102,6 +102,13 @@ impl Pcg32 {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
+        Self::output(old)
+    }
+
+    /// The XSH-RR output permutation: the 32-bit value a draw from state
+    /// `old` returns.
+    #[inline]
+    fn output(old: u64) -> u32 {
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
         let rot = (old >> 59) as u32;
         xorshifted.rotate_right(rot)
@@ -114,13 +121,14 @@ impl Pcg32 {
         (hi << 32) | lo
     }
 
-    /// Moves the generator `delta` 32-bit draws ahead in O(log delta)
-    /// steps: the LCG jump-ahead of O'Neill's `pcg_advance_lcg_64`, which
-    /// composes `delta` state steps by square-and-multiply on the affine
-    /// map `(mult, inc)`. The period is 2⁶⁴, so `delta` is taken mod 2⁶⁴.
-    pub fn advance(&mut self, delta: u64) {
+    /// The affine map `state ↦ mult · state + plus` of `delta` state steps
+    /// on the stream with increment `inc`, as `(mult, plus)`: O'Neill's
+    /// `pcg_advance_lcg_64`, which composes the one-step map `(PCG_MULT,
+    /// inc)` by square-and-multiply in O(log delta). The period is 2⁶⁴, so
+    /// `delta` is taken mod 2⁶⁴.
+    fn step_map(delta: u64, inc: u64) -> (u64, u64) {
         let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
-        let (mut cur_mult, mut cur_plus) = (PCG_MULT, self.inc);
+        let (mut cur_mult, mut cur_plus) = (PCG_MULT, inc);
         let mut delta = delta;
         while delta > 0 {
             if delta & 1 == 1 {
@@ -131,7 +139,105 @@ impl Pcg32 {
             cur_mult = cur_mult.wrapping_mul(cur_mult);
             delta >>= 1;
         }
-        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+        (acc_mult, acc_plus)
+    }
+
+    /// Moves the generator `delta` 32-bit draws ahead in O(log delta)
+    /// steps: the LCG jump-ahead, one affine map of `delta` state steps.
+    /// The period is 2⁶⁴, so `delta` is taken mod 2⁶⁴.
+    pub fn advance(&mut self, delta: u64) {
+        let (mult, plus) = Self::step_map(delta, self.inc);
+        self.state = mult.wrapping_mul(self.state).wrapping_add(plus);
+    }
+
+    /// Fills `out` with exactly what `out.len()` calls of
+    /// [`next_u64`](Self::next_u64) return, and leaves the generator where
+    /// those calls would. The 32-bit draws are computed on eight
+    /// independent lanes — lane `j` starts `j` steps ahead and every lane
+    /// advances eight steps at a time through the jump-ahead's affine map
+    /// — so the state steps of one round do not wait on each other as a
+    /// serial draw's do.
+    pub fn fill_u64(&mut self, out: &mut [u64]) {
+        const LANES: usize = 8;
+        let (mult, plus) = Self::step_map(LANES as u64, self.inc);
+        let mut lanes = [0u64; LANES];
+        let mut state = self.state;
+        for lane in &mut lanes {
+            *lane = state;
+            state = state.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
+        }
+        // A round of the eight lanes is four 64-bit values: lanes 2q and
+        // 2q + 1 are value q's high and low halves.
+        let pair = |lanes: &[u64; LANES], q: usize| {
+            (u64::from(Self::output(lanes[2 * q])) << 32)
+                | u64::from(Self::output(lanes[2 * q + 1]))
+        };
+        let mut rounds = out.chunks_exact_mut(LANES / 2);
+        for round in &mut rounds {
+            for (q, value) in round.iter_mut().enumerate() {
+                *value = pair(&lanes, q);
+            }
+            for lane in &mut lanes {
+                *lane = lane.wrapping_mul(mult).wrapping_add(plus);
+            }
+        }
+        let rest = rounds.into_remainder();
+        for (q, value) in rest.iter_mut().enumerate() {
+            *value = pair(&lanes, q);
+        }
+        // Lane 2·rest.len() is the first state no value was drawn from.
+        self.state = lanes[2 * rest.len()];
+    }
+}
+
+/// 53 random mantissa bits of a raw value as a uniform `f64` in `[0, 1)`.
+#[inline]
+fn unit_f64(raw: u64) -> f64 {
+    (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The map from raw values to symmetric jitter at one amplitude — the one
+/// definition of the formula behind [`DetRng::jitter`], for callers that
+/// draw raw values in blocks ([`DetRng::fill_u64`]) and check the
+/// amplitude once rather than once per value.
+///
+/// # Examples
+///
+/// ```
+/// use integrade_simnet::rng::{DetRng, Jitter};
+///
+/// let (mut one, mut block) = (DetRng::new(3), DetRng::new(3));
+/// let mut raw = [0u64; 2];
+/// block.fill_u64(&mut raw);
+/// let jitter = Jitter::new(0.05);
+/// assert_eq!(one.jitter(0.05).to_bits(), jitter.of(raw[0]).to_bits());
+/// assert_eq!(one.jitter(0.05).to_bits(), jitter.of(raw[1]).to_bits());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Jitter {
+    amplitude: f64,
+}
+
+impl Jitter {
+    /// The map at `amplitude`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amplitude` is negative or not finite.
+    pub fn new(amplitude: f64) -> Self {
+        assert!(
+            amplitude.is_finite() && amplitude >= 0.0,
+            "jitter amplitude must be finite and >= 0, got {amplitude}"
+        );
+        Jitter { amplitude }
+    }
+
+    /// The jitter the raw value `raw` maps to, in `[-amplitude, amplitude]`:
+    /// `(uniform · 2 − 1) · amplitude`, with `uniform` the value's top 53
+    /// bits as a fraction of 2⁵³.
+    #[inline]
+    pub fn of(self, raw: u64) -> f64 {
+        (unit_f64(raw) * 2.0 - 1.0) * self.amplitude
     }
 }
 
@@ -191,10 +297,18 @@ impl DetRng {
         self.pcg.advance(n.wrapping_mul(2));
     }
 
+    /// Fills `out` with exactly what `out.len()` calls of
+    /// [`next_u64`](Self::next_u64) return, and leaves the generator where
+    /// they would ([`Pcg32::fill_u64`]). Callers that draw many values in a
+    /// row read them in blocks through this instead of one serial draw at a
+    /// time. A cached normal deviate is kept, as those calls would keep it.
+    pub fn fill_u64(&mut self, out: &mut [u64]) {
+        self.pcg.fill_u64(out);
+    }
+
     /// Returns a uniform `f64` in `[0, 1)`.
     pub fn uniform_f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Returns a uniform integer in `[lo, hi)` using Lemire rejection.
@@ -239,11 +353,7 @@ impl DetRng {
     ///
     /// Panics if `amplitude` is negative or not finite.
     pub fn jitter(&mut self, amplitude: f64) -> f64 {
-        assert!(
-            amplitude.is_finite() && amplitude >= 0.0,
-            "jitter amplitude must be finite and >= 0, got {amplitude}"
-        );
-        (self.uniform_f64() * 2.0 - 1.0) * amplitude
+        Jitter::new(amplitude).of(self.next_u64())
     }
 
     /// Returns an exponentially distributed value with the given mean.
@@ -348,6 +458,32 @@ mod tests {
             assert_eq!(jumped, stepped, "delta {delta}");
             stepped.next_u32();
         }
+    }
+
+    #[test]
+    fn the_step_map_is_delta_single_steps_and_the_one_jump_ahead() {
+        let inc = Pcg32::new(99, 7).inc;
+        let (mut mult, mut plus) = (1u64, 0u64);
+        for delta in 0..40 {
+            assert_eq!(Pcg32::step_map(delta, inc), (mult, plus), "delta {delta}");
+            mult = mult.wrapping_mul(PCG_MULT);
+            plus = plus.wrapping_mul(PCG_MULT).wrapping_add(inc);
+        }
+        // `advance` and `fill_u64` both jump through `step_map`: the
+        // square-and-multiply loop is written once, in it.
+        let source = include_str!("rng.rs");
+        let body = |name: &str| {
+            let start = source.find(&format!("pub fn {name}(")).expect(name);
+            &source[start..start + source[start..].find("\n    }\n").expect(name)]
+        };
+        for name in ["advance", "fill_u64"] {
+            assert!(
+                body(name).contains("Self::step_map("),
+                "{name} bypasses step_map"
+            );
+        }
+        let squaring = ["cur_mult", ".wrapping_mul(cur_mult)"].concat();
+        assert_eq!(source.matches(&squaring).count(), 1, "a second jump-ahead");
     }
 
     #[test]
@@ -543,6 +679,25 @@ mod tests {
             skipped.skip_u64(n);
             proptest::prop_assert_eq!(&skipped, &drawn);
             proptest::prop_assert_eq!(skipped.next_u64(), drawn.next_u64());
+        }
+
+        /// A fill of `n` values returns what `n` draws return and leaves the
+        /// generator where they leave it — over every lane and block edge
+        /// up to n = 70, the empty fill included.
+        #[test]
+        fn prop_fill_equals_drawing(
+            seed in proptest::prelude::any::<u64>(),
+            stream in proptest::prelude::any::<u64>(),
+            n in 0usize..=70,
+        ) {
+            let mut drawn = DetRng::with_stream(seed, stream);
+            let expected: Vec<u64> = (0..n).map(|_| drawn.next_u64()).collect();
+            let mut filled = DetRng::with_stream(seed, stream);
+            let mut out = vec![0; n];
+            filled.fill_u64(&mut out);
+            proptest::prop_assert_eq!(out, expected);
+            proptest::prop_assert_eq!(&filled, &drawn);
+            proptest::prop_assert_eq!(filled.next_u64(), drawn.next_u64());
         }
 
         /// Skips compose: `skip(a); skip(b)` is `skip(a + b)`, for small
