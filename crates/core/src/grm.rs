@@ -19,7 +19,7 @@ use integrade_orb::cdr::{CdrDecode, CdrEncode, CdrReader, CdrWriter};
 use integrade_orb::constraint::SlotId;
 use integrade_orb::ior::Ior;
 use integrade_orb::servant::{Servant, ServerException};
-use integrade_orb::trading::{OfferId, ServiceOffer, Trader, TraderError};
+use integrade_orb::trading::{OfferId, Trader, TraderError};
 use integrade_simnet::idmap::IdMap;
 use integrade_simnet::time::SimTime;
 use integrade_simnet::topology::HostId;
@@ -218,10 +218,11 @@ fn offer_properties(
     .collect()
 }
 
-/// The node a trader offer advertises, unless it is blacklisted: one caught
-/// lie costs an executor every future placement until GRM restart.
-fn schedulable(offer: &ServiceOffer, blacklist: &BTreeSet<NodeId>) -> Option<NodeId> {
-    let Some(AnyValue::Long(id)) = offer.properties.get(node_props::NODE_ID) else {
+/// The node an offer's `node_id` value names, unless it is blacklisted:
+/// one caught lie costs an executor every future placement until GRM
+/// restart.
+fn schedulable(node_id: Option<&AnyValue>, blacklist: &BTreeSet<NodeId>) -> Option<NodeId> {
+    let Some(AnyValue::Long(id)) = node_id else {
         return None;
     };
     let node = NodeId(*id as u32);
@@ -524,7 +525,8 @@ impl GrmState {
         let (nodes, blacklist) = (&self.nodes, &self.cert_blacklist);
         self.trader
             .count_matching(NODE_SERVICE_TYPE, constraint, |offer| {
-                schedulable(offer, blacklist).is_some_and(|node| nodes.get(node).is_some())
+                schedulable(offer.property(node_props::NODE_ID), blacklist)
+                    .is_some_and(|node| nodes.get(node).is_some())
             })
             .unwrap_or(0)
     }
@@ -545,12 +547,16 @@ impl GrmState {
         max: usize,
         predictions: &BTreeMap<NodeId, f64>,
     ) -> Result<Vec<CandidateNode>, TraderError> {
-        let offers = self
+        let hits = self
             .trader
-            .query(NODE_SERVICE_TYPE, constraint, preference, max)?;
-        let mut out = Vec::with_capacity(offers.len());
-        for offer in offers {
-            let Some(node) = schedulable(&offer, &self.cert_blacklist) else {
+            .query_ids(NODE_SERVICE_TYPE, constraint, preference, max)?;
+        let mut out = Vec::with_capacity(hits.len());
+        for id in hits {
+            let node_id = self
+                .trader
+                .offer_ref(id)
+                .and_then(|offer| offer.property(node_props::NODE_ID));
+            let Some(node) = schedulable(node_id, &self.cert_blacklist) else {
                 continue;
             };
             let Some(entry) = self.nodes.get(node) else {

@@ -37,7 +37,6 @@ use crate::types::NodeId;
 use integrade_usage::patterns::{day_features, LupaConfig, LupaModel};
 use integrade_usage::predict::{IdlePredictor, LupaPredictor, PredictionContext};
 use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Minimum training days before a model is trusted.
@@ -230,37 +229,6 @@ impl GupaState {
             slots_per_day,
             horizon_mins,
         }))
-    }
-
-    /// Predictions for many nodes at once (one scheduling pass).
-    #[allow(clippy::too_many_arguments)]
-    pub fn predict_many(
-        &self,
-        nodes: &[NodeId],
-        weekday: Weekday,
-        minute_of_day: u32,
-        partials: &BTreeMap<NodeId, Vec<UsageSample>>,
-        slots_per_day: usize,
-        horizon_mins: u32,
-    ) -> BTreeMap<NodeId, f64> {
-        let empty = Vec::new();
-        let mut loads = Vec::new();
-        nodes
-            .iter()
-            .filter_map(|&node| {
-                let partial = partials.get(&node).unwrap_or(&empty);
-                self.predict_idle(
-                    node,
-                    weekday,
-                    minute_of_day,
-                    partial,
-                    slots_per_day,
-                    horizon_mins,
-                    &mut loads,
-                )
-                .map(|p| (node, p))
-            })
-            .collect()
     }
 }
 
@@ -510,21 +478,5 @@ mod tests {
             )
             .unwrap();
         assert!(p < 0.4, "owner about to return: {p}");
-    }
-
-    #[test]
-    fn predict_many_covers_modelled_nodes_only() {
-        let gupa = gupa_with_history();
-        let partials = BTreeMap::new();
-        let preds = gupa.predict_many(
-            &[NodeId(1), NodeId(2)],
-            Weekday::new(5),
-            600,
-            &partials,
-            96,
-            60,
-        );
-        assert!(preds.contains_key(&NodeId(1)));
-        assert!(!preds.contains_key(&NodeId(2)), "no model for node 2");
     }
 }

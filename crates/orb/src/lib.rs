@@ -74,7 +74,7 @@ pub use orb::{decode_reply, Incoming, Orb, OrbStats, RemoteError};
 pub use security::{open as open_sealed, seal, siphash24, AuthError, ClusterKey};
 pub use servant::{Poa, Servant, ServerException};
 pub use trading::{
-    LinkFollowPolicy, OfferId, Preference, ServiceOffer, Trader, TraderError, TraderLink,
+    LinkFollowPolicy, OfferId, OfferRef, Preference, ServiceOffer, Trader, TraderError, TraderLink,
     TraderServant,
 };
 pub use transport::LoopbackBus;

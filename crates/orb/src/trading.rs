@@ -437,13 +437,34 @@ impl PlanCache {
     }
 }
 
-/// One stored offer: the public `ServiceOffer` view plus the dense slot
-/// table the query engine evaluates against.
+/// One stored offer: its reference and the dense slot table the query
+/// engine evaluates against. This is the only copy of the offer's
+/// properties; a [`ServiceOffer`] is built from it, with the interned
+/// names, only where an offer leaves the trader.
 #[derive(Debug)]
 struct OfferRecord {
-    offer: ServiceOffer,
+    reference: Ior,
     type_id: TypeId,
     slots: Vec<Option<AnyValue>>,
+}
+
+/// A borrowed view of one stored offer, for in-process readers that need a
+/// property or two rather than an owned [`ServiceOffer`].
+#[derive(Debug, Clone, Copy)]
+pub struct OfferRef<'a> {
+    /// The offer's handle.
+    pub id: OfferId,
+    slots: &'a [Option<AnyValue>],
+    prop_names: &'a Interner,
+}
+
+impl<'a> OfferRef<'a> {
+    /// The value of property `name`, as [`ServiceOffer::properties`] would
+    /// hold it; `None` when the offer has no such property.
+    pub fn property(&self, name: &str) -> Option<&'a AnyValue> {
+        let slot = self.prop_names.get(name)? as usize;
+        self.slots.get(slot)?.as_ref()
+    }
 }
 
 /// The trader: an indexed offer store with constraint-based query.
@@ -572,35 +593,39 @@ impl Trader {
         let id = OfferId(self.next_id);
         self.next_id += 1;
         let type_id = TypeId(self.type_names.intern(service_type));
-        let mut slots = vec![None; self.prop_names.len()];
-        for (name, value) in &properties {
-            let slot = SlotId(self.prop_names.intern(name));
-            if slot.0 as usize >= slots.len() {
-                slots.resize(slot.0 as usize + 1, None);
+        let mut rec = OfferRecord {
+            reference: reference.clone(),
+            type_id,
+            slots: Vec::new(),
+        };
+        self.fill_slots(id, &mut rec, properties);
+        self.by_type.entry(type_id).or_default().insert(id);
+        self.offers.insert(id, rec);
+        Ok(id)
+    }
+
+    /// Moves `properties` into `rec`'s (empty) slot table, indexing every
+    /// numeric value.
+    fn fill_slots(
+        &mut self,
+        id: OfferId,
+        rec: &mut OfferRecord,
+        properties: BTreeMap<String, AnyValue>,
+    ) {
+        rec.slots.resize(self.prop_names.len(), None);
+        for (name, value) in properties {
+            let slot = SlotId(self.prop_names.intern(&name));
+            if slot.0 as usize >= rec.slots.len() {
+                rec.slots.resize(slot.0 as usize + 1, None);
             }
-            if let Some(key) = IndexKey::of(value) {
+            if let Some(key) = IndexKey::of(&value) {
                 self.num_index
-                    .entry((type_id, slot))
+                    .entry((rec.type_id, slot))
                     .or_default()
                     .insert((key, id));
             }
-            slots[slot.0 as usize] = Some(value.clone());
+            rec.slots[slot.0 as usize] = Some(value);
         }
-        self.by_type.entry(type_id).or_default().insert(id);
-        self.offers.insert(
-            id,
-            OfferRecord {
-                offer: ServiceOffer {
-                    id,
-                    service_type: service_type.to_owned(),
-                    reference: reference.clone(),
-                    properties,
-                },
-                type_id,
-                slots,
-            },
-        );
-        Ok(id)
     }
 
     /// Removes an offer.
@@ -617,7 +642,7 @@ impl Trader {
         if let Some(bucket) = self.by_type.get_mut(&rec.type_id) {
             bucket.remove(&id);
         }
-        Ok(rec.offer)
+        Ok(self.view(id, &rec))
     }
 
     /// Replaces an offer's properties wholesale.
@@ -641,21 +666,7 @@ impl Trader {
             .ok_or(TraderError::UnknownOffer(id))?;
         self.unindex_slots(rec.type_id, id, &rec.slots);
         rec.slots.clear();
-        rec.slots.resize(self.prop_names.len(), None);
-        for (name, value) in &properties {
-            let slot = SlotId(self.prop_names.intern(name));
-            if slot.0 as usize >= rec.slots.len() {
-                rec.slots.resize(slot.0 as usize + 1, None);
-            }
-            if let Some(key) = IndexKey::of(value) {
-                self.num_index
-                    .entry((rec.type_id, slot))
-                    .or_default()
-                    .insert((key, id));
-            }
-            rec.slots[slot.0 as usize] = Some(value.clone());
-        }
-        rec.offer.properties = properties;
+        self.fill_slots(id, &mut rec, properties);
         self.offers.insert(id, rec);
         Ok(())
     }
@@ -665,9 +676,9 @@ impl Trader {
     /// same few numeric fields of every node offer each period.
     ///
     /// Slot ids must come from [`Trader::property_slot`] on this trader.
-    /// Existing property keys are reused (no `String` allocation per
-    /// update); secondary-index entries are touched only for values that
-    /// actually changed.
+    /// Each value is written to its slot only — no property name is
+    /// touched — and secondary-index entries are touched only for values
+    /// that actually changed.
     ///
     /// # Errors
     ///
@@ -710,13 +721,6 @@ impl Trader {
                     .or_default()
                     .insert((key, id));
             }
-            let name = prop_names.name(slot.0);
-            match rec.offer.properties.get_mut(name) {
-                Some(existing) => *existing = value.clone(),
-                None => {
-                    rec.offer.properties.insert(name.to_owned(), value.clone());
-                }
-            }
             rec.slots[si] = Some(value);
         }
         Ok(())
@@ -738,9 +742,46 @@ impl Trader {
         SlotId(self.prop_names.intern(name))
     }
 
-    /// Looks up one offer.
-    pub fn offer(&self, id: OfferId) -> Option<&ServiceOffer> {
-        self.offers.get(id).map(|rec| &rec.offer)
+    /// Looks up one offer, built as the owned [`ServiceOffer`] a remote
+    /// importer would receive. In-process readers that need only a
+    /// property or two use [`Trader::offer_ref`].
+    pub fn offer(&self, id: OfferId) -> Option<ServiceOffer> {
+        self.offers.get(id).map(|rec| self.view(id, rec))
+    }
+
+    /// A borrowed view of one offer; builds nothing.
+    pub fn offer_ref(&self, id: OfferId) -> Option<OfferRef<'_>> {
+        self.offers.get(id).map(|rec| OfferRef {
+            id,
+            slots: &rec.slots,
+            prop_names: &self.prop_names,
+        })
+    }
+
+    /// The public view of a stored offer: its slots under their interned
+    /// names.
+    fn view(&self, id: OfferId, rec: &OfferRecord) -> ServiceOffer {
+        let properties = rec
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(si, value)| {
+                let value = value.as_ref()?;
+                Some((self.prop_names.name(si as u32).to_owned(), value.clone()))
+            })
+            .collect();
+        ServiceOffer {
+            id,
+            service_type: self.type_names.name(rec.type_id.0).to_owned(),
+            reference: rec.reference.clone(),
+            properties,
+        }
+    }
+
+    fn views(&self, ids: Vec<OfferId>) -> Vec<ServiceOffer> {
+        ids.into_iter()
+            .map(|id| self.view(id, &self.offers[id]))
+            .collect()
     }
 
     /// Number of live offers.
@@ -819,8 +860,26 @@ impl Trader {
         preference_str: &str,
         max_offers: usize,
     ) -> Result<Vec<ServiceOffer>, TraderError> {
+        let ids = self.query_ids(service_type, constraint_str, preference_str, max_offers)?;
+        Ok(self.views(ids))
+    }
+
+    /// The ids of the offers [`Trader::query`] returns, in the same order,
+    /// without building any of them. In-process readers pair it with
+    /// [`Trader::offer_ref`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Trader::query`].
+    pub fn query_ids(
+        &mut self,
+        service_type: &str,
+        constraint_str: &str,
+        preference_str: &str,
+        max_offers: usize,
+    ) -> Result<Vec<OfferId>, TraderError> {
         let plan = self.prepare(constraint_str, preference_str)?;
-        Ok(self.query_plan(service_type, &plan, max_offers))
+        Ok(self.ranked_ids(service_type, &plan, max_offers))
     }
 
     /// Runs a compiled plan against the current offer store.
@@ -830,6 +889,18 @@ impl Trader {
         plan: &QueryPlan,
         max_offers: usize,
     ) -> Vec<ServiceOffer> {
+        let ids = self.ranked_ids(service_type, plan, max_offers);
+        self.views(ids)
+    }
+
+    /// The query engine: the ids of the best `max_offers` matches of
+    /// `plan`, in rank order.
+    fn ranked_ids(
+        &mut self,
+        service_type: &str,
+        plan: &QueryPlan,
+        max_offers: usize,
+    ) -> Vec<OfferId> {
         self.queries += 1;
         // Fast path: `max p` / `min p` over a bare indexed numeric property
         // walks the secondary index in rank order and stops after
@@ -844,23 +915,19 @@ impl Trader {
                 return hits;
             }
         }
-        let matched = self.matched_ids(service_type, plan, max_offers);
+        let mut matched = self.matched_ids(service_type, plan, max_offers);
         match &plan.preference {
-            PlanPreference::First => matched
-                .into_iter()
-                .take(max_offers)
-                .map(|id| self.offers[id].offer.clone())
-                .collect(),
+            PlanPreference::First => {
+                matched.truncate(max_offers);
+                matched
+            }
             PlanPreference::Random => {
                 // Shuffle the full match list (not just the returned
                 // prefix) so the RNG stream stays in lockstep with the
                 // reference implementation.
-                let mut ids = matched;
-                self.rng.shuffle(&mut ids);
-                ids.into_iter()
-                    .take(max_offers)
-                    .map(|id| self.offers[id].offer.clone())
-                    .collect()
+                self.rng.shuffle(&mut matched);
+                matched.truncate(max_offers);
+                matched
             }
             PlanPreference::Max(expr) | PlanPreference::Min(expr) => {
                 let maximise = matches!(plan.preference, PlanPreference::Max(_));
@@ -870,8 +937,9 @@ impl Trader {
     }
 
     /// How many of the offers [`Trader::query`] would return under a
-    /// `first` preference and no limit pass `keep` — without cloning any of
-    /// them. Counts as one query and shares `query`'s plan cache, so the
+    /// `first` preference and no limit pass `keep` — which sees each one
+    /// through a borrowed [`OfferRef`], so nothing is built per offer.
+    /// Counts as one query and shares `query`'s plan cache, so the
     /// trader's statistics move exactly as for the equivalent `query`.
     ///
     /// # Errors
@@ -881,14 +949,14 @@ impl Trader {
         &mut self,
         service_type: &str,
         constraint_str: &str,
-        mut keep: impl FnMut(&ServiceOffer) -> bool,
+        mut keep: impl FnMut(OfferRef<'_>) -> bool,
     ) -> Result<usize, TraderError> {
         let plan = self.prepare(constraint_str, "first")?;
         self.queries += 1;
         let matched = self.matched_ids(service_type, &plan, usize::MAX);
         Ok(matched
             .into_iter()
-            .filter(|&id| keep(&self.offers[id].offer))
+            .filter(|&id| self.offer_ref(id).is_some_and(&mut keep))
             .count())
     }
 
@@ -994,7 +1062,7 @@ impl Trader {
         plan: &QueryPlan,
         maximise: bool,
         k: usize,
-    ) -> Option<Vec<ServiceOffer>> {
+    ) -> Option<Vec<OfferId>> {
         if k == 0 {
             return Some(Vec::new());
         }
@@ -1033,19 +1101,14 @@ impl Trader {
 
         // Group-descending (for max) then id-ascending is already the
         // reference rank order — no sort needed.
-        let mut out: Vec<ServiceOffer> = hits
-            .into_iter()
-            .map(|id| self.offers[id].offer.clone())
-            .collect();
-
-        if out.len() < k {
+        if hits.len() < k {
             // Defined keys are exhausted; fill the tail with undefined-rank
             // matches (bucket offers with no numeric value in the slot),
             // which the reference orders by ascending id after all defined
             // keys — the bucket's natural order.
             let bucket = self.by_type.get(&type_id)?;
             for &id in bucket {
-                if out.len() >= k {
+                if hits.len() >= k {
                     break;
                 }
                 let rec = &self.offers[id];
@@ -1056,11 +1119,11 @@ impl Trader {
                     .and_then(IndexKey::of)
                     .is_some();
                 if !indexed && constraint::matches_slots(&plan.constraint, &rec.slots) {
-                    out.push(rec.offer.clone());
+                    hits.push(id);
                 }
             }
         }
-        Some(out)
+        Some(hits)
     }
 
     /// Selects the best `k` offers under a `max`/`min` preference with a
@@ -1071,7 +1134,7 @@ impl Trader {
         expr: &SlotExpr,
         maximise: bool,
         k: usize,
-    ) -> Vec<ServiceOffer> {
+    ) -> Vec<OfferId> {
         if k == 0 {
             return Vec::new();
         }
@@ -1102,10 +1165,7 @@ impl Trader {
         }
         let mut ranks = heap.into_vec();
         ranks.sort_unstable();
-        ranks
-            .into_iter()
-            .map(|rank| self.offers[rank.id].offer.clone())
-            .collect()
+        ranks.into_iter().map(|rank| rank.id).collect()
     }
 }
 
@@ -1207,433 +1267,4 @@ impl Servant for TraderServant {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ior::{Endpoint, ObjectKey};
-    use crate::transport::LoopbackBus;
-
-    fn node_ior(n: u32) -> Ior {
-        Ior::new(
-            "IDL:integrade/Lrm:1.0",
-            Endpoint::new(n, 0),
-            ObjectKey::new(format!("lrm{n}")),
-        )
-    }
-
-    fn node_props(mips: i64, mem: i64, idle: bool) -> BTreeMap<String, AnyValue> {
-        [
-            ("cpu_mips".to_owned(), AnyValue::Long(mips)),
-            ("mem_mb".to_owned(), AnyValue::Long(mem)),
-            ("idle".to_owned(), AnyValue::Bool(idle)),
-        ]
-        .into_iter()
-        .collect()
-    }
-
-    fn seeded_trader() -> Trader {
-        let mut t = Trader::new(7);
-        t.export("integrade::node", &node_ior(1), node_props(300, 32, true))
-            .unwrap();
-        t.export("integrade::node", &node_ior(2), node_props(800, 64, true))
-            .unwrap();
-        t.export("integrade::node", &node_ior(3), node_props(1200, 16, false))
-            .unwrap();
-        t.export("other::service", &node_ior(4), node_props(9999, 999, true))
-            .unwrap();
-        t
-    }
-
-    #[test]
-    fn federation_links_follow_insertion_order() {
-        let mut t = seeded_trader();
-        t.add_link("child-2", 2, LinkFollowPolicy::IfNoLocal)
-            .unwrap();
-        t.add_link("parent-0", 0, LinkFollowPolicy::IfNoLocal)
-            .unwrap();
-        t.add_link("mirror", 9, LinkFollowPolicy::Never).unwrap();
-        let order: Vec<u64> = t.links().iter().map(|l| l.target).collect();
-        assert_eq!(order, vec![2, 0, 9]);
-        assert_eq!(
-            t.add_link("child-2", 5, LinkFollowPolicy::IfNoLocal),
-            Err(TraderError::DuplicateLink("child-2".to_owned()))
-        );
-    }
-
-    #[test]
-    fn link_follow_stats_accumulate_and_remove_works() {
-        let mut t = seeded_trader();
-        t.add_link("up", 0, LinkFollowPolicy::IfNoLocal).unwrap();
-        t.record_link_followed("up").unwrap();
-        t.record_link_followed("up").unwrap();
-        assert_eq!(t.links()[0].followed, 2);
-        assert_eq!(
-            t.record_link_followed("down"),
-            Err(TraderError::UnknownLink("down".to_owned()))
-        );
-        let removed = t.remove_link("up").unwrap();
-        assert_eq!(removed.followed, 2);
-        assert!(t.links().is_empty());
-        assert_eq!(
-            t.remove_link("up"),
-            Err(TraderError::UnknownLink("up".to_owned()))
-        );
-    }
-
-    #[test]
-    fn query_filters_by_type_and_constraint() {
-        let mut t = seeded_trader();
-        let hits = t
-            .query("integrade::node", "cpu_mips >= 500", "first", 10)
-            .unwrap();
-        let ids: Vec<u64> = hits.iter().map(|o| o.id.0).collect();
-        assert_eq!(ids, vec![2, 3]);
-    }
-
-    #[test]
-    fn count_matching_counts_what_query_returns() {
-        let mut counted = seeded_trader();
-        let mut queried = seeded_trader();
-        for constraint in ["cpu_mips >= 500", "idle", "cpu_mips > 5000"] {
-            let n = counted
-                .count_matching("integrade::node", constraint, |o| o.id != OfferId(2))
-                .unwrap();
-            let hits = queried
-                .query("integrade::node", constraint, "first", usize::MAX)
-                .unwrap();
-            assert_eq!(n, hits.iter().filter(|o| o.id != OfferId(2)).count());
-        }
-        assert_eq!(counted.query_count(), queried.query_count());
-        assert_eq!(counted.plan_cache_stats(), queried.plan_cache_stats());
-        assert!(matches!(
-            counted.count_matching("integrade::node", "cpu_mips >=", |_| true),
-            Err(TraderError::BadConstraint(_))
-        ));
-    }
-
-    #[test]
-    fn preference_max_orders_descending() {
-        let mut t = seeded_trader();
-        let hits = t
-            .query("integrade::node", "cpu_mips >= 0", "max cpu_mips", 10)
-            .unwrap();
-        let mips: Vec<i64> = hits
-            .iter()
-            .map(|o| o.properties["cpu_mips"].as_f64().unwrap() as i64)
-            .collect();
-        assert_eq!(mips, vec![1200, 800, 300]);
-    }
-
-    #[test]
-    fn preference_min_orders_ascending() {
-        let mut t = seeded_trader();
-        let hits = t
-            .query("integrade::node", "idle == true", "min cpu_mips", 10)
-            .unwrap();
-        let ids: Vec<u64> = hits.iter().map(|o| o.id.0).collect();
-        assert_eq!(ids, vec![1, 2]);
-    }
-
-    #[test]
-    fn preference_random_is_deterministic_per_seed() {
-        let mut a = seeded_trader();
-        let mut b = seeded_trader();
-        let ha = a
-            .query("integrade::node", "cpu_mips >= 0", "random", 10)
-            .unwrap();
-        let hb = b
-            .query("integrade::node", "cpu_mips >= 0", "random", 10)
-            .unwrap();
-        assert_eq!(
-            ha.iter().map(|o| o.id).collect::<Vec<_>>(),
-            hb.iter().map(|o| o.id).collect::<Vec<_>>()
-        );
-        assert_eq!(ha.len(), 3);
-    }
-
-    #[test]
-    fn max_offers_truncates() {
-        let mut t = seeded_trader();
-        let hits = t
-            .query("integrade::node", "cpu_mips >= 0", "max cpu_mips", 1)
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id.0, 3);
-    }
-
-    #[test]
-    fn undefined_preference_key_sorts_last() {
-        let mut t = seeded_trader();
-        t.export("integrade::node", &node_ior(5), BTreeMap::new())
-            .unwrap();
-        let hits = t
-            .query("integrade::node", "true", "max cpu_mips", 10)
-            .unwrap();
-        assert_eq!(hits.last().unwrap().id.0, 5);
-    }
-
-    #[test]
-    fn modify_updates_visible_properties() {
-        let mut t = Trader::new(1);
-        let id = t
-            .export("integrade::node", &node_ior(1), node_props(100, 8, true))
-            .unwrap();
-        assert!(t
-            .query("integrade::node", "cpu_mips >= 500", "first", 10)
-            .unwrap()
-            .is_empty());
-        t.modify(id, node_props(900, 8, true)).unwrap();
-        assert_eq!(
-            t.query("integrade::node", "cpu_mips >= 500", "first", 10)
-                .unwrap()
-                .len(),
-            1
-        );
-    }
-
-    #[test]
-    fn modify_values_updates_in_place() {
-        let mut t = Trader::new(1);
-        let id = t
-            .export("integrade::node", &node_ior(1), node_props(100, 8, true))
-            .unwrap();
-        let mips = t.property_slot("cpu_mips");
-        let idle = t.property_slot("idle");
-        t.modify_values(
-            id,
-            [(mips, AnyValue::Long(900)), (idle, AnyValue::Bool(false))],
-        )
-        .unwrap();
-        // Both the dense slots (query path) and the BTreeMap view agree.
-        let hits = t
-            .query("integrade::node", "cpu_mips >= 500", "first", 10)
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].properties["cpu_mips"], AnyValue::Long(900));
-        assert_eq!(hits[0].properties["idle"], AnyValue::Bool(false));
-        assert!(t
-            .query("integrade::node", "idle == true", "first", 10)
-            .unwrap()
-            .is_empty());
-        assert!(matches!(
-            t.modify_values(OfferId(99), [(mips, AnyValue::Long(1))]),
-            Err(TraderError::UnknownOffer(OfferId(99)))
-        ));
-    }
-
-    #[test]
-    fn modify_values_can_introduce_new_property() {
-        let mut t = Trader::new(1);
-        let id = t
-            .export("integrade::node", &node_ior(1), node_props(100, 8, true))
-            .unwrap();
-        let gpu = t.property_slot("gpu_count");
-        t.modify_values(id, [(gpu, AnyValue::Long(2))]).unwrap();
-        let hits = t
-            .query("integrade::node", "gpu_count >= 1", "first", 10)
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(
-            t.offer(id).unwrap().properties["gpu_count"],
-            AnyValue::Long(2)
-        );
-    }
-
-    #[test]
-    fn withdraw_removes_offer() {
-        let mut t = seeded_trader();
-        let id = OfferId(2);
-        t.withdraw(id).unwrap();
-        assert_eq!(t.withdraw(id).unwrap_err(), TraderError::UnknownOffer(id));
-        assert_eq!(t.offer_count(), 3);
-        let hits = t
-            .query("integrade::node", "cpu_mips >= 500", "first", 10)
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn bad_constraint_and_preference_are_errors() {
-        let mut t = seeded_trader();
-        assert!(matches!(
-            t.query("integrade::node", "cpu_mips >=", "first", 10),
-            Err(TraderError::BadConstraint(_))
-        ));
-        assert!(matches!(
-            t.query("integrade::node", "true", "best cpu", 10),
-            Err(TraderError::BadPreference(_))
-        ));
-    }
-
-    #[test]
-    fn preference_parse_variants() {
-        assert_eq!(Preference::parse("").unwrap(), Preference::First);
-        assert_eq!(Preference::parse("first").unwrap(), Preference::First);
-        assert_eq!(Preference::parse("random").unwrap(), Preference::Random);
-        assert!(matches!(
-            Preference::parse("max cpu_mips").unwrap(),
-            Preference::Max(_)
-        ));
-        assert!(matches!(
-            Preference::parse("min 2 * load").unwrap(),
-            Preference::Min(_)
-        ));
-        assert!(Preference::parse("max").is_err());
-        assert!(Preference::parse("random stuff").is_err());
-    }
-
-    #[test]
-    fn plan_cache_hits_repeated_queries() {
-        let mut t = seeded_trader();
-        assert_eq!(t.plan_cache_stats(), (0, 0));
-        for _ in 0..5 {
-            t.query("integrade::node", "cpu_mips >= 500", "max cpu_mips", 10)
-                .unwrap();
-        }
-        assert_eq!(t.plan_cache_stats(), (4, 1));
-        t.clear_plan_cache();
-        t.query("integrade::node", "cpu_mips >= 500", "max cpu_mips", 10)
-            .unwrap();
-        assert_eq!(t.plan_cache_stats(), (4, 2));
-    }
-
-    #[test]
-    fn prepared_plan_queries_directly() {
-        let mut t = seeded_trader();
-        let plan = t.prepare("cpu_mips >= 500", "min cpu_mips").unwrap();
-        let hits = t.query_plan("integrade::node", &plan, 10);
-        let ids: Vec<u64> = hits.iter().map(|o| o.id.0).collect();
-        assert_eq!(ids, vec![2, 3]);
-        // The plan survives store mutations.
-        t.export("integrade::node", &node_ior(6), node_props(600, 8, true))
-            .unwrap();
-        let hits = t.query_plan("integrade::node", &plan, 10);
-        let ids: Vec<u64> = hits.iter().map(|o| o.id.0).collect();
-        assert_eq!(ids, vec![5, 2, 3]);
-    }
-
-    #[test]
-    fn indexed_and_scan_paths_agree() {
-        // Same store twice: one answers through the indexes (or, for the
-        // disjunction, which yields no prefilter, the bucket scan), the
-        // other through the reference linear scan.
-        let mut indexed = Trader::new(11);
-        let mut reference = Trader::new(11);
-        for i in 0..100u32 {
-            let props = node_props(
-                300 + (i as i64 * 13) % 1700,
-                (i as i64 * 7) % 512,
-                i % 5 != 0,
-            );
-            indexed
-                .export("integrade::node", &node_ior(i), props.clone())
-                .unwrap();
-            reference
-                .export("integrade::node", &node_ior(i), props)
-                .unwrap();
-        }
-        for (constraint, pref) in [
-            ("cpu_mips >= 500 and mem_mb >= 16", "max cpu_mips"),
-            ("idle and cpu_mips < 900", "min mem_mb"),
-            ("mem_mb == 0 or cpu_mips > 1500", "first"),
-            ("cpu_mips >= 0", "random"),
-        ] {
-            let a = indexed
-                .query("integrade::node", constraint, pref, 7)
-                .unwrap();
-            let b = reference
-                .query_reference("integrade::node", constraint, pref, 7)
-                .unwrap();
-            assert_eq!(a, b, "constraint {constraint:?} pref {pref:?}");
-        }
-    }
-
-    #[test]
-    fn query_matches_reference_implementation() {
-        let mut indexed = seeded_trader();
-        let mut reference = seeded_trader();
-        for (constraint, pref) in [
-            ("cpu_mips >= 500", "first"),
-            ("cpu_mips >= 0", "max cpu_mips"),
-            ("idle == true", "min cpu_mips"),
-            ("cpu_mips >= 0", "random"),
-            ("mem_mb > 10 and cpu_mips > 100", "max cpu_mips + mem_mb"),
-        ] {
-            let a = indexed
-                .query("integrade::node", constraint, pref, 10)
-                .unwrap();
-            let b = reference
-                .query_reference("integrade::node", constraint, pref, 10)
-                .unwrap();
-            assert_eq!(a, b, "constraint {constraint:?} pref {pref:?}");
-        }
-    }
-
-    #[test]
-    fn servant_full_cycle_over_bus() {
-        let mut bus = LoopbackBus::new();
-        let ep = bus.add_orb(Endpoint::new(0, 1));
-        let trader_ref = bus
-            .activate(
-                ep,
-                ObjectKey::new("Trader"),
-                Box::new(TraderServant::new(3)),
-            )
-            .unwrap();
-
-        // Export two node offers remotely.
-        let out = bus
-            .invoke(&trader_ref, "export", |w| {
-                (
-                    "integrade::node".to_owned(),
-                    node_ior(1),
-                    node_props(700, 32, true),
-                )
-                    .encode(w)
-            })
-            .unwrap();
-        let id1 = OfferId::from_cdr_bytes(&out).unwrap();
-        bus.invoke(&trader_ref, "export", |w| {
-            (
-                "integrade::node".to_owned(),
-                node_ior(2),
-                node_props(200, 32, true),
-            )
-                .encode(w)
-        })
-        .unwrap();
-
-        // Query remotely.
-        let out = bus
-            .invoke(&trader_ref, "query", |w| {
-                (
-                    "integrade::node".to_owned(),
-                    "cpu_mips >= 500".to_owned(),
-                    "max cpu_mips".to_owned(),
-                    10u32,
-                )
-                    .encode(w)
-            })
-            .unwrap();
-        let offers = Vec::<ServiceOffer>::from_cdr_bytes(&out).unwrap();
-        assert_eq!(offers.len(), 1);
-        assert_eq!(offers[0].id, id1);
-
-        // Withdraw remotely; second withdraw is a user exception.
-        bus.invoke(&trader_ref, "withdraw", |w| id1.encode(w))
-            .unwrap();
-        let err = bus
-            .invoke(&trader_ref, "withdraw", |w| id1.encode(w))
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown"), "{err}");
-    }
-
-    #[test]
-    fn offer_cdr_round_trip() {
-        crate::cdr::assert_wire_sound(&ServiceOffer {
-            id: OfferId(9),
-            service_type: "integrade::node".into(),
-            reference: node_ior(9),
-            properties: node_props(500, 16, true),
-        });
-    }
-}
+mod tests;

@@ -1,15 +1,16 @@
 //! The linear-scan reference query, [`Trader::query_reference`].
 
-use super::{Preference, ServiceOffer, Trader, TraderError};
+use super::{OfferId, Preference, ServiceOffer, Trader, TraderError};
 use crate::constraint;
 use std::cmp::Ordering;
 
 impl Trader {
-    /// The pre-index linear-scan implementation, retained verbatim as the
+    /// The pre-index linear-scan implementation, retained as the
     /// oracle for `tests/trader_parity.rs` and as the honest baseline for
     /// the before/after benchmarks. Semantically identical to
     /// [`Trader::query`] (including RNG consumption under `random`), minus
-    /// the indexes and plan cache.
+    /// the indexes and plan cache. It reads each offer through the public
+    /// view a remote importer would receive, built for every offer first.
     ///
     /// # Errors
     ///
@@ -25,10 +26,11 @@ impl Trader {
         let preference = Preference::parse(preference_str).map_err(TraderError::BadPreference)?;
         self.queries += 1;
 
-        let mut matched: Vec<&ServiceOffer> = self
-            .offers
-            .values()
-            .map(|rec| &rec.offer)
+        let views: Vec<ServiceOffer> = (1..self.next_id)
+            .filter_map(|id| self.offer(OfferId(id)))
+            .collect();
+        let mut matched: Vec<&ServiceOffer> = views
+            .iter()
             .filter(|o| o.service_type == service_type)
             .filter(|o| constraint::matches(&expr, &o.properties))
             .collect();

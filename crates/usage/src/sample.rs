@@ -219,6 +219,12 @@ impl DayPeriod {
 
 /// Accumulates a node's samples into completed [`DayPeriod`]s — the LUPA's
 /// collection stage.
+///
+/// The window holds only the day in progress: it reserves nothing up
+/// front and grows its buffer as samples arrive, never past one day, so a
+/// node that has sampled nothing since its last rollover costs no sample
+/// storage, and every completed day's buffer holds exactly
+/// [`SamplingConfig::slots_per_day`] samples.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SampleWindow {
     config: SamplingConfig,
@@ -233,7 +239,7 @@ impl SampleWindow {
         SampleWindow {
             config,
             current_day: 0,
-            current: Vec::with_capacity(config.slots_per_day()),
+            current: Vec::new(),
             completed: Vec::new(),
         }
     }
@@ -244,7 +250,15 @@ impl SampleWindow {
     }
 
     /// Pushes the next sample in time order; rolls the day over when full.
+    ///
+    /// The buffer grows geometrically but never past one day, so a day
+    /// pushed slot by slot ends in a buffer of exactly `slots_per_day`.
     pub fn push(&mut self, sample: UsageSample) {
+        let cap = self.current.capacity();
+        if self.current.len() == cap {
+            let grown = (2 * cap).max(4).min(self.config.slots_per_day());
+            self.current.reserve_exact(grown - cap);
+        }
         self.current.push(sample);
         if self.current.len() == self.config.slots_per_day() {
             self.roll_over();
@@ -260,12 +274,18 @@ impl SampleWindow {
     /// rather than once per sample. The simulator's catch-up replay feeds a
     /// node's whole deferred span through here; a constant run
     /// (`std::iter::repeat_n`) is its always-idle case.
+    ///
+    /// Each day's share of the run is reserved exactly, from the run's
+    /// size hint, so a run that reports its length (a mapped range, a
+    /// slice, `repeat_n`) never grows the buffer past one day.
     pub fn extend_run(&mut self, samples: impl IntoIterator<Item = UsageSample>) {
         let per_day = self.config.slots_per_day();
         let mut samples = samples.into_iter();
         loop {
             let room = per_day - self.current.len();
-            self.current.extend(samples.by_ref().take(room));
+            let day = samples.by_ref().take(room);
+            self.current.reserve_exact(day.size_hint().0);
+            self.current.extend(day);
             if self.current.len() < per_day {
                 return;
             }
@@ -283,7 +303,6 @@ impl SampleWindow {
             samples: std::mem::take(&mut self.current),
         });
         self.current_day += 1;
-        self.current.reserve(self.config.slots_per_day());
     }
 
     /// Completed periods so far.
@@ -366,8 +385,15 @@ mod tests {
     fn window_rolls_days() {
         let cfg = SamplingConfig::new(480); // 3 slots/day for brevity
         let mut w = SampleWindow::new(cfg);
+        assert_eq!(w.current.capacity(), 0, "a fresh window reserves nothing");
         for i in 0..7 {
             w.push(UsageSample::new(i as f64 / 10.0, 0.0, 0.0, 0.0));
+            if w.partial_day().is_empty() {
+                assert_eq!(w.current.capacity(), 0, "a rollover keeps no buffer");
+            }
+        }
+        for period in w.completed() {
+            assert_eq!(period.samples.capacity(), 3, "exactly one day, no slack");
         }
         assert_eq!(w.completed().len(), 2);
         assert_eq!(w.partial_day().len(), 1);
@@ -437,6 +463,15 @@ mod tests {
             proptest::prop_assert_eq!(bulk.completed(), slow.completed());
             proptest::prop_assert_eq!(bulk.partial_day(), slow.partial_day());
             proptest::prop_assert_eq!(bulk.current_day, slow.current_day);
+            for period in bulk.completed().iter().chain(slow.completed()) {
+                proptest::prop_assert_eq!(period.samples.capacity(), cfg.slots_per_day());
+            }
+            for w in [&bulk, &slow] {
+                proptest::prop_assert!(w.current.capacity() <= cfg.slots_per_day());
+                if w.partial_day().is_empty() {
+                    proptest::prop_assert_eq!(w.current.capacity(), 0);
+                }
+            }
         }
     }
 

@@ -8,6 +8,11 @@
 //! shuffles the *full* match list in both paths, the deterministic RNG
 //! streams stay in lockstep and even shuffled results must be
 //! byte-identical.
+//!
+//! The trader stores each offer once, as a slot table, and builds the
+//! public [`ServiceOffer`](integrade::orb::trading::ServiceOffer) only
+//! where an offer leaves it. The last property holds the in-process reads
+//! ([`Trader::offer_ref`], [`Trader::query_ids`]) to those built views.
 
 use integrade::orb::any::AnyValue;
 use integrade::orb::ior::{Endpoint, Ior, ObjectKey};
@@ -227,5 +232,75 @@ proptest! {
             .query_reference(SERVICE, &constraint, preference, 64)
             .unwrap();
         prop_assert_eq!(got, want);
+    }
+
+    /// After a random mix of exports, wholesale `modify`, in-place
+    /// `modify_values` and withdrawals, every live offer reads the same
+    /// through the borrowed [`Trader::offer_ref`] as through the built
+    /// [`Trader::offer`], and [`Trader::query_ids`] returns the ids of
+    /// [`Trader::query`], in order. The id side runs on a twin trader so
+    /// `random` preferences draw the same shuffles on both.
+    #[test]
+    fn borrowed_reads_match_built_views(
+        offers in prop::collection::vec(raw_offer(), 1..30),
+        ops in prop::collection::vec((0u8..4, 0usize..40, raw_offer()), 0..30),
+        queries in prop::collection::vec((0u8..7, 0u8..7, 0i64..2000, 0i64..512, 0i64..100), 1..6),
+        max_offers in 0usize..80,
+    ) {
+        let (mut by_view, mut by_id) = twin_traders(31, &offers);
+        let mut ids: Vec<OfferId> = (1..=offers.len() as u64).map(OfferId).collect();
+        // Same names interned in the same order: the twins share slot ids.
+        let slots = ["cpu_mips", "free_ram_mb", "load"].map(|name| by_view.property_slot(name));
+        for name in ["cpu_mips", "free_ram_mb", "load"] {
+            by_id.property_slot(name);
+        }
+        for (kind, at, raw) in ops {
+            let target = (!ids.is_empty()).then(|| ids[at % ids.len()]);
+            let mut exported = None;
+            for trader in [&mut by_view, &mut by_id] {
+                match (kind, target) {
+                    (0, _) => {
+                        exported = Some(trader.export(SERVICE, &node_ior(at), offer_props(&raw)).unwrap());
+                    }
+                    (1, Some(id)) => trader.modify(id, offer_props(&raw)).unwrap(),
+                    (2, Some(id)) => trader
+                        .modify_values(
+                            id,
+                            [
+                                (slots[0], AnyValue::Long(raw.0)),
+                                (slots[1], AnyValue::Long(raw.1)),
+                                (slots[2], AnyValue::Double(raw.4)),
+                            ],
+                        )
+                        .unwrap(),
+                    (3, Some(id)) => {
+                        trader.withdraw(id).unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            match (kind, target) {
+                (0, _) => ids.extend(exported),
+                (3, Some(id)) => ids.retain(|&live| live != id),
+                _ => {}
+            }
+        }
+        prop_assert_eq!(by_view.offer_count(), ids.len());
+        for &id in &ids {
+            let built = by_view.offer(id).unwrap();
+            let borrowed = by_view.offer_ref(id).unwrap();
+            prop_assert_eq!(borrowed.id, id);
+            for name in ["cpu_mips", "free_ram_mb", "exporting", "os", "load", "gpu_count"] {
+                prop_assert_eq!(borrowed.property(name), built.properties.get(name), "{} of {}", name, id);
+            }
+        }
+        for (cform, pform, min_cpu, min_ram, load_pct) in queries {
+            let constraint = constraint_for(cform, min_cpu, min_ram, load_pct);
+            let preference = preference_for(pform);
+            let views = by_view.query(SERVICE, &constraint, preference, max_offers).unwrap();
+            let hits = by_id.query_ids(SERVICE, &constraint, preference, max_offers).unwrap();
+            prop_assert_eq!(views.iter().map(|o| o.id).collect::<Vec<_>>(), hits);
+        }
+        prop_assert_eq!(by_view.query_count(), by_id.query_count());
     }
 }
