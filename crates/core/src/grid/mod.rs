@@ -82,19 +82,17 @@ pub enum TickMode {
     /// them. A frame runs its members' node-local bodies in ascending node
     /// order, then applies their effects — messages, event-queue inserts,
     /// log records — in that order. The report flush replays every deferred
-    /// node on every core the host has, drawing what the serial walk would
-    /// draw (`tick::Flush`).
+    /// node on every core the host has (`tick::Flush`).
     ///
     /// # Determinism contract
     ///
     /// A run is bit-for-bit reproducible from its seed, whatever the host's
-    /// core count. With [`GridConfig::lupa_noise`] off (the default) it is
-    /// also observably identical to [`Self::Reference`]: messages, event
-    /// logs, reports and the learned patterns. With noise on, both walks
-    /// draw the jitter from the one stream in different orders (the lazy
-    /// walk node by node, the reference walk slot by slot), so the learned
-    /// patterns differ, but the jitter feeds only the LUPA window, never the
-    /// owner state that drives eviction, QoS and status updates.
+    /// core count, and observably identical to [`Self::Reference`]:
+    /// messages, event logs, reports and the learned patterns. That holds
+    /// with [`GridConfig::lupa_noise`] on too: a sample's jitter is keyed by
+    /// the seed, the node and the slot, not drawn from a stream, so the lazy
+    /// walk (node by node) and the reference walk (slot by slot) measure
+    /// every sample alike.
     Lazy,
 }
 
@@ -167,11 +165,11 @@ pub struct GridConfig {
     pub cert_trust_threshold: u32,
     /// Amplitude of the per-slot measurement jitter applied to the owner
     /// samples the LUPA collection window records, in `[0, 1)`. Zero (the
-    /// default) draws nothing: every pre-existing scenario replays
-    /// bit-for-bit and both tick modes stay observably identical. When
-    /// positive, every slot observation perturbs the *measured* CPU and
-    /// memory components with two draws from the grid's jitter stream
-    /// ([`streams::LUPA_JITTER`]) before the sample enters the LUPA window —
+    /// default) perturbs nothing: every pre-existing scenario replays
+    /// bit-for-bit. When positive, every slot observation perturbs the
+    /// *measured* CPU and memory components by a jitter each, a pure hash of
+    /// the seed, the node, the slot and the component salted with
+    /// [`streams::LUPA_JITTER`], before the sample enters the LUPA window —
     /// modelling real sensor noise. The true owner sample still drives
     /// eviction, QoS accounting and status updates, so only the learned
     /// patterns move; see [`TickMode::Lazy`] for the full contract.
@@ -567,12 +565,6 @@ struct GridWorld {
     /// Dedicated stream for retry/backoff jitter so retransmission noise
     /// never perturbs the scheduler's ranking stream.
     retry_rng: DetRng,
-    /// The [`GridConfig::lupa_noise`] measurement jitter
-    /// ([`streams::LUPA_JITTER`]): both walks, single-node catch-ups
-    /// (`catch_up_node`) and the report flush draw from it (the flush's
-    /// chunks from copies jumped ahead to the serial walk's position), and
-    /// nothing else does, so the jitter never perturbs scheduling.
-    jitter_rng: DetRng,
     /// Threads the report flush may run on: the host's available
     /// parallelism, read once at build. It decides how fast a flush runs,
     /// never what it computes (`flush_catch_up`).
@@ -732,7 +724,6 @@ impl Grid {
         let mut world = GridWorld {
             rng: DetRng::with_stream(config.seed, streams::GRID_WORLD),
             retry_rng: DetRng::with_stream(config.seed, streams::RETRY),
-            jitter_rng: DetRng::with_stream(config.seed, streams::LUPA_JITTER),
             flush_workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             gupa: GupaState::new(LupaConfig::default()),
             net: Network::new(topo),

@@ -21,8 +21,9 @@ impl GridWorld {
     /// unacknowledged outcomes or stored replicas, so its reference
     /// per-slot body collapses to owner-trace sampling, LUPA accumulation
     /// and owner-QoS accounting — deterministic functions of the trace, the
-    /// tick index and (with [`GridConfig::lupa_noise`] on) the grid's
-    /// measurement-jitter stream, sending no messages and writing no logs.
+    /// tick index and (with [`GridConfig::lupa_noise`] on) the jitter keyed
+    /// by the seed, the node and the slot, sending no messages and writing
+    /// no logs.
     /// Replaying them here in bulk is therefore bit-for-bit identical to
     /// having run them eagerly every tick of the same mode.
     pub(super) fn catch_up_node(&mut self, node: usize, target: u64) {
@@ -31,12 +32,7 @@ impl GridWorld {
         }
         let profiler = self.obs.profiler.clone();
         let _replay = profiler.enter(Phase::CatchUpReplay);
-        let days = replay_node_local(
-            &self.config,
-            &mut self.nodes[node],
-            &mut self.jitter_rng,
-            target,
-        );
+        let days = replay_node_local(&self.config, &mut self.nodes[node], node, target);
         drop(_replay);
         if !days.is_empty() {
             let _digest = profiler.enter(Phase::GupaDigest);
@@ -53,12 +49,11 @@ impl GridWorld {
     /// produces (curve reduction + retrain — the O(n) terms that dominate
     /// the flush at 50k nodes) run in chunks of contiguous nodes on up to
     /// `flush_workers` threads ([`Flush`]), each chunk against its own
-    /// slices of the node and GUPA cell tables and its own copy of the
-    /// jitter stream, jumped ahead to where the serial walk would draw from
-    /// it. The result is the serial walk's at every host core count; only
-    /// the per-chunk upload counts cross the merge. A flush below one chunk
-    /// of work (a small grid, or one whose update timers keep every node
-    /// caught up) runs on the calling thread.
+    /// slices of the node and GUPA cell tables. A node's replay reads only
+    /// its own state, so the result is the serial walk's at every host core
+    /// count; only the per-chunk upload counts cross the merge. A flush
+    /// below one chunk of work (a small grid, or one whose update timers
+    /// keep every node caught up) runs on the calling thread.
     /// (Under the reference walk nothing is ever deferred and every replay
     /// returns at once.)
     pub(super) fn flush_catch_up(&mut self) {
@@ -70,10 +65,8 @@ impl GridWorld {
             let (config, gupa_config) = (&self.config, self.gupa.config());
             let n = self.nodes.len();
             Flush::cut(
-                config,
                 &mut self.nodes,
                 self.gupa.cells_mut(n),
-                &mut self.jitter_rng,
                 target,
                 FLUSH_CHUNK_SLOTS,
             )
@@ -164,7 +157,6 @@ impl GridWorld {
                     let effects = tick_node_local(
                         &self.config,
                         &mut self.nodes[i],
-                        &mut self.jitter_rng,
                         i,
                         now,
                         self.slots_elapsed,
@@ -252,7 +244,6 @@ impl GridWorld {
                 self.gupa.config(),
                 &mut self.nodes,
                 self.gupa.cells_mut(n),
-                &mut self.jitter_rng,
                 &members,
                 now,
                 self.slots_elapsed,

@@ -8,13 +8,14 @@
 //! skipped. Neither touches the event queue, the log, the ORBs, the GRM or
 //! another node. [`tick_members`] runs both over a slot frame's active
 //! members on the calling thread. The report and ranking flush goes through
-//! [`Flush`], which cuts the node table into contiguous chunks that each
-//! start from the jitter-stream position the serial walk would reach there
-//! ([`replay_draws`]), and runs them on core's one scoped-thread executor
-//! ([`scoped_map`]), so it uses every core and draws the same jitter. The
-//! shared-state half of a tick (messages, log records, event-queue inserts)
-//! comes back as [`NodeTickEffects`] for `GridWorld::apply_node_effects` to
-//! apply in ascending node order.
+//! [`Flush`], which cuts the node table into contiguous chunks and runs
+//! them on core's one scoped-thread executor ([`scoped_map`]), so it uses
+//! every core. A node's measurement jitter is keyed by the node and the
+//! slot ([`Noise`]), never drawn from a stream, so whichever walk, chunk or
+//! catch-up measures a slot, and in whatever order, it measures the same
+//! sample. The shared-state half of a tick (messages, log records,
+//! event-queue inserts) comes back as [`NodeTickEffects`] for
+//! `GridWorld::apply_node_effects` to apply in ascending node order.
 //!
 //! Node state is `Send` by construction (checked at compile time below), so
 //! handing a chunk to a worker is ordinary safe borrowing.
@@ -25,7 +26,7 @@ use crate::lrm::{CompletedPart, DueCheckpoint, LrmState};
 use crate::par::scoped_map;
 use crate::protocol::PartEvicted;
 use crate::qos::{QosLedger, SharingDiscipline};
-use integrade_simnet::rng::{DetRng, Jitter};
+use integrade_simnet::rng::{keyed_u64, streams, Jitter};
 use integrade_simnet::time::{SimDuration, SimTime};
 use integrade_usage::patterns::LupaConfig;
 use integrade_usage::sample::{DayPeriod, UsageSample, Weekday};
@@ -123,14 +124,13 @@ pub(crate) fn fingerprint(trace: &[UsageSample]) -> u64 {
     hash
 }
 
-// A flush chunk carries `&mut [NodeLocal]`, `&mut [GupaCell]` and a
-// `DetRng`; all three must cross a thread boundary.
+// A flush chunk carries `&mut [NodeLocal]` and `&mut [GupaCell]`; both
+// must cross a thread boundary.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<NodeLocal>();
     assert_send::<LrmState>();
     assert_send::<GupaCell>();
-    assert_send::<DetRng>();
 };
 
 /// Day/weekday/minute of a virtual instant (day 0 = Monday).
@@ -152,65 +152,58 @@ pub(crate) fn trace_sample_at(trace: &[UsageSample], now: SimTime) -> UsageSampl
     trace[slot % trace.len()]
 }
 
-/// The measured (LUPA-visible) version of an owner sample: the true sample
-/// when noise is off, otherwise the sample perturbed by two jitter draws
-/// (CPU then memory) from the grid's jitter stream and re-clamped into
-/// range. `noise == 0` consumes nothing from the stream — that is what
-/// keeps every pre-noise scenario bit-for-bit.
-fn measured_sample(owner: UsageSample, noise: f64, rng: &mut DetRng) -> UsageSample {
-    if noise == 0.0 {
-        return owner;
-    }
-    let cpu_delta = rng.jitter(noise);
-    let mem_delta = rng.jitter(noise);
-    owner.with_jitter(cpu_delta, mem_delta)
+/// The measured channel a jitter value perturbs.
+#[derive(Debug, Clone, Copy)]
+enum Channel {
+    Cpu = 0,
+    Mem = 1,
 }
 
-/// How many jitter values a catch-up replay reads from the stream at a
-/// time: 32 slots' worth, a 512-byte stack block.
-const JITTER_BLOCK: usize = 64;
-
-/// The measurement jitter of one catch-up replay, read from the grid's
-/// stream in stack blocks of [`JITTER_BLOCK`] values ([`DetRng::fill_u64`])
-/// rather than one serial draw at a time. The amplitude is checked once, and
-/// the blocks draw exactly the `undrawn` values the replay asked for — the
-/// last block is cut short — so the stream ends where per-slot draws leave
-/// it.
-struct ReplayJitter<'a> {
-    rng: &'a mut DetRng,
+/// A grid's [`GridConfig::lupa_noise`] measurement jitter. The jitter of a
+/// sample is a pure function of `(seed, node, k, channel)` — `k` the
+/// 0-based index of the tick the slot fired at — hashed by [`keyed_u64`]
+/// with the seed and [`streams::LUPA_JITTER`] as the salt and mapped by the
+/// one [`Jitter`] formula. Nothing is drawn from a stream, so every walk,
+/// catch-up and flush chunk measures a slot identically, in any order.
+#[derive(Debug, Clone, Copy)]
+struct Noise {
     jitter: Jitter,
-    block: [u64; JITTER_BLOCK],
-    /// The next unread value of `block`, and how many of it are filled.
-    next: usize,
-    filled: usize,
-    /// Values still to draw from the stream.
-    undrawn: u64,
+    salt: u64,
 }
 
-impl<'a> ReplayJitter<'a> {
-    fn new(rng: &'a mut DetRng, noise: f64, draws: u64) -> Self {
-        ReplayJitter {
-            rng,
-            jitter: Jitter::new(noise),
-            block: [0; JITTER_BLOCK],
-            next: 0,
-            filled: 0,
-            undrawn: draws,
-        }
+impl Noise {
+    /// The grid's noise, or `None` with `lupa_noise` off.
+    fn of(config: &GridConfig) -> Option<Noise> {
+        (config.lupa_noise != 0.0).then(|| Noise {
+            jitter: Jitter::new(config.lupa_noise),
+            salt: config.seed ^ streams::LUPA_JITTER,
+        })
     }
 
-    /// [`measured_sample`] of one slot: the owner sample perturbed by the
-    /// next two values (CPU, then memory).
-    fn measure(&mut self, owner: UsageSample) -> UsageSample {
-        if self.next == self.filled {
-            debug_assert!(self.undrawn > 0, "drew past the replay's draw count");
-            let len = self.undrawn.min(JITTER_BLOCK as u64) as usize;
-            self.rng.fill_u64(&mut self.block[..len]);
-            (self.undrawn, self.next, self.filled) = (self.undrawn - len as u64, 0, len);
-        }
-        let (cpu, mem) = (self.block[self.next], self.block[self.next + 1]);
-        self.next += 2;
-        owner.with_jitter(self.jitter.of(cpu), self.jitter.of(mem))
+    /// The jitter of `channel` in the sample node `node` takes at tick
+    /// index `k`, in `[-lupa_noise, lupa_noise]`.
+    fn draw(self, node: usize, k: u64, channel: Channel) -> f64 {
+        self.jitter
+            .of(keyed_u64(self.salt, [node as u64, k, channel as u64]))
+    }
+
+    /// `owner` with its CPU and memory components jittered for node `node`
+    /// at tick index `k`, re-clamped into range.
+    fn measure(self, node: usize, k: u64, owner: UsageSample) -> UsageSample {
+        owner.with_jitter(
+            self.draw(node, k, Channel::Cpu),
+            self.draw(node, k, Channel::Mem),
+        )
+    }
+}
+
+/// The measured (LUPA-visible) version of the owner sample node `node` takes
+/// at tick index `k`: the true sample when noise is off, otherwise the
+/// sample perturbed by its keyed CPU and memory jitter ([`Noise`]).
+fn measured_sample(config: &GridConfig, node: usize, k: u64, owner: UsageSample) -> UsageSample {
+    match Noise::of(config) {
+        Some(noise) => noise.measure(node, k, owner),
+        None => owner,
     }
 }
 
@@ -223,32 +216,29 @@ impl<'a> ReplayJitter<'a> {
 /// measured samples; the window cuts it into days. That equals the eager
 /// per-slot body because, for a disengaged node, a slot has exactly four
 /// effects and the run reproduces each: the measured sample entering the
-/// window (same samples, same order, drawn from `rng` in slot order), the
-/// QoS record (same records, same order), the owner state and clock (only
-/// the last slot's survive — nothing reads the intermediate ones), and the
-/// drain of a completed day (a slot completes at most one day, so the eager
-/// walk's per-slot drains are the run's days, in day order). An untraced
-/// node with noise off is the constant case: every sample is idle and
-/// `QosLedger::record(0, 0, 0, _, _)` is a no-op by inspection, so the run
-/// is a plain fill.
+/// window (same samples, same order, each jittered by its node and slot),
+/// the QoS record (same records, same order), the owner state and clock
+/// (only the last slot's survive — nothing reads the intermediate ones),
+/// and the drain of a completed day (a slot completes at most one day, so
+/// the eager walk's per-slot drains are the run's days, in day order). An
+/// untraced node with noise off is the constant case: every sample is idle
+/// and `QosLedger::record(0, 0, 0, _, _)` is a no-op by inspection, so the
+/// run is a plain fill.
 ///
-/// Runs in slot frames, single-node catch-ups and flush chunks. It draws
-/// exactly [`replay_draws`] values from `rng`, in blocks
-/// ([`ReplayJitter`]), positioned where the serial walk would draw for this
-/// node; the jitter perturbs what the LUPA window records but never the
-/// owner state QoS sees.
+/// Runs in slot frames, single-node catch-ups and flush chunks, for node
+/// `id`. The jitter ([`Noise`]) perturbs what the LUPA window records but
+/// never the owner state QoS sees.
 pub(crate) fn replay_node_local(
     config: &GridConfig,
     node: &mut NodeLocal,
-    rng: &mut DetRng,
+    id: usize,
     target: u64,
 ) -> Vec<DayPeriod> {
     let applied = node.ticks_applied;
     if applied >= target {
         return Vec::new();
     }
-    let (tick, noise) = (config.tick, config.lupa_noise);
-    let draws = replay_draws(config, node, target);
+    let (tick, noise) = (config.tick, Noise::of(config));
     let NodeLocal {
         lrm, qos, trace, ..
     } = node;
@@ -261,17 +251,16 @@ pub(crate) fn replay_node_local(
         lrm.lupa_window().completed().is_empty(),
         "every observation drains the window before the next"
     );
-    if trace.is_empty() && noise == 0.0 {
+    if trace.is_empty() && noise.is_none() {
         let idle = std::iter::repeat_n(UsageSample::idle(), (target - applied) as usize);
         lrm.observe_owner_run(last_owner, idle, weekday, minute);
     } else {
         let cap = lrm.policy.max_cpu_fraction;
-        let mut jitter = (noise != 0.0).then(|| ReplayJitter::new(rng, noise, draws));
         let measured = (applied..target).map(|k| {
             let owner = trace_sample_at(trace, fired_at(k));
             qos.record(owner.cpu, 0.0, 0.0, cap, SharingDiscipline::Yielding);
-            match &mut jitter {
-                Some(jitter) => jitter.measure(owner),
+            match noise {
+                Some(noise) => noise.measure(id, k, owner),
                 None => owner,
             }
         });
@@ -281,20 +270,6 @@ pub(crate) fn replay_node_local(
     node.lrm.take_lupa_periods()
 }
 
-/// How many raw values ([`DetRng::next_u64`]) [`replay_node_local`] draws
-/// to bring `node` to tick `target`: two jitter draws (CPU, then memory) per
-/// replayed slot with [`GridConfig::lupa_noise`] on, none with it off or
-/// when the node is already there. The count is known before the replay,
-/// so a stream cloned before it and advanced by this many
-/// ([`DetRng::skip_u64`]) equals the stream after it — the contract
-/// [`Flush`] starts each chunk from.
-pub(crate) fn replay_draws(config: &GridConfig, node: &NodeLocal, target: u64) -> u64 {
-    if config.lupa_noise == 0.0 {
-        return 0;
-    }
-    2 * target.saturating_sub(node.ticks_applied)
-}
-
 /// [`replay_node_local`] as the eager walk defines it — one observation,
 /// one QoS record and one window drain per slot — kept as the oracle the
 /// run form is tested against.
@@ -302,7 +277,7 @@ pub(crate) fn replay_draws(config: &GridConfig, node: &NodeLocal, target: u64) -
 fn replay_node_local_per_slot(
     config: &GridConfig,
     node: &mut NodeLocal,
-    rng: &mut DetRng,
+    id: usize,
     target: u64,
 ) -> Vec<DayPeriod> {
     let applied = node.ticks_applied;
@@ -314,7 +289,7 @@ fn replay_node_local_per_slot(
     for k in applied..target {
         let then = SimTime::from_micros(config.tick.as_micros() * k);
         let owner = trace_sample_at(&node.trace, then);
-        let measured = measured_sample(owner, config.lupa_noise, rng);
+        let measured = measured_sample(config, id, k, owner);
         let (_, weekday, minute) = wall_at(then);
         node.lrm
             .observe_owner_sampled(owner, measured, weekday, minute);
@@ -352,18 +327,17 @@ pub(crate) struct NodeTickEffects {
 /// touches only the node's own LRM, QoS ledger and tick cursor; the
 /// returned effects carry the shared-state work. Callers must have applied
 /// all earlier ticks to the node. `slot` is the 1-based index of the tick
-/// firing at `now`; `rng` is the grid's jitter stream, consumed only when
-/// `lupa_noise > 0`.
+/// firing at `now`, so its measurement jitter is keyed by tick index
+/// `slot - 1`.
 pub(crate) fn tick_node_local(
     config: &GridConfig,
     node: &mut NodeLocal,
-    rng: &mut DetRng,
     id: usize,
     now: SimTime,
     slot: u64,
 ) -> NodeTickEffects {
     let owner = trace_sample_at(&node.trace, now);
-    let measured = measured_sample(owner, config.lupa_noise, rng);
+    let measured = measured_sample(config, id, slot - 1, owner);
     let (_, weekday, minute) = wall_at(now);
     let lrm = &mut node.lrm;
     // Credit the elapsed tick under the owner state that held during it
@@ -417,8 +391,7 @@ pub(crate) fn digest(cell: &mut GupaCell, config: LupaConfig, days: Vec<DayPerio
 /// (ascending node ids) the catch-up replay to the previous tick, the slot
 /// body, and one [`digest`] of every day either completed into the
 /// member's cell — replayed days first, then the tick's own drain, the
-/// order the eager walk uses. Every jitter draw comes from `rng` in that
-/// order.
+/// order the eager walk uses.
 /// `cells` is index-aligned with `nodes`. Returns the members' effects in
 /// node order and the upload count.
 #[allow(clippy::too_many_arguments)]
@@ -427,7 +400,6 @@ pub(crate) fn tick_members(
     gupa: LupaConfig,
     nodes: &mut [NodeLocal],
     cells: &mut [GupaCell],
-    rng: &mut DetRng,
     members: &[usize],
     now: SimTime,
     slot: u64,
@@ -437,8 +409,8 @@ pub(crate) fn tick_members(
         .iter()
         .map(|&id| {
             let node = &mut nodes[id];
-            let mut days = replay_node_local(config, node, rng, slot - 1);
-            let mut effects = tick_node_local(config, node, rng, id, now, slot);
+            let mut days = replay_node_local(config, node, id, slot - 1);
+            let mut effects = tick_node_local(config, node, id, now, slot);
             days.append(&mut effects.tick_upload);
             digested += digest(&mut cells[id], gupa, days);
             effects
@@ -449,60 +421,51 @@ pub(crate) fn tick_members(
 
 /// The fewest deferred node-slots (nodes × ticks still to replay) one
 /// report-flush chunk carries. At ~2¹⁸ a chunk is milliseconds of replay,
-/// so a 50k-node flush spreads over every core while a chunk's own costs (a
-/// stream clone, a jump-ahead, one claim on the executor) stay noise; a
+/// so a 50k-node flush spreads over every core while a chunk's own cost (one
+/// claim on the executor) stays noise; a
 /// flush below one chunk runs on the calling thread.
 pub(crate) const FLUSH_CHUNK_SLOTS: u64 = 1 << 18;
 
 /// The report/ranking flush — every node caught up to one tick and its
-/// uploads digested — cut so that chunks of nodes run side by side and
-/// still draw exactly the jitter the serial walk draws.
+/// uploads digested — cut so that chunks of nodes run side by side.
 ///
-/// The serial walk takes the nodes in order, drawing every node's jitter
-/// from the grid's one stream. A node's draw count is known before its
-/// replay ([`replay_draws`]), so the node table is cut into contiguous
-/// chunks, and each chunk gets a copy of the stream advanced past the draws
-/// of the nodes before it ([`DetRng::skip_u64`], O(log n)); the stream
-/// itself ends advanced past every node. A chunk writes only its own nodes
-/// and GUPA cells, so whatever the worker count and whichever chunk
-/// finishes first, the flush leaves the state — nodes, cells, stream,
-/// upload count — the serial walk leaves.
+/// The node table is cut into contiguous chunks. A chunk writes only its
+/// own nodes and GUPA cells, and a node's replay reads only its own state
+/// (its jitter is keyed by the node and the slot, [`Noise`]), so whatever
+/// the worker count and whichever chunk finishes first, the flush leaves
+/// the state — nodes, cells, upload count — the serial walk leaves.
 pub(crate) struct Flush<'a> {
     chunks: Vec<FlushChunk<'a>>,
     /// Less than one chunk of work in all: run on the calling thread.
     inline: bool,
 }
 
-/// One contiguous run of nodes, the matching GUPA cells, and the jitter
-/// stream where the serial walk reaches `nodes[0]`.
+/// One contiguous run of nodes, from node `first` on, and the matching
+/// GUPA cells.
 pub(crate) struct FlushChunk<'a> {
+    first: usize,
     nodes: &'a mut [NodeLocal],
     cells: &'a mut [GupaCell],
-    rng: DetRng,
 }
 
 impl<'a> Flush<'a> {
     /// Cuts the flush to tick `target` into chunks of at least
-    /// `chunk_slots` deferred node-slots (the last may hold fewer), and
-    /// advances `rng` past every chunk's draws. `cells` is index-aligned
-    /// with `nodes`. `chunk_slots` is [`FLUSH_CHUNK_SLOTS`] except in
-    /// tests, which cut small worlds finer.
+    /// `chunk_slots` deferred node-slots (the last may hold fewer).
+    /// `cells` is index-aligned with `nodes`. `chunk_slots` is
+    /// [`FLUSH_CHUNK_SLOTS`] except in tests, which cut small worlds finer.
     pub fn cut(
-        config: &GridConfig,
         mut nodes: &'a mut [NodeLocal],
         mut cells: &'a mut [GupaCell],
-        rng: &mut DetRng,
         target: u64,
         chunk_slots: u64,
     ) -> Self {
         debug_assert!(cells.len() >= nodes.len());
         let mut chunks = Vec::new();
-        let mut total = 0;
+        let (mut first, mut total) = (0, 0);
         while !nodes.is_empty() {
-            let (mut len, mut slots, mut draws) = (0, 0, 0);
+            let (mut len, mut slots) = (0, 0);
             while len < nodes.len() && slots < chunk_slots {
                 slots += target.saturating_sub(nodes[len].ticks_applied);
-                draws += replay_draws(config, &nodes[len], target);
                 len += 1;
             }
             let (chunk_nodes, rest) = std::mem::take(&mut nodes).split_at_mut(len);
@@ -510,11 +473,11 @@ impl<'a> Flush<'a> {
             let (chunk_cells, rest) = std::mem::take(&mut cells).split_at_mut(len);
             cells = rest;
             chunks.push(FlushChunk {
+                first,
                 nodes: chunk_nodes,
                 cells: chunk_cells,
-                rng: rng.clone(),
             });
-            rng.skip_u64(draws);
+            first += len;
             total += slots;
         }
         Flush {
@@ -537,15 +500,16 @@ impl FlushChunk<'_> {
     /// digests the uploads into their cells; returns the upload count.
     pub fn replay(self, config: &GridConfig, gupa: LupaConfig, target: u64) -> u64 {
         let FlushChunk {
+            first,
             nodes,
             cells,
-            mut rng,
         } = self;
         nodes
             .iter_mut()
             .zip(cells)
-            .map(|(node, cell)| {
-                let days = replay_node_local(config, node, &mut rng, target);
+            .enumerate()
+            .map(|(i, (node, cell))| {
+                let days = replay_node_local(config, node, first + i, target);
                 digest(cell, gupa, days)
             })
             .sum()
@@ -558,6 +522,7 @@ mod tests {
     use crate::grid::NodeSetup;
     use crate::lrm::LrmConfig;
     use crate::types::NodeId;
+    use integrade_simnet::rng::DetRng;
 
     fn config(lupa_noise: f64) -> GridConfig {
         GridConfig {
@@ -595,13 +560,62 @@ mod tests {
         assert!(Arc::ptr_eq(&negative, &interner.intern(trace(-0.0))));
     }
 
+    /// The keyed jitter at amplitude 0.05: bounded, both signs about
+    /// equally often, and a mean near zero.
+    #[test]
+    fn keyed_jitter_is_symmetric_and_bounded() {
+        assert!(Noise::of(&config(0.0)).is_none(), "noise off keys nothing");
+        let noise = Noise::of(&config(0.05)).unwrap();
+        let (mut sum, mut negative) = (0.0, 0);
+        for node in 0..50 {
+            for k in 0..100 {
+                for channel in [Channel::Cpu, Channel::Mem] {
+                    let j = noise.draw(node, k, channel);
+                    assert!((-0.05..=0.05).contains(&j), "{j}");
+                    sum += j;
+                    negative += usize::from(j < 0.0);
+                }
+            }
+        }
+        assert!(sum.abs() < 0.05 * 100.0, "mean should be near zero: {sum}");
+        assert!(
+            (4_800..=5_200).contains(&negative),
+            "{negative} of 10000 negative"
+        );
+    }
+
+    /// Equal keys give equal bits; changing any one of the seed, the node,
+    /// the tick index or the channel changes the value.
+    #[test]
+    fn every_part_of_the_key_moves_the_jitter() {
+        let draw = |seed: u64, node: usize, k: u64, channel: Channel| {
+            let config = GridConfig {
+                seed,
+                ..config(0.05)
+            };
+            Noise::of(&config).unwrap().draw(node, k, channel).to_bits()
+        };
+        for seed in [0, 29, u64::MAX] {
+            for node in [0, 1, 49_999] {
+                for k in [0, 287, 288, 1 << 40] {
+                    let cpu = draw(seed, node, k, Channel::Cpu);
+                    assert_eq!(cpu, draw(seed, node, k, Channel::Cpu));
+                    let case = format!("seed {seed}, node {node}, k {k}");
+                    assert_ne!(cpu, draw(seed ^ 1, node, k, Channel::Cpu), "{case}: seed");
+                    assert_ne!(cpu, draw(seed, node + 1, k, Channel::Cpu), "{case}: node");
+                    assert_ne!(cpu, draw(seed, node, k + 1, Channel::Cpu), "{case}: k");
+                    assert_ne!(cpu, draw(seed, node, k, Channel::Mem), "{case}: channel");
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         /// The run-form replay against the per-slot body it replaced: same
         /// completed days in the same order, same LUPA window, QoS ledger,
-        /// tick cursor, owner state and jitter-stream position — over empty
-        /// and wrapping traces, noise off and on, and spans that start
-        /// mid-day, cross zero to three day rollovers and end on either
-        /// side of a jitter-block edge.
+        /// tick cursor and owner state — over empty and wrapping traces,
+        /// noise off and on, and spans that start mid-day and cross zero to
+        /// three day rollovers.
         #[test]
         fn run_replay_matches_the_per_slot_body(seed in proptest::arbitrary::any::<u64>()) {
             for salt in crate::par::chaos_salts() {
@@ -611,8 +625,9 @@ mod tests {
                 let noisy = gen.bernoulli(0.5);
                 let applied = gen.uniform_range(0, 600);
                 let span = gen.uniform_range(0, 3 * 288 + 100);
+                let id = gen.index(50_000);
                 let case = format!(
-                    "seed {seed:#x}: trace of {trace_len}, noisy {noisy}, {applied} + {span} ticks"
+                    "seed {seed:#x}: node {id}, trace of {trace_len}, noisy {noisy}, {applied} + {span} ticks"
                 );
                 let config = &config(if noisy { 0.05 } else { 0.0 });
                 let trace: Vec<UsageSample> = (0..trace_len)
@@ -623,76 +638,75 @@ mod tests {
                     })
                     .collect();
                 let trace = Arc::new(trace);
-                let (mut run, mut run_rng) = (node(Arc::clone(&trace)), DetRng::new(seed));
-                let (mut slot, mut slot_rng) = (node(trace), DetRng::new(seed));
+                let (mut run, mut slot) = (node(Arc::clone(&trace)), node(trace));
                 // Both start mid-history, brought there by the oracle.
-                replay_node_local_per_slot(config, &mut run, &mut run_rng, applied);
-                replay_node_local_per_slot(config, &mut slot, &mut slot_rng, applied);
+                replay_node_local_per_slot(config, &mut run, id, applied);
+                replay_node_local_per_slot(config, &mut slot, id, applied);
                 let target = applied + span;
-                // The draw count is known up front: a pre-replay copy of the
-                // stream skipped by it lands where the replay leaves the
-                // stream.
-                let mut skipped = run_rng.clone();
-                skipped.skip_u64(replay_draws(config, &run, target));
-                let run_days = replay_node_local(config, &mut run, &mut run_rng, target);
-                proptest::prop_assert_eq!(&skipped, &run_rng, "{}", case);
-                let slot_days = replay_node_local_per_slot(config, &mut slot, &mut slot_rng, target);
+                let run_days = replay_node_local(config, &mut run, id, target);
+                let slot_days = replay_node_local_per_slot(config, &mut slot, id, target);
                 proptest::prop_assert_eq!(run_days, slot_days, "{}", case);
-                proptest::prop_assert_eq!(
-                    run.lrm.lupa_window().partial_day(),
-                    slot.lrm.lupa_window().partial_day(),
-                    "{}", case
-                );
                 proptest::prop_assert!(run.lrm.lupa_window().completed().is_empty(), "{}", case);
-                proptest::prop_assert_eq!(run.lrm.owner_load(), slot.lrm.owner_load(), "{}", case);
-                proptest::prop_assert_eq!(
-                    run.lrm.grid_share().to_bits(),
-                    slot.lrm.grid_share().to_bits(),
-                    "{}", case
-                );
-                proptest::prop_assert_eq!(&run.qos, &slot.qos, "{}", case);
-                proptest::prop_assert_eq!(run.ticks_applied, slot.ticks_applied, "{}", case);
-                proptest::prop_assert_eq!(run_rng.next_u64(), slot_rng.next_u64(), "{}", case);
+                proptest::prop_assert_eq!(first_divergence(&[run], &[slot]), None, "{}", case);
             }
         }
+    }
+
+    /// The first node whose tick cursor, LUPA partial day (bitwise), owner
+    /// state or QoS ledger differs between two node tables of equal length.
+    fn first_divergence(a: &[NodeLocal], b: &[NodeLocal]) -> Option<usize> {
+        assert_eq!(a.len(), b.len());
+        let window = |n: &NodeLocal| -> Vec<[u64; 4]> {
+            n.lrm
+                .lupa_window()
+                .partial_day()
+                .iter()
+                .map(sample_bits)
+                .collect()
+        };
+        a.iter().zip(b).position(|(x, y)| {
+            x.ticks_applied != y.ticks_applied
+                || window(x) != window(y)
+                || x.lrm.owner_load() != y.lrm.owner_load()
+                || x.lrm.grid_share().to_bits() != y.lrm.grid_share().to_bits()
+                || x.qos != y.qos
+        })
     }
 
     #[test]
     fn replay_to_an_already_applied_tick_is_a_no_op() {
         let config = &config(0.05);
         let mut node = node(Trace::default());
-        let mut rng = DetRng::new(1);
-        replay_node_local(config, &mut node, &mut rng, 300);
-        let before = rng.clone();
-        let uploads = replay_node_local(config, &mut node, &mut rng, 200);
+        replay_node_local(config, &mut node, 0, 300);
+        let uploads = replay_node_local(config, &mut node, 0, 200);
         assert!(uploads.is_empty());
         assert_eq!(node.ticks_applied, 300);
-        assert_eq!(rng, before);
     }
 
-    /// An idle `n`-node world and a jitter stream.
-    fn world(n: usize) -> (Vec<NodeLocal>, Vec<GupaCell>, DetRng) {
+    /// An idle `n`-node world.
+    fn world(n: usize) -> (Vec<NodeLocal>, Vec<GupaCell>) {
         (
             (0..n).map(|_| node(Trace::default())).collect(),
             (0..n).map(|_| GupaCell::default()).collect(),
-            DetRng::new(9),
         )
     }
 
     /// The serial flush [`Flush`] replaced, kept as its oracle: every node
-    /// in order, each drawing from the one stream.
+    /// in order.
     fn serial_flush(
         config: &GridConfig,
         nodes: &mut [NodeLocal],
         cells: &mut [GupaCell],
-        rng: &mut DetRng,
         target: u64,
     ) -> u64 {
         let gupa = LupaConfig::default();
         nodes
             .iter_mut()
             .zip(cells)
-            .map(|(node, cell)| digest(cell, gupa, replay_node_local(config, node, rng, target)))
+            .enumerate()
+            .map(|(id, (node, cell))| {
+                digest(cell, gupa, replay_node_local(config, node, id, target))
+            })
             .sum()
     }
 
@@ -700,12 +714,10 @@ mod tests {
     /// in): a mix of traced nodes, each with a history of its own length,
     /// and untraced ones, each already at its own tick with the uploads
     /// that got it there digested — node 0 at tick 0, about a quarter at
-    /// the target, as `catch_up_node` leaves them — and a partly drawn
-    /// stream.
-    fn flush_world(config: &GridConfig, seed: u64) -> (Vec<NodeLocal>, Vec<GupaCell>, DetRng, u64) {
+    /// the target, as `catch_up_node` leaves them.
+    fn flush_world(config: &GridConfig, seed: u64) -> (Vec<NodeLocal>, Vec<GupaCell>, u64) {
         let mut gen = DetRng::new(seed);
         let target = 6 * 288 + gen.uniform_range(0, 3 * 288);
-        let mut setup = DetRng::new(!seed);
         let (mut nodes, mut cells) = (Vec::new(), Vec::new());
         for id in 0..4 + gen.index(48) {
             let trace: Vec<UsageSample> = match gen.bernoulli(0.5) {
@@ -721,15 +733,17 @@ mod tests {
                 _ => gen.uniform_range(0, target),
             };
             let mut cell = GupaCell::default();
-            let days = replay_node_local(config, &mut local, &mut setup, applied);
+            let days = replay_node_local(config, &mut local, id, applied);
             digest(&mut cell, LupaConfig::default(), days);
             nodes.push(local);
             cells.push(cell);
         }
-        let mut rng = DetRng::with_stream(seed, integrade_simnet::rng::streams::LUPA_JITTER);
-        rng.skip_u64(gen.uniform_range(0, 1_000));
-        (nodes, cells, rng, target)
+        (nodes, cells, target)
     }
+
+    /// The flush sizes the proptests cut at: from one node-slot per chunk
+    /// to the production size.
+    const CHUNK_SIZES: [u64; 5] = [1, 97, 1_000, 5_000, FLUSH_CHUNK_SLOTS];
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(8))]
@@ -737,40 +751,69 @@ mod tests {
         /// The chunked flush against the serial one at 1, 2, 3 and 8
         /// workers, noise off and on, and chunk sizes from one node-slot to
         /// the production size: equal LUPA windows, QoS ledgers, tick
-        /// cursors, GUPA cells, upload counts and final stream positions.
+        /// cursors, GUPA cells and upload counts.
         #[test]
         fn chunked_flush_matches_the_serial_flush(seed in proptest::arbitrary::any::<u64>()) {
             for salt in crate::par::chaos_salts() {
                 let seed = seed ^ salt;
-                let sizes = [1, 97, 1_000, 5_000, FLUSH_CHUNK_SLOTS];
-                let chunk_slots = sizes[DetRng::new(seed).index(sizes.len())];
+                let chunk_slots = CHUNK_SIZES[DetRng::new(seed).index(CHUNK_SIZES.len())];
                 for noise in [0.0, 0.05] {
                     let config = &config(noise);
-                    let (mut nodes, mut cells, mut rng, target) = flush_world(config, seed);
-                    let uploads = serial_flush(config, &mut nodes, &mut cells, &mut rng, target);
+                    let (mut nodes, mut cells, target) = flush_world(config, seed);
+                    let uploads = serial_flush(config, &mut nodes, &mut cells, target);
                     proptest::prop_assert!(uploads > 0, "node 0 crosses a midnight");
                     for workers in [1, 2, 3, 8] {
                         let case = format!(
                             "seed {seed:#x}, noise {noise}, {workers} workers, chunks of {chunk_slots}"
                         );
-                        let (mut n, mut c, mut r, _) = flush_world(config, seed);
-                        let chunked: u64 = Flush::cut(config, &mut n, &mut c, &mut r, target, chunk_slots)
+                        let (mut n, mut c, _) = flush_world(config, seed);
+                        let chunked: u64 = Flush::cut(&mut n, &mut c, target, chunk_slots)
                             .run(workers, |chunk| chunk.replay(config, LupaConfig::default(), target))
                             .into_iter()
                             .sum();
                         proptest::prop_assert_eq!(chunked, uploads, "{}", case);
-                        proptest::prop_assert_eq!(&r, &rng, "{}", case);
                         proptest::prop_assert!(c == cells, "{}: GUPA cells diverged", case);
-                        for (id, (a, b)) in n.iter().zip(&nodes).enumerate() {
-                            proptest::prop_assert_eq!(a.ticks_applied, b.ticks_applied, "{} node {}", case, id);
-                            proptest::prop_assert_eq!(
-                                a.lrm.lupa_window().partial_day(),
-                                b.lrm.lupa_window().partial_day(),
-                                "{} node {}", case, id
-                            );
-                            proptest::prop_assert_eq!(&a.qos, &b.qos, "{} node {}", case, id);
-                        }
+                        proptest::prop_assert_eq!(first_divergence(&n, &nodes), None, "{}", case);
                     }
+                }
+            }
+        }
+
+        /// Catch-ups of a seeded random subset of the nodes, each to a
+        /// random tick and in shuffled order, then the chunked flush,
+        /// against the in-order serial flush — noise off and on, chunk
+        /// sizes down to one node-slot: equal LUPA windows, QoS ledgers,
+        /// tick cursors, GUPA cells and upload counts. A node's catch-up
+        /// reads only its own state, its jitter included.
+        #[test]
+        fn catch_up_in_any_order_matches_the_serial_flush(seed in proptest::arbitrary::any::<u64>()) {
+            for salt in crate::par::chaos_salts() {
+                let seed = seed ^ salt;
+                let mut gen = DetRng::new(!seed);
+                let chunk_slots = CHUNK_SIZES[gen.index(CHUNK_SIZES.len())];
+                for noise in [0.0, 0.05] {
+                    let config = &config(noise);
+                    let (mut nodes, mut cells, target) = flush_world(config, seed);
+                    let uploads = serial_flush(config, &mut nodes, &mut cells, target);
+                    let (mut n, mut c, _) = flush_world(config, seed);
+                    let mut order: Vec<usize> = (0..n.len()).filter(|_| gen.bernoulli(0.5)).collect();
+                    gen.shuffle(&mut order);
+                    let case = format!(
+                        "seed {seed:#x}, noise {noise}, chunks of {chunk_slots}, catch-ups {order:?}"
+                    );
+                    let mut caught_up = 0;
+                    for &id in &order {
+                        let to = gen.uniform_range(0, target + 1);
+                        let days = replay_node_local(config, &mut n[id], id, to);
+                        caught_up += digest(&mut c[id], LupaConfig::default(), days);
+                    }
+                    let flushed: u64 = Flush::cut(&mut n, &mut c, target, chunk_slots)
+                        .run(2, |chunk| chunk.replay(config, LupaConfig::default(), target))
+                        .into_iter()
+                        .sum();
+                    proptest::prop_assert_eq!(caught_up + flushed, uploads, "{}", case);
+                    proptest::prop_assert!(c == cells, "{}: GUPA cells diverged", case);
+                    proptest::prop_assert_eq!(first_divergence(&n, &nodes), None, "{}", case);
                 }
             }
         }
@@ -781,12 +824,11 @@ mod tests {
         let caller = std::thread::current().id();
         let config = &config(0.05);
         for (chunk_slots, inline) in [(FLUSH_CHUNK_SLOTS, true), (1, false)] {
-            let (mut nodes, mut cells, mut rng) = world(7);
-            let threads = Flush::cut(config, &mut nodes, &mut cells, &mut rng, 300, chunk_slots)
-                .run(8, |chunk| {
-                    chunk.replay(config, LupaConfig::default(), 300);
-                    std::thread::current().id()
-                });
+            let (mut nodes, mut cells) = world(7);
+            let threads = Flush::cut(&mut nodes, &mut cells, 300, chunk_slots).run(8, |chunk| {
+                chunk.replay(config, LupaConfig::default(), 300);
+                std::thread::current().id()
+            });
             assert_eq!(threads.len(), if inline { 1 } else { 7 });
             assert_eq!(threads.iter().all(|t| *t == caller), inline);
         }

@@ -6,6 +6,8 @@
 //!
 //! * [`SplitMix64`] — used for seeding and cheap hashing-style streams.
 //! * [`Pcg32`] — PCG-XSH-RR 64/32, the general-purpose generator.
+//! * [`keyed_u64`] — a cursor-free hash, for values that must depend only
+//!   on what they are keyed by, never on the order they are asked for.
 //!
 //! [`DetRng`] wraps `Pcg32` with the distribution helpers the rest of the
 //! workspace needs (uniform ranges, Bernoulli, exponential, normal, shuffle,
@@ -34,11 +36,12 @@ pub mod streams {
     /// member grids' streams so a federation run never perturbs any member
     /// cluster's own deterministic draws.
     pub const FED: u64 = 0x4645_4445;
-    /// A grid's LUPA measurement jitter (`b"SHRD"` in the high half): every
-    /// jittered owner sample, in the slot walk, in catch-up replay and in the
-    /// report flush, draws from this one stream. The id is the one the slot
-    /// walk's first shard owned when the walk could be cut into several, so
-    /// jittered runs replay exactly as they did then.
+    /// A grid's LUPA measurement jitter (`b"SHRD"` in the high half). It
+    /// is not drawn as a stream: XORed with the grid's seed it salts the
+    /// [`keyed_u64`](super::keyed_u64) hash every jittered owner sample is
+    /// keyed by, so each sample's jitter is a pure function of the seed,
+    /// the node, the slot and the channel. It stays registered here so no
+    /// stream takes the id.
     pub const LUPA_JITTER: u64 = 0x5348_5244_0000_0000;
     /// Every stream id above, for disjointness checks.
     pub const ALL: [u64; 5] = [GRID_WORLD, RETRY, DEFAULT, FED, LUPA_JITTER];
@@ -102,13 +105,6 @@ impl Pcg32 {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        Self::output(old)
-    }
-
-    /// The XSH-RR output permutation: the 32-bit value a draw from state
-    /// `old` returns.
-    #[inline]
-    fn output(old: u64) -> u32 {
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
         let rot = (old >> 59) as u32;
         xorshifted.rotate_right(rot)
@@ -120,98 +116,48 @@ impl Pcg32 {
         let lo = self.next_u32() as u64;
         (hi << 32) | lo
     }
+}
 
-    /// The affine map `state ↦ mult · state + plus` of `delta` state steps
-    /// on the stream with increment `inc`, as `(mult, plus)`: O'Neill's
-    /// `pcg_advance_lcg_64`, which composes the one-step map `(PCG_MULT,
-    /// inc)` by square-and-multiply in O(log delta). The period is 2⁶⁴, so
-    /// `delta` is taken mod 2⁶⁴.
-    fn step_map(delta: u64, inc: u64) -> (u64, u64) {
-        let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
-        let (mut cur_mult, mut cur_plus) = (PCG_MULT, inc);
-        let mut delta = delta;
-        while delta > 0 {
-            if delta & 1 == 1 {
-                acc_mult = acc_mult.wrapping_mul(cur_mult);
-                acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
-            }
-            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
-            cur_mult = cur_mult.wrapping_mul(cur_mult);
-            delta >>= 1;
-        }
-        (acc_mult, acc_plus)
+/// A raw 64-bit value keyed by `(salt, keys)`: a splitmix64-style mix of
+/// each key into the salt, then the splitmix64 finalizer. There is no
+/// cursor, so the value depends only on the identity it is keyed by — any
+/// caller, asking in any order, any number of times, gets the same bits.
+/// Sabotage decisions ([`scheduled_draw`](crate::faults::scheduled_draw))
+/// and LUPA measurement jitter are both drawn this way.
+#[inline]
+pub fn keyed_u64(salt: u64, keys: [u64; 3]) -> u64 {
+    let mut h = salt ^ 0x9E37_79B9_7F4A_7C15;
+    for k in keys {
+        h ^= k.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = h.rotate_left(27).wrapping_mul(0x94D0_49BB_1331_11EB);
     }
-
-    /// Moves the generator `delta` 32-bit draws ahead in O(log delta)
-    /// steps: the LCG jump-ahead, one affine map of `delta` state steps.
-    /// The period is 2⁶⁴, so `delta` is taken mod 2⁶⁴.
-    pub fn advance(&mut self, delta: u64) {
-        let (mult, plus) = Self::step_map(delta, self.inc);
-        self.state = mult.wrapping_mul(self.state).wrapping_add(plus);
-    }
-
-    /// Fills `out` with exactly what `out.len()` calls of
-    /// [`next_u64`](Self::next_u64) return, and leaves the generator where
-    /// those calls would. The 32-bit draws are computed on eight
-    /// independent lanes — lane `j` starts `j` steps ahead and every lane
-    /// advances eight steps at a time through the jump-ahead's affine map
-    /// — so the state steps of one round do not wait on each other as a
-    /// serial draw's do.
-    pub fn fill_u64(&mut self, out: &mut [u64]) {
-        const LANES: usize = 8;
-        let (mult, plus) = Self::step_map(LANES as u64, self.inc);
-        let mut lanes = [0u64; LANES];
-        let mut state = self.state;
-        for lane in &mut lanes {
-            *lane = state;
-            state = state.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        }
-        // A round of the eight lanes is four 64-bit values: lanes 2q and
-        // 2q + 1 are value q's high and low halves.
-        let pair = |lanes: &[u64; LANES], q: usize| {
-            (u64::from(Self::output(lanes[2 * q])) << 32)
-                | u64::from(Self::output(lanes[2 * q + 1]))
-        };
-        let mut rounds = out.chunks_exact_mut(LANES / 2);
-        for round in &mut rounds {
-            for (q, value) in round.iter_mut().enumerate() {
-                *value = pair(&lanes, q);
-            }
-            for lane in &mut lanes {
-                *lane = lane.wrapping_mul(mult).wrapping_add(plus);
-            }
-        }
-        let rest = rounds.into_remainder();
-        for (q, value) in rest.iter_mut().enumerate() {
-            *value = pair(&lanes, q);
-        }
-        // Lane 2·rest.len() is the first state no value was drawn from.
-        self.state = lanes[2 * rest.len()];
-    }
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 /// 53 random mantissa bits of a raw value as a uniform `f64` in `[0, 1)`.
 #[inline]
-fn unit_f64(raw: u64) -> f64 {
+pub(crate) fn unit_f64(raw: u64) -> f64 {
     (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The map from raw values to symmetric jitter at one amplitude — the one
-/// definition of the formula behind [`DetRng::jitter`], for callers that
-/// draw raw values in blocks ([`DetRng::fill_u64`]) and check the
-/// amplitude once rather than once per value.
+/// The map from raw values to symmetric jitter at one amplitude, checked
+/// once rather than once per value. Measurement jitter maps
+/// [`keyed_u64`] values through it.
 ///
 /// # Examples
 ///
 /// ```
-/// use integrade_simnet::rng::{DetRng, Jitter};
+/// use integrade_simnet::rng::{keyed_u64, Jitter};
 ///
-/// let (mut one, mut block) = (DetRng::new(3), DetRng::new(3));
-/// let mut raw = [0u64; 2];
-/// block.fill_u64(&mut raw);
 /// let jitter = Jitter::new(0.05);
-/// assert_eq!(one.jitter(0.05).to_bits(), jitter.of(raw[0]).to_bits());
-/// assert_eq!(one.jitter(0.05).to_bits(), jitter.of(raw[1]).to_bits());
+/// let value = jitter.of(keyed_u64(3, [7, 288, 0]));
+/// assert!((-0.05..=0.05).contains(&value));
+/// // A keyed value has no cursor: the same key gives the same bits.
+/// assert_eq!(value.to_bits(), jitter.of(keyed_u64(3, [7, 288, 0])).to_bits());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Jitter {
@@ -289,23 +235,6 @@ impl DetRng {
         self.pcg.next_u64()
     }
 
-    /// Discards the next `n` raw 64-bit values in O(log n): afterwards the
-    /// generator is where `n` calls of [`next_u64`](Self::next_u64) would
-    /// have left it. A cached normal deviate is kept, exactly as those
-    /// calls would keep it.
-    pub fn skip_u64(&mut self, n: u64) {
-        self.pcg.advance(n.wrapping_mul(2));
-    }
-
-    /// Fills `out` with exactly what `out.len()` calls of
-    /// [`next_u64`](Self::next_u64) return, and leaves the generator where
-    /// they would ([`Pcg32::fill_u64`]). Callers that draw many values in a
-    /// row read them in blocks through this instead of one serial draw at a
-    /// time. A cached normal deviate is kept, as those calls would keep it.
-    pub fn fill_u64(&mut self, out: &mut [u64]) {
-        self.pcg.fill_u64(out);
-    }
-
     /// Returns a uniform `f64` in `[0, 1)`.
     pub fn uniform_f64(&mut self) -> f64 {
         unit_f64(self.next_u64())
@@ -342,18 +271,6 @@ impl DetRng {
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.uniform_f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Returns a uniform jitter in `[-amplitude, amplitude]` — the
-    /// symmetric perturbation per-slot measurement noise draws from
-    /// [`streams::LUPA_JITTER`]. Exactly one `next_u64` is consumed per call, so
-    /// stream advancement is independent of the amplitude.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude` is negative or not finite.
-    pub fn jitter(&mut self, amplitude: f64) -> f64 {
-        Jitter::new(amplitude).of(self.next_u64())
     }
 
     /// Returns an exponentially distributed value with the given mean.
@@ -450,59 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn pcg_advance_matches_stepping_by_single_draws() {
-        let mut stepped = Pcg32::new(99, 7);
-        for delta in 0..300 {
-            let mut jumped = Pcg32::new(99, 7);
-            jumped.advance(delta);
-            assert_eq!(jumped, stepped, "delta {delta}");
-            stepped.next_u32();
-        }
-    }
-
-    #[test]
-    fn the_step_map_is_delta_single_steps_and_the_one_jump_ahead() {
-        let inc = Pcg32::new(99, 7).inc;
-        let (mut mult, mut plus) = (1u64, 0u64);
-        for delta in 0..40 {
-            assert_eq!(Pcg32::step_map(delta, inc), (mult, plus), "delta {delta}");
-            mult = mult.wrapping_mul(PCG_MULT);
-            plus = plus.wrapping_mul(PCG_MULT).wrapping_add(inc);
-        }
-        // `advance` and `fill_u64` both jump through `step_map`: the
-        // square-and-multiply loop is written once, in it.
-        let source = include_str!("rng.rs");
-        let body = |name: &str| {
-            let start = source.find(&format!("pub fn {name}(")).expect(name);
-            &source[start..start + source[start..].find("\n    }\n").expect(name)]
-        };
-        for name in ["advance", "fill_u64"] {
-            assert!(
-                body(name).contains("Self::step_map("),
-                "{name} bypasses step_map"
-            );
-        }
-        let squaring = ["cur_mult", ".wrapping_mul(cur_mult)"].concat();
-        assert_eq!(source.matches(&squaring).count(), 1, "a second jump-ahead");
-    }
-
-    #[test]
-    fn a_cached_normal_deviate_survives_a_skip() {
-        let mut skipped = DetRng::new(37);
-        skipped.normal(0.0, 1.0); // caches the second deviate
-        let mut stepped = skipped.clone();
-        let mut untouched = skipped.clone();
-        skipped.skip_u64(1_000);
-        for _ in 0..1_000 {
-            stepped.next_u64();
-        }
-        assert_eq!(skipped, stepped);
-        let cached = untouched.normal(0.0, 1.0);
-        assert_eq!(skipped.normal(0.0, 1.0).to_bits(), cached.to_bits());
-        assert_eq!(skipped.next_u64(), stepped.next_u64());
-    }
-
-    #[test]
     fn distinct_streams_differ() {
         let mut a = Pcg32::new(99, 1);
         let mut b = Pcg32::new(99, 2);
@@ -535,25 +399,6 @@ mod tests {
     #[should_panic(expected = "lo < hi")]
     fn uniform_range_empty_panics() {
         DetRng::new(1).uniform_range(5, 5);
-    }
-
-    #[test]
-    fn jitter_is_symmetric_bounded_and_amplitude_independent() {
-        let mut rng = DetRng::new(7);
-        let mut sum = 0.0;
-        for _ in 0..10_000 {
-            let j = rng.jitter(0.05);
-            assert!((-0.05..=0.05).contains(&j), "{j}");
-            sum += j;
-        }
-        assert!(sum.abs() < 0.05 * 100.0, "mean should be near zero: {sum}");
-        // A zero-amplitude draw still advances the stream by one value, so
-        // switching noise on/off never re-aligns later draws differently.
-        let mut a = DetRng::new(9);
-        let mut b = DetRng::new(9);
-        assert_eq!(a.jitter(0.0), 0.0);
-        let _ = b.jitter(0.3);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -662,63 +507,6 @@ mod tests {
                     proptest::prop_assert!(same < 4, "streams {:#x} and {:#x} track each other", a, b);
                 }
             }
-        }
-
-        /// A skip of `n` lands where `n` draws do, on any seed and stream.
-        #[test]
-        fn prop_skip_equals_drawing(
-            seed in proptest::prelude::any::<u64>(),
-            stream in proptest::prelude::any::<u64>(),
-            n in 0u64..2_048,
-        ) {
-            let mut drawn = DetRng::with_stream(seed, stream);
-            for _ in 0..n {
-                drawn.next_u64();
-            }
-            let mut skipped = DetRng::with_stream(seed, stream);
-            skipped.skip_u64(n);
-            proptest::prop_assert_eq!(&skipped, &drawn);
-            proptest::prop_assert_eq!(skipped.next_u64(), drawn.next_u64());
-        }
-
-        /// A fill of `n` values returns what `n` draws return and leaves the
-        /// generator where they leave it — over every lane and block edge
-        /// up to n = 70, the empty fill included.
-        #[test]
-        fn prop_fill_equals_drawing(
-            seed in proptest::prelude::any::<u64>(),
-            stream in proptest::prelude::any::<u64>(),
-            n in 0usize..=70,
-        ) {
-            let mut drawn = DetRng::with_stream(seed, stream);
-            let expected: Vec<u64> = (0..n).map(|_| drawn.next_u64()).collect();
-            let mut filled = DetRng::with_stream(seed, stream);
-            let mut out = vec![0; n];
-            filled.fill_u64(&mut out);
-            proptest::prop_assert_eq!(out, expected);
-            proptest::prop_assert_eq!(&filled, &drawn);
-            proptest::prop_assert_eq!(filled.next_u64(), drawn.next_u64());
-        }
-
-        /// Skips compose: `skip(a); skip(b)` is `skip(a + b)`, for small
-        /// spans and for spans near 2⁴⁰, far past anything drawn one by one.
-        #[test]
-        fn prop_skips_compose(
-            seed in proptest::prelude::any::<u64>(),
-            stream in proptest::prelude::any::<u64>(),
-            a in 0u64..4_096,
-            b in 0u64..4_096,
-            far in proptest::prelude::any::<bool>(),
-        ) {
-            let base = if far { (1u64 << 40) - 2_048 } else { 0 };
-            let (a, b) = (base + a, base + b);
-            let mut twice = DetRng::with_stream(seed, stream);
-            twice.skip_u64(a);
-            twice.skip_u64(b);
-            let mut once = DetRng::with_stream(seed, stream);
-            once.skip_u64(a + b);
-            proptest::prop_assert_eq!(&twice, &once);
-            proptest::prop_assert_eq!(twice.next_u64(), once.next_u64());
         }
     }
 }

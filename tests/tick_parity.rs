@@ -9,9 +9,10 @@
 //! divergence here means the lazy catch-up, timer parking or the frame's
 //! effect order broke semantics, not just performance. The LUPA
 //! measurement jitter gets dedicated tests: a noisy run reproduces itself
-//! exactly, the jitter moves the learned histories and nothing else, and
-//! the histories of a flush-heavy noisy grid are pinned by hash, so a flush
-//! that draws its jitter in another order fails.
+//! exactly, both engines learn the same noisy histories, the jitter moves
+//! those histories and nothing else, and the histories of a flush-heavy
+//! noisy grid are pinned by hash, so a change to how a sample's jitter is
+//! keyed or mapped fails.
 //!
 //! The seed matrix defaults to a small set for `cargo test`; CI widens it
 //! via the `CHAOS_SEEDS` environment variable (comma-separated u64s).
@@ -173,8 +174,8 @@ fn assert_execution_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
 /// node's trained GUPA model and in-progress LUPA day. These are what the
 /// lazy catch-up replay writes, so comparing them checks the replay kernel
 /// against the eager walk itself, not just against what execution shows of
-/// it. Holds whenever both grids drew the same measurement jitter — always
-/// with noise off, and for two runs of one engine with it on.
+/// it. Holds with measurement noise off and on: a sample's jitter is keyed
+/// by its node and slot, whichever engine measures it.
 fn assert_parity(fast: &mut Grid, reference: &mut Grid, ctx: &str) {
     assert_execution_parity(fast, reference, ctx);
     for n in 0..fast.node_count() as u32 {
@@ -403,9 +404,8 @@ fn gray_failure_speculation_parity_across_all_modes() {
 }
 
 /// A grid with the LUPA measurement jitter at amplitude `noise`: 8 nodes,
-/// 3 traced, checkpointing on. Jitter is the only per-node work that draws
-/// from a random stream, so these scenarios exercise the drawing half of
-/// the determinism contract.
+/// 3 traced, checkpointing on. Jitter is the only random per-node work, so
+/// these scenarios exercise its half of the determinism contract.
 fn build_noisy(mode: TickMode, noise: f64, seed: u64) -> Grid {
     let config = GridConfig::builder()
         .seed(seed)
@@ -475,30 +475,45 @@ fn noisy_fixed_width_reproduces_itself() {
 
 #[test]
 fn noise_moves_only_the_learned_histories() {
-    // The jitter feeds only the pattern learner, never the owner state that
-    // drives eviction, QoS, status updates or uploads: a noisy run under
-    // either engine (each drawing the one stream in its own order) shows
-    // execution exactly what a noise-free run shows, while the measured
-    // samples the GUPA stores genuinely differ.
+    // A sample's jitter is keyed by its node and slot, so both engines
+    // measure every sample alike and learn the same noisy histories and
+    // models. The jitter feeds only the pattern learner, never the owner
+    // state that drives eviction, QoS, status updates or uploads: each noisy
+    // run shows execution exactly what a noise-free run shows, while the
+    // measured samples the GUPA stores genuinely differ.
     let mut quiet = build_noisy(TickMode::Lazy, 0.0, 11);
     run_noisy(&mut quiet);
     let quiet_histories = gupa_histories(&quiet);
-    for mode in [TickMode::Lazy, TickMode::Reference] {
-        let mut noisy = build_noisy(mode, 0.05, 11);
-        run_noisy(&mut noisy);
+    let mut lazy = build_noisy(TickMode::Lazy, 0.05, 11);
+    let mut reference = build_noisy(TickMode::Reference, 0.05, 11);
+    run_noisy(&mut lazy);
+    run_noisy(&mut reference);
+    assert_parity(&mut lazy, &mut reference, "lupa_noise, Lazy vs Reference");
+    let histories = gupa_histories(&lazy);
+    assert_eq!(
+        histories,
+        gupa_histories(&reference),
+        "lupa_noise: the engines learned different GUPA histories"
+    );
+    for (mode, noisy) in [
+        (TickMode::Lazy, &mut lazy),
+        (TickMode::Reference, &mut reference),
+    ] {
         let ctx = format!("{mode:?} with lupa_noise vs without");
-        assert_execution_parity(&mut noisy, &mut quiet, &ctx);
-        let histories = gupa_histories(&noisy);
-        // Same shape — one upload per node per rollover...
-        assert_eq!(
-            histories.iter().map(Vec::len).collect::<Vec<_>>(),
-            quiet_histories.iter().map(Vec::len).collect::<Vec<_>>(),
-            "{ctx}: upload counts diverged"
-        );
-        // ...but different content, or the jitter never drew and this
-        // suite is vacuous.
-        assert_ne!(histories, quiet_histories, "{ctx}: no jitter was drawn");
+        assert_execution_parity(noisy, &mut quiet, &ctx);
     }
+    // Same shape — one upload per node per rollover...
+    assert_eq!(
+        histories.iter().map(Vec::len).collect::<Vec<_>>(),
+        quiet_histories.iter().map(Vec::len).collect::<Vec<_>>(),
+        "lupa_noise: upload counts diverged"
+    );
+    // ...but different content, or the jitter never perturbed a sample and
+    // this suite is vacuous.
+    assert_ne!(
+        histories, quiet_histories,
+        "lupa_noise: no jitter was applied"
+    );
 }
 
 /// FNV-1a over 64-bit words, fed little-endian byte by byte.
@@ -562,14 +577,15 @@ fn jittered_learner_state_is_pinned() {
     // A flush-heavy noisy grid: the update timer and the crash detector are
     // pushed past the horizon, so only the first quarter of the nodes is
     // ever caught up one at a time (by its single update) and the report
-    // flush replays everything else, drawing the jitter of ~3 days per
-    // node — enough node-slots for the flush to run in several chunks. The
-    // hash is that of a serial walk over the nodes; an engine change that
-    // draws jitter in another order moves it. The models trained on those
-    // histories are pinned beside them, so an engine change that trains or
-    // retrains on the same days differently moves the second hash.
-    const PINNED: u64 = 0x0708_280c_a404_183a;
-    const PINNED_MODELS: u64 = 0x5361_b5c7_5217_a7e2;
+    // flush replays everything else, measuring ~3 days of jittered samples
+    // per node — enough node-slots for the flush to run in several chunks.
+    // A sample's jitter is keyed by its node and slot, so the order in which
+    // nodes are caught up cannot move the hash; a change to the key or to
+    // the jitter formula does. The models trained on those histories are
+    // pinned beside them, so an engine change that trains or retrains on the
+    // same days differently moves the second hash.
+    const PINNED: u64 = 0x28b4_0956_5875_7835;
+    const PINNED_MODELS: u64 = 0x48a5_ef4d_9ab4_afe6;
     let horizon = SimDuration::from_secs(3 * 24 * 3600);
     let far = SimDuration::from_micros(horizon.as_micros() * 4);
     let config = GridConfig::builder()
